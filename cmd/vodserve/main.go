@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -162,21 +163,21 @@ func main() {
 	log.Printf("vodserve: n=%d catalog m=%d c=%d T=%d µ=%.2f engine=%s round=%d restored=%v",
 		spec.Boxes, cat.M, cat.C, cat.T, spec.Growth, mode, sys.Round(), restored)
 
+	// Serve until SIGINT/SIGTERM, then stop the round clock, drain
+	// in-flight requests and release the engine's persistent shard workers.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	var ticking sync.WaitGroup // the -tick loop, if any
 	if *tick > 0 {
+		ticking.Add(1)
 		go func() {
-			for range time.Tick(*tick) {
-				if _, err := srv.StepRounds(1); err != nil {
-					log.Printf("vodserve: tick: %v", err)
-				}
+			defer ticking.Done()
+			if err := srv.Tick(ctx, *tick); err != nil {
+				log.Printf("vodserve: round clock stopped: %v", err)
 			}
 		}()
 		log.Printf("vodserve: auto-advancing one round per %v", *tick)
 	}
-
-	// Serve until SIGINT/SIGTERM, then drain in-flight requests and
-	// release the engine's persistent shard workers.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
@@ -187,6 +188,7 @@ func main() {
 	case <-ctx.Done():
 	}
 	log.Printf("vodserve: shutting down")
+	ticking.Wait()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {

@@ -38,6 +38,15 @@ func newBatchAllowance(v *core.View) *batchAllowance {
 	return &batchAllowance{v: v, used: make(map[video.ID]int)}
 }
 
+// reset empties ba for a new batch against v, keeping its map.
+func (ba *batchAllowance) reset(v *core.View) {
+	ba.v = v
+	if ba.used == nil {
+		ba.used = make(map[video.ID]int)
+	}
+	clear(ba.used)
+}
+
 // take claims one slot of vid's allowance; false when exhausted.
 func (ba *batchAllowance) take(vid video.ID) bool {
 	if ba.v.SwarmAllowance(vid)-ba.used[vid] <= 0 {
@@ -205,7 +214,12 @@ type Zipf struct {
 	S   float64
 
 	dist *stats.Zipf
-	idle []int // per-round scratch, reused across Next calls
+	// Per-round scratch, reused across Next calls. The returned batch is
+	// out itself: valid until the next call, which is as long as the
+	// engine (and every wrapper in this repository) holds on to it.
+	idle []int
+	out  []core.Demand
+	ba   batchAllowance
 }
 
 // Next implements core.Generator.
@@ -213,8 +227,9 @@ func (g *Zipf) Next(v *core.View, _ int) []core.Demand {
 	if g.dist == nil {
 		g.dist = stats.NewZipf(v.Catalog().M, g.S)
 	}
-	var out []core.Demand
-	ba := newBatchAllowance(v)
+	out := g.out[:0]
+	ba := &g.ba
+	ba.reset(v)
 	g.idle = v.IdleBoxes(g.idle[:0])
 	for _, b := range g.idle {
 		if !g.RNG.Bool(g.P) {
@@ -225,6 +240,7 @@ func (g *Zipf) Next(v *core.View, _ int) []core.Demand {
 			out = append(out, core.Demand{Box: b, Video: vid})
 		}
 	}
+	g.out = out
 	return out
 }
 

@@ -20,6 +20,7 @@ package bipartite
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -55,10 +56,18 @@ type Adjacency interface {
 // edge (left, right) — known to exist when it was assigned — cannot
 // disappear while both endpoints stay live (e.g. the server holds the
 // stripe statically), letting Revalidate skip re-validating it each round.
+//
+// ServerClass exposes nested server sets to the layered BFS. Lefts of one
+// class (≥ 0) are ordered by need, and their server sets nest up to one
+// excluded right each: for a, b of the same class with need(a) ≤ need(b),
+// every server of b other than a's self is also a server of a. A negative
+// class means the left has no such structure and is always enumerated in
+// full. need and self must not change while a matcher call is running.
 type Hinted interface {
 	Adjacency
 	ServerCountHint(left int) int
 	StableEdge(left, right int) bool
+	ServerClass(left int) (class, need int32, self int)
 }
 
 // rightRec packs every per-right field a search probes into one record:
@@ -116,6 +125,18 @@ type Matcher struct {
 	// unmatchedOut is the AugmentAll return buffer (DrainAssigned
 	// convention: valid until the next call, never retained by callers).
 	unmatchedOut []int
+
+	// memo is the layered BFS's class table (see bfsLayer): open-addressed
+	// by Hinted.ServerClass, slots valid while their stamp equals epoch.
+	// It is search scratch — absent until a BFS first records a class, then
+	// grown to twice the most classes any one search expanded and reused,
+	// so its size follows the search, never the class space. memoLive
+	// counts the current search's slots; memoWalk tells bfsNext whether the
+	// left being expanded is enumerating its servers or probing one.
+	memo      []classMemo
+	memoShift uint8
+	memoLive  int
+	memoWalk  bool
 
 	// Lefts that may need (re-)augmentation: newly added or unassigned
 	// since the last AugmentAll. Keeping them explicit makes AugmentAll
@@ -664,8 +685,21 @@ func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 // right with spare capacity appears (all shortest augmenting paths end
 // there), recorded in maxLevel. Reports whether any free right was
 // reached.
+//
+// Lefts of one ServerClass share most of their servers, and a right's
+// label is its BFS distance whichever left reaches it first, so the wave
+// enumerates each class once: the memo records, per class, the lowest need
+// expanded in this search and the right that expansion excluded. A later
+// left of the class with an equal or higher need could only re-see stamped
+// rights — its servers nest inside the recorded expansion's — except that
+// one excluded right, so it probes just that one with CanServe instead of
+// walking its server list. A left with a lower need walks in full and
+// takes over the class's slot. Visit stamps, levels, queue order and
+// maxLevel come out exactly as if every left had walked. The DFS phase is
+// not memoized: there the enumeration order picks the matching.
 func (m *Matcher) bfsLayer(frontier []int32, hinter Hinted, hinted bool) bool {
 	m.beginSearch()
+	m.memoLive = 0
 	q := m.queue[:0]
 	for _, l := range frontier {
 		if m.assigned[l] != Unassigned || m.visitL[l] == m.epoch {
@@ -683,8 +717,7 @@ func (m *Matcher) bfsLayer(frontier []int32, hinter Hinted, hinted bool) bool {
 		for i := layerStart; i < layerEnd; i++ {
 			l := q[i]
 			d := m.levelL[l]
-			m.trav.begin(l, 0)
-			for r := m.trav.next(0); r >= 0; r = m.trav.next(0) {
+			for r := m.bfsFirst(hinter, l); r >= 0; r = m.bfsNext() {
 				rr := &m.rights[r]
 				if rr.visit == m.epoch {
 					continue
@@ -716,6 +749,82 @@ func (m *Matcher) bfsLayer(frontier []int32, hinter Hinted, hinted bool) bool {
 	}
 	m.queue = q
 	return found
+}
+
+// classMemo is one slot of the layered BFS's class table.
+type classMemo struct {
+	stamp uint32 // epoch of the search that wrote the slot
+	class int32
+	need  int32 // lowest need expanded for the class in that search
+	self  int32 // the right that expansion excluded, negative for none
+}
+
+// bfsFirst opens left l's enumeration for the layered BFS and returns the
+// first right to label, negative when there is none. A left whose class
+// was already expanded at a need no higher than its own yields at most the
+// one right that expansion excluded; any other left records its class and
+// walks its whole server list through frame 0.
+func (m *Matcher) bfsFirst(hinter Hinted, l int32) int {
+	m.memoWalk = true
+	if hinter != nil {
+		if class, need, self := hinter.ServerClass(int(l)); class >= 0 {
+			e := m.memoSlot(class)
+			if e.stamp == m.epoch && e.need <= need {
+				m.memoWalk = false
+				if e.self >= 0 && m.rights[e.self].visit != m.epoch && hinter.CanServe(int(l), int(e.self)) {
+					return int(e.self)
+				}
+				return -1
+			}
+			if e.stamp != m.epoch {
+				m.memoLive++
+			}
+			*e = classMemo{stamp: m.epoch, class: class, need: need, self: int32(self)}
+		}
+	}
+	m.trav.begin(l, 0)
+	return m.trav.next(0)
+}
+
+// bfsNext continues the enumeration bfsFirst opened.
+func (m *Matcher) bfsNext() int {
+	if !m.memoWalk {
+		return -1
+	}
+	return m.trav.next(0)
+}
+
+// memoSlot returns class's slot in the current search, or the empty slot
+// where it belongs (stamp != epoch). The table keeps at least half its
+// slots empty, growing before the probe when the next insert would not.
+func (m *Matcher) memoSlot(class int32) *classMemo {
+	if 2*(m.memoLive+1) > len(m.memo) {
+		m.growMemo()
+	}
+	mask := uint32(len(m.memo) - 1)
+	for i := uint32(class) * 0x9E3779B1 >> m.memoShift; ; i = (i + 1) & mask {
+		e := &m.memo[i]
+		if e.stamp != m.epoch || e.class == class {
+			return e
+		}
+	}
+}
+
+// growMemo doubles the class table, carrying over the current search's
+// slots.
+func (m *Matcher) growMemo() {
+	old := m.memo
+	n := 2 * len(old)
+	if n == 0 {
+		n = 64
+	}
+	m.memo = make([]classMemo, n)
+	m.memoShift = uint8(32 - bits.TrailingZeros(uint(n)))
+	for i := range old {
+		if old[i].stamp == m.epoch {
+			*m.memoSlot(old[i].class) = old[i]
+		}
+	}
 }
 
 // dfsAugment extends a shortest augmenting path from left l at layer d
@@ -834,6 +943,9 @@ func (m *Matcher) beginSearch() {
 		for i := range m.rights {
 			m.rights[i].visit = 0
 			m.rights[i].done = 0
+		}
+		for i := range m.memo {
+			m.memo[i].stamp = 0
 		}
 		m.epoch = 1
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bipartite"
 	"repro/internal/video"
@@ -21,6 +22,12 @@ type StepResult struct {
 
 // Step simulates one round: expiry, scheduled request issuance, demand
 // admission, connection matching, obstruction handling, and progress.
+//
+// The generator's batch is checked whole before any of it is admitted. If
+// a demand names a box or video the system does not have, none of the batch
+// is admitted, the round otherwise runs to its end — the system stays
+// consistent and can be stepped again — and Step returns the round's
+// result with an error naming the first such demand.
 func (s *System) Step(gen Generator) (StepResult, error) {
 	if s.failed {
 		return StepResult{}, fmt.Errorf("core: system already failed at round %d", s.metrics.failRound)
@@ -60,8 +67,13 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	}
 
 	// Admission.
+	var batchErr error
 	if gen != nil {
-		for _, d := range gen.Next(s.View(), s.round) {
+		batch := gen.Next(s.View(), s.round)
+		if batchErr = s.checkDemands(batch); batchErr != nil {
+			batch = nil
+		}
+		for _, d := range batch {
 			res.Demanded++
 			switch s.admit(d) {
 			case admitOK:
@@ -82,7 +94,7 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	// assignments that freeze/expiry events or due margin rechecks have
 	// flagged; the sweep runs under Config.NaiveAvailability and while a
 	// stall episode keeps certificates unreliable (see invalidation.go).
-	adj := adjacency{s}
+	adj := s.adj
 	var unmatched []int
 	if s.sharded != nil {
 		unmatched = s.matchSharded()
@@ -106,7 +118,7 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 		if s.cfg.Failure == FailStop {
 			s.failed = true
 			s.metrics.failRound = s.round
-			return res, nil
+			return res, batchErr
 		}
 		s.metrics.stalls += int64(len(unmatched))
 		// Rewrite the deficient maximum matching to the canonical covered
@@ -147,7 +159,23 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	}
 
 	s.metrics.observeRound(s, res)
-	return res, nil
+	return res, batchErr
+}
+
+// checkDemands reports the first demand of batch that names a box or a
+// video outside the system.
+func (s *System) checkDemands(batch []Demand) error {
+	for i, d := range batch {
+		if d.Box < 0 || d.Box >= s.n {
+			return fmt.Errorf("core: round %d: demand %d of %d names box %d, the system has boxes 0..%d",
+				s.round, i, len(batch), d.Box, s.n-1)
+		}
+		if d.Video < 0 || int(d.Video) >= s.cat.M {
+			return fmt.Errorf("core: round %d: demand %d of %d (box %d) names video %d, the catalog has videos 0..%d",
+				s.round, i, len(batch), d.Box, d.Video, s.cat.M-1)
+		}
+	}
+	return nil
 }
 
 type admitCode int
@@ -159,14 +187,9 @@ const (
 )
 
 // admit processes one demand: swarm-growth admission control, round-robin
-// preload stripe selection, and strategy-specific request scheduling.
+// preload stripe selection, and strategy-specific request scheduling. The
+// demand's box and video are in range (checkDemands).
 func (s *System) admit(d Demand) admitCode {
-	if d.Box < 0 || d.Box >= s.n {
-		panic(fmt.Sprintf("core: demand for unknown box %d", d.Box))
-	}
-	if d.Video < 0 || int(d.Video) >= s.cat.M {
-		panic(fmt.Sprintf("core: demand for unknown video %d", d.Video))
-	}
 	if box := &s.boxes[d.Box]; box.busy || box.outstanding > 0 {
 		return admitBusy
 	}
@@ -312,7 +335,7 @@ func (s *System) planRelayedPoor(b int32, v video.ID, preloadIdx int) int {
 // The alternating-reachable region is invariant across maximum matchings
 // (Dulmage–Mendelsohn), so the serial and sharded extractions agree bit
 // for bit.
-func (s *System) recordObstruction(adj adjacency, unmatched []int) *Obstruction {
+func (s *System) recordObstruction(adj bipartite.Adjacency, unmatched []int) *Obstruction {
 	var v *bipartite.Violator
 	if s.sharded != nil {
 		v = s.sharded.HallViolator(adj, unmatched)
@@ -322,14 +345,16 @@ func (s *System) recordObstruction(adj adjacency, unmatched []int) *Obstruction 
 	if v == nil {
 		return nil
 	}
-	distinct := make(map[video.StripeID]struct{})
+	stripes := s.stripeScratch[:0]
 	for _, l := range v.Lefts {
-		distinct[s.reqStripe[l]] = struct{}{}
+		stripes = append(stripes, s.reqStripe[l])
 	}
+	slices.Sort(stripes)
+	s.stripeScratch = stripes
 	ob := &Obstruction{
 		Round:           s.round,
 		Requests:        len(v.Lefts),
-		DistinctStripes: len(distinct),
+		DistinctStripes: len(slices.Compact(stripes)),
 		Boxes:           len(v.Rights),
 		Slots:           v.Slots,
 	}

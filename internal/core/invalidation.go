@@ -23,6 +23,8 @@ package core
 // Config.NaiveAvailability selects the retained Revalidate sweep, and the
 // differential tests pin both paths to identical behavior.
 
+import "repro/internal/bipartite"
+
 // invalidateTargeted replaces the Revalidate sweep: it gathers the
 // candidate assignments flagged by margin rechecks due this round and by
 // the (stripe, box) freeze/expiry events the availability store recorded
@@ -30,7 +32,7 @@ package core
 // The batch runs in active-list order, which keeps the matcher's
 // evolution bit-identical to the sweep's (see InvalidateBatch); each
 // event contributes O(load(box)) candidates, bounded by slot capacity.
-func (s *System) invalidateTargeted(adj adjacency) {
+func (s *System) invalidateTargeted(adj bipartite.Adjacency) {
 	bucket := s.round % len(s.recheckRing)
 	due := s.recheckRing[bucket]
 	s.recheckRing[bucket] = due[:0]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -174,23 +175,40 @@ func TestDirectStripeCountClamps(t *testing.T) {
 	}
 }
 
-func TestDemandPanicsOnInvalidInput(t *testing.T) {
-	for i, d := range []Demand{
-		{Box: -1, Video: 0},
-		{Box: 99, Video: 0},
-		{Box: 0, Video: -1},
-		{Box: 0, Video: 9999},
+// TestStepRejectsOutOfRangeDemand pins the admission boundary: a batch
+// naming a box or video the system does not have is refused whole — the
+// valid demand ahead of the bad one is not admitted either — Step names
+// the offender in its error, and the system is still consistent (Paranoid
+// verifies every round) and admits a clean batch on the next round.
+func TestStepRejectsOutOfRangeDemand(t *testing.T) {
+	const n = 12
+	build := func() *System { return buildHomogeneous(t, 31, n, 2, 3, 10, 4, 2.0, 1.5, nil) }
+	pastCatalog := video.ID(build().Catalog().M)
+	for _, tc := range []struct {
+		bad  Demand
+		want string
+	}{
+		{Demand{Box: -1, Video: 0}, "names box -1"},
+		{Demand{Box: n, Video: 0}, fmt.Sprintf("names box %d", n)},
+		{Demand{Box: 0, Video: -1}, "names video -1"},
+		{Demand{Box: 0, Video: pastCatalog}, fmt.Sprintf("names video %d", pastCatalog)},
 	} {
-		sys := buildHomogeneous(t, 31, 12, 2, 3, 10, 4, 2.0, 1.5, nil)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			gen := &scripted{byRound: map[int][]Demand{1: {d}}}
-			_, _ = sys.Run(gen, 1)
-		}()
+		sys := build()
+		gen := &scripted{byRound: map[int][]Demand{
+			1: {{Box: 3, Video: 0}, tc.bad},
+			2: {{Box: 3, Video: 0}},
+		}}
+		res, err := sys.Step(gen)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "demand 1 of 2") {
+			t.Fatalf("%+v: Step error %v, want one naming demand 1 of 2 and %q", tc.bad, err, tc.want)
+		}
+		if res.Round != 1 || res.Demanded != 0 || res.Admitted != 0 || !sys.View().BoxIdle(3) {
+			t.Fatalf("%+v: refused batch left a trace: %+v, box 3 idle %v", tc.bad, res, sys.View().BoxIdle(3))
+		}
+		res, err = sys.Step(gen)
+		if err != nil || res.Round != 2 || res.Admitted != 1 {
+			t.Fatalf("%+v: round after the refused batch: %+v, %v", tc.bad, res, err)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 type lane struct {
 	id  int
 	sys *System
+	adj bipartite.Hinted // shardAdjacency{ln}; a field for the same reason as System.adj
 
 	// Per-shard half of the event-driven invalidation state; exactly the
 	// serial engine's recheckRing/availEvents/assignedLog/candScratch,
@@ -49,6 +50,7 @@ type lane struct {
 func (ln *lane) init(s *System, id int) {
 	ln.id = id
 	ln.sys = s
+	ln.adj = shardAdjacency{ln}
 	ln.tramp = func(box int, local int32) bool {
 		if local < 0 {
 			local = int32(ln.sys.sharded.Register(ln.id, box))
@@ -176,6 +178,18 @@ func (a shardAdjacency) StableEdge(left, right int) bool {
 	return adjacency{s}.StableEdge(left, s.sharded.Global(a.ln.id, right))
 }
 
+// ServerClass implements bipartite.Hinted on local right ids. A requester
+// the shard has not registered has no local id to exclude — and a walk
+// could still register and reach it — so such a request reports no class.
+func (a shardAdjacency) ServerClass(left int) (class, need int32, self int) {
+	s := a.ln.sys
+	class, need, box := adjacency{s}.ServerClass(left)
+	if self = s.sharded.Local(a.ln.id, box); self < 0 {
+		return -1, 0, -1
+	}
+	return class, need, self
+}
+
 // shardStage identifies the fused shard-local work a pool dispatch runs.
 // A round has exactly two dispatches — the only synchronization points
 // left are the barriers around the serial Merge/GlobalAugment tail.
@@ -279,7 +293,7 @@ func (s *System) matchStageShard(sh int) {
 	ln := &s.lanes[sh]
 	s.avail.expireShard(s.round, sh)
 	s.sharded.RefreshCapacities(sh)
-	adj := shardAdjacency{ln}
+	adj := ln.adj
 	if s.eventDriven && !s.needSweep {
 		s.invalidateTargetedShard(ln, adj)
 	} else {
@@ -303,7 +317,7 @@ func (s *System) matchSharded() []int {
 	s.timing.parallelNS = nowNS() - t
 	t = nowNS()
 	spill := s.sharded.Merge()
-	out := s.sharded.GlobalAugment(adjacency{s}, spill, s.shardUnmatched)
+	out := s.sharded.GlobalAugment(s.adj, spill, s.shardUnmatched)
 	s.timing.serialNS = nowNS() - t
 	return out
 }
@@ -313,7 +327,7 @@ func (s *System) matchSharded() []int {
 // events), same batch invalidation, same certificate re-derivation — over
 // the lane's sub-matcher and ring. The union over lanes covers exactly
 // the candidates the serial engine gathers.
-func (s *System) invalidateTargetedShard(ln *lane, adj shardAdjacency) {
+func (s *System) invalidateTargetedShard(ln *lane, adj bipartite.Adjacency) {
 	bucket := s.round % len(ln.recheckRing)
 	due := ln.recheckRing[bucket]
 	ln.recheckRing[bucket] = due[:0]
@@ -447,12 +461,12 @@ func (s *System) advanceStageShard(sh int) {
 // verifyMatching is the paranoid-mode check: per-shard sub-matcher
 // consistency against the lane adjacency, then the global load table
 // against true capacities.
-func (s *System) verifyMatching(adj adjacency) error {
+func (s *System) verifyMatching(adj bipartite.Adjacency) error {
 	if s.sharded == nil {
 		return s.matcher.Verify(adj)
 	}
 	for sh := 0; sh < s.numShards; sh++ {
-		if err := s.sharded.Sub(sh).Verify(shardAdjacency{&s.lanes[sh]}); err != nil {
+		if err := s.sharded.Sub(sh).Verify(s.lanes[sh].adj); err != nil {
 			return fmt.Errorf("shard %d: %w", sh, err)
 		}
 	}

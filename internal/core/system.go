@@ -52,6 +52,11 @@ type System struct {
 	round      int
 	failed     bool
 
+	// adj is the Section 2.2 graph every global matcher call sees,
+	// adjacency{s}. A field rather than a literal at each call so that a
+	// differential test can substitute another view of the same graph.
+	adj bipartite.Hinted
+
 	// Sharded round engine (Config.Shards > 1): sharded replaces matcher —
 	// exactly one of the two is non-nil — and lanes carries the per-shard
 	// engine state (recheck rings, event scratch, adjacency). pool owns the
@@ -116,6 +121,10 @@ type System struct {
 	assignedLog []int32
 	candScratch []int32
 
+	// stripeScratch holds an obstruction's request stripes while
+	// recordObstruction counts the distinct ones, reused across rounds.
+	stripeScratch []video.StripeID
+
 	metrics runMetrics
 }
 
@@ -140,6 +149,7 @@ func NewSystem(cfg Config) (*System, error) {
 		boxes:       make([]boxRec, n),
 		pendingRing: make([][]issuance, maxIssuanceDelay+1),
 	}
+	s.adj = adjacency{s}
 	if S == 1 {
 		s.matcher = bipartite.NewMatcher(caps)
 		s.matcher.SerialAugment = cfg.SerialAugment
@@ -551,6 +561,16 @@ func (a adjacency) StableEdge(left, right int) bool {
 		}
 	}
 	return false
+}
+
+// ServerClass implements bipartite.Hinted: requests of one stripe have
+// server sets nested by progress. Allocation holders serve every request of
+// the stripe and a cache entry serves exactly the requests it is ahead of,
+// so a request further along has no server a request behind it lacks —
+// other than the box the latter must skip, its own requester.
+func (a adjacency) ServerClass(left int) (class, need int32, self int) {
+	s := a.s
+	return int32(s.reqStripe[left]), s.reqProgress[left], int(s.reqBox[left])
 }
 
 // selfPossesses reports whether box b already has stripe st available

@@ -23,6 +23,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -149,8 +150,42 @@ func (g drainGen) Next(_ *vod.View, round int) []vod.Demand {
 	return ds
 }
 
+// Tick advances the engine one round per period, delivering the demands
+// queued since the last one, until ctx is done or a round cannot run. It
+// returns nil when ctx ends it and the reason otherwise: a Step error, or
+// a system that stopped at an obstruction and will never step again. No
+// round starts after ctx is done, so a caller that cancels ctx and waits
+// for Tick to return may then Close the server.
+func (s *Server) Tick(ctx context.Context, period time.Duration) error {
+	if period <= 0 {
+		return fmt.Errorf("serve: tick period %v must be positive", period)
+	}
+	ticker := time.NewTicker(period)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-ticker.C:
+		}
+		if ctx.Err() != nil { // both were ready and select drew the tick
+			return nil
+		}
+		s.mu.Lock()
+		_, err := s.stepLocked(1)
+		failed, round := s.sys.Failed(), s.sys.Round()
+		s.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("serve: tick: %w", err)
+		}
+		if failed {
+			return fmt.Errorf("serve: tick: system stopped at an obstruction in round %d", round)
+		}
+	}
+}
+
 // StepRounds advances the engine n rounds, delivering queued demands to
-// the first round. Used by both POST /step and the -tick loop.
+// the first round (POST /step).
 func (s *Server) StepRounds(n int) ([]vod.StepResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

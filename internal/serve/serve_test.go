@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -137,17 +138,7 @@ func TestStageTimingMetrics(t *testing.T) {
 // the server after handler shutdown returns the process to its goroutine
 // baseline (vodserve calls exactly this sequence on SIGTERM).
 func TestServerCloseReleasesWorkers(t *testing.T) {
-	// Warm: a full build+serve+close cycle creates the runtime's lazy
-	// helper goroutines so the measured baseline is stable.
-	{
-		srv, ts := newTestServer(t)
-		postJSON(t, ts.URL+"/step", map[string]int{"rounds": 1})
-		ts.Close()
-		srv.Close()
-	}
-	waitGoroutines(t, runtime.NumGoroutine())
-
-	base := runtime.NumGoroutine()
+	base := goroutineBaseline(t)
 	srv, ts := newTestServer(t)
 	for i := 0; i < 10; i++ {
 		postJSON(t, ts.URL+"/demand", map[string]int{"box": i, "video": 0})
@@ -161,6 +152,19 @@ func TestServerCloseReleasesWorkers(t *testing.T) {
 	if _, err := srv.StepRounds(1); err == nil {
 		t.Fatal("StepRounds after Close should error")
 	}
+}
+
+// goroutineBaseline returns the process's settled goroutine count after
+// one full build+serve+close cycle, which creates the runtime's lazy
+// helper goroutines so the baseline is stable.
+func goroutineBaseline(t *testing.T) int {
+	t.Helper()
+	srv, ts := newTestServer(t)
+	postJSON(t, ts.URL+"/step", map[string]int{"rounds": 1})
+	ts.Close()
+	srv.Close()
+	waitGoroutines(t, runtime.NumGoroutine())
+	return runtime.NumGoroutine()
 }
 
 // waitGoroutines polls until the goroutine count returns to base —
@@ -281,5 +285,71 @@ func TestStateEndpoint(t *testing.T) {
 	getJSON(t, ts.URL+"/state", &st)
 	if st.Spec.Boxes != 30 || st.Round != 0 {
 		t.Fatalf("state: %+v", st)
+	}
+}
+
+// roundOf reads the engine round the way a handler would, under the mutex.
+func roundOf(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sys.Round()
+}
+
+// TestTickStopsWithContext is TestServerCloseReleasesWorkers for a ticking
+// daemon, in vodserve's shutdown order: cancel the round clock, wait for it,
+// shut the handlers, close the engine. Once Tick has returned the round no
+// longer moves, and the process is back at its goroutine baseline.
+func TestTickStopsWithContext(t *testing.T) {
+	base := goroutineBaseline(t)
+	srv, ts := newTestServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ticked := make(chan error, 1)
+	go func() { ticked <- srv.Tick(ctx, time.Millisecond) }()
+	for deadline := time.Now().Add(5 * time.Second); roundOf(srv) < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("round clock reached round %d in 5s", roundOf(srv))
+		}
+		postJSON(t, ts.URL+"/demand", map[string]int{"box": 1, "video": 0}) // handlers beside the clock
+	}
+	cancel()
+	if err := <-ticked; err != nil {
+		t.Fatalf("Tick ended by its context returned %v", err)
+	}
+	stopped := roundOf(srv)
+	time.Sleep(20 * time.Millisecond)
+	if now := roundOf(srv); now != stopped {
+		t.Fatalf("round moved from %d to %d after Tick returned", stopped, now)
+	}
+	ts.Close()
+	srv.Close()
+	waitGoroutines(t, base)
+}
+
+// TestTickExitsOnFailedSystem: a system that halts at an obstruction never
+// steps again, so the round clock reports it once and returns instead of
+// failing every period.
+func TestTickExitsOnFailedSystem(t *testing.T) {
+	sys, err := vod.New(vod.Spec{Boxes: 20, Upload: 0.5, Stripes: 4, Replicas: 1, Duration: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(sys, false)
+	defer srv.Close()
+	for b := 0; b < 20; b++ {
+		srv.pending = append(srv.pending, vod.Demand{Box: b, Video: vod.VideoID(b % sys.Catalog().M)})
+	}
+	ticked := make(chan error, 1)
+	go func() { ticked <- srv.Tick(context.Background(), time.Millisecond) }()
+	select {
+	case err := <-ticked:
+		if err == nil || !sys.Failed() {
+			t.Fatalf("Tick returned %v with failed=%v, want an error from a failed system", err, sys.Failed())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Tick kept running on a system that cannot be satisfied")
+	}
+	if err := srv.Tick(context.Background(), 0); err == nil {
+		t.Fatal("Tick accepted a zero period")
 	}
 }
