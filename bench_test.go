@@ -370,10 +370,14 @@ func benchStepBounded(b *testing.B, n, perRound, shards int) {
 		b.Fatal(err)
 	}
 	defer sys.Close()
-	gen := &sweepArrivals{perRound: perRound}
 	// Warm past the first cache-window expiry so measured rounds carry
 	// steady-state expiry and retirement work.
-	for r := 0; r < 60; r++ {
+	benchSteps(b, sys, &sweepArrivals{perRound: perRound}, 60)
+}
+
+// benchSteps steps sys through warm untimed rounds, then b.N timed ones.
+func benchSteps(b *testing.B, sys *System, gen Generator, warm int) {
+	for r := 0; r < warm; r++ {
 		if _, err := sys.Step(gen); err != nil {
 			b.Fatal(err)
 		}
@@ -439,20 +443,26 @@ func BenchmarkStepNearThreshold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := NewZipfWorkload(1, 0.5, 0.9)
-	for r := 0; r < 80; r++ { // two cache windows, as the benchmark warms
-		if _, err := sys.Step(gen); err != nil {
-			b.Fatal(err)
-		}
+	// Two cache windows, as the benchmark warms.
+	benchSteps(b, sys, NewZipfWorkload(1, 0.5, 0.9), 80)
+}
+
+// BenchmarkStepContended is the repository benchmark's contended-serial
+// workload as a Go benchmark, seed 1: 250 000 boxes at 2.5% slot
+// utilization with 250 arrivals a round. Phase 0 of the matcher places
+// every arrival on a free allocation holder, so the round is bookkeeping —
+// retire, issue, expire, cache-entry adds — over population-sized arrays,
+// and its cost is cache misses per operation, not search.
+func BenchmarkStepContended(b *testing.B) {
+	sys, err := New(Spec{
+		Boxes: 250_000, Upload: 2.0, Storage: 2, Stripes: 4, Replicas: 4,
+		Duration: 50, Growth: 1.2, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Step(gen); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(sys.View().ActiveRequests()), "active_requests")
+	defer sys.Close()
+	benchSteps(b, sys, &sweepArrivals{perRound: 250, nextBox: 1}, 100)
 }
 
 // --- Protocol and netsim benchmarks ---

@@ -19,6 +19,7 @@ package bipartite
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 )
@@ -33,12 +34,12 @@ const maxDecodedIDs = 1 << 31
 func (m *Matcher) EncodeState(w *ckpt.Writer) {
 	w.Int(len(m.rights))
 	for i := range m.rights {
-		w.I64(m.rights[i].cap)
+		w.I64(int64(m.rights[i].cap))
 	}
 	w.Bools(m.active)
 	w.I32s(m.activeLefts)
-	for r := range m.rightLefts {
-		w.I32s(m.rightLefts[r])
+	for r := range m.rights {
+		w.I32s(m.AssignedLefts(r))
 	}
 	w.I32s(m.dirty)
 	w.I32s(m.assignLog)
@@ -57,9 +58,16 @@ func (m *Matcher) DecodeState(r *ckpt.Reader) error {
 		return fmt.Errorf("bipartite: checkpoint right count %d out of range", nr)
 	}
 	m.rights = make([]rightRec, nr)
-	m.rightLefts = make([][]int32, nr)
+	m.arena, m.arenaNext = nil, 0
 	for i := range m.rights {
-		m.rights[i] = rightRec{cap: r.I64(), parentLeft: -1}
+		c := r.I64()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if c < 0 || c > math.MaxInt32 {
+			return fmt.Errorf("bipartite: checkpoint capacity %d of right %d out of range", c, i)
+		}
+		m.rights[i] = rightRec{cap: int32(c), parentLeft: -1}
 	}
 	m.active = r.Bools()
 	nl := len(m.active)
@@ -88,16 +96,11 @@ func (m *Matcher) DecodeState(r *ckpt.Reader) error {
 	}
 	m.matchedCount = 0
 	for rt := 0; rt < nr; rt++ {
-		lefts := r.I32s()
-		m.rightLefts[rt] = lefts
-		for pos, l := range lefts {
+		for _, l := range r.I32s() {
 			if l < 0 || int(l) >= nl || !m.active[l] || m.assigned[l] != Unassigned {
 				return fmt.Errorf("bipartite: checkpoint assignment list of right %d holds invalid left %d", rt, l)
 			}
-			m.assigned[l] = int32(rt)
-			m.posInRight[l] = int32(pos)
-			m.rights[rt].load++
-			m.matchedCount++
+			m.link(int(l), rt)
 		}
 		if m.rights[rt].load > m.rights[rt].cap {
 			return fmt.Errorf("bipartite: checkpoint right %d over capacity: %d > %d",

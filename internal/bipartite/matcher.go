@@ -20,6 +20,7 @@ package bipartite
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -70,15 +71,21 @@ type Hinted interface {
 	ServerClass(left int) (class, need int32, self int)
 }
 
-// rightRec packs every per-right field a search probes into one record:
-// capacity, load, the epoch-stamped visit/level/done marks, and the BFS
-// parent pointer. A box probe during augmentation used to touch four
-// parallel population-sized slices (caps, load, visitR, parentLeft), each
-// a separate cache line; one 32-byte record halves the lines touched and
-// keeps them adjacent for the batch BFS's heavy right-node traffic.
+// rightRec packs every per-right field a search or an assignment touches
+// into one 32-byte record, two to a cache line: capacity, load, the header
+// of the right's assignment list, the epoch-stamped visit/level/done marks,
+// and the BFS parent pointer. A box probe during augmentation reads one
+// line instead of one per parallel population-sized slice, and assign and
+// unassign find the list without a second, dependent load of a slice
+// header. Capacities fit int32 (a box's slots; the exported API keeps
+// int64 and capSlots rejects anything larger).
 type rightRec struct {
-	cap  int64
-	load int64
+	cap  int32
+	load int32
+	// The assigned lefts are arena slots [base, base+load) of a carve
+	// [base, base+lcap); lcap == 0 means no list was carved yet.
+	base int32
+	lcap int32
 	// visit compares against epoch: the search that last reached this
 	// right. level is the BFS layer it was reached at (valid when visit
 	// is current); done stamps rights exhausted by the current DFS phase.
@@ -107,8 +114,10 @@ type Matcher struct {
 	activeLefts []int32
 	posActive   []int32
 
-	// Per-right list of assigned lefts, with back-pointers for O(1) removal.
-	rightLefts [][]int32
+	// posInRight[l] is the absolute arena slot holding assigned left l (−1
+	// when unassigned): the back-pointer for O(1) removal from its right's
+	// list. Both it and assigned are left-indexed, so unassign issues the
+	// loads of the right's record and of the list slot independently.
 	posInRight []int32
 
 	// BFS scratch: visit stamps compare against epoch, making the
@@ -154,14 +163,16 @@ type Matcher struct {
 	// each public entry point, reused across rounds.
 	trav traverser
 
-	// listArena backs freshly touched rightLefts lists: first assignments
-	// carve capacity from large shared blocks instead of allocating each
-	// per-right list individually. Fresh-video churn touches new rights
-	// every round, so without the arena that first touch is a guaranteed
-	// steady-state allocation per right. Lists that outgrow their carve
-	// migrate off-arena via plain append (their carved region is simply
-	// abandoned); the arena itself only ever grows by whole blocks.
-	listArena []int32
+	// arena holds every per-right assignment list, addressed by absolute
+	// slot p = arena[p>>arenaShift][p&arenaMask]: a table of
+	// arenaBlock-sized blocks that lists carve their capacity from, so
+	// a right's first assignment allocates nothing (fresh-video churn
+	// touches new rights every round). arenaNext is the next uncarved slot.
+	// A list that outgrows its carve re-carves at twice the size and
+	// abandons the old region; the arena only ever grows by whole blocks,
+	// and existing slots never move.
+	arena     [][]int32
+	arenaNext int
 
 	// Assignment log for event-driven callers: when enabled, every left
 	// that receives an assignment (including intermediate moves along
@@ -194,15 +205,22 @@ func (m *Matcher) markDirty(l int) {
 // whose right space grows lazily through AddRight (the sharded engine's
 // sub-matchers register only the boxes their shard actually touches).
 func NewMatcher(caps []int64) *Matcher {
-	m := &Matcher{
-		rights:     make([]rightRec, len(caps)),
-		rightLefts: make([][]int32, len(caps)),
-	}
+	m := &Matcher{rights: make([]rightRec, len(caps))}
 	for r, c := range caps {
-		m.rights[r].cap = c
+		m.rights[r].cap = capSlots(c)
 		m.rights[r].parentLeft = -1
 	}
 	return m
+}
+
+// capSlots narrows an API capacity to the record's int32, panicking on a
+// value no caller can legitimately hold (core rejects such capacities
+// before they reach the matcher).
+func capSlots(c int64) int32 {
+	if c < 0 || c > math.MaxInt32 {
+		panic(fmt.Sprintf("bipartite: capacity %d outside [0, %d]", c, math.MaxInt32))
+	}
+	return int32(c)
 }
 
 // AddRight appends a right node with the given capacity and returns its
@@ -211,8 +229,7 @@ func NewMatcher(caps []int64) *Matcher {
 // working set instead of the whole population.
 func (m *Matcher) AddRight(cap int64) int {
 	r := len(m.rights)
-	m.rights = append(m.rights, rightRec{cap: cap, parentLeft: -1})
-	m.rightLefts = append(m.rightLefts, nil)
+	m.rights = append(m.rights, rightRec{cap: capSlots(cap), parentLeft: -1})
 	return r
 }
 
@@ -220,10 +237,10 @@ func (m *Matcher) AddRight(cap int64) int {
 func (m *Matcher) NumRight() int { return len(m.rights) }
 
 // Capacity returns the capacity of right node r.
-func (m *Matcher) Capacity(r int) int64 { return m.rights[r].cap }
+func (m *Matcher) Capacity(r int) int64 { return int64(m.rights[r].cap) }
 
 // Load returns the current load of right node r.
-func (m *Matcher) Load(r int) int64 { return m.rights[r].load }
+func (m *Matcher) Load(r int) int64 { return int64(m.rights[r].load) }
 
 // MatchedCount returns the number of currently matched left nodes.
 func (m *Matcher) MatchedCount() int { return m.matchedCount }
@@ -243,14 +260,11 @@ func (m *Matcher) ActiveLefts() []int32 { return m.activeLefts }
 // convention): it is valid until the next SetCapacity call and must not
 // be retained or modified.
 func (m *Matcher) SetCapacity(r int, c int64) []int {
-	if c < 0 {
-		panic("bipartite: negative capacity")
-	}
-	m.rights[r].cap = c
+	rr := &m.rights[r]
+	rr.cap = capSlots(c)
 	m.victims = m.victims[:0]
-	for m.rights[r].load > c {
-		lefts := m.rightLefts[r]
-		victim := lefts[len(lefts)-1]
+	for rr.load > rr.cap {
+		victim := *m.slot(rr.base + rr.load - 1)
 		m.unassign(int(victim))
 		m.victims = append(m.victims, int(victim))
 	}
@@ -318,45 +332,83 @@ func (m *Matcher) Server(l int) int {
 	return int(m.assigned[l])
 }
 
-// listArenaBlock is the arena growth quantum (int32s per block) and
-// maxListCarve the largest per-right carve: enough for typical box
-// capacities (u·c slots) to never migrate, small enough that a carve per
-// touched right stays cheap at ten-million-box populations.
+// arenaBlock is the arena growth quantum (int32s per block) and
+// maxListCarve the largest first carve: enough for typical box capacities
+// (u·c slots) to never re-carve, small enough that a carve per touched
+// right stays cheap at ten-million-box populations.
 const (
-	listArenaBlock = 1 << 16
-	maxListCarve   = 16
+	arenaShift   = 16
+	arenaBlock   = 1 << arenaShift
+	arenaMask    = arenaBlock - 1
+	maxListCarve = 16
 )
 
-// carveList returns a fresh zero-length list with capacity n carved from
-// the arena, growing the arena by one block when the current one is spent.
-func (m *Matcher) carveList(n int) []int32 {
-	if cap(m.listArena)-len(m.listArena) < n {
-		m.listArena = make([]int32, 0, listArenaBlock)
+// slot addresses absolute arena slot p.
+func (m *Matcher) slot(p int32) *int32 {
+	return &m.arena[p>>arenaShift][p&arenaMask]
+}
+
+// carve reserves n consecutive arena slots and returns the first. A carve
+// never straddles two allocations: when the current block cannot hold it,
+// the rest of that block is abandoned and the arena grows — by one block,
+// or for a list longer than a block by one allocation spanning several
+// table entries, each entry a view from its own block boundary to the end
+// of the allocation, so slot and AssignedLefts address it like any other.
+func (m *Matcher) carve(n int) int32 {
+	if n > len(m.arena)*arenaBlock-m.arenaNext {
+		blocks := (n + arenaBlock - 1) / arenaBlock
+		m.arenaNext = len(m.arena) * arenaBlock
+		if m.arenaNext+blocks*arenaBlock > math.MaxInt32+1 {
+			panic("bipartite: assignment-list arena exceeds 2^31 slots")
+		}
+		mem := make([]int32, blocks*arenaBlock)
+		for b := 0; b < blocks; b++ {
+			m.arena = append(m.arena, mem[b*arenaBlock:])
+		}
 	}
-	base := len(m.listArena)
-	m.listArena = m.listArena[:base+n]
-	return m.listArena[base : base : base+n]
+	base := m.arenaNext
+	m.arenaNext += n
+	return int32(base)
+}
+
+// growList gives right r room for one more left: its first carve (its
+// capacity, clamped to [1, maxListCarve]), or a re-carve at twice the size
+// that copies the list in order and re-points its lefts.
+func (m *Matcher) growList(r int) {
+	rr := &m.rights[r]
+	n := 2 * int(rr.lcap)
+	if n == 0 {
+		n = min(max(int(rr.cap), 1), maxListCarve)
+	}
+	base := m.carve(n)
+	for i := int32(0); i < rr.load; i++ {
+		l := *m.slot(rr.base + i)
+		*m.slot(base + i) = l
+		m.posInRight[l] = base + i
+	}
+	rr.base, rr.lcap = base, int32(n)
+}
+
+// link appends l to r's assignment list and counts it matched — assign
+// without the logs, which checkpoint decode restores separately.
+func (m *Matcher) link(l, r int) {
+	rr := &m.rights[r]
+	if rr.load == rr.lcap {
+		m.growList(r)
+	}
+	pos := rr.base + rr.load
+	*m.slot(pos) = int32(l)
+	m.assigned[l] = int32(r)
+	m.posInRight[l] = pos
+	rr.load++
+	m.matchedCount++
 }
 
 func (m *Matcher) assign(l, r int) {
 	if m.assigned[l] != Unassigned {
 		m.unassign(l)
 	}
-	if m.rightLefts[r] == nil {
-		n := int(m.rights[r].cap)
-		if n > maxListCarve {
-			n = maxListCarve
-		}
-		if n < 1 {
-			n = 1
-		}
-		m.rightLefts[r] = m.carveList(n)
-	}
-	m.assigned[l] = int32(r)
-	m.posInRight[l] = int32(len(m.rightLefts[r]))
-	m.rightLefts[r] = append(m.rightLefts[r], int32(l))
-	m.rights[r].load++
-	m.matchedCount++
+	m.link(l, r)
 	if m.logAssigns {
 		m.assignLog = append(m.assignLog, int32(l))
 	}
@@ -365,15 +417,22 @@ func (m *Matcher) assign(l, r int) {
 	}
 }
 
+// unassign swap-removes l from its right's list: the list's last left
+// moves into l's slot. The slot check reads the line the swap is about to
+// write, so it costs nothing and catches a corrupt back-pointer before it
+// spreads.
 func (m *Matcher) unassign(l int) {
 	r := m.assigned[l]
-	lefts := m.rightLefts[r]
 	pos := m.posInRight[l]
-	last := lefts[len(lefts)-1]
-	lefts[pos] = last
+	rr := &m.rights[r]
+	hole := m.slot(pos)
+	if *hole != int32(l) {
+		panic(fmt.Sprintf("bipartite: left %d not at its list slot %d of right %d", l, pos, r))
+	}
+	rr.load--
+	last := *m.slot(rr.base + rr.load)
+	*hole = last
 	m.posInRight[last] = pos
-	m.rightLefts[r] = lefts[:len(lefts)-1]
-	m.rights[r].load--
 	m.assigned[l] = Unassigned
 	m.posInRight[l] = -1
 	m.matchedCount--
@@ -493,10 +552,17 @@ func (m *Matcher) InvalidateBatch(adj Adjacency, lefts []int32) int {
 }
 
 // AssignedLefts returns the lefts currently assigned to right r. The
-// slice is the matcher's internal list: it is invalidated by any assign
+// slice is a view of the matcher's arena: it is invalidated by any assign
 // or unassign touching r (unassigning lefts[i] swap-removes it, moving
 // the former last element into position i), and must not be modified.
-func (m *Matcher) AssignedLefts(r int) []int32 { return m.rightLefts[r] }
+func (m *Matcher) AssignedLefts(r int) []int32 {
+	rr := &m.rights[r]
+	if rr.load == 0 {
+		return nil
+	}
+	off := rr.base & arenaMask
+	return m.arena[rr.base>>arenaShift][off : off+rr.load : off+rr.lcap]
+}
 
 // LogAssignments enables (or disables) the assignment log drained by
 // DrainAssigned. While enabled, every assign — including intermediate
@@ -733,7 +799,7 @@ func (m *Matcher) bfsLayer(frontier []int32, hinter Hinted, hinted bool) bool {
 					continue
 				}
 				if !found {
-					for _, l2 := range m.rightLefts[r] {
+					for _, l2 := range m.AssignedLefts(r) {
 						if m.visitL[l2] != m.epoch {
 							m.visitL[l2] = m.epoch
 							m.levelL[l2] = d + 1
@@ -853,8 +919,7 @@ func (m *Matcher) dfsAugment(l int32, d int32) bool {
 			return true
 		}
 		if d < m.maxLevel {
-			lefts := m.rightLefts[r]
-			for _, l2 := range lefts {
+			for _, l2 := range m.AssignedLefts(r) {
 				if m.visitL[l2] != m.epoch || m.levelL[l2] != d+1 || m.usedL[l2] == m.epoch {
 					continue
 				}
@@ -899,7 +964,7 @@ func (m *Matcher) augment(root int) bool {
 				found = r
 				break
 			}
-			for _, l2 := range m.rightLefts[r] {
+			for _, l2 := range m.AssignedLefts(r) {
 				if m.visitL[l2] != m.epoch {
 					m.visitL[l2] = m.epoch
 					m.queue = append(m.queue, l2)
@@ -1024,7 +1089,7 @@ func (m *Matcher) displace(adj Adjacency, root int) (int, bool) {
 				server = r
 				break
 			}
-			for _, l2 := range m.rightLefts[r] {
+			for _, l2 := range m.AssignedLefts(r) {
 				if m.visitL[l2] == m.epoch {
 					continue
 				}
@@ -1083,7 +1148,7 @@ func (m *Matcher) HallViolator(adj Adjacency) *Violator {
 			}
 			m.rights[r].visit = m.epoch
 			m.reachedR = append(m.reachedR, int32(r))
-			for _, l2 := range m.rightLefts[r] {
+			for _, l2 := range m.AssignedLefts(r) {
 				if m.visitL[l2] != m.epoch {
 					m.visitL[l2] = m.epoch
 					m.queue = append(m.queue, l2)
@@ -1101,7 +1166,7 @@ func (m *Matcher) HallViolator(adj Adjacency) *Violator {
 	sort.Ints(v.Lefts)
 	for i, r := range m.reachedR {
 		v.Rights[i] = int(r)
-		v.Slots += m.rights[r].cap
+		v.Slots += int64(m.rights[r].cap)
 	}
 	sort.Ints(v.Rights)
 	return v
@@ -1111,8 +1176,17 @@ func (m *Matcher) HallViolator(adj Adjacency) *Violator {
 // matching; it returns an error describing the first violation found.
 // Tests and the simulator's paranoid mode call it.
 func (m *Matcher) Verify(adj Adjacency) error {
+	// Every list inside its carve and every carve inside the arena first,
+	// so the per-left slot reads below stay in bounds.
+	for r := range m.rights {
+		rr := &m.rights[r]
+		if rr.load < 0 || rr.load > rr.lcap || rr.base < 0 || int(rr.base)+int(rr.lcap) > m.arenaNext {
+			return fmt.Errorf("right %d list [%d, %d+%d) with load %d outside its carve or the arena's %d slots",
+				r, rr.base, rr.base, rr.lcap, rr.load, m.arenaNext)
+		}
+	}
 	var matched int
-	loads := make([]int64, len(m.rights))
+	loads := make([]int32, len(m.rights))
 	activeSeen := 0
 	for l := range m.assigned {
 		if !m.active[l] {
@@ -1141,8 +1215,11 @@ func (m *Matcher) Verify(adj Adjacency) error {
 		if !adj.CanServe(l, int(r)) {
 			return fmt.Errorf("assignment %d->%d has no edge", l, r)
 		}
-		if m.posInRight[l] < 0 || int(m.posInRight[l]) >= len(m.rightLefts[r]) ||
-			m.rightLefts[r][m.posInRight[l]] != int32(l) {
+		// Distinct lefts cannot share a slot, so every assigned left sitting
+		// at its own slot inside [base, base+load) makes the list exactly
+		// the load lefts assigned to r.
+		rr := &m.rights[r]
+		if pos := m.posInRight[l]; pos < rr.base || pos-rr.base >= rr.load || *m.slot(pos) != int32(l) {
 			return fmt.Errorf("back-pointer corrupt for left %d", l)
 		}
 	}
@@ -1158,9 +1235,6 @@ func (m *Matcher) Verify(adj Adjacency) error {
 		}
 		if loads[r] > m.rights[r].cap {
 			return fmt.Errorf("right %d over capacity: %d > %d", r, loads[r], m.rights[r].cap)
-		}
-		if int64(len(m.rightLefts[r])) != loads[r] {
-			return fmt.Errorf("right %d list length %d != load %d", r, len(m.rightLefts[r]), loads[r])
 		}
 	}
 	return nil

@@ -51,7 +51,7 @@ type availEvent struct {
 //
 // Both stores are shard-aware: stripes partition across shards by
 // stripe mod S, and every mutable structure a shard's expiry touches
-// (free lists, key maps, expiry rings, event logs) is per-shard, so the
+// (free lists, key indexes, expiry rings, event logs) is per-shard, so the
 // sharded engine can run expireShard concurrently for distinct shards
 // while adds and retires stay serial. With one shard the layout and
 // behavior are exactly the historical serial store.
@@ -135,7 +135,7 @@ type availabilityStore interface {
 //
 // The slab and the per-stripe heads are global, but every entry belongs
 // to exactly one stripe shard (stripe mod numShards), and the structures
-// expiry mutates — free lists, key maps, expiry rings, event logs — are
+// expiry mutates — free lists, key indexes, expiry rings, event logs — are
 // per-shard, so concurrent expireShard calls for distinct shards touch
 // disjoint state (slab writes hit only the shard's own entries).
 type indexedAvailability struct {
@@ -143,13 +143,13 @@ type indexedAvailability struct {
 	numShards int
 	slab      []idxEntry
 
-	byStripe  []int32            // per stripe: head of the live-entry list, −1 empty
-	liveCount []int32            // per stripe: live entries
-	reqLinks  [][2]int32         // per request slot: backing entry ids or −1
-	frees     [][]int32          // per shard: slab free list
-	byKeys    []map[uint64]int32 // per shard: (stripe, box) → head of same-key chain
-	rings     [][][]int32        // per shard: entry ids bucketed by start mod ring length
-	eventLogs [][]availEvent     // per shard
+	byStripe  []int32        // per stripe: head of the live-entry list, −1 empty
+	liveCount []int32        // per stripe: live entries
+	reqLinks  [][2]int32     // per request slot: backing entry ids or −1
+	frees     [][]int32      // per shard: slab free list
+	byKeys    []keyIndex     // per shard: (stripe, box) → head of same-key chain
+	rings     [][][]int32    // per shard: entry ids bucketed by start mod ring length
+	eventLogs [][]availEvent // per shard
 
 	// translate resolves (shard, box) to the sharded matcher's local right
 	// id at add time, caching it in the entry so hot visits skip the
@@ -161,7 +161,7 @@ type indexedAvailability struct {
 	logEvents bool
 }
 
-// availKey packs a (stripe, box) pair into one map key.
+// availKey packs a (stripe, box) pair into one index key.
 func availKey(st video.StripeID, box int32) uint64 {
 	return uint64(uint32(st))<<32 | uint64(uint32(box))
 }
@@ -196,11 +196,11 @@ func (ix *indexedAvailability) setShards(S int, translate func(shard int, box in
 	ix.numShards = S
 	ix.translate = translate
 	ix.frees = make([][]int32, S)
-	ix.byKeys = make([]map[uint64]int32, S)
+	ix.byKeys = make([]keyIndex, S)
 	ix.rings = make([][][]int32, S)
 	ix.eventLogs = make([][]availEvent, S)
 	for s := 0; s < S; s++ {
-		ix.byKeys[s] = make(map[uint64]int32)
+		ix.byKeys[s] = newKeyIndex(0)
 		ix.rings[s] = make([][]int32, ix.T+4)
 	}
 }
@@ -220,12 +220,7 @@ func (ix *indexedAvailability) add(st video.StripeID, e entry) {
 		id = int32(len(ix.slab))
 		ix.slab = append(ix.slab, idxEntry{})
 	}
-	key := availKey(st, e.box)
-	nextKey := int32(-1)
-	if prev, ok := ix.byKeys[sh][key]; ok {
-		nextKey = prev
-	}
-	ix.byKeys[sh][key] = id
+	nextKey := ix.byKeys[sh].swap(availKey(st, e.box), id)
 	head := ix.byStripe[st]
 	local := int32(-1)
 	if ix.translate != nil {
@@ -316,13 +311,13 @@ func (ix *indexedAvailability) remove(shard int, id int32) {
 	}
 	ix.liveCount[e.stripe]--
 	// Key chain.
-	key := availKey(e.stripe, e.box)
-	byKey := ix.byKeys[shard]
-	if head := byKey[key]; head == id {
+	byKey := &ix.byKeys[shard]
+	slot := byKey.find(availKey(e.stripe, e.box))
+	if head := byKey.slots[slot].val; head == id {
 		if e.nextKey < 0 {
-			delete(byKey, key)
+			byKey.del(slot)
 		} else {
-			byKey[key] = e.nextKey
+			byKey.slots[slot].val = e.nextKey
 		}
 	} else {
 		for cur := head; cur >= 0; cur = ix.slab[cur].nextKey {
@@ -397,11 +392,7 @@ func (ix *indexedAvailability) visitStep(st video.StripeID, h int32, exclude int
 }
 
 func (ix *indexedAvailability) canServe(st video.StripeID, box int32, need int32, reqProgress []int32) bool {
-	id, ok := ix.byKeys[ix.shardOf(st)][availKey(st, box)]
-	if !ok {
-		return false
-	}
-	for ; id >= 0; id = ix.slab[id].nextKey {
+	for id := ix.byKeys[ix.shardOf(st)].get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
 		if entryChunks(&ix.slab[id].entry, reqProgress) > need {
 			return true
 		}
@@ -410,11 +401,7 @@ func (ix *indexedAvailability) canServe(st video.StripeID, box int32, need int32
 }
 
 func (ix *indexedAvailability) hasFull(st video.StripeID, box int32, full int32, minStart int32) bool {
-	id, ok := ix.byKeys[ix.shardOf(st)][availKey(st, box)]
-	if !ok {
-		return false
-	}
-	for ; id >= 0; id = ix.slab[id].nextKey {
+	for id := ix.byKeys[ix.shardOf(st)].get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
 		e := &ix.slab[id]
 		if e.req == -1 && e.frozen >= full && e.start >= minStart {
 			return true
@@ -426,11 +413,7 @@ func (ix *indexedAvailability) hasFull(st video.StripeID, box int32, full int32,
 func (ix *indexedAvailability) live(st video.StripeID) int { return int(ix.liveCount[st]) }
 
 func (ix *indexedAvailability) margin(st video.StripeID, box int32, need int32, reqProgress []int32) (hasLive bool, bestFrozen int32, ok bool) {
-	id, found := ix.byKeys[ix.shardOf(st)][availKey(st, box)]
-	if !found {
-		return false, 0, false
-	}
-	for ; id >= 0; id = ix.slab[id].nextKey {
+	for id := ix.byKeys[ix.shardOf(st)].get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
 		e := &ix.slab[id].entry
 		if entryChunks(e, reqProgress) <= need {
 			continue

@@ -15,8 +15,8 @@ import (
 //
 //  1. A store-level property test drives both implementations with one
 //     randomized event stream (adds, freezes, window expiry) and asserts
-//     every query — visit sets, canServe, hasFull, live counts — agrees
-//     after each round.
+//     every query — visit sets, canServe, margin, hasFull, live counts —
+//     agrees after each round.
 //  2. A system-level differential test runs full simulations twice, once
 //     per store (Config.NaiveAvailability), and asserts identical step
 //     results, obstruction certificates, and reports round by round.
@@ -32,16 +32,32 @@ type diffReq struct {
 }
 
 func TestAvailabilityStoresAgree(t *testing.T) {
-	const (
-		numStripes = 24
-		numBoxes   = 16
-		T          = 9
-		rounds     = 120
-	)
+	// small keeps every chain and list short enough to read in a failure.
+	// wide holds a few hundred (stripe, box) keys at once and expires as
+	// many per round, so the indexed store's key table doubles several
+	// times and backward-shifts constantly; its three shards give each
+	// table its own growth history.
+	t.Run("small", func(t *testing.T) { storesAgree(t, 24, 16, 9, 120, 3, 1) })
+	t.Run("wide", func(t *testing.T) {
+		idx := storesAgree(t, 64, 200, 9, 60, 60, 3)
+		for sh := range idx.byKeys {
+			if len(idx.byKeys[sh].slots) == keyIndexMinSlots {
+				t.Fatalf("shard %d's key table never grew: the scenario is too small to exercise it", sh)
+			}
+		}
+	})
+}
+
+// storesAgree drives one indexed and one naive store through the same
+// random rounds of up to maxAdds requests each and returns the indexed one.
+func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds, shards int) *indexedAvailability {
 	rng := stats.NewRNG(0xd1ff)
 	idx := newIndexedAvailability(numStripes, T)
 	naive := newNaiveAvailability(numStripes, T)
 	stores := []availabilityStore{idx, naive}
+	for _, s := range stores {
+		s.setShards(shards, nil)
+	}
 
 	var reqProgress []int32
 	var reqs []diffReq
@@ -56,10 +72,14 @@ func TestAvailabilityStoresAgree(t *testing.T) {
 		for _, s := range stores {
 			s.expire(round)
 		}
-		// A few new requests, occasionally with a lagged mirror entry.
-		for i := 0; i < 1+rng.Intn(3); i++ {
+		// A few new requests, occasionally with a lagged mirror entry. The
+		// first is (stripe 0, box 0): key 0 of the index.
+		for i := 0; i < 1+rng.Intn(maxAdds); i++ {
 			st := video.StripeID(rng.Intn(numStripes))
 			box := int32(rng.Intn(numBoxes))
+			if round == 1 && i == 0 {
+				st, box = 0, 0
+			}
 			slot := newSlot(st)
 			for _, s := range stores {
 				s.add(st, entry{box: box, start: int32(round), req: slot})
@@ -114,6 +134,12 @@ func TestAvailabilityStoresAgree(t *testing.T) {
 					t.Fatalf("round %d stripe %d canServe(box=%d, need=%d): indexed %v, naive %v",
 						round, st, box, need, g, w)
 				}
+				gLive, gBest, gOK := idx.margin(st, box, need, reqProgress)
+				wLive, wBest, wOK := naive.margin(st, box, need, reqProgress)
+				if gLive != wLive || gBest != wBest || gOK != wOK {
+					t.Fatalf("round %d stripe %d margin(box=%d, need=%d): indexed (%v, %d, %v), naive (%v, %d, %v)",
+						round, st, box, need, gLive, gBest, gOK, wLive, wBest, wOK)
+				}
 				if g, w := idx.hasFull(st, box, int32(T), int32(round-T)), naive.hasFull(st, box, int32(T), int32(round-T)); g != w {
 					t.Fatalf("round %d stripe %d hasFull(box=%d): indexed %v, naive %v",
 						round, st, box, g, w)
@@ -128,6 +154,7 @@ func TestAvailabilityStoresAgree(t *testing.T) {
 			}
 		}
 	}
+	return idx
 }
 
 // runDifferential steps an indexed and a naive system in lockstep and

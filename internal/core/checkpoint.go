@@ -353,10 +353,20 @@ func (na *naiveAvailability) decodeState(r *ckpt.Reader) error {
 // links (freed slots included — slab ids are behavior: the free-list pop
 // order decides id reuse, id order decides list positions, list positions
 // decide matcher visit order), the per-stripe heads, per-shard free lists
-// and expiry ring buckets in order, and the key index as unordered pairs
-// (map iteration makes checkpoint *bytes* nondeterministic; restored
-// *behavior* is not, since chain order lives in nextKey links).
+// and expiry ring buckets in order, and the key index as (key, head id)
+// pairs in ascending id order. That order depends on the entries alone —
+// not on the index's capacity or the order keys entered it — so two
+// checkpoints of one state are the same bytes. The heads are read off the
+// slab, not the index: a live entry heads its chain exactly when no live
+// entry's nextKey names it.
 func (ix *indexedAvailability) encodeState(w *ckpt.Writer) {
+	const freed, chained = 1, 2
+	flags := make([]uint8, len(ix.slab))
+	for _, free := range ix.frees {
+		for _, id := range free {
+			flags[id] = freed
+		}
+	}
 	w.Int(len(ix.slab))
 	for i := range ix.slab {
 		e := &ix.slab[i]
@@ -366,6 +376,9 @@ func (ix *indexedAvailability) encodeState(w *ckpt.Writer) {
 		w.I32(e.prev)
 		w.I32(e.nextKey)
 		w.I32(e.boxLocal)
+		if flags[i]&freed == 0 && e.nextKey >= 0 {
+			flags[e.nextKey] |= chained
+		}
 	}
 	w.I32s(ix.byStripe)
 	w.I32s(ix.liveCount)
@@ -377,10 +390,12 @@ func (ix *indexedAvailability) encodeState(w *ckpt.Writer) {
 	w.Int(ix.numShards)
 	for sh := 0; sh < ix.numShards; sh++ {
 		w.I32s(ix.frees[sh])
-		w.Int(len(ix.byKeys[sh]))
-		for key, id := range ix.byKeys[sh] {
-			w.U64(key)
-			w.I32(id)
+		w.Int(ix.byKeys[sh].live)
+		for id := range ix.slab {
+			if e := &ix.slab[id]; flags[id] == 0 && ix.shardOf(e.stripe) == sh {
+				w.U64(availKey(e.stripe, e.box))
+				w.I32(int32(id))
+			}
 		}
 		ring := ix.rings[sh]
 		w.Int(len(ring))
@@ -448,13 +463,27 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if nKeys < 0 || nKeys > math.MaxInt32 {
-			return fmt.Errorf("core: checkpoint key count %d out of range", nKeys)
+		// Every key heads a chain of at least one slab entry, so the slab
+		// bounds the count before anything is sized from it.
+		if nKeys < 0 || nKeys > len(ix.slab) {
+			return fmt.Errorf("core: checkpoint key count %d out of range for %d entries", nKeys, len(ix.slab))
 		}
-		byKey := make(map[uint64]int32, nKeys)
+		byKey := newKeyIndex(nKeys)
 		for i := 0; i < nKeys; i++ {
-			key := r.U64()
-			byKey[key] = r.I32()
+			key, id := r.U64(), r.I32()
+			if err := r.Err(); err != nil {
+				return err
+			}
+			if id < 0 || int(id) >= len(ix.slab) {
+				return fmt.Errorf("core: checkpoint key index holds entry id %d outside the slab", id)
+			}
+			if e := &ix.slab[id]; availKey(e.stripe, e.box) != key || ix.shardOf(e.stripe) != sh {
+				return fmt.Errorf("core: checkpoint key %#x of shard %d points at entry %d of stripe %d, box %d",
+					key, sh, id, e.stripe, e.box)
+			}
+			if byKey.swap(key, id) >= 0 {
+				return fmt.Errorf("core: checkpoint key index repeats key %#x", key)
+			}
 		}
 		ix.byKeys[sh] = byKey
 		nBuckets := r.Int()

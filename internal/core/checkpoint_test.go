@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/stats"
+	"repro/internal/video"
 )
 
 // recordingGen wraps a generator and records every emitted demand batch so
@@ -220,6 +224,164 @@ func TestCheckpointFreshSystem(t *testing.T) {
 	for r := 0; r < 20; r++ {
 		if _, err := dst.Step(gen); err != nil {
 			t.Fatalf("round %d after fresh restore: %v", r, err)
+		}
+	}
+}
+
+// storeStream is an indexed-store checkpoint held field by field, so a
+// test can put any count or pair in the key-index section. bytes writes
+// encodeState's layout by hand; TestStoreDecodeRejectsCorruptKeyIndex holds
+// the two against each other on the honest stream.
+type storeStream struct {
+	ix     *indexedAvailability // everything but the key index is written from here
+	nKeys  []int                // per shard: the count field
+	keys   [][]uint64           // per shard: the key of each pair
+	keyIDs [][]int32            // per shard: the id of each pair
+}
+
+// streamOf reads a store's key index the way encodeState defines it: the
+// heads of all chains in ascending entry id.
+func streamOf(ix *indexedAvailability) storeStream {
+	ss := storeStream{ix: ix,
+		nKeys: make([]int, ix.numShards), keys: make([][]uint64, ix.numShards), keyIDs: make([][]int32, ix.numShards)}
+	isHead := make([]bool, len(ix.slab))
+	for _, id := range ix.byStripe {
+		for ; id >= 0; id = ix.slab[id].next {
+			isHead[id] = true
+		}
+	}
+	for id := range ix.slab {
+		if next := ix.slab[id].nextKey; next >= 0 {
+			isHead[next] = false
+		}
+	}
+	for id, head := range isHead {
+		if head {
+			e := &ix.slab[id]
+			sh := ix.shardOf(e.stripe)
+			ss.keys[sh] = append(ss.keys[sh], availKey(e.stripe, e.box))
+			ss.keyIDs[sh] = append(ss.keyIDs[sh], int32(id))
+			ss.nKeys[sh]++
+		}
+	}
+	return ss
+}
+
+func (ss storeStream) bytes() []byte {
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	ix := ss.ix
+	w.Int(len(ix.slab))
+	for i := range ix.slab {
+		e := &ix.slab[i]
+		encodeEntry(w, &e.entry)
+		w.I32(int32(e.stripe))
+		w.I32(e.next)
+		w.I32(e.prev)
+		w.I32(e.nextKey)
+		w.I32(e.boxLocal)
+	}
+	w.I32s(ix.byStripe)
+	w.I32s(ix.liveCount)
+	w.Int(len(ix.reqLinks))
+	for _, links := range ix.reqLinks {
+		w.I32(links[0])
+		w.I32(links[1])
+	}
+	w.Int(ix.numShards)
+	for sh := 0; sh < ix.numShards; sh++ {
+		w.I32s(ix.frees[sh])
+		w.Int(ss.nKeys[sh])
+		for i, key := range ss.keys[sh] {
+			w.U64(key)
+			w.I32(ss.keyIDs[sh][i])
+		}
+		w.Int(len(ix.rings[sh]))
+		for _, bucket := range ix.rings[sh] {
+			w.I32s(bucket)
+		}
+		w.Int(len(ix.eventLogs[sh]))
+		for _, ev := range ix.eventLogs[sh] {
+			w.I32(int32(ev.stripe))
+			w.I32(ev.box)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStoreDecodeRejectsCorruptKeyIndex feeds decodeState key-index
+// sections no encoder writes. Each must come back as an error — not a
+// panic, not a table sized from the stream's own count — because the index
+// is trusted afterwards: add, remove and every lookup walk from it.
+func TestStoreDecodeRejectsCorruptKeyIndex(t *testing.T) {
+	const numStripes, T, shards = 6, 5, 2
+	build := func() *indexedAvailability {
+		ix := newIndexedAvailability(numStripes, T)
+		ix.setShards(shards, nil)
+		rng := stats.NewRNG(77)
+		for round := 1; round <= 12; round++ {
+			ix.expire(round)
+			for i := 0; i < 5; i++ {
+				st := video.StripeID(rng.Intn(numStripes))
+				ix.add(st, entry{box: int32(rng.Intn(4)), start: int32(round), req: -1, frozen: int32(T)})
+			}
+		}
+		return ix
+	}
+	honest := streamOf(build())
+	var production bytes.Buffer
+	w := ckpt.NewWriter(&production)
+	honest.ix.encodeState(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(production.Bytes(), honest.bytes()) {
+		t.Fatal("encodeState does not write the key index as chain heads in ascending id (or the layout moved)")
+	}
+	fresh := func() *indexedAvailability {
+		ix := newIndexedAvailability(numStripes, T)
+		ix.setShards(shards, nil)
+		return ix
+	}
+	if err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(honest.bytes()))); err != nil {
+		t.Fatalf("honest stream rejected: %v", err)
+	}
+	if len(honest.keys[0]) < 2 || len(honest.keys[1]) < 1 || len(honest.ix.frees[0])+len(honest.ix.frees[1]) == 0 {
+		t.Fatal("scenario too small: need two keys in shard 0, one in shard 1, and a freed slab slot")
+	}
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(ss *storeStream)
+		want    string
+	}{
+		{"count asks for 2^31 slots", func(ss *storeStream) { ss.nKeys[0] = math.MaxInt32 }, "key count 2147483647 out of range"},
+		{"count one past the slab", func(ss *storeStream) { ss.nKeys[0] = len(ss.ix.slab) + 1 }, "out of range"},
+		{"negative count", func(ss *storeStream) { ss.nKeys[0] = -1 }, "out of range"},
+		{"negative id", func(ss *storeStream) { ss.keyIDs[0][0] = -1 }, "outside the slab"},
+		{"id past the slab", func(ss *storeStream) { ss.keyIDs[0][1] = int32(len(ss.ix.slab)) }, "outside the slab"},
+		{"id of another key's entry", func(ss *storeStream) { ss.keyIDs[0][0] = ss.keyIDs[0][1] }, "points at entry"},
+		{"key of the other shard", func(ss *storeStream) {
+			ss.keys[0][0], ss.keyIDs[0][0] = ss.keys[1][0], ss.keyIDs[1][0]
+		}, "points at entry"},
+		{"key twice", func(ss *storeStream) {
+			ss.keys[0][1], ss.keyIDs[0][1] = ss.keys[0][0], ss.keyIDs[0][0]
+		}, "repeats key"},
+	} {
+		ss := streamOf(build())
+		tc.corrupt(&ss)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(ss.bytes())))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decodeState returned %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decodeState allocated %d bytes on a %d-byte stream", tc.name, grew, len(ss.bytes()))
 		}
 	}
 }
