@@ -2,8 +2,10 @@ package vod
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -175,5 +177,58 @@ func TestCheckpointBytesAreAFunctionOfState(t *testing.T) {
 		}
 		restored.Close()
 		sys.Close()
+	}
+}
+
+// TestCheckpointSizeDoesNotGrowWithUptime: a checkpoint holds the live state
+// and a handful of counters, so a daemon in steady state writes the same
+// size of file in its first hour and its hundredth. (One float64 per
+// admitted demand, as the file once carried, made the later save almost four times
+// the earlier one here.)
+func TestCheckpointSizeDoesNotGrowWithUptime(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		sys, err := New(Spec{Boxes: 200, Upload: 2.0, Duration: 40, Growth: 1.3, Resilient: true, Shards: shards, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := NewZipfWorkload(8, 0.5, 0.9)
+		sizeAt := func(round int) int {
+			for sys.Round() < round {
+				if _, err := sys.Step(gen); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := sys.SaveCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Len()
+		}
+		early, late := sizeAt(300), sizeAt(3000)
+		if rep := sys.Report(); rep.Admitted < 10_000 || len(rep.Obstructions) > 0 {
+			t.Fatalf("shards=%d: not the steady state this test is about: %d admitted, %d obstructions",
+				shards, rep.Admitted, len(rep.Obstructions))
+		}
+		if diff := late - early; diff > early/20 || diff < -early/20 {
+			t.Errorf("shards=%d: checkpoint is %d bytes at round 300 and %d at round 3000", shards, early, late)
+		}
+		sys.Close()
+	}
+}
+
+// TestLoadCheckpointRefusesVersion1 loads a checkpoint the previous state
+// layout's daemon wrote (20 boxes, round 3; `vodserve -n 20 -u 2 -seed 7`
+// at the commit before coreStateVersion 2). The policy is no migration: the
+// file is refused by name of its version, whatever its bytes would decode to
+// under this layout.
+func TestLoadCheckpointRefusesVersion1(t *testing.T) {
+	f, err := os.Open("internal/core/testdata/v1.vodckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, err = LoadCheckpoint(f)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint state version 1, this build reads 2") {
+		t.Fatalf("LoadCheckpoint of a version-1 file returned %v, want the version error", err)
 	}
 }

@@ -40,7 +40,7 @@ import (
 
 // coreStateVersion stamps the engine-state layout. Bump on any change to
 // the field order or meaning below; restore refuses other versions.
-const coreStateVersion = 1
+const coreStateVersion = 2
 
 // Fingerprint hashes the configuration facets the serialized state is
 // only meaningful under: population, catalog, allocation contents, engine
@@ -268,7 +268,7 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	if err := s.tracker.DecodeState(r); err != nil {
 		return err
 	}
-	if err := s.metrics.decode(r); err != nil {
+	if err := s.metrics.decode(r, s.round); err != nil {
 		return err
 	}
 	return r.Err()
@@ -530,7 +530,7 @@ func (m *runMetrics) encode(w *ckpt.Writer) {
 		w.Int(ob.Boxes)
 		w.I64(ob.Slots)
 	}
-	w.F64s(m.startupDelays)
+	w.I64s(m.startupHist)
 	w.F64(m.utilSum)
 	w.I64(m.utilRounds)
 	w.Int(m.maxSwarmEver)
@@ -551,7 +551,46 @@ func (m *runMetrics) encode(w *ckpt.Writer) {
 	w.I64(m.skippedSelf)
 }
 
-func (m *runMetrics) decode(r *ckpt.Reader) error {
+// maxStartupWait is the largest intrinsic start-up delay of any strategy
+// (a poor box under StrategyRelayed), so a demand admitted in round t has
+// waited at most t−1+maxStartupWait rounds.
+const maxStartupWait = 6
+
+// decodeStartupHist reads the histogram encode wrote with I64s, growing it
+// as counts arrive so that a length the stream does not back allocates
+// nothing. What recordStartup guarantees is checked, not trusted: no
+// negative count, no delay longer than the clock allows, one count per
+// admitted demand.
+func decodeStartupHist(r *ckpt.Reader, round int, admitted int64) ([]int64, error) {
+	n := r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if n > uint64(max(round, 0))+maxStartupWait {
+		return nil, fmt.Errorf("core: checkpoint start-up histogram has %d delays, round %d allows %d",
+			n, round, max(round, 0)+maxStartupWait)
+	}
+	var hist []int64
+	total := int64(0)
+	for d := uint64(0); d < n; d++ {
+		c := r.I64()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if c < 0 || c > admitted-total {
+			return nil, fmt.Errorf("core: checkpoint start-up histogram counts %d demands at delay %d, %d of %d admitted are unaccounted for",
+				c, d, admitted-total, admitted)
+		}
+		total += c
+		hist = append(hist, c)
+	}
+	if total != admitted {
+		return nil, fmt.Errorf("core: checkpoint start-up histogram counts %d demands, %d were admitted", total, admitted)
+	}
+	return hist, nil
+}
+
+func (m *runMetrics) decode(r *ckpt.Reader, round int) error {
 	m.demands = r.I64()
 	m.admitted = r.I64()
 	m.rejectedBusy = r.I64()
@@ -577,7 +616,11 @@ func (m *runMetrics) decode(r *ckpt.Reader) error {
 			Slots:           r.I64(),
 		}
 	}
-	m.startupDelays = r.F64s()
+	hist, err := decodeStartupHist(r, round, m.admitted)
+	if err != nil {
+		return err
+	}
+	m.startupHist = hist
 	m.utilSum = r.F64()
 	m.utilRounds = r.I64()
 	m.maxSwarmEver = r.Int()

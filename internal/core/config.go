@@ -228,7 +228,8 @@ func directStripeCount(ub float64, c int, mu float64) int {
 
 // Demand is a user request: box wants to watch video. Born optionally
 // records the round the user first asked (for start-up delay accounting
-// across admission retries); zero or negative means "this round".
+// across admission retries); zero or negative means "this round", and a
+// round later than the one the demand arrives in is refused by Step.
 type Demand struct {
 	Box   int
 	Video video.ID

@@ -24,10 +24,11 @@ type StepResult struct {
 // admission, connection matching, obstruction handling, and progress.
 //
 // The generator's batch is checked whole before any of it is admitted. If
-// a demand names a box or video the system does not have, none of the batch
-// is admitted, the round otherwise runs to its end — the system stays
-// consistent and can be stepped again — and Step returns the round's
-// result with an error naming the first such demand.
+// a demand names a box or video the system does not have, or was born in a
+// round that has not come yet, none of the batch is admitted, the round
+// otherwise runs to its end — the system stays consistent and can be
+// stepped again — and Step returns the round's result with an error naming
+// the first such demand.
 func (s *System) Step(gen Generator) (StepResult, error) {
 	if s.failed {
 		return StepResult{}, fmt.Errorf("core: system already failed at round %d", s.metrics.failRound)
@@ -163,7 +164,8 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 }
 
 // checkDemands reports the first demand of batch that names a box or a
-// video outside the system.
+// video outside the system, or a birth round after this one (its start-up
+// delay would fall below the strategy's minimum).
 func (s *System) checkDemands(batch []Demand) error {
 	for i, d := range batch {
 		if d.Box < 0 || d.Box >= s.n {
@@ -173,6 +175,10 @@ func (s *System) checkDemands(batch []Demand) error {
 		if d.Video < 0 || int(d.Video) >= s.cat.M {
 			return fmt.Errorf("core: round %d: demand %d of %d (box %d) names video %d, the catalog has videos 0..%d",
 				s.round, i, len(batch), d.Box, d.Video, s.cat.M-1)
+		}
+		if d.Born > s.round {
+			return fmt.Errorf("core: round %d: demand %d of %d (box %d) names birth round %d, a demand is born in rounds 1..%d",
+				s.round, i, len(batch), d.Box, d.Born, s.round)
 		}
 	}
 	return nil
@@ -210,17 +216,17 @@ func (s *System) admit(d Demand) admitCode {
 	switch s.cfg.Strategy {
 	case StrategyPreload:
 		planned = s.planHomogeneous(b, d.Video, preloadIdx, 1)
-		s.metrics.recordStartup(float64(s.round-born) + 3)
+		s.metrics.recordStartup(s.round - born + 3)
 	case StrategyNaive:
 		planned = s.planHomogeneous(b, d.Video, preloadIdx, 0)
-		s.metrics.recordStartup(float64(s.round-born) + 2)
+		s.metrics.recordStartup(s.round - born + 2)
 	case StrategyRelayed:
 		if s.cfg.Uploads[d.Box] < s.cfg.UStar {
 			planned = s.planRelayedPoor(b, d.Video, preloadIdx)
-			s.metrics.recordStartup(float64(s.round-born) + 6)
+			s.metrics.recordStartup(s.round - born + 6)
 		} else {
 			planned = s.planRelayedRich(b, d.Video, preloadIdx)
-			s.metrics.recordStartup(float64(s.round-born) + 4)
+			s.metrics.recordStartup(s.round - born + 4)
 		}
 	}
 

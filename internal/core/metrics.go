@@ -39,7 +39,7 @@ type runMetrics struct {
 	failRound         int
 	peakRequests      int
 	obstructions      []Obstruction
-	startupDelays     []float64
+	startupHist       []int64 // [d] = admitted demands that waited d rounds to start
 	utilSum           float64
 	utilRounds        int64
 	maxSwarmEver      int
@@ -56,8 +56,14 @@ func (m *runMetrics) init(n int) {
 	m.failRound = -1
 }
 
-func (m *runMetrics) recordStartup(delay float64) {
-	m.startupDelays = append(m.startupDelays, delay)
+// recordStartup counts one admitted demand's start-up delay. The histogram
+// is as long as the largest delay seen, and because every admitOK records
+// exactly one delay its counts sum to admitted (decode holds it to that).
+func (m *runMetrics) recordStartup(delay int) {
+	if delay >= len(m.startupHist) {
+		m.startupHist = append(m.startupHist, make([]int64, delay+1-len(m.startupHist))...)
+	}
+	m.startupHist[delay]++
 }
 
 func (m *runMetrics) observeRound(s *System, res StepResult) {
@@ -132,7 +138,7 @@ func (s *System) Report() Report {
 		CompletedViewings: m.completedViewings,
 		PeakRequests:      m.peakRequests,
 		MaxSwarm:          m.maxSwarmEver,
-		StartupDelay:      stats.Summarize(m.startupDelays),
+		StartupDelay:      stats.SummarizeCounts(m.startupHist),
 		MeanUtilization:   util,
 		Trace:             append([]RoundStats(nil), m.trace...),
 		PreloadRequests:   m.preloadReqs,

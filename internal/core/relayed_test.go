@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/allocation"
+	"repro/internal/ckpt"
 	"repro/internal/stats"
 	"repro/internal/video"
 )
@@ -192,15 +194,19 @@ func TestStepRejectsOutOfRangeDemand(t *testing.T) {
 		{Demand{Box: n, Video: 0}, fmt.Sprintf("names box %d", n)},
 		{Demand{Box: 0, Video: -1}, "names video -1"},
 		{Demand{Box: 0, Video: pastCatalog}, fmt.Sprintf("names video %d", pastCatalog)},
+		// Born in a round that has not come: the delay would fall below the
+		// strategy's minimum, and far enough ahead it would be negative.
+		{Demand{Box: 0, Video: 0, Born: 2}, "names birth round 2, a demand is born in rounds 1..1"},
+		{Demand{Box: 0, Video: 0, Born: 1 << 40}, fmt.Sprintf("names birth round %d", 1<<40)},
 	} {
 		sys := build()
 		gen := &scripted{byRound: map[int][]Demand{
 			1: {{Box: 3, Video: 0}, tc.bad},
-			2: {{Box: 3, Video: 0}},
+			2: {{Box: 3, Video: 0, Born: 2}}, // born this round: the boundary is legal
 		}}
 		res, err := sys.Step(gen)
-		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "demand 1 of 2") {
-			t.Fatalf("%+v: Step error %v, want one naming demand 1 of 2 and %q", tc.bad, err, tc.want)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "round 1: demand 1 of 2") {
+			t.Fatalf("%+v: Step error %v, want one naming round 1, demand 1 of 2 and %q", tc.bad, err, tc.want)
 		}
 		if res.Round != 1 || res.Demanded != 0 || res.Admitted != 0 || !sys.View().BoxIdle(3) {
 			t.Fatalf("%+v: refused batch left a trace: %+v, box 3 idle %v", tc.bad, res, sys.View().BoxIdle(3))
@@ -208,6 +214,20 @@ func TestStepRejectsOutOfRangeDemand(t *testing.T) {
 		res, err = sys.Step(gen)
 		if err != nil || res.Round != 2 || res.Admitted != 1 {
 			t.Fatalf("%+v: round after the refused batch: %+v, %v", tc.bad, res, err)
+		}
+		if d := sys.Report().StartupDelay; d.N != 1 || d.Min != 3 {
+			t.Fatalf("%+v: start-up delays after the refused batch: %+v, want the one admitted demand at 3", tc.bad, d)
+		}
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		if err := sys.EncodeState(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := build().DecodeState(ckpt.NewReader(&buf)); err != nil {
+			t.Fatalf("%+v: checkpoint taken after the refused batch does not load: %v", tc.bad, err)
 		}
 	}
 }

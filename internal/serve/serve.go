@@ -13,13 +13,15 @@
 //	POST /step        {"rounds":N} advance N rounds (default 1)
 //	POST /checkpoint  {"path":P} write a checkpoint atomically
 //	GET  /metrics     operational metrics (rounds/sec, live requests,
-//	                  matcher mode, obstructions, allocs/round)
+//	                  matcher mode, obstructions, alloc bytes/round)
 //	GET  /state       spec + full aggregate report
 //	GET  /healthz     liveness probe
 //
 // All handlers serialize on one mutex: the round engine is single-writer
 // by design, and the daemon's job is ordering concurrent arrivals onto
-// the round clock, not parallelizing them.
+// the round clock, not parallelizing them. The mutex covers the engine's
+// work only: what a reply needs is copied out under it and encoded after it
+// is released, so a client that reads slowly delays nobody's round.
 package serve
 
 import (
@@ -30,7 +32,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"time"
@@ -56,6 +58,9 @@ type Server struct {
 	stepRounds int64         // rounds stepped by this process
 	stepWall   time.Duration // wall time inside Step
 	allocBytes uint64        // heap bytes allocated across Step calls
+	// heapAllocs is the one runtime/metrics sample allocBytes is summed
+	// from, read in place on every step (touched only with mu held).
+	heapAllocs []rtmetrics.Sample
 
 	// Periodic auto-checkpointing (EnableAutoCheckpoint): every autoEvery
 	// rounds a checkpoint lands in autoDir, retaining the autoKeep newest.
@@ -71,7 +76,18 @@ type Server struct {
 
 // New wraps sys (fresh or restored from a checkpoint) in a server.
 func New(sys *vod.System, restored bool) *Server {
-	return &Server{sys: sys, restored: restored}
+	return &Server{sys: sys, restored: restored,
+		heapAllocs: []rtmetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}}
+}
+
+// heapAllocBytes reads the process's cumulative heap allocation. Unlike a
+// full runtime.MemStats read this does not stop the world; the price is
+// that the runtime folds a span's allocations into the counter when the
+// span is handed back, so a reading can trail by the spans in use — noise
+// against the total over many rounds, which is all /metrics reports.
+func (s *Server) heapAllocBytes() uint64 {
+	rtmetrics.Read(s.heapAllocs)
+	return s.heapAllocs[0].Value.Uint64()
 }
 
 // Close releases the engine's persistent shard workers. Call it when the
@@ -196,9 +212,7 @@ func (s *Server) stepLocked(n int) ([]vod.StepResult, error) {
 	if n <= 0 {
 		return nil, errors.New("rounds must be positive")
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	allocBefore := ms.TotalAlloc
+	allocBefore := s.heapAllocBytes()
 	start := time.Now()
 	results := s.results[:0]
 	for i := 0; i < n; i++ {
@@ -214,8 +228,7 @@ func (s *Server) stepLocked(n int) ([]vod.StepResult, error) {
 	}
 	s.stepWall += time.Since(start)
 	s.stepRounds += int64(n)
-	runtime.ReadMemStats(&ms)
-	s.allocBytes += ms.TotalAlloc - allocBefore
+	s.allocBytes += s.heapAllocBytes() - allocBefore
 	s.results = results
 	return results, nil
 }
@@ -357,6 +370,24 @@ type checkpointReq struct {
 	Path string `json:"path"`
 }
 
+// demandResp and stepResp are the replies of the two per-round endpoints.
+// Their fields are in the alphabetical order of their keys, which is the
+// order the map[string]any they replace was encoded in: the bodies are the
+// same bytes.
+type demandResp struct {
+	Pending int `json:"pending"`
+	Queued  int `json:"queued"`
+	Round   int `json:"round"`
+}
+
+type stepResp struct {
+	Last      vod.StepResult `json:"last"`
+	Matched   int            `json:"matched"`
+	Round     int            `json:"round"`
+	Stepped   int            `json:"stepped"`
+	Unmatched int            `json:"unmatched"`
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -402,25 +433,32 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 		batch = []demandIn{req.demandIn}
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	resp, err := s.queueLocked(batch)
+	s.mu.Unlock()
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// queueLocked appends batch to the pending demands, or none of it when one
+// names a box or video the system does not have.
+func (s *Server) queueLocked(batch []demandIn) (demandResp, error) {
 	n := s.sys.View().NumBoxes()
 	m := s.sys.Catalog().M
 	for _, d := range batch {
 		if d.Box < 0 || d.Box >= n {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("box %d out of range [0,%d)", d.Box, n))
-			return
+			return demandResp{}, fmt.Errorf("box %d out of range [0,%d)", d.Box, n)
 		}
 		if d.Video < 0 || d.Video >= m {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("video %d out of range [0,%d)", d.Video, m))
-			return
+			return demandResp{}, fmt.Errorf("video %d out of range [0,%d)", d.Video, m)
 		}
 	}
 	for _, d := range batch {
 		s.pending = append(s.pending, vod.Demand{Box: d.Box, Video: vod.VideoID(d.Video)})
 	}
-	writeJSON(w, http.StatusOK, map[string]int{
-		"queued": len(batch), "pending": len(s.pending), "round": s.sys.Round(),
-	})
+	return demandResp{Pending: len(s.pending), Queued: len(batch), Round: s.sys.Round()}, nil
 }
 
 func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
@@ -429,8 +467,9 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.sys.SetCapacity(req.Box, req.Slots); err != nil {
+	err := s.sys.SetCapacity(req.Box, req.Slots)
+	s.mu.Unlock()
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -448,25 +487,20 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	results, err := s.stepLocked(req.Rounds)
+	var resp stepResp
+	if err == nil {
+		// The last result is copied: the next step reuses s.results.
+		resp = stepResp{Last: results[len(results)-1], Round: s.sys.Round(), Stepped: len(results)}
+		for _, res := range results {
+			resp.Matched += res.Matched
+			resp.Unmatched += res.Unmatched
+		}
+	}
+	s.mu.Unlock()
 	if err != nil {
 		writeErr(w, http.StatusConflict, err)
 		return
-	}
-	matched, unmatched := 0, 0
-	for _, res := range results {
-		matched += res.Matched
-		unmatched += res.Unmatched
-	}
-	resp := map[string]any{
-		"round":     s.sys.Round(),
-		"stepped":   len(results),
-		"matched":   matched,
-		"unmatched": unmatched,
-	}
-	if n := len(results); n > 0 {
-		resp["last"] = results[n-1]
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	rtmetrics "runtime/metrics"
+	"strings"
 	"testing"
 	"time"
 
@@ -351,5 +353,166 @@ func TestTickExitsOnFailedSystem(t *testing.T) {
 	}
 	if err := srv.Tick(context.Background(), 0); err == nil {
 		t.Fatal("Tick accepted a zero period")
+	}
+}
+
+// otherPauses counts the stop-the-world pauses the runtime has taken for
+// anything but garbage collection — runtime.ReadMemStats is one each.
+func otherPauses(t *testing.T) uint64 {
+	t.Helper()
+	sample := []rtmetrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	rtmetrics.Read(sample)
+	if sample[0].Value.Kind() != rtmetrics.KindFloat64Histogram {
+		t.Skipf("this runtime does not report %s", sample[0].Name)
+	}
+	n := uint64(0)
+	for _, c := range sample[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// post drives the handler in process and returns the reply.
+func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec
+}
+
+// TestStepDoesNotStopTheWorld: accounting for a round must not pause every
+// goroutine in the daemon. Two ReadMemStats calls per /step showed here as
+// +400 pauses over 200 steps.
+func TestStepDoesNotStopTheWorld(t *testing.T) {
+	srv, ts := newTestServer(t)
+	h := srv.Handler()
+	before := otherPauses(t)
+	for i := 0; i < 200; i++ {
+		post(t, h, "/demand", fmt.Sprintf(`{"box":%d,"video":%d}`, i%30, i%3))
+		if rec := post(t, h, "/step", ""); rec.Code != http.StatusOK {
+			t.Fatalf("step %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	if after := otherPauses(t); after != before {
+		t.Fatalf("200 /step calls stopped the world %d times", after-before)
+	}
+
+	// What replaced ReadMemStats still counts bytes: a megabyte allocated
+	// between two readings shows in full (large objects are counted at once).
+	a := srv.heapAllocBytes()
+	sink = make([]byte, 1<<20)
+	if b := srv.heapAllocBytes(); b-a < 1<<20 {
+		t.Fatalf("heapAllocBytes moved %d across a 1 MiB allocation", b-a)
+	}
+	var m Metrics
+	getJSON(t, ts.URL+"/metrics", &m)
+	if m.SteppedRounds != 200 || m.AllocsPerRound == 0 {
+		t.Fatalf("/metrics after 200 rounds from a cold start: stepped %d, alloc_bytes_per_round %d", m.SteppedRounds, m.AllocsPerRound)
+	}
+}
+
+var sink []byte
+
+// TestHotReplyBodiesUnchanged pins the /demand and /step replies byte for
+// byte. They were a map[string]any (keys encoded in sorted order) and are
+// typed structs now; a client that compares or hashes bodies, and
+// serve.response_bytes_per_round, must not notice. The obstructed system
+// covers a "last" that carries a certificate.
+func TestHotReplyBodiesUnchanged(t *testing.T) {
+	srv, _ := newTestServer(t)
+	h := srv.Handler()
+	for _, step := range []struct{ path, body, want string }{
+		{"/demand", `{"box":3,"video":0}`,
+			`{"pending":1,"queued":1,"round":0}` + "\n"},
+		{"/demand", `{"demands":[{"box":5,"video":1},{"box":6,"video":1}]}`,
+			`{"pending":3,"queued":2,"round":0}` + "\n"},
+		{"/step", `{"rounds":5}`,
+			`{"last":{"Round":5,"Demanded":0,"Admitted":0,"RejectedBusy":0,"RejectedSwarm":0,"Matched":4,"Unmatched":0,"Obstruction":null},` +
+				`"matched":18,"round":5,"stepped":5,"unmatched":0}` + "\n"},
+		{"/demand", `{"demands":[]}`,
+			`{"pending":0,"queued":0,"round":5}` + "\n"},
+	} {
+		if got := post(t, h, step.path, step.body).Body.String(); got != step.want {
+			t.Errorf("POST %s %s\n got %s\nwant %s", step.path, step.body, got, step.want)
+		}
+	}
+
+	sys, err := vod.New(vod.Spec{Boxes: 20, Upload: 0.5, Stripes: 4, Replicas: 1, Duration: 20, Resilient: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := New(sys, false)
+	defer stalled.Close()
+	var batch []string
+	for b := 0; b < 20; b++ {
+		batch = append(batch, fmt.Sprintf(`{"box":%d,"video":%d}`, b, b%sys.Catalog().M))
+	}
+	post(t, stalled.Handler(), "/demand", `{"demands":[`+strings.Join(batch, ",")+`]}`)
+	got := post(t, stalled.Handler(), "/step", `{"rounds":2}`).Body.String()
+	last := stalled.results[len(stalled.results)-1]
+	if last.Obstruction == nil {
+		t.Fatal("the under-provisioned system did not stall: no certificate in the reply to compare")
+	}
+	asMap, err := json.Marshal(map[string]any{
+		"round": 2, "stepped": 2, "last": last,
+		"matched":   stalled.results[0].Matched + last.Matched,
+		"unmatched": stalled.results[0].Unmatched + last.Unmatched,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(asMap)+"\n" || !strings.Contains(got, `"Obstruction":{"Round":2,`) {
+		t.Errorf("stalled /step reply\n got %s\nwant %s", got, asMap)
+	}
+}
+
+// blockedWriter is a client that has stopped reading: Write reports that it
+// was entered and then does not return until released.
+type blockedWriter struct {
+	header           http.Header
+	entered, release chan struct{}
+}
+
+func (w *blockedWriter) Header() http.Header { return w.header }
+func (w *blockedWriter) WriteHeader(int)     {}
+func (w *blockedWriter) Write(p []byte) (int, error) {
+	w.entered <- struct{}{}
+	<-w.release
+	return len(p), nil
+}
+
+// TestSlowReaderDoesNotHoldTheEngine: while one client's reply sits in a
+// Write that does not return, the round clock and every other client go on.
+// With replies encoded under the engine mutex StepRounds would wait for it.
+func TestSlowReaderDoesNotHoldTheEngine(t *testing.T) {
+	srv, _ := newTestServer(t)
+	h := srv.Handler()
+	for _, req := range []struct{ path, body string }{
+		{"/demand", `{"box":3,"video":0}`},
+		{"/step", `{"rounds":1}`},
+		{"/capacity", `{"box":2,"slots":1}`},
+	} {
+		w := &blockedWriter{header: http.Header{}, entered: make(chan struct{}), release: make(chan struct{})}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, req.path, strings.NewReader(req.body)))
+		}()
+		<-w.entered
+		stepped := make(chan error, 1)
+		go func() {
+			_, err := srv.StepRounds(1)
+			stepped <- err
+		}()
+		select {
+		case err := <-stepped:
+			if err != nil {
+				t.Fatalf("StepRounds beside a blocked %s reply: %v", req.path, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("StepRounds waited for a client that is not reading its %s reply", req.path)
+		}
+		close(w.release)
+		<-served
 	}
 }

@@ -79,6 +79,75 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
+// SummarizeCounts is Summarize of the sample that holds the value i
+// counts[i] times (counts are not negative), in time and memory that depend
+// on len(counts) and not on the sample's size. N, Min, Max, Mean and the
+// quantiles are bit-identical to Summarize of the expanded sample while its
+// sum stays below 2⁵³: integer sums are exact in float64, and a quantile
+// interpolates the same two order statistics. Std and StdErr agree to
+// rounding (one multiplication per value where Summarize adds copy by copy).
+func SummarizeCounts(counts []int64) Summary {
+	var n, sum int64
+	lo, hi := -1, -1
+	for v, c := range counts {
+		if c == 0 {
+			continue
+		}
+		if lo < 0 {
+			lo = v
+		}
+		hi = v
+		n += c
+		sum += int64(v) * c
+	}
+	if n == 0 {
+		return Summary{}
+	}
+	s := Summary{N: int(n), Min: float64(lo), Max: float64(hi)}
+	s.Mean = float64(sum) / float64(n)
+	if n > 1 {
+		ss := 0.0
+		for v := lo; v <= hi; v++ {
+			d := float64(v) - s.Mean
+			ss += float64(counts[v]) * d * d
+		}
+		s.Std = math.Sqrt(ss / float64(n-1))
+		s.StdErr = s.Std / math.Sqrt(float64(n))
+	}
+	s.P50 = quantileCounts(counts, n, 0.50)
+	s.P90 = quantileCounts(counts, n, 0.90)
+	s.P99 = quantileCounts(counts, n, 0.99)
+	return s
+}
+
+// quantileCounts is Quantile, for 0 < q < 1, over the sorted sample of n
+// values that counts describes.
+func quantileCounts(counts []int64, n int64, q float64) float64 {
+	pos := q * float64(n-1)
+	k := int64(math.Floor(pos))
+	frac := pos - float64(k)
+	// a and b are the order statistics k and k+1 (0-based); b stays at the
+	// largest value when k is the last one.
+	var a, b float64
+	seen := int64(0)
+	for v, c := range counts {
+		if c == 0 {
+			continue
+		}
+		if seen <= k {
+			a = float64(v)
+		}
+		b = float64(v)
+		if seen += c; seen > k+1 {
+			break
+		}
+	}
+	if k+1 >= n {
+		return b
+	}
+	return a*(1-frac) + b*frac
+}
+
 // String renders the summary compactly for logs and example output.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g",

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/big"
 	"sort"
 	"strings"
 	"testing"
@@ -213,5 +214,69 @@ func TestQuickQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSummarizeCountsMatchesSummarize holds SummarizeCounts to Summarize of
+// the sample its counts stand for, expanded in shuffled order (Summarize
+// sorts its own copy): exact equality where the arithmetic is exact, and
+// Std/StdErr to rounding. The rounding is Summarize's: it adds n squared
+// deviations one by one, which drifts by up to n·2⁻⁵³ of the sum — a few
+// 1e-12 at 10⁶ copies — so beyond 1e-12 the tolerance is that bound, and the
+// count form is held to the exactly computed value instead.
+func TestSummarizeCountsMatchesSummarize(t *testing.T) {
+	cases := map[string][]int64{
+		"empty":             nil,
+		"all zero":          {0, 0, 0},
+		"n = 1":             {0, 0, 0, 1},
+		"n = 1 at zero":     {1},
+		"single value":      {0, 0, 0, 41},
+		"two values":        {0, 1, 1},
+		"gaps":              {0, 0, 0, 7, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1},
+		"trailing zeros":    {3, 0, 5, 0, 0},
+		"p99 between two":   {0, 0, 0, 99, 1},
+		"million-copy pair": {0, 0, 0, 1_000_000, 0, 0, 1_000_000, 3},
+		"million and one":   {0, 0, 1_000_000, 1},
+	}
+	rng := NewRNG(19)
+	for i := 0; i < 200; i++ {
+		counts := make([]int64, 1+rng.Intn(40))
+		for v := range counts {
+			if rng.Bool(0.6) {
+				counts[v] = int64(rng.Intn(1 + rng.Intn(500)))
+			}
+		}
+		cases["random "+string(rune('a'+i%26))+string(rune('a'+i/26))] = counts
+	}
+	for name, counts := range cases {
+		var xs []float64
+		for v, c := range counts {
+			for ; c > 0; c-- {
+				xs = append(xs, float64(v))
+			}
+		}
+		rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		want, got := Summarize(xs), SummarizeCounts(counts)
+		if got.N != want.N || got.Min != want.Min || got.Max != want.Max || got.Mean != want.Mean ||
+			got.P50 != want.P50 || got.P90 != want.P90 || got.P99 != want.P99 {
+			t.Errorf("%s %v:\ncounts %+v\nsample %+v", name, counts, got, want)
+		}
+		tol := math.Max(1e-12, float64(len(xs))*0x1p-53)
+		for _, pair := range [][2]float64{{got.Std, want.Std}, {got.StdErr, want.StdErr}} {
+			if diff := math.Abs(pair[0] - pair[1]); diff > tol*pair[1] {
+				t.Errorf("%s: Std/StdErr %v from counts, %v from the sample", name, pair[0], pair[1])
+			}
+		}
+		if len(xs) > 1 {
+			ss := new(big.Float).SetPrec(200)
+			for v, c := range counts {
+				d := new(big.Float).SetPrec(200).Sub(big.NewFloat(float64(v)), big.NewFloat(got.Mean))
+				ss.Add(ss, d.Mul(d, d).Mul(d, big.NewFloat(float64(c))))
+			}
+			exact, _ := ss.Quo(ss, big.NewFloat(float64(len(xs)-1))).Float64()
+			if exact = math.Sqrt(exact); math.Abs(got.Std-exact) > 1e-15*exact {
+				t.Errorf("%s: Std %v from counts, %v computed exactly", name, got.Std, exact)
+			}
+		}
 	}
 }
