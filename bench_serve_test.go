@@ -35,7 +35,6 @@ func BenchmarkServeRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv := serve.New(sys, false)
-	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()

@@ -9,7 +9,6 @@ package vod
 // One experiment:   go test -bench=BenchmarkE5 -v   (-v prints the tables)
 
 import (
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -354,22 +353,15 @@ func (g *sweepArrivals) Next(v *View, _ int) []Demand {
 // benchStepBounded drives Step at population n with an arrival rate that
 // is *independent* of n (fixed demands/round), so the live request set —
 // and therefore, with fully output-sensitive rounds, the per-round cost —
-// is the same at every population size. shards > 1 runs the sharded
-// round engine (bit-identical results, different wall-clock).
-func benchStepBounded(b *testing.B, n, perRound, shards int) {
-	// At 10⁷ boxes pre-registering ~Shards×n sharded right records up
-	// front would dominate the benchmark's memory; every smaller bench
-	// keeps the pre-registration default that production configs use.
-	lazy := n >= 10_000_000
+// is the same at every population size.
+func benchStepBounded(b *testing.B, n, perRound int) {
 	sys, err := New(Spec{
 		Boxes: n, Upload: 2.0, Storage: 2, Stripes: 4, Replicas: 4,
-		Duration: 50, Growth: 1.2, Seed: 17, Shards: shards,
-		LazyShardRights: lazy,
+		Duration: 50, Growth: 1.2, Seed: 17,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer sys.Close()
 	// Warm past the first cache-window expiry so measured rounds carry
 	// steady-state expiry and retirement work.
 	benchSteps(b, sys, &sweepArrivals{perRound: perRound}, 60)
@@ -397,37 +389,24 @@ func benchSteps(b *testing.B, sys *System, gen Generator, warm int) {
 // sustained arrivals. Per-round cost must scale with live cache entries and
 // in-flight requests, not with catalog size or the historical peak slot
 // count.
-func BenchmarkStepLargeSwarm(b *testing.B) { benchStepBounded(b, 100_000, 100, 0) }
+func BenchmarkStepLargeSwarm(b *testing.B) { benchStepBounded(b, 100_000, 100) }
 
 // BenchmarkStepMillionBoxes is BenchmarkStepLargeSwarm at 10× the
 // population with the *same* bounded live workload (100 arrivals/round).
 // With event-driven invalidation and the idle-box index the round loop is
 // fully output-sensitive, so ns/op here must stay within ~2× of the
 // large-swarm benchmark — round cost no longer scales with n.
-func BenchmarkStepMillionBoxes(b *testing.B) { benchStepBounded(b, 1_000_000, 100, 0) }
+func BenchmarkStepMillionBoxes(b *testing.B) { benchStepBounded(b, 1_000_000, 100) }
 
 // BenchmarkStepTenMillionBoxes pushes the bounded workload to 10⁷ boxes
-// (an ~5M-video catalog, 20M stripes) on the sharded round engine. This
-// is the one benchmark that defaults Shards to GOMAXPROCS — seeded
-// experiments and the other benches keep the serial engine unless asked
-// — so it measures what the engine does with every core the host gives
-// it while the output stays bit-identical to the serial run.
-func BenchmarkStepTenMillionBoxes(b *testing.B) {
-	benchStepBounded(b, 10_000_000, 100, runtime.GOMAXPROCS(0))
-}
+// (an ~5M-video catalog, 20M stripes).
+func BenchmarkStepTenMillionBoxes(b *testing.B) { benchStepBounded(b, 10_000_000, 100) }
 
-// BenchmarkStepShardScaling holds one contended workload fixed (10⁶
-// boxes, 1000 arrivals/round — 10× the bounded benches, so matching and
-// invalidation dominate the round) and sweeps the shard count. shards=1
-// is the serial engine; the ratios are the measured scaling curve, and
-// on a single-core host they are pure coordination overhead.
-func BenchmarkStepShardScaling(b *testing.B) {
-	for _, s := range []int{1, 2, 4, 8} {
-		b.Run("shards="+strconv.Itoa(s), func(b *testing.B) {
-			benchStepBounded(b, 1_000_000, 1000, s)
-		})
-	}
-}
+// BenchmarkStepMillionContended is the million-box population under 10×
+// the bounded benches' arrivals (1000/round, ≈200k live requests), so
+// matching and invalidation — not the O(active) bookkeeping — dominate the
+// round.
+func BenchmarkStepMillionContended(b *testing.B) { benchStepBounded(b, 1_000_000, 1000) }
 
 // BenchmarkStepNearThreshold is the repository benchmark's near-threshold
 // workload as a Go benchmark: 4000 always-viewing boxes at u=1.25 (slot
@@ -461,7 +440,6 @@ func BenchmarkStepContended(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer sys.Close()
 	benchSteps(b, sys, &sweepArrivals{perRound: 250, nextBox: 1}, 100)
 }
 

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"os"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestSaveLoadCheckpoint exercises the public envelope: run a workload,
@@ -16,7 +14,7 @@ import (
 // (internal/core) pins the heavy state machinery; this test pins the
 // envelope — spec round-trip, magic, and generator reattachment.
 func TestSaveLoadCheckpoint(t *testing.T) {
-	spec := Spec{Boxes: 30, Upload: 2.0, Growth: 1.3, Resilient: true, Shards: 2, Seed: 11}
+	spec := Spec{Boxes: 30, Upload: 2.0, Growth: 1.3, Resilient: true, Seed: 11}
 	live, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -66,67 +64,6 @@ func TestSaveLoadCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointWorkerLifecycle pins the public half of the pool
-// lifecycle: SaveCheckpoint/LoadCheckpoint re-arms the restored system's
-// shard workers (it must still step) without leaking the saved system's,
-// and Close on both returns the process to its goroutine baseline.
-func TestCheckpointWorkerLifecycle(t *testing.T) {
-	spec := Spec{Boxes: 30, Upload: 2.0, Growth: 1.3, Resilient: true, Shards: 4, Seed: 11}
-	mk := func() *System {
-		sys, err := New(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	warm := mk() // warm the runtime's lazy helper goroutines
-	warm.Close()
-	waitBaseline(t, runtime.NumGoroutine())
-	base := runtime.NumGoroutine()
-
-	live := mk()
-	gen := NewZipfWorkload(3, 0.4, 0.9)
-	for r := 0; r < 20; r++ {
-		if _, err := live.Step(gen); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := live.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	live.Close()
-	live.Close() // idempotent
-	waitBaseline(t, base)
-	if _, err := live.Step(gen); err == nil {
-		t.Fatal("Step after Close should error")
-	}
-
-	restored, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.Step(NewZipfWorkload(9, 0.4, 0.9)); err != nil {
-		t.Fatalf("restored system must step (workers re-armed): %v", err)
-	}
-	restored.Close()
-	waitBaseline(t, base)
-}
-
-// waitBaseline polls until the goroutine count returns to base (worker
-// exit after a pool close is asynchronous).
-func waitBaseline(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still live (baseline %d)", runtime.NumGoroutine(), base)
-		}
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func TestLoadCheckpointRejectsGarbage(t *testing.T) {
 	if _, err := LoadCheckpoint(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
 		t.Fatal("garbage accepted")
@@ -136,47 +73,41 @@ func TestLoadCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesAreAFunctionOfState pins byte determinism on both
-// round engines: two saves of one quiescent system are the same bytes, and
-// so is a save of the system restored from them — whatever capacity or
-// insertion history its hash tables and arenas have. An operator can then
-// compare checkpoints with cmp, and a restart that changed nothing shows
-// as no diff.
+// TestCheckpointBytesAreAFunctionOfState pins byte determinism: two saves
+// of one quiescent system are the same bytes, and so is a save of the
+// system restored from them — whatever capacity or insertion history its
+// hash tables and arenas have. An operator can then compare checkpoints
+// with cmp, and a restart that changed nothing shows as no diff.
 func TestCheckpointBytesAreAFunctionOfState(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		spec := Spec{Boxes: 60, Upload: 2.0, Growth: 1.3, Resilient: true, Shards: shards, Seed: 5}
-		sys, err := New(spec)
-		if err != nil {
+	sys, err := New(Spec{Boxes: 60, Upload: 2.0, Growth: 1.3, Resilient: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := NewZipfWorkload(8, 0.4, 0.9)
+	// Past T rounds, so cache entries have expired and slab ids and
+	// index slots have been recycled.
+	for r := 0; r < 150; r++ {
+		if _, err := sys.Step(gen); err != nil {
 			t.Fatal(err)
 		}
-		gen := NewZipfWorkload(8, 0.4, 0.9)
-		// Past T rounds, so cache entries have expired and slab ids and
-		// index slots have been recycled.
-		for r := 0; r < 150; r++ {
-			if _, err := sys.Step(gen); err != nil {
-				t.Fatal(err)
-			}
-		}
-		save := func(s *System) []byte {
-			var buf bytes.Buffer
-			if err := s.SaveCheckpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
-		first, second := save(sys), save(sys)
-		if !bytes.Equal(first, second) {
-			t.Fatalf("shards=%d: two saves of one state differ", shards)
-		}
-		restored, err := LoadCheckpoint(bytes.NewReader(first))
-		if err != nil {
+	}
+	save := func(s *System) []byte {
+		var buf bytes.Buffer
+		if err := s.SaveCheckpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(save(restored), first) {
-			t.Fatalf("shards=%d: save → load → save changed the bytes", shards)
-		}
-		restored.Close()
-		sys.Close()
+		return buf.Bytes()
+	}
+	first, second := save(sys), save(sys)
+	if !bytes.Equal(first, second) {
+		t.Fatal("two saves of one state differ")
+	}
+	restored, err := LoadCheckpoint(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(save(restored), first) {
+		t.Fatal("save → load → save changed the bytes")
 	}
 }
 
@@ -186,49 +117,51 @@ func TestCheckpointBytesAreAFunctionOfState(t *testing.T) {
 // admitted demand, as the file once carried, made the later save almost four times
 // the earlier one here.)
 func TestCheckpointSizeDoesNotGrowWithUptime(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		sys, err := New(Spec{Boxes: 200, Upload: 2.0, Duration: 40, Growth: 1.3, Resilient: true, Shards: shards, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := NewZipfWorkload(8, 0.5, 0.9)
-		sizeAt := func(round int) int {
-			for sys.Round() < round {
-				if _, err := sys.Step(gen); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var buf bytes.Buffer
-			if err := sys.SaveCheckpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Len()
-		}
-		early, late := sizeAt(300), sizeAt(3000)
-		if rep := sys.Report(); rep.Admitted < 10_000 || len(rep.Obstructions) > 0 {
-			t.Fatalf("shards=%d: not the steady state this test is about: %d admitted, %d obstructions",
-				shards, rep.Admitted, len(rep.Obstructions))
-		}
-		if diff := late - early; diff > early/20 || diff < -early/20 {
-			t.Errorf("shards=%d: checkpoint is %d bytes at round 300 and %d at round 3000", shards, early, late)
-		}
-		sys.Close()
-	}
-}
-
-// TestLoadCheckpointRefusesVersion1 loads a checkpoint the previous state
-// layout's daemon wrote (20 boxes, round 3; `vodserve -n 20 -u 2 -seed 7`
-// at the commit before coreStateVersion 2). The policy is no migration: the
-// file is refused by name of its version, whatever its bytes would decode to
-// under this layout.
-func TestLoadCheckpointRefusesVersion1(t *testing.T) {
-	f, err := os.Open("internal/core/testdata/v1.vodckpt")
+	sys, err := New(Spec{Boxes: 200, Upload: 2.0, Duration: 40, Growth: 1.3, Resilient: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	_, err = LoadCheckpoint(f)
-	if err == nil || !strings.Contains(err.Error(), "checkpoint state version 1, this build reads 2") {
-		t.Fatalf("LoadCheckpoint of a version-1 file returned %v, want the version error", err)
+	gen := NewZipfWorkload(8, 0.5, 0.9)
+	sizeAt := func(round int) int {
+		for sys.Round() < round {
+			if _, err := sys.Step(gen); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := sys.SaveCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	early, late := sizeAt(300), sizeAt(3000)
+	if rep := sys.Report(); rep.Admitted < 10_000 || len(rep.Obstructions) > 0 {
+		t.Fatalf("not the steady state this test is about: %d admitted, %d obstructions",
+			rep.Admitted, len(rep.Obstructions))
+	}
+	if diff := late - early; diff > early/20 || diff < -early/20 {
+		t.Errorf("checkpoint is %d bytes at round 300 and %d at round 3000", early, late)
+	}
+}
+
+// TestLoadCheckpointRefusesVersion1 loads the checkpoints earlier state
+// layouts' daemons wrote (20 boxes, round 3; `vodserve -n 20 -u 2 -seed 7`
+// at the commits before coreStateVersion 2 and 3). The policy is no
+// migration: each file is refused by name of its version, whatever its
+// bytes would decode to under this layout.
+func TestLoadCheckpointRefusesVersion1(t *testing.T) {
+	for _, tc := range []struct{ file, want string }{
+		{"internal/core/testdata/v1.vodckpt", "checkpoint state version 1, this build reads 3"},
+		{"internal/core/testdata/v2.vodckpt", "checkpoint state version 2, this build reads 3"},
+	} {
+		f, err := os.Open(tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadCheckpoint(f)
+		f.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("LoadCheckpoint(%s) returned %v, want %q", tc.file, err, tc.want)
+		}
 	}
 }

@@ -36,8 +36,7 @@ func main() {
 		runIDs  = flag.String("run", "", "comma-separated experiment IDs (default: all)")
 		full    = flag.Bool("full", false, "full-size runs (default: quick)")
 		seed    = flag.Uint64("seed", 42, "master random seed")
-		workers = flag.Int("workers", 0, "Monte-Carlo trial pool: how many independent trials run concurrently (0 = GOMAXPROCS); for parallelism inside one simulated system see -shards")
-		shards  = flag.Int("shards", 0, "intra-run parallelism: shards per simulated round engine (0 = serial engine); results are bit-identical at any shard count")
+		workers = flag.Int("workers", 0, "Monte-Carlo trial pool: how many independent trials run concurrently (0 = GOMAXPROCS)")
 		format  = flag.String("format", "text", "output format: text, md, csv")
 		plot    = flag.Bool("plot", false, "render ASCII plots for figures (text format only)")
 		seq     = flag.Bool("seq", false, "run experiments sequentially, streaming output")
@@ -45,10 +44,6 @@ func main() {
 		scen    = flag.String("scenario", "", "run a declarative scenario spec (YAML/JSON) instead of the experiment suite")
 	)
 	flag.Parse()
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "vodbench: -shards %d is negative; use 0 for the serial engine or a positive shard count\n", *shards)
-		os.Exit(1)
-	}
 
 	switch *format {
 	case "text", "md", "csv":
@@ -79,7 +74,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		opt := scenario.RunOptions{Shards: *shards}
+		var opt scenario.RunOptions
 		if seedSet {
 			opt.Seed = *seed
 		}
@@ -97,7 +92,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Seed: *seed, Quick: !*full, Workers: *workers, SerialAugment: *serial, Shards: *shards}
+	opts := experiments.Options{Seed: *seed, Quick: !*full, Workers: *workers, SerialAugment: *serial}
 	var selected []experiments.Experiment
 	if *runIDs == "" {
 		selected = experiments.All()

@@ -9,9 +9,9 @@
 //	vodgen -spec spec.yaml -seed 7 -csv -o corpus.csv
 //	vodgen -spec spec.yaml -post http://127.0.0.1:8080   # stream + step a daemon
 //
-// The same spec + seed produces a byte-identical corpus on every run,
-// host, and shard count: generation never consults an engine, only the
-// spec and the catalog geometry.
+// The same spec + seed produces a byte-identical corpus on every run and
+// host: generation never consults an engine, only the spec and the catalog
+// geometry.
 package main
 
 import (

@@ -25,7 +25,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -50,7 +49,6 @@ func main() {
 		mu        = flag.Float64("mu", 1.2, "maximal swarm growth per round")
 		heteroP   = flag.Float64("hetero", 0, "poor-box fraction (0 = homogeneous); poor u=0.5, rich u=3.0")
 		uStar     = flag.Float64("ustar", 0, "deficiency threshold u* (activates relaying)")
-		shards    = flag.Int("shards", 0, "round-engine shards (0 = serial); bit-identical at any count")
 		seed      = flag.Uint64("seed", 1, "allocation seed")
 		resilient = flag.Bool("resilient", true, "stall through obstructions instead of halting")
 		addr      = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
@@ -62,9 +60,6 @@ func main() {
 		ckptDir   = flag.String("checkpoint-dir", "checkpoints", "directory for auto-checkpoints")
 	)
 	flag.Parse()
-	if *shards < 0 {
-		log.Fatalf("vodserve: -shards %d is negative; use 0 for the serial engine or a positive shard count", *shards)
-	}
 
 	// An explicitly set -mu survives the heterogeneous defaults (same
 	// rule as vodsim): only flags the user did not pass are defaulted.
@@ -108,7 +103,6 @@ func main() {
 			}
 			return sc.Seed
 		}())
-		scSpec.Shards = *shards
 		sys, err = vod.New(scSpec)
 		if err != nil {
 			log.Fatalf("vodserve: %v", err)
@@ -125,7 +119,6 @@ func main() {
 			Duration:  *duration,
 			Growth:    *mu,
 			Resilient: *resilient,
-			Shards:    *shards,
 			Seed:      *seed,
 		}
 		if *heteroP > 0 {
@@ -156,15 +149,11 @@ func main() {
 	}
 	spec := sys.Spec()
 	cat := sys.Catalog()
-	mode := "serial"
-	if spec.Shards > 1 {
-		mode = fmt.Sprintf("sharded-%d", spec.Shards)
-	}
-	log.Printf("vodserve: n=%d catalog m=%d c=%d T=%d µ=%.2f engine=%s round=%d restored=%v",
-		spec.Boxes, cat.M, cat.C, cat.T, spec.Growth, mode, sys.Round(), restored)
+	log.Printf("vodserve: n=%d catalog m=%d c=%d T=%d µ=%.2f round=%d restored=%v",
+		spec.Boxes, cat.M, cat.C, cat.T, spec.Growth, sys.Round(), restored)
 
-	// Serve until SIGINT/SIGTERM, then stop the round clock, drain
-	// in-flight requests and release the engine's persistent shard workers.
+	// Serve until SIGINT/SIGTERM, then stop the round clock and drain
+	// in-flight requests.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	var ticking sync.WaitGroup // the -tick loop, if any
@@ -194,5 +183,4 @@ func main() {
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		log.Printf("vodserve: shutdown: %v", err)
 	}
-	srv.Close()
 }

@@ -54,16 +54,11 @@ func main() {
 		replayPath = flag.String("replay", "", "replay a recorded workload instead of -workload")
 		audit      = flag.Bool("audit", false, "run the sampled expansion audit on the allocation before simulating")
 		seeds      = flag.Int("seeds", 1, "number of independent replicas (seed, seed+1, …) run on a worker pool")
-		workers    = flag.Int("workers", 0, "replica worker pool size: concurrent independent replicas (0 = GOMAXPROCS); for parallelism inside one replica see -shards")
-		shards     = flag.Int("shards", 0, "intra-run parallelism: shards per round engine (0 = serial engine); results are bit-identical at any shard count")
+		workers    = flag.Int("workers", 0, "replica worker pool size: concurrent independent replicas (0 = GOMAXPROCS)")
 		scenPath   = flag.String("scenario", "", "run a declarative scenario spec (YAML/JSON) end to end: expand its corpus, replay it, print the golden summary")
 		goldenPath = flag.String("golden", "", "with -scenario: compare the summary against this golden file and exit non-zero on drift")
 	)
 	flag.Parse()
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "vodsim: -shards %d is negative; use 0 for the serial engine or a positive shard count\n", *shards)
-		os.Exit(1)
-	}
 
 	// -hetero installs the heterogeneous defaults, but an explicitly set
 	// -mu must survive them: only flags the user did not pass are defaulted.
@@ -84,13 +79,13 @@ func main() {
 				fmt.Fprintln(os.Stderr, "vodsim: -golden compares a single run; it is incompatible with -seeds")
 				os.Exit(1)
 			}
-			if err := runScenarioSeeds(*scenPath, *seed, seedSet, *seeds, *workers, *shards); err != nil {
+			if err := runScenarioSeeds(*scenPath, *seed, seedSet, *seeds, *workers); err != nil {
 				fmt.Fprintln(os.Stderr, "vodsim:", err)
 				os.Exit(1)
 			}
 			return
 		}
-		if err := runScenario(*scenPath, *goldenPath, *seed, seedSet, *shards); err != nil {
+		if err := runScenario(*scenPath, *goldenPath, *seed, seedSet); err != nil {
 			fmt.Fprintln(os.Stderr, "vodsim:", err)
 			os.Exit(1)
 		}
@@ -113,7 +108,6 @@ func main() {
 			SourcingOnly: *sourcing,
 			Resilient:    *resilient,
 			Trace:        *roundTrace,
-			Shards:       *shards,
 			Seed:         allocSeed,
 		}
 		if *heteroP > 0 {
@@ -248,12 +242,12 @@ func main() {
 // a fresh engine, and prints the stable golden summary. With a golden
 // file it compares instead, failing on any drift — the CI scenario-smoke
 // job runs exactly this.
-func runScenario(path, golden string, seed uint64, seedSet bool, shards int) error {
+func runScenario(path, golden string, seed uint64, seedSet bool) error {
 	spec, err := scenario.ParseFile(path)
 	if err != nil {
 		return err
 	}
-	opt := scenario.RunOptions{Shards: shards}
+	var opt scenario.RunOptions
 	if seedSet {
 		opt.Seed = seed
 	}
@@ -282,7 +276,7 @@ func runScenario(path, golden string, seed uint64, seedSet bool, shards int) err
 // base+1, …) on a worker pool and prints a per-seed outcome table plus the
 // mean/min/max of every golden counter — a quick sensitivity read on how
 // much of a scenario's golden summary is seed-luck versus configuration.
-func runScenarioSeeds(path string, seed uint64, seedSet bool, seeds, workers, shards int) error {
+func runScenarioSeeds(path string, seed uint64, seedSet bool, seeds, workers int) error {
 	spec, err := scenario.ParseFile(path)
 	if err != nil {
 		return err
@@ -297,7 +291,7 @@ func runScenarioSeeds(path string, seed uint64, seedSet bool, seeds, workers, sh
 		pool = runtime.GOMAXPROCS(0)
 	}
 	err = experiments.ForEach(pool, seeds, func(i int) error {
-		res, err := scenario.Run(spec, scenario.RunOptions{Seed: base + uint64(i), Shards: shards})
+		res, err := scenario.Run(spec, scenario.RunOptions{Seed: base + uint64(i)})
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", base+uint64(i), err)
 		}

@@ -3,6 +3,7 @@ package bipartite
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -13,19 +14,19 @@ import (
 // matcherStream writes a Matcher checkpoint by hand, field for field as
 // EncodeState does, so a test can put any value in any field.
 type matcherStream struct {
+	numRights   int // the count field; the honest stream's is len(caps)
 	caps        []int64
 	active      []bool
 	activeLefts []int32
 	lists       [][]int32 // one per right
 	dirty       []int32
 	assignLog   []int32
-	touchLog    []int32
 }
 
 func (ms matcherStream) bytes() []byte {
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
-	w.Int(len(ms.caps))
+	w.Int(ms.numRights)
 	for _, c := range ms.caps {
 		w.I64(c)
 	}
@@ -36,7 +37,6 @@ func (ms matcherStream) bytes() []byte {
 	}
 	w.I32s(ms.dirty)
 	w.I32s(ms.assignLog)
-	w.I32s(ms.touchLog)
 	if err := w.Flush(); err != nil {
 		panic(err)
 	}
@@ -45,24 +45,23 @@ func (ms matcherStream) bytes() []byte {
 
 func (ms matcherStream) reader() *ckpt.Reader { return ckpt.NewReader(bytes.NewReader(ms.bytes())) }
 
-// honestStream is a consistent three-left, two-right state with pending
-// logs, as SetCapacity between rounds leaves them.
+// honestStream is a consistent three-left, two-right state with a pending
+// assignment log.
 func honestStream() matcherStream {
 	return matcherStream{
+		numRights:   2,
 		caps:        []int64{2, 1},
 		active:      []bool{true, true, true, false},
 		activeLefts: []int32{2, 0, 1},
 		lists:       [][]int32{{2, 0}, {1}},
 		assignLog:   []int32{1, 1, 0},
-		touchLog:    []int32{1, 0, 0},
 	}
 }
 
 func TestDecodeStateRebuildsLists(t *testing.T) {
 	ms := honestStream()
-	m := NewMatcher(nil)
+	m := NewMatcher(ms.caps)
 	m.LogAssignments(true)
-	m.LogTouches(true)
 	if err := m.DecodeState(ms.reader()); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestDecodeStateRebuildsLists(t *testing.T) {
 	}
 	// The restored matcher writes back the bytes it read: the hand-written
 	// layout above is EncodeState's, and re-linking the lists is not
-	// assigning — the logs hold exactly what the stream carried.
+	// assigning — the log holds exactly what the stream carried.
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
 	m.EncodeState(w)
@@ -88,9 +87,6 @@ func TestDecodeStateRebuildsLists(t *testing.T) {
 	}
 	if got := m.DrainAssigned(nil); !slices.Equal(got, ms.assignLog) {
 		t.Fatalf("assignment log restored as %v, written %v", got, ms.assignLog)
-	}
-	if got := m.DrainTouched(nil); !slices.Equal(got, ms.touchLog) {
-		t.Fatalf("touch log restored as %v, written %v", got, ms.touchLog)
 	}
 }
 
@@ -108,12 +104,25 @@ func TestDecodeStateRejectsCorruptStreams(t *testing.T) {
 		{"left in two lists", func(ms *matcherStream) { ms.lists[1] = []int32{0} }, "invalid left 0"},
 		{"left out of range", func(ms *matcherStream) { ms.lists[1] = []int32{9} }, "invalid left 9"},
 		{"negative left", func(ms *matcherStream) { ms.lists[1] = []int32{-1} }, "invalid left -1"},
+		// The spec travels in the same file as the state, so the
+		// fingerprint does not vouch for this count: it must be checked
+		// against the matcher before anything is sized from it.
+		{"right count 2^24", func(ms *matcherStream) { ms.numRights = 1 << 24 }, "16777216 rights, matcher has 2"},
+		{"right count 2^31", func(ms *matcherStream) { ms.numRights = 1 << 31 }, "2147483648 rights, matcher has 2"},
+		{"one right short", func(ms *matcherStream) { ms.numRights = 1 }, "1 rights, matcher has 2"},
 	} {
 		ms := honestStream()
 		tc.corrupt(&ms)
-		err := NewMatcher(nil).DecodeState(ms.reader())
+		m := NewMatcher(honestStream().caps)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := m.DecodeState(ms.reader())
+		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: DecodeState returned %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: DecodeState allocated %d bytes on a %d-byte stream", tc.name, grew, len(ms.bytes()))
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // The per-right assignment lists live in the matcher's arena, headed by
 // rightRec. Their element order is behaviour (eviction is tail-first, the
-// searches and the sharded merge enumerate them), so these tests hold the
+// searches enumerate them), so these tests hold the
 // arena lists element for element against plain swap-remove slices.
 
 func TestRightRecIs32Bytes(t *testing.T) {
@@ -21,7 +21,7 @@ func TestRightRecIs32Bytes(t *testing.T) {
 }
 
 // completeAdj has every edge and enumerates none: Verify's edge check
-// passes for any assignment the model test forces.
+// passes for any assignment the model test makes.
 type completeAdj struct{}
 
 func (completeAdj) VisitServers(int, func(int) bool) {}
@@ -122,20 +122,13 @@ func TestAssignmentListsMatchModel(t *testing.T) {
 					}
 					lm.unassign(tail)
 				}
-			case k < 90: // raising past the carve: the next assigns re-carve
+			default: // raising past the carve: the next assigns re-carve
 				when = "SetCapacity up"
 				c := lm.caps[r] + int64(1+rng.Intn(40))
 				if victims := m.SetCapacity(r, c); victims != nil {
 					t.Fatalf("seed %d op %d: raising a capacity evicted %v", seed, op, victims)
 				}
 				lm.caps[r] = c
-			default: // may exceed the capacity view, which then follows the load
-				when = "ForceAssign"
-				m.ForceAssign(l, r)
-				lm.assign(int32(l), r)
-				if n := int64(len(lm.lists[r])); n > lm.caps[r] {
-					lm.caps[r] = n
-				}
 			}
 			if carved > 0 && m.rights[r].lcap > carved {
 				recarves++

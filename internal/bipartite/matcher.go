@@ -182,13 +182,6 @@ type Matcher struct {
 	logAssigns bool
 	assignLog  []int32
 
-	// Touched-right log for the sharded merge phase: when enabled, every
-	// load change records its right so the coordinator can recompute the
-	// global load of exactly the rights this shard moved. Entries repeat;
-	// the drain side dedups with an epoch stamp.
-	logTouches bool
-	touchLog   []int32
-
 	matchedCount int
 }
 
@@ -201,9 +194,8 @@ func (m *Matcher) markDirty(l int) {
 }
 
 // NewMatcher creates a matcher over numRight boxes with the given slot
-// capacities (len(caps) == numRight). A nil caps builds an empty matcher
-// whose right space grows lazily through AddRight (the sharded engine's
-// sub-matchers register only the boxes their shard actually touches).
+// capacities (len(caps) == numRight). The right space is fixed from here
+// on; only capacities change (SetCapacity).
 func NewMatcher(caps []int64) *Matcher {
 	m := &Matcher{rights: make([]rightRec, len(caps))}
 	for r, c := range caps {
@@ -223,19 +215,6 @@ func capSlots(c int64) int32 {
 	return int32(c)
 }
 
-// AddRight appends a right node with the given capacity and returns its
-// id. Sub-matchers in the sharded engine use it to register boxes on
-// first touch, keeping their right space proportional to the shard's
-// working set instead of the whole population.
-func (m *Matcher) AddRight(cap int64) int {
-	r := len(m.rights)
-	m.rights = append(m.rights, rightRec{cap: capSlots(cap), parentLeft: -1})
-	return r
-}
-
-// NumRight returns the number of right nodes.
-func (m *Matcher) NumRight() int { return len(m.rights) }
-
 // Capacity returns the capacity of right node r.
 func (m *Matcher) Capacity(r int) int64 { return int64(m.rights[r].cap) }
 
@@ -244,14 +223,6 @@ func (m *Matcher) Load(r int) int64 { return int64(m.rights[r].load) }
 
 // MatchedCount returns the number of currently matched left nodes.
 func (m *Matcher) MatchedCount() int { return m.matchedCount }
-
-// NumActive returns the number of active left nodes.
-func (m *Matcher) NumActive() int { return len(m.activeLefts) }
-
-// ActiveLefts returns the live left set in internal (swap-remove) order.
-// It is the matcher's own list: read-only, invalidated by AddLeft and
-// RemoveLeft.
-func (m *Matcher) ActiveLefts() []int32 { return m.activeLefts }
 
 // SetCapacity adjusts the capacity of right node r. Lowering below the
 // current load unassigns arbitrary assigned lefts until feasible; the
@@ -412,9 +383,6 @@ func (m *Matcher) assign(l, r int) {
 	if m.logAssigns {
 		m.assignLog = append(m.assignLog, int32(l))
 	}
-	if m.logTouches {
-		m.touchLog = append(m.touchLog, int32(r))
-	}
 }
 
 // unassign swap-removes l from its right's list: the list's last left
@@ -437,9 +405,6 @@ func (m *Matcher) unassign(l int) {
 	m.posInRight[l] = -1
 	m.matchedCount--
 	m.markDirty(l)
-	if m.logTouches {
-		m.touchLog = append(m.touchLog, r)
-	}
 }
 
 // move reassigns l from its current server to r without touching other
@@ -447,24 +412,6 @@ func (m *Matcher) unassign(l int) {
 func (m *Matcher) move(l, r int) {
 	m.unassign(l)
 	m.assign(l, r)
-}
-
-// Unassign drops left l's current assignment (it must have one) and
-// queues it for re-augmentation. The sharded merge phase uses it to evict
-// provisional claims that lost the capacity reconciliation.
-func (m *Matcher) Unassign(l int) { m.unassign(l) }
-
-// ForceAssign assigns left l to right r, releasing any current server
-// first. The caller asserts the edge exists and that global capacity
-// admits the assignment; when r's local capacity view would be exceeded
-// the view is raised to the new load (the sharded engine's per-round
-// capacity refresh restores the true view before the next parallel
-// phase).
-func (m *Matcher) ForceAssign(l, r int) {
-	m.assign(l, r)
-	if m.rights[r].load > m.rights[r].cap {
-		m.rights[r].cap = m.rights[r].load
-	}
 }
 
 // revalidateOne re-checks left l's assignment and unassigns it when the
@@ -580,23 +527,6 @@ func (m *Matcher) LogAssignments(on bool) {
 func (m *Matcher) DrainAssigned(dst []int32) []int32 {
 	dst = append(dst, m.assignLog...)
 	m.assignLog = m.assignLog[:0]
-	return dst
-}
-
-// LogTouches enables (or disables) the touched-right log drained by
-// DrainTouched.
-func (m *Matcher) LogTouches(on bool) {
-	m.logTouches = on
-	if !on {
-		m.touchLog = m.touchLog[:0]
-	}
-}
-
-// DrainTouched appends the rights whose load changed since the last drain
-// to dst and clears the log. Entries may repeat.
-func (m *Matcher) DrainTouched(dst []int32) []int32 {
-	dst = append(dst, m.touchLog...)
-	m.touchLog = m.touchLog[:0]
 	return dst
 }
 
@@ -1025,10 +955,10 @@ func (m *Matcher) beginSearch() {
 // with a larger id along an alternating path. Exchanges strictly shrink
 // the sorted matched-id vector, so any maximal exchange sequence
 // terminates at that same fixpoint regardless of order; this is what lets
-// the serial and sharded engines (and the batch and per-root augmenters)
-// agree bit-for-bit on which requests stall in a deficit round. The
-// unmatched slice is updated in place (each displacement swaps a root for
-// its victim) and returned re-sorted; cardinality never changes.
+// the batch and per-root augmenters agree bit-for-bit on which requests
+// stall in a deficit round. The unmatched slice is updated in place (each
+// displacement swaps a root for its victim) and returned re-sorted;
+// cardinality never changes.
 func (m *Matcher) CanonicalizeDeficit(adj Adjacency, unmatched []int) []int {
 	m.trav.bind(adj)
 	for changed := true; changed; {

@@ -48,36 +48,18 @@ type availEvent struct {
 // the static allocation, define the server sets B(x) of Section 2.2. The
 // production implementation is indexedAvailability; naiveAvailability is
 // the retained linear-scan reference the differential tests pin it to.
-//
-// Both stores are shard-aware: stripes partition across shards by
-// stripe mod S, and every mutable structure a shard's expiry touches
-// (free lists, key indexes, expiry rings, event logs) is per-shard, so the
-// sharded engine can run expireShard concurrently for distinct shards
-// while adds and retires stay serial. With one shard the layout and
-// behavior are exactly the historical serial store.
 type availabilityStore interface {
-	// setShards partitions the store into S stripe shards (call once,
-	// before any add). translate maps (shard, box) to the sharded
-	// matcher's shard-local right id so visitLocal can emit pre-translated
-	// ids; nil leaves local ids unresolved (-1).
-	setShards(S int, translate func(shard int, box int32) int32)
 	// add records a new cache entry for stripe st.
 	add(st video.StripeID, e entry)
 	// expire drops every entry whose serving window has closed at the
 	// given round (start < round−T).
 	expire(round int)
-	// expireShard is expire restricted to one stripe shard; distinct
-	// shards may run concurrently.
-	expireShard(round, shard int)
 	// retire freezes all entries backed by request slot req at final
 	// progress final (each entry freezes at final−lag).
 	retire(st video.StripeID, req int32, final int32)
 	// visit calls fn for every entry of st whose box is not exclude and
 	// whose progress exceeds need, stopping early if fn returns false.
 	visit(st video.StripeID, exclude int32, need int32, reqProgress []int32, fn func(right int) bool)
-	// visitLocal is visit with each box's cached shard-local right id
-	// (-1 when no translator resolved it at add time).
-	visitLocal(st video.StripeID, exclude int32, need int32, reqProgress []int32, fn func(right int, local int32) bool)
 	// visitHead returns the starting position of stripe st's entry walk
 	// for visitStep — an implementation-defined token, not a box id.
 	// Together they are the pull-style (cursor) form of visit, used by
@@ -88,22 +70,16 @@ type availabilityStore interface {
 	// throughout the matching phase.
 	visitHead(st video.StripeID) int32
 	// visitStep scans from position h for the next entry of st passing
-	// visit's filter (box != exclude, chunks > need), returning its box,
-	// its cached shard-local right id (-1 when unresolved), and the
-	// position after it. Exhaustion returns box -1.
-	visitStep(st video.StripeID, h int32, exclude int32, need int32, reqProgress []int32) (box, local, next int32)
+	// visit's filter (box != exclude, chunks > need), returning its box and
+	// the position after it. Exhaustion returns box -1.
+	visitStep(st video.StripeID, h int32, exclude int32, need int32, reqProgress []int32) (box, next int32)
 	// canServe reports whether box has an entry for st with progress
 	// beyond need.
 	canServe(st video.StripeID, box int32, need int32, reqProgress []int32) bool
 	// hasFull reports whether box holds a frozen full copy of st (frozen
-	// progress ≥ full) still inside the window. minStart re-states the
-	// window bound (start ≥ round−T) explicitly: expiry normally enforces
-	// it structurally, but the sharded engine defers expiry into the
-	// matching stage, after admission has already queried hasFull — the
-	// bound masks exactly the entries due to expire this round. Callers
-	// on an already-expired store pass a bound every surviving entry
-	// meets, making it a no-op.
-	hasFull(st video.StripeID, box int32, full int32, minStart int32) bool
+	// progress ≥ full) still inside the window, which expiry enforces: the
+	// round's expire has run by the time admission asks.
+	hasFull(st video.StripeID, box int32, full int32) bool
 	// live returns the number of entries currently indexed for st.
 	live(st video.StripeID) int
 	// margin summarizes box's serving credential for st beyond need: ok
@@ -116,12 +92,9 @@ type availabilityStore interface {
 	// drainEvents appends the (stripe, box) freeze/expiry events recorded
 	// since the last drain and clears the log. Keys may repeat.
 	drainEvents(dst []availEvent) []availEvent
-	// drainEventsShard drains only the given shard's event log; distinct
-	// shards may drain concurrently.
-	drainEventsShard(shard int, dst []availEvent) []availEvent
 	// encodeState / decodeState serialize the store's full mutable state
 	// for checkpointing (see checkpoint.go). decodeState targets a freshly
-	// constructed store with the same shape (stripes, T, shard count).
+	// constructed store with the same shape (stripes, T).
 	encodeState(w *ckpt.Writer)
 	decodeState(r *ckpt.Reader) error
 }
@@ -132,29 +105,17 @@ type availabilityStore interface {
 // entries whose window actually closes — never the full catalog. All
 // linkage runs through one slab, so steady-state operation allocates
 // nothing per stripe.
-//
-// The slab and the per-stripe heads are global, but every entry belongs
-// to exactly one stripe shard (stripe mod numShards), and the structures
-// expiry mutates — free lists, key indexes, expiry rings, event logs — are
-// per-shard, so concurrent expireShard calls for distinct shards touch
-// disjoint state (slab writes hit only the shard's own entries).
 type indexedAvailability struct {
-	T         int
-	numShards int
-	slab      []idxEntry
+	T    int
+	slab []idxEntry
 
-	byStripe  []int32        // per stripe: head of the live-entry list, −1 empty
-	liveCount []int32        // per stripe: live entries
-	reqLinks  [][2]int32     // per request slot: backing entry ids or −1
-	frees     [][]int32      // per shard: slab free list
-	byKeys    []keyIndex     // per shard: (stripe, box) → head of same-key chain
-	rings     [][][]int32    // per shard: entry ids bucketed by start mod ring length
-	eventLogs [][]availEvent // per shard
-
-	// translate resolves (shard, box) to the sharded matcher's local right
-	// id at add time, caching it in the entry so hot visits skip the
-	// translation map. Nil outside the sharded engine.
-	translate func(shard int, box int32) int32
+	byStripe  []int32      // per stripe: head of the live-entry list, −1 empty
+	liveCount []int32      // per stripe: live entries
+	reqLinks  [][2]int32   // per request slot: backing entry ids or −1
+	free      []int32      // slab free list
+	byKey     keyIndex     // (stripe, box) → head of same-key chain
+	ring      [][]int32    // entry ids bucketed by start mod ring length
+	eventLog  []availEvent // freeze/expiry events since the last drain
 
 	// logEvents enables the freeze/expiry log; the engine turns it on for
 	// event-driven invalidation (sweep modes never drain, so it stays off).
@@ -172,7 +133,6 @@ type idxEntry struct {
 	stripe     video.StripeID
 	next, prev int32 // intrusive per-stripe live list
 	nextKey    int32 // next entry id with the same (stripe, box), or −1
-	boxLocal   int32 // shard-local right id of box (−1 when unresolved)
 }
 
 // newIndexedAvailability sizes the store for a catalog. The ring needs
@@ -184,64 +144,40 @@ func newIndexedAvailability(numStripes, T int) *indexedAvailability {
 		T:         T,
 		byStripe:  make([]int32, numStripes),
 		liveCount: make([]int32, numStripes),
+		byKey:     newKeyIndex(0),
+		ring:      make([][]int32, T+4),
 	}
 	for st := range ix.byStripe {
 		ix.byStripe[st] = -1
 	}
-	ix.setShards(1, nil)
 	return ix
 }
 
-func (ix *indexedAvailability) setShards(S int, translate func(shard int, box int32) int32) {
-	ix.numShards = S
-	ix.translate = translate
-	ix.frees = make([][]int32, S)
-	ix.byKeys = make([]keyIndex, S)
-	ix.rings = make([][][]int32, S)
-	ix.eventLogs = make([][]availEvent, S)
-	for s := 0; s < S; s++ {
-		ix.byKeys[s] = newKeyIndex(0)
-		ix.rings[s] = make([][]int32, ix.T+4)
-	}
-}
-
-// shardOf maps a stripe to its owning shard.
-func (ix *indexedAvailability) shardOf(st video.StripeID) int {
-	return int(st) % ix.numShards
-}
-
 func (ix *indexedAvailability) add(st video.StripeID, e entry) {
-	sh := ix.shardOf(st)
 	var id int32
-	if free := ix.frees[sh]; len(free) > 0 {
-		id = free[len(free)-1]
-		ix.frees[sh] = free[:len(free)-1]
+	if n := len(ix.free); n > 0 {
+		id = ix.free[n-1]
+		ix.free = ix.free[:n-1]
 	} else {
 		id = int32(len(ix.slab))
 		ix.slab = append(ix.slab, idxEntry{})
 	}
-	nextKey := ix.byKeys[sh].swap(availKey(st, e.box), id)
+	nextKey := ix.byKey.swap(availKey(st, e.box), id)
 	head := ix.byStripe[st]
-	local := int32(-1)
-	if ix.translate != nil {
-		local = ix.translate(sh, e.box)
-	}
 	ix.slab[id] = idxEntry{
-		entry:    e,
-		stripe:   st,
-		next:     head,
-		prev:     -1,
-		nextKey:  nextKey,
-		boxLocal: local,
+		entry:   e,
+		stripe:  st,
+		next:    head,
+		prev:    -1,
+		nextKey: nextKey,
 	}
 	if head >= 0 {
 		ix.slab[head].prev = id
 	}
 	ix.byStripe[st] = id
 	ix.liveCount[st]++
-	ring := ix.rings[sh]
-	bucket := int(e.start) % len(ring)
-	ring[bucket] = append(ring[bucket], id)
+	bucket := int(e.start) % len(ix.ring)
+	ix.ring[bucket] = append(ix.ring[bucket], id)
 	if e.req >= 0 {
 		ix.linkReq(e.req, id)
 	}
@@ -275,30 +211,21 @@ func (ix *indexedAvailability) unlinkReq(req, id int32) {
 }
 
 func (ix *indexedAvailability) expire(round int) {
-	for sh := 0; sh < ix.numShards; sh++ {
-		ix.expireShard(round, sh)
-	}
-}
-
-func (ix *indexedAvailability) expireShard(round, shard int) {
 	start := round - ix.T - 1
 	if start < 1 {
 		return
 	}
-	ring := ix.rings[shard]
-	bucket := start % len(ring)
-	ids := ring[bucket]
-	ring[bucket] = ids[:0]
+	bucket := start % len(ix.ring)
+	ids := ix.ring[bucket]
+	ix.ring[bucket] = ids[:0]
 	for _, id := range ids {
-		ix.remove(shard, id)
+		ix.remove(id)
 	}
 }
 
 // remove unlinks entry id from the stripe list, the key chain, and its
-// backing request, and returns the slab slot to the shard's free list.
-// Every structure touched belongs to the entry's stripe shard, so removes
-// for distinct shards may run concurrently.
-func (ix *indexedAvailability) remove(shard int, id int32) {
+// backing request, and returns the slab slot to the free list.
+func (ix *indexedAvailability) remove(id int32) {
 	e := &ix.slab[id]
 	// Stripe list: unlink.
 	if e.prev >= 0 {
@@ -311,7 +238,7 @@ func (ix *indexedAvailability) remove(shard int, id int32) {
 	}
 	ix.liveCount[e.stripe]--
 	// Key chain.
-	byKey := &ix.byKeys[shard]
+	byKey := &ix.byKey
 	slot := byKey.find(availKey(e.stripe, e.box))
 	if head := byKey.slots[slot].val; head == id {
 		if e.nextKey < 0 {
@@ -331,10 +258,10 @@ func (ix *indexedAvailability) remove(shard int, id int32) {
 		ix.unlinkReq(e.req, id)
 	}
 	if ix.logEvents {
-		ix.eventLogs[shard] = append(ix.eventLogs[shard], availEvent{stripe: e.stripe, box: e.box})
+		ix.eventLog = append(ix.eventLog, availEvent{stripe: e.stripe, box: e.box})
 	}
 	ix.slab[id] = idxEntry{}
-	ix.frees[shard] = append(ix.frees[shard], id)
+	ix.free = append(ix.free, id)
 }
 
 func (ix *indexedAvailability) retire(_ video.StripeID, req int32, final int32) {
@@ -351,8 +278,7 @@ func (ix *indexedAvailability) retire(_ video.StripeID, req int32, final int32) 
 		e.req = -1
 		links[i] = -1
 		if ix.logEvents {
-			sh := ix.shardOf(e.stripe)
-			ix.eventLogs[sh] = append(ix.eventLogs[sh], availEvent{stripe: e.stripe, box: e.box})
+			ix.eventLog = append(ix.eventLog, availEvent{stripe: e.stripe, box: e.box})
 		}
 	}
 }
@@ -368,31 +294,20 @@ func (ix *indexedAvailability) visit(st video.StripeID, exclude int32, need int3
 	}
 }
 
-func (ix *indexedAvailability) visitLocal(st video.StripeID, exclude int32, need int32, reqProgress []int32, fn func(right int, local int32) bool) {
-	for id := ix.byStripe[st]; id >= 0; id = ix.slab[id].next {
-		e := &ix.slab[id]
-		if e.box != exclude && entryChunks(&e.entry, reqProgress) > need {
-			if !fn(int(e.box), e.boxLocal) {
-				return
-			}
-		}
-	}
-}
-
 func (ix *indexedAvailability) visitHead(st video.StripeID) int32 { return ix.byStripe[st] }
 
-func (ix *indexedAvailability) visitStep(st video.StripeID, h int32, exclude int32, need int32, reqProgress []int32) (int32, int32, int32) {
+func (ix *indexedAvailability) visitStep(st video.StripeID, h int32, exclude int32, need int32, reqProgress []int32) (int32, int32) {
 	for id := h; id >= 0; id = ix.slab[id].next {
 		e := &ix.slab[id]
 		if e.box != exclude && entryChunks(&e.entry, reqProgress) > need {
-			return e.box, e.boxLocal, e.next
+			return e.box, e.next
 		}
 	}
-	return -1, -1, -1
+	return -1, -1
 }
 
 func (ix *indexedAvailability) canServe(st video.StripeID, box int32, need int32, reqProgress []int32) bool {
-	for id := ix.byKeys[ix.shardOf(st)].get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
+	for id := ix.byKey.get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
 		if entryChunks(&ix.slab[id].entry, reqProgress) > need {
 			return true
 		}
@@ -400,10 +315,10 @@ func (ix *indexedAvailability) canServe(st video.StripeID, box int32, need int32
 	return false
 }
 
-func (ix *indexedAvailability) hasFull(st video.StripeID, box int32, full int32, minStart int32) bool {
-	for id := ix.byKeys[ix.shardOf(st)].get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
+func (ix *indexedAvailability) hasFull(st video.StripeID, box int32, full int32) bool {
+	for id := ix.byKey.get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
 		e := &ix.slab[id]
-		if e.req == -1 && e.frozen >= full && e.start >= minStart {
+		if e.req == -1 && e.frozen >= full {
 			return true
 		}
 	}
@@ -413,7 +328,7 @@ func (ix *indexedAvailability) hasFull(st video.StripeID, box int32, full int32,
 func (ix *indexedAvailability) live(st video.StripeID) int { return int(ix.liveCount[st]) }
 
 func (ix *indexedAvailability) margin(st video.StripeID, box int32, need int32, reqProgress []int32) (hasLive bool, bestFrozen int32, ok bool) {
-	for id := ix.byKeys[ix.shardOf(st)].get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
+	for id := ix.byKey.get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
 		e := &ix.slab[id].entry
 		if entryChunks(e, reqProgress) <= need {
 			continue
@@ -429,14 +344,7 @@ func (ix *indexedAvailability) margin(st video.StripeID, box int32, need int32, 
 }
 
 func (ix *indexedAvailability) drainEvents(dst []availEvent) []availEvent {
-	for sh := 0; sh < ix.numShards; sh++ {
-		dst = ix.drainEventsShard(sh, dst)
-	}
-	return dst
-}
-
-func (ix *indexedAvailability) drainEventsShard(shard int, dst []availEvent) []availEvent {
-	dst = append(dst, ix.eventLogs[shard]...)
-	ix.eventLogs[shard] = ix.eventLogs[shard][:0]
+	dst = append(dst, ix.eventLog...)
+	ix.eventLog = ix.eventLog[:0]
 	return dst
 }

@@ -35,29 +35,23 @@ func TestAvailabilityStoresAgree(t *testing.T) {
 	// small keeps every chain and list short enough to read in a failure.
 	// wide holds a few hundred (stripe, box) keys at once and expires as
 	// many per round, so the indexed store's key table doubles several
-	// times and backward-shifts constantly; its three shards give each
-	// table its own growth history.
-	t.Run("small", func(t *testing.T) { storesAgree(t, 24, 16, 9, 120, 3, 1) })
+	// times and backward-shifts constantly.
+	t.Run("small", func(t *testing.T) { storesAgree(t, 24, 16, 9, 120, 3) })
 	t.Run("wide", func(t *testing.T) {
-		idx := storesAgree(t, 64, 200, 9, 60, 60, 3)
-		for sh := range idx.byKeys {
-			if len(idx.byKeys[sh].slots) == keyIndexMinSlots {
-				t.Fatalf("shard %d's key table never grew: the scenario is too small to exercise it", sh)
-			}
+		idx := storesAgree(t, 64, 200, 9, 60, 60)
+		if len(idx.byKey.slots) == keyIndexMinSlots {
+			t.Fatal("the key table never grew: the scenario is too small to exercise it")
 		}
 	})
 }
 
 // storesAgree drives one indexed and one naive store through the same
 // random rounds of up to maxAdds requests each and returns the indexed one.
-func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds, shards int) *indexedAvailability {
+func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *indexedAvailability {
 	rng := stats.NewRNG(0xd1ff)
 	idx := newIndexedAvailability(numStripes, T)
 	naive := newNaiveAvailability(numStripes, T)
 	stores := []availabilityStore{idx, naive}
-	for _, s := range stores {
-		s.setShards(shards, nil)
-	}
 
 	var reqProgress []int32
 	var reqs []diffReq
@@ -140,16 +134,13 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds, shards 
 					t.Fatalf("round %d stripe %d margin(box=%d, need=%d): indexed (%v, %d, %v), naive (%v, %d, %v)",
 						round, st, box, need, gLive, gBest, gOK, wLive, wBest, wOK)
 				}
-				if g, w := idx.hasFull(st, box, int32(T), int32(round-T)), naive.hasFull(st, box, int32(T), int32(round-T)); g != w {
-					t.Fatalf("round %d stripe %d hasFull(box=%d): indexed %v, naive %v",
-						round, st, box, g, w)
-				}
-				// Tighter minStart bounds (the sharded engine's deferred-expiry
-				// mask) must agree too, not just the post-expiry no-op bound.
-				tight := int32(round - rng.Intn(T))
-				if g, w := idx.hasFull(st, box, 0, tight), naive.hasFull(st, box, 0, tight); g != w {
-					t.Fatalf("round %d stripe %d hasFull(box=%d, minStart=%d): indexed %v, naive %v",
-						round, st, box, tight, g, w)
+				// The engine only asks about full copies; partial thresholds
+				// must agree too.
+				for _, full := range []int32{int32(T), int32(rng.Intn(T))} {
+					if g, w := idx.hasFull(st, box, full), naive.hasFull(st, box, full); g != w {
+						t.Fatalf("round %d stripe %d hasFull(box=%d, full=%d): indexed %v, naive %v",
+							round, st, box, full, g, w)
+					}
 				}
 			}
 		}

@@ -10,19 +10,12 @@ import (
 // differential tests can pin indexedAvailability to its exact semantics
 // (Config.NaiveAvailability selects it).
 type naiveAvailability struct {
-	T         int
-	numShards int
-	entries   [][]entry // per stripe, in insertion order
+	T       int
+	entries [][]entry // per stripe, in insertion order
 }
 
 func newNaiveAvailability(numStripes, T int) *naiveAvailability {
-	return &naiveAvailability{T: T, numShards: 1, entries: make([][]entry, numStripes)}
-}
-
-// setShards records the stripe-shard partition; the naive store caches no
-// local right ids (the sharded adjacency translates on the fly for it).
-func (na *naiveAvailability) setShards(S int, _ func(shard int, box int32) int32) {
-	na.numShards = S
+	return &naiveAvailability{T: T, entries: make([][]entry, numStripes)}
 }
 
 func (na *naiveAvailability) add(st video.StripeID, e entry) {
@@ -32,17 +25,8 @@ func (na *naiveAvailability) add(st video.StripeID, e entry) {
 // expire drops cache entries whose window has passed: an entry started at
 // t_j serves only while t_j ≥ t − T (Section 2.2).
 func (na *naiveAvailability) expire(round int) {
-	for sh := 0; sh < na.numShards; sh++ {
-		na.expireShard(round, sh)
-	}
-}
-
-// expireShard sweeps only the stripes of one shard (stripe mod numShards);
-// per-stripe slices are disjoint, so distinct shards may run concurrently.
-func (na *naiveAvailability) expireShard(round, shard int) {
 	cutoff := int32(round - na.T)
-	for st := shard; st < len(na.entries); st += na.numShards {
-		es := na.entries[st]
+	for st, es := range na.entries {
 		keep := 0
 		for i := range es {
 			if es[i].start >= cutoff {
@@ -81,34 +65,19 @@ func (na *naiveAvailability) visit(st video.StripeID, exclude int32, need int32,
 	}
 }
 
-// visitLocal emits local = -1 for every entry: the naive store caches no
-// shard-local ids, so the sharded adjacency falls back to translating.
-func (na *naiveAvailability) visitLocal(st video.StripeID, exclude int32, need int32, reqProgress []int32, fn func(right int, local int32) bool) {
-	for i := range na.entries[st] {
-		e := &na.entries[st][i]
-		if e.box != exclude && entryChunks(e, reqProgress) > need {
-			if !fn(int(e.box), -1) {
-				return
-			}
-		}
-	}
-}
-
 // visitHead returns position 0: the naive walk is a plain index scan of
 // the stripe's insertion-ordered slice.
 func (na *naiveAvailability) visitHead(st video.StripeID) int32 { return 0 }
 
-// visitStep emits local = -1 like visitLocal: the naive store caches no
-// shard-local ids.
-func (na *naiveAvailability) visitStep(st video.StripeID, h int32, exclude int32, need int32, reqProgress []int32) (int32, int32, int32) {
+func (na *naiveAvailability) visitStep(st video.StripeID, h int32, exclude int32, need int32, reqProgress []int32) (int32, int32) {
 	es := na.entries[st]
 	for i := h; int(i) < len(es); i++ {
 		e := &es[i]
 		if e.box != exclude && entryChunks(e, reqProgress) > need {
-			return e.box, -1, i + 1
+			return e.box, i + 1
 		}
 	}
-	return -1, -1, -1
+	return -1, -1
 }
 
 func (na *naiveAvailability) canServe(st video.StripeID, box int32, need int32, reqProgress []int32) bool {
@@ -121,10 +90,10 @@ func (na *naiveAvailability) canServe(st video.StripeID, box int32, need int32, 
 	return false
 }
 
-func (na *naiveAvailability) hasFull(st video.StripeID, box int32, full int32, minStart int32) bool {
+func (na *naiveAvailability) hasFull(st video.StripeID, box int32, full int32) bool {
 	for i := range na.entries[st] {
 		e := &na.entries[st][i]
-		if e.box == box && e.req == -1 && e.frozen >= full && e.start >= minStart {
+		if e.box == box && e.req == -1 && e.frozen >= full {
 			return true
 		}
 	}
@@ -152,7 +121,3 @@ func (na *naiveAvailability) margin(st video.StripeID, box int32, need int32, re
 // drainEvents is a no-op: the naive store pairs with the full Revalidate
 // sweep, which needs no targeted notifications.
 func (na *naiveAvailability) drainEvents(dst []availEvent) []availEvent { return dst }
-
-func (na *naiveAvailability) drainEventsShard(shard int, dst []availEvent) []availEvent {
-	return dst
-}

@@ -4,9 +4,9 @@ package core
 // to the configuration by a fingerprint. The contract is bit-identical
 // resumption: a System restored from a checkpoint must produce exactly the
 // StepResults, obstruction certificates, and failure rounds of the
-// uncheckpointed run, at every shard count (enforced by the round-trip
-// differential in checkpoint_test.go). That dictates the same discipline
-// used in the bipartite and swarm encoders:
+// uncheckpointed run (enforced by the round-trip differential in
+// checkpoint_test.go). That dictates the same discipline used in the
+// bipartite and swarm encoders:
 //
 //   - Everything whose *order* the engine observes is written verbatim:
 //     the live-request list (sweep order), slot free list (pop order
@@ -18,10 +18,7 @@ package core
 //     slots), re-validating invariants instead of trusting two copies.
 //   - Volatile round scratch (event logs, assignment logs, candidate
 //     buffers) is drained within every Step, so between rounds — the only
-//     place a checkpoint may be taken — it is empty and not written; the
-//     matcher touch logs and capacity-dirty window are the exception
-//     (SetCapacity between rounds populates them) and live in the
-//     bipartite encoder.
+//     place a checkpoint may be taken — it is empty and not written.
 //
 // Generators are external inputs and are NOT part of the checkpoint: the
 // caller restarts the demand feed (a daemon's HTTP stream, a test's
@@ -40,7 +37,7 @@ import (
 
 // coreStateVersion stamps the engine-state layout. Bump on any change to
 // the field order or meaning below; restore refuses other versions.
-const coreStateVersion = 2
+const coreStateVersion = 3
 
 // Fingerprint hashes the configuration facets the serialized state is
 // only meaningful under: population, catalog, allocation contents, engine
@@ -54,7 +51,6 @@ func (s *System) Fingerprint() uint64 {
 		h.Write(buf[:])
 	}
 	put(uint64(s.n))
-	put(uint64(s.numShards))
 	put(uint64(s.cat.M))
 	put(uint64(s.cat.C))
 	put(uint64(s.cat.T))
@@ -132,15 +128,8 @@ func (s *System) EncodeState(w *ckpt.Writer) error {
 
 	w.Bool(s.needSweep)
 	encodeRing(w, s.recheckRing)
-	for i := range s.lanes {
-		encodeRing(w, s.lanes[i].recheckRing)
-	}
 
-	if s.sharded != nil {
-		s.sharded.EncodeState(w)
-	} else {
-		s.matcher.EncodeState(w)
-	}
+	s.matcher.EncodeState(w)
 	s.avail.encodeState(w)
 	s.tracker.EncodeState(w)
 	s.metrics.encode(w)
@@ -149,7 +138,7 @@ func (s *System) EncodeState(w *ckpt.Writer) error {
 
 // DecodeState restores state written by EncodeState into a freshly
 // constructed System built from the identical Config (same allocation,
-// uploads, mode flags, shard count — enforced by the fingerprint).
+// uploads, mode flags — enforced by the fingerprint).
 func (s *System) DecodeState(r *ckpt.Reader) error {
 	if v := r.U64(); v != coreStateVersion {
 		if r.Err() != nil {
@@ -247,20 +236,8 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	if err := decodeRing(r, s.recheckRing); err != nil {
 		return err
 	}
-	for i := range s.lanes {
-		if err := decodeRing(r, s.lanes[i].recheckRing); err != nil {
-			return err
-		}
-	}
-
-	if s.sharded != nil {
-		if err := s.sharded.DecodeState(r); err != nil {
-			return err
-		}
-	} else {
-		if err := s.matcher.DecodeState(r); err != nil {
-			return err
-		}
+	if err := s.matcher.DecodeState(r); err != nil {
+		return err
 	}
 	if err := s.avail.decodeState(r); err != nil {
 		return err
@@ -275,8 +252,7 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 }
 
 // encodeRing writes a recheck ring (bucket count, then each bucket in
-// order). A nil ring — sweep mode, or the other engine's half — writes
-// zero buckets.
+// order). A nil ring — sweep mode — writes zero buckets.
 func encodeRing(w *ckpt.Writer, ring [][]int32) {
 	w.Int(len(ring))
 	for _, bucket := range ring {
@@ -352,8 +328,8 @@ func (na *naiveAvailability) decodeState(r *ckpt.Reader) error {
 // encodeState writes the indexed store raw: the slab with its intrusive
 // links (freed slots included — slab ids are behavior: the free-list pop
 // order decides id reuse, id order decides list positions, list positions
-// decide matcher visit order), the per-stripe heads, per-shard free lists
-// and expiry ring buckets in order, and the key index as (key, head id)
+// decide matcher visit order), the per-stripe heads, the free list and the
+// expiry ring buckets in order, and the key index as (key, head id)
 // pairs in ascending id order. That order depends on the entries alone —
 // not on the index's capacity or the order keys entered it — so two
 // checkpoints of one state are the same bytes. The heads are read off the
@@ -362,10 +338,8 @@ func (na *naiveAvailability) decodeState(r *ckpt.Reader) error {
 func (ix *indexedAvailability) encodeState(w *ckpt.Writer) {
 	const freed, chained = 1, 2
 	flags := make([]uint8, len(ix.slab))
-	for _, free := range ix.frees {
-		for _, id := range free {
-			flags[id] = freed
-		}
+	for _, id := range ix.free {
+		flags[id] = freed
 	}
 	w.Int(len(ix.slab))
 	for i := range ix.slab {
@@ -375,7 +349,6 @@ func (ix *indexedAvailability) encodeState(w *ckpt.Writer) {
 		w.I32(e.next)
 		w.I32(e.prev)
 		w.I32(e.nextKey)
-		w.I32(e.boxLocal)
 		if flags[i]&freed == 0 && e.nextKey >= 0 {
 			flags[e.nextKey] |= chained
 		}
@@ -387,27 +360,22 @@ func (ix *indexedAvailability) encodeState(w *ckpt.Writer) {
 		w.I32(ix.reqLinks[i][0])
 		w.I32(ix.reqLinks[i][1])
 	}
-	w.Int(ix.numShards)
-	for sh := 0; sh < ix.numShards; sh++ {
-		w.I32s(ix.frees[sh])
-		w.Int(ix.byKeys[sh].live)
-		for id := range ix.slab {
-			if e := &ix.slab[id]; flags[id] == 0 && ix.shardOf(e.stripe) == sh {
-				w.U64(availKey(e.stripe, e.box))
-				w.I32(int32(id))
-			}
+	w.I32s(ix.free)
+	w.Int(ix.byKey.live)
+	for id := range ix.slab {
+		if e := &ix.slab[id]; flags[id] == 0 {
+			w.U64(availKey(e.stripe, e.box))
+			w.I32(int32(id))
 		}
-		ring := ix.rings[sh]
-		w.Int(len(ring))
-		for _, bucket := range ring {
-			w.I32s(bucket)
-		}
-		log := ix.eventLogs[sh]
-		w.Int(len(log))
-		for _, ev := range log {
-			w.I32(int32(ev.stripe))
-			w.I32(ev.box)
-		}
+	}
+	w.Int(len(ix.ring))
+	for _, bucket := range ix.ring {
+		w.I32s(bucket)
+	}
+	w.Int(len(ix.eventLog))
+	for _, ev := range ix.eventLog {
+		w.I32(int32(ev.stripe))
+		w.I32(ev.box)
 	}
 }
 
@@ -422,12 +390,11 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
 	ix.slab = make([]idxEntry, n)
 	for i := range ix.slab {
 		ix.slab[i] = idxEntry{
-			entry:    decodeEntry(r),
-			stripe:   video.StripeID(r.I32()),
-			next:     r.I32(),
-			prev:     r.I32(),
-			nextKey:  r.I32(),
-			boxLocal: r.I32(),
+			entry:   decodeEntry(r),
+			stripe:  video.StripeID(r.I32()),
+			next:    r.I32(),
+			prev:    r.I32(),
+			nextKey: r.I32(),
 		}
 	}
 	byStripe := r.I32s()
@@ -451,64 +418,54 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
 	for i := range ix.reqLinks {
 		ix.reqLinks[i] = [2]int32{r.I32(), r.I32()}
 	}
-	if S := r.Int(); S != ix.numShards {
-		if r.Err() != nil {
-			return r.Err()
-		}
-		return fmt.Errorf("core: checkpoint store has %d shards, engine has %d", S, ix.numShards)
+	ix.free = r.I32s()
+	nKeys := r.Int()
+	if err := r.Err(); err != nil {
+		return err
 	}
-	for sh := 0; sh < ix.numShards; sh++ {
-		ix.frees[sh] = r.I32s()
-		nKeys := r.Int()
+	// Every key heads a chain of at least one slab entry, so the slab
+	// bounds the count before anything is sized from it.
+	if nKeys < 0 || nKeys > len(ix.slab) {
+		return fmt.Errorf("core: checkpoint key count %d out of range for %d entries", nKeys, len(ix.slab))
+	}
+	byKey := newKeyIndex(nKeys)
+	for i := 0; i < nKeys; i++ {
+		key, id := r.U64(), r.I32()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		// Every key heads a chain of at least one slab entry, so the slab
-		// bounds the count before anything is sized from it.
-		if nKeys < 0 || nKeys > len(ix.slab) {
-			return fmt.Errorf("core: checkpoint key count %d out of range for %d entries", nKeys, len(ix.slab))
+		if id < 0 || int(id) >= len(ix.slab) {
+			return fmt.Errorf("core: checkpoint key index holds entry id %d outside the slab", id)
 		}
-		byKey := newKeyIndex(nKeys)
-		for i := 0; i < nKeys; i++ {
-			key, id := r.U64(), r.I32()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if id < 0 || int(id) >= len(ix.slab) {
-				return fmt.Errorf("core: checkpoint key index holds entry id %d outside the slab", id)
-			}
-			if e := &ix.slab[id]; availKey(e.stripe, e.box) != key || ix.shardOf(e.stripe) != sh {
-				return fmt.Errorf("core: checkpoint key %#x of shard %d points at entry %d of stripe %d, box %d",
-					key, sh, id, e.stripe, e.box)
-			}
-			if byKey.swap(key, id) >= 0 {
-				return fmt.Errorf("core: checkpoint key index repeats key %#x", key)
-			}
+		if e := &ix.slab[id]; availKey(e.stripe, e.box) != key {
+			return fmt.Errorf("core: checkpoint key %#x points at entry %d of stripe %d, box %d",
+				key, id, e.stripe, e.box)
 		}
-		ix.byKeys[sh] = byKey
-		nBuckets := r.Int()
-		if err := r.Err(); err != nil {
-			return err
+		if byKey.swap(key, id) >= 0 {
+			return fmt.Errorf("core: checkpoint key index repeats key %#x", key)
 		}
-		if nBuckets != len(ix.rings[sh]) {
-			return fmt.Errorf("core: checkpoint expiry ring has %d buckets, store has %d",
-				nBuckets, len(ix.rings[sh]))
-		}
-		for b := range ix.rings[sh] {
-			ix.rings[sh][b] = r.I32s()
-		}
-		nEvents := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if nEvents < 0 || nEvents > math.MaxInt32 {
-			return fmt.Errorf("core: checkpoint event count %d out of range", nEvents)
-		}
-		log := make([]availEvent, nEvents)
-		for i := range log {
-			log[i] = availEvent{stripe: video.StripeID(r.I32()), box: r.I32()}
-		}
-		ix.eventLogs[sh] = log
+	}
+	ix.byKey = byKey
+	nBuckets := r.Int()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if nBuckets != len(ix.ring) {
+		return fmt.Errorf("core: checkpoint expiry ring has %d buckets, store has %d", nBuckets, len(ix.ring))
+	}
+	for b := range ix.ring {
+		ix.ring[b] = r.I32s()
+	}
+	nEvents := r.Int()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if nEvents < 0 || nEvents > math.MaxInt32 {
+		return fmt.Errorf("core: checkpoint event count %d out of range", nEvents)
+	}
+	ix.eventLog = make([]availEvent, nEvents)
+	for i := range ix.eventLog {
+		ix.eventLog[i] = availEvent{stripe: video.StripeID(r.I32()), box: r.I32()}
 	}
 	return r.Err()
 }

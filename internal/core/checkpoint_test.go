@@ -53,124 +53,120 @@ func checkpointChurn(t *testing.T, sys *System, r int, origCap int64) {
 // process-equivalent System, and demand that the next 50 rounds are
 // bit-identical to the uncheckpointed continuation: StepResults with
 // their obstruction certificates, per-slot progress, busy sets, and the
-// final aggregate reports. Runs at shards 1, 2, and 4; paranoid mode
-// cross-checks matcher invariants on the restored state every round.
+// final aggregate reports. Paranoid mode cross-checks matcher invariants
+// on the restored state every round.
 func TestCheckpointRoundTripBitIdentical(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(map[int]string{1: "serial", 2: "shards-2", 4: "shards-4"}[shards], func(t *testing.T) {
-			mk := func() *System {
-				return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) {
-					cfg.Shards = shards
-					cfg.Failure = FailStall
-				})
+	t.Run("serial", func(t *testing.T) {
+		mk := func() *System {
+			return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) {
+				cfg.Failure = FailStall
+			})
+		}
+		live := mk()
+		origCap := live.View().UploadSlots(0)
+		rec := &recordingGen{
+			inner:   &uniformGen{rng: stats.NewRNG(1213), p: 0.8},
+			byRound: map[int][]Demand{},
+		}
+		ckptRound := 30 + stats.NewRNG(82).Intn(40)
+		for r := 1; r <= ckptRound; r++ {
+			checkpointChurn(t, live, r, origCap)
+			if _, err := live.Step(rec); err != nil {
+				t.Fatalf("round %d: %v", r, err)
 			}
-			live := mk()
-			origCap := live.View().UploadSlots(0)
-			rec := &recordingGen{
-				inner:   &uniformGen{rng: stats.NewRNG(1213), p: 0.8},
-				byRound: map[int][]Demand{},
-			}
-			ckptRound := 30 + stats.NewRNG(uint64(shards)*77+5).Intn(40)
-			for r := 1; r <= ckptRound; r++ {
-				checkpointChurn(t, live, r, origCap)
-				if _, err := live.Step(rec); err != nil {
-					t.Fatalf("round %d: %v", r, err)
-				}
-			}
+		}
 
-			var buf bytes.Buffer
-			w := ckpt.NewWriter(&buf)
-			if err := live.EncodeState(w); err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		if err := live.EncodeState(w); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
 
-			// Uncheckpointed continuation: 50 more rounds on the live
-			// system, snapshotting per-round slot progress and busy sets so
-			// the replay below can be compared round by round (not just
-			// against final state).
-			const tail = 50
-			wantResults := make([]StepResult, 0, tail)
-			wantProgress := make([][]int32, 0, tail)
-			wantBusy := make([][]bool, 0, tail)
-			stallRounds := 0
-			for r := ckptRound + 1; r <= ckptRound+tail; r++ {
-				checkpointChurn(t, live, r, origCap)
-				res, err := live.Step(rec)
-				if err != nil {
-					t.Fatalf("round %d: %v", r, err)
-				}
-				wantResults = append(wantResults, res)
-				wantProgress = append(wantProgress, append([]int32(nil), live.reqProgress...))
-				busy := make([]bool, live.NumBoxes())
-				for b := range busy {
-					busy[b] = live.boxes[b].busy
-				}
-				wantBusy = append(wantBusy, busy)
-				if res.Unmatched > 0 {
-					stallRounds++
-				}
+		// Uncheckpointed continuation: 50 more rounds on the live
+		// system, snapshotting per-round slot progress and busy sets so
+		// the replay below can be compared round by round (not just
+		// against final state).
+		const tail = 50
+		wantResults := make([]StepResult, 0, tail)
+		wantProgress := make([][]int32, 0, tail)
+		wantBusy := make([][]bool, 0, tail)
+		stallRounds := 0
+		for r := ckptRound + 1; r <= ckptRound+tail; r++ {
+			checkpointChurn(t, live, r, origCap)
+			res, err := live.Step(rec)
+			if err != nil {
+				t.Fatalf("round %d: %v", r, err)
 			}
-			if stallRounds == 0 {
-				t.Fatal("continuation never stalled: the hard half of the differential is untested")
+			wantResults = append(wantResults, res)
+			wantProgress = append(wantProgress, append([]int32(nil), live.reqProgress...))
+			busy := make([]bool, live.NumBoxes())
+			for b := range busy {
+				busy[b] = live.boxes[b].busy
 			}
+			wantBusy = append(wantBusy, busy)
+			if res.Unmatched > 0 {
+				stallRounds++
+			}
+		}
+		if stallRounds == 0 {
+			t.Fatal("continuation never stalled: the hard half of the differential is untested")
+		}
 
-			// Restore into a fresh process-equivalent system and replay the
-			// exact recorded demand schedule.
-			restored := mk()
-			if err := restored.DecodeState(ckpt.NewReader(bytes.NewReader(buf.Bytes()))); err != nil {
-				t.Fatalf("decode: %v", err)
+		// Restore into a fresh process-equivalent system and replay the
+		// exact recorded demand schedule.
+		restored := mk()
+		if err := restored.DecodeState(ckpt.NewReader(bytes.NewReader(buf.Bytes()))); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if restored.Round() != ckptRound {
+			t.Fatalf("restored at round %d, checkpointed at %d", restored.Round(), ckptRound)
+		}
+		replay := &scripted{byRound: rec.byRound}
+		for i, r := 0, ckptRound+1; r <= ckptRound+tail; i, r = i+1, r+1 {
+			checkpointChurn(t, restored, r, origCap)
+			res, err := restored.Step(replay)
+			if err != nil {
+				t.Fatalf("restored round %d: %v", r, err)
 			}
-			if restored.Round() != ckptRound {
-				t.Fatalf("restored at round %d, checkpointed at %d", restored.Round(), ckptRound)
+			if !reflect.DeepEqual(res, wantResults[i]) {
+				t.Fatalf("round %d diverged after restore\nlive:     %+v\nrestored: %+v",
+					r, wantResults[i], res)
 			}
-			replay := &scripted{byRound: rec.byRound}
-			for i, r := 0, ckptRound+1; r <= ckptRound+tail; i, r = i+1, r+1 {
-				checkpointChurn(t, restored, r, origCap)
-				res, err := restored.Step(replay)
-				if err != nil {
-					t.Fatalf("restored round %d: %v", r, err)
-				}
-				if !reflect.DeepEqual(res, wantResults[i]) {
-					t.Fatalf("round %d diverged after restore\nlive:     %+v\nrestored: %+v",
-						r, wantResults[i], res)
-				}
-				if len(restored.reqProgress) != len(wantProgress[i]) {
-					t.Fatalf("round %d: slot table grew to %d slots, live had %d",
-						r, len(restored.reqProgress), len(wantProgress[i]))
-				}
-				for slot, want := range wantProgress[i] {
-					if restored.reqProgress[slot] != want {
-						t.Fatalf("round %d: progress of slot %d diverges: %d vs %d",
-							r, slot, want, restored.reqProgress[slot])
-					}
-				}
-				for b, want := range wantBusy[i] {
-					if restored.boxes[b].busy != want {
-						t.Fatalf("round %d: busy state of box %d diverges", r, b)
-					}
+			if len(restored.reqProgress) != len(wantProgress[i]) {
+				t.Fatalf("round %d: slot table grew to %d slots, live had %d",
+					r, len(restored.reqProgress), len(wantProgress[i]))
+			}
+			for slot, want := range wantProgress[i] {
+				if restored.reqProgress[slot] != want {
+					t.Fatalf("round %d: progress of slot %d diverges: %d vs %d",
+						r, slot, want, restored.reqProgress[slot])
 				}
 			}
-			if repA, repB := live.Report(), restored.Report(); !reflect.DeepEqual(repA, repB) {
-				t.Fatalf("final reports diverge\nlive:     %+v\nrestored: %+v", repA, repB)
+			for b, want := range wantBusy[i] {
+				if restored.boxes[b].busy != want {
+					t.Fatalf("round %d: busy state of box %d diverges", r, b)
+				}
 			}
-		})
-	}
+		}
+		if repA, repB := live.Report(), restored.Report(); !reflect.DeepEqual(repA, repB) {
+			t.Fatalf("final reports diverge\nlive:     %+v\nrestored: %+v", repA, repB)
+		}
+	})
 }
 
 // TestCheckpointRejectsMismatch pins the safety rails: a checkpoint must
-// not decode into a system with a different configuration (fingerprint),
-// a different shard count, or from a truncated stream.
+// not decode into a system with a different configuration (fingerprint)
+// or from a truncated stream.
 func TestCheckpointRejectsMismatch(t *testing.T) {
-	mk := func(seed uint64, shards int) *System {
+	mk := func(seed uint64) *System {
 		return buildHomogeneous(t, seed, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) {
-			cfg.Shards = shards
 			cfg.Failure = FailStall
 		})
 	}
-	src := mk(43, 2)
+	src := mk(43)
 	gen := &uniformGen{rng: stats.NewRNG(7), p: 0.5}
 	for r := 0; r < 10; r++ {
 		if _, err := src.Step(gen); err != nil {
@@ -186,14 +182,11 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := mk(99, 2).DecodeState(ckpt.NewReader(bytes.NewReader(buf.Bytes()))); err == nil {
+	if err := mk(99).DecodeState(ckpt.NewReader(bytes.NewReader(buf.Bytes()))); err == nil {
 		t.Fatal("different allocation accepted")
 	}
-	if err := mk(43, 4).DecodeState(ckpt.NewReader(bytes.NewReader(buf.Bytes()))); err == nil {
-		t.Fatal("different shard count accepted")
-	}
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if err := mk(43, 2).DecodeState(ckpt.NewReader(bytes.NewReader(trunc))); err == nil {
+	if err := mk(43).DecodeState(ckpt.NewReader(bytes.NewReader(trunc))); err == nil {
 		t.Fatal("truncated checkpoint accepted")
 	}
 }
@@ -234,16 +227,15 @@ func TestCheckpointFreshSystem(t *testing.T) {
 // the two against each other on the honest stream.
 type storeStream struct {
 	ix     *indexedAvailability // everything but the key index is written from here
-	nKeys  []int                // per shard: the count field
-	keys   [][]uint64           // per shard: the key of each pair
-	keyIDs [][]int32            // per shard: the id of each pair
+	nKeys  int                  // the count field
+	keys   []uint64             // the key of each pair
+	keyIDs []int32              // the id of each pair
 }
 
 // streamOf reads a store's key index the way encodeState defines it: the
 // heads of all chains in ascending entry id.
 func streamOf(ix *indexedAvailability) storeStream {
-	ss := storeStream{ix: ix,
-		nKeys: make([]int, ix.numShards), keys: make([][]uint64, ix.numShards), keyIDs: make([][]int32, ix.numShards)}
+	ss := storeStream{ix: ix}
 	isHead := make([]bool, len(ix.slab))
 	for _, id := range ix.byStripe {
 		for ; id >= 0; id = ix.slab[id].next {
@@ -258,10 +250,9 @@ func streamOf(ix *indexedAvailability) storeStream {
 	for id, head := range isHead {
 		if head {
 			e := &ix.slab[id]
-			sh := ix.shardOf(e.stripe)
-			ss.keys[sh] = append(ss.keys[sh], availKey(e.stripe, e.box))
-			ss.keyIDs[sh] = append(ss.keyIDs[sh], int32(id))
-			ss.nKeys[sh]++
+			ss.keys = append(ss.keys, availKey(e.stripe, e.box))
+			ss.keyIDs = append(ss.keyIDs, int32(id))
+			ss.nKeys++
 		}
 	}
 	return ss
@@ -279,7 +270,6 @@ func (ss storeStream) bytes() []byte {
 		w.I32(e.next)
 		w.I32(e.prev)
 		w.I32(e.nextKey)
-		w.I32(e.boxLocal)
 	}
 	w.I32s(ix.byStripe)
 	w.I32s(ix.liveCount)
@@ -288,23 +278,20 @@ func (ss storeStream) bytes() []byte {
 		w.I32(links[0])
 		w.I32(links[1])
 	}
-	w.Int(ix.numShards)
-	for sh := 0; sh < ix.numShards; sh++ {
-		w.I32s(ix.frees[sh])
-		w.Int(ss.nKeys[sh])
-		for i, key := range ss.keys[sh] {
-			w.U64(key)
-			w.I32(ss.keyIDs[sh][i])
-		}
-		w.Int(len(ix.rings[sh]))
-		for _, bucket := range ix.rings[sh] {
-			w.I32s(bucket)
-		}
-		w.Int(len(ix.eventLogs[sh]))
-		for _, ev := range ix.eventLogs[sh] {
-			w.I32(int32(ev.stripe))
-			w.I32(ev.box)
-		}
+	w.I32s(ix.free)
+	w.Int(ss.nKeys)
+	for i, key := range ss.keys {
+		w.U64(key)
+		w.I32(ss.keyIDs[i])
+	}
+	w.Int(len(ix.ring))
+	for _, bucket := range ix.ring {
+		w.I32s(bucket)
+	}
+	w.Int(len(ix.eventLog))
+	for _, ev := range ix.eventLog {
+		w.I32(int32(ev.stripe))
+		w.I32(ev.box)
 	}
 	if err := w.Flush(); err != nil {
 		panic(err)
@@ -317,10 +304,9 @@ func (ss storeStream) bytes() []byte {
 // panic, not a table sized from the stream's own count — because the index
 // is trusted afterwards: add, remove and every lookup walk from it.
 func TestStoreDecodeRejectsCorruptKeyIndex(t *testing.T) {
-	const numStripes, T, shards = 6, 5, 2
+	const numStripes, T = 6, 5
 	build := func() *indexedAvailability {
 		ix := newIndexedAvailability(numStripes, T)
-		ix.setShards(shards, nil)
 		rng := stats.NewRNG(77)
 		for round := 1; round <= 12; round++ {
 			ix.expire(round)
@@ -329,6 +315,7 @@ func TestStoreDecodeRejectsCorruptKeyIndex(t *testing.T) {
 				ix.add(st, entry{box: int32(rng.Intn(4)), start: int32(round), req: -1, frozen: int32(T)})
 			}
 		}
+		ix.expire(13) // nothing added after it: the slots it frees stay free
 		return ix
 	}
 	honest := streamOf(build())
@@ -341,16 +328,12 @@ func TestStoreDecodeRejectsCorruptKeyIndex(t *testing.T) {
 	if !bytes.Equal(production.Bytes(), honest.bytes()) {
 		t.Fatal("encodeState does not write the key index as chain heads in ascending id (or the layout moved)")
 	}
-	fresh := func() *indexedAvailability {
-		ix := newIndexedAvailability(numStripes, T)
-		ix.setShards(shards, nil)
-		return ix
-	}
+	fresh := func() *indexedAvailability { return newIndexedAvailability(numStripes, T) }
 	if err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(honest.bytes()))); err != nil {
 		t.Fatalf("honest stream rejected: %v", err)
 	}
-	if len(honest.keys[0]) < 2 || len(honest.keys[1]) < 1 || len(honest.ix.frees[0])+len(honest.ix.frees[1]) == 0 {
-		t.Fatal("scenario too small: need two keys in shard 0, one in shard 1, and a freed slab slot")
+	if len(honest.keys) < 2 || len(honest.ix.free) == 0 {
+		t.Fatal("scenario too small: need two keys and a freed slab slot")
 	}
 
 	for _, tc := range []struct {
@@ -358,17 +341,14 @@ func TestStoreDecodeRejectsCorruptKeyIndex(t *testing.T) {
 		corrupt func(ss *storeStream)
 		want    string
 	}{
-		{"count asks for 2^31 slots", func(ss *storeStream) { ss.nKeys[0] = math.MaxInt32 }, "key count 2147483647 out of range"},
-		{"count one past the slab", func(ss *storeStream) { ss.nKeys[0] = len(ss.ix.slab) + 1 }, "out of range"},
-		{"negative count", func(ss *storeStream) { ss.nKeys[0] = -1 }, "out of range"},
-		{"negative id", func(ss *storeStream) { ss.keyIDs[0][0] = -1 }, "outside the slab"},
-		{"id past the slab", func(ss *storeStream) { ss.keyIDs[0][1] = int32(len(ss.ix.slab)) }, "outside the slab"},
-		{"id of another key's entry", func(ss *storeStream) { ss.keyIDs[0][0] = ss.keyIDs[0][1] }, "points at entry"},
-		{"key of the other shard", func(ss *storeStream) {
-			ss.keys[0][0], ss.keyIDs[0][0] = ss.keys[1][0], ss.keyIDs[1][0]
-		}, "points at entry"},
+		{"count asks for 2^31 slots", func(ss *storeStream) { ss.nKeys = math.MaxInt32 }, "key count 2147483647 out of range"},
+		{"count one past the slab", func(ss *storeStream) { ss.nKeys = len(ss.ix.slab) + 1 }, "out of range"},
+		{"negative count", func(ss *storeStream) { ss.nKeys = -1 }, "out of range"},
+		{"negative id", func(ss *storeStream) { ss.keyIDs[0] = -1 }, "outside the slab"},
+		{"id past the slab", func(ss *storeStream) { ss.keyIDs[1] = int32(len(ss.ix.slab)) }, "outside the slab"},
+		{"id of another key's entry", func(ss *storeStream) { ss.keyIDs[0] = ss.keyIDs[1] }, "points at entry"},
 		{"key twice", func(ss *storeStream) {
-			ss.keys[0][1], ss.keyIDs[0][1] = ss.keys[0][0], ss.keyIDs[0][0]
+			ss.keys[1], ss.keyIDs[1] = ss.keys[0], ss.keyIDs[0]
 		}, "repeats key"},
 	} {
 		ss := streamOf(build())

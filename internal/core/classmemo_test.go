@@ -9,29 +9,18 @@ import (
 	"repro/internal/video"
 )
 
-// classlessAdj and classlessShardAdj are the reference the matcher's class
-// memo is held against: the same graph with every request reporting no
-// class, so the layered BFS walks every request's full server list.
+// classlessAdj is the reference the matcher's class memo is held against:
+// the same graph with every request reporting no class, so the layered BFS
+// walks every request's full server list.
 type classlessAdj struct{ adjacency }
 
 func (classlessAdj) ServerClass(int) (int32, int32, int) { return -1, 0, -1 }
-
-type classlessShardAdj struct{ shardAdjacency }
-
-func (classlessShardAdj) ServerClass(int) (int32, int32, int) { return -1, 0, -1 }
-
-func stripClasses(s *System) {
-	s.adj = classlessAdj{adjacency{s}}
-	for i := range s.lanes {
-		s.lanes[i].adj = classlessShardAdj{shardAdjacency{&s.lanes[i]}}
-	}
-}
 
 // buildRelayedTight assembles a relayed system just above its threshold:
 // a third of the boxes are poor and fetch every stripe through a rich
 // relay, whose forwarded copy is a lag-1 mirror entry on the viewer — a
 // cache entry whose box is not the backing request's requester.
-func buildRelayedTight(t *testing.T, shards int) *System {
+func buildRelayedTight(t *testing.T) *System {
 	t.Helper()
 	const n, poor = 45, 15
 	const c, T, k = 6, 14, 2
@@ -63,58 +52,55 @@ func buildRelayedTight(t *testing.T, shards int) *System {
 		UStar:    1.5,
 		Relays:   relays,
 		Failure:  FailStall,
-		Shards:   shards,
 		Paranoid: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Close)
 	return sys
 }
 
 // TestClassMemoRelayedLockstep steps a relayed, near-threshold, stalling
-// system beside a twin whose adjacencies report no class, on the serial
-// engine and at two shards. Mirror entries are where requester exclusion
-// and per-entry lag decide edges, and stall rounds are where requests of
-// one stripe sit at different progress; the memo must change nothing:
-// every StepResult, every request's progress and every request's server.
+// system beside a twin whose adjacency reports no class. Mirror entries are
+// where requester exclusion and per-entry lag decide edges, and stall
+// rounds are where requests of one stripe sit at different progress; the
+// memo must change nothing: every StepResult, every request's progress and
+// every request's server.
 func TestClassMemoRelayedLockstep(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		memo, ref := buildRelayedTight(t, shards), buildRelayedTight(t, shards)
-		stripClasses(ref)
-		gens := [2]*uniformGen{{rng: stats.NewRNG(77), p: 0.9}, {rng: stats.NewRNG(77), p: 0.9}}
-		stalls := 0
-		for round := 1; round <= 220; round++ {
-			got, err := memo.Step(gens[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.Step(gens[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards %d round %d: step results diverge\nmemo      %+v\nclassless %+v", shards, round, got, want)
-			}
-			if !reflect.DeepEqual(memo.activeList, ref.activeList) {
-				t.Fatalf("shards %d round %d: live request lists diverge", shards, round)
-			}
-			for _, slot := range memo.activeList {
-				if memo.reqProgress[slot] != ref.reqProgress[slot] || memo.serverOf(int(slot)) != ref.serverOf(int(slot)) {
-					t.Fatalf("shards %d round %d slot %d: progress %d server %d, classless progress %d server %d",
-						shards, round, slot, memo.reqProgress[slot], memo.serverOf(int(slot)),
-						ref.reqProgress[slot], ref.serverOf(int(slot)))
-				}
-			}
-			if got.Unmatched > 0 {
-				stalls++
+	memo, ref := buildRelayedTight(t), buildRelayedTight(t)
+	ref.adj = classlessAdj{adjacency{ref}}
+	gens := [2]*uniformGen{{rng: stats.NewRNG(77), p: 0.9}, {rng: stats.NewRNG(77), p: 0.9}}
+	stalls := 0
+	for round := 1; round <= 220; round++ {
+		got, err := memo.Step(gens[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Step(gens[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: step results diverge\nmemo      %+v\nclassless %+v", round, got, want)
+		}
+		if !reflect.DeepEqual(memo.activeList, ref.activeList) {
+			t.Fatalf("round %d: live request lists diverge", round)
+		}
+		for _, slot := range memo.activeList {
+			l := int(slot)
+			if memo.reqProgress[slot] != ref.reqProgress[slot] || memo.matcher.Server(l) != ref.matcher.Server(l) {
+				t.Fatalf("round %d slot %d: progress %d server %d, classless progress %d server %d",
+					round, slot, memo.reqProgress[slot], memo.matcher.Server(l),
+					ref.reqProgress[slot], ref.matcher.Server(l))
 			}
 		}
-		rep := memo.Report()
-		if stalls == 0 || rep.RelayedRequests == 0 {
-			t.Fatalf("shards %d: %d stall rounds, %d relayed requests: the workload never reached the case under test",
-				shards, stalls, rep.RelayedRequests)
+		if got.Unmatched > 0 {
+			stalls++
 		}
+	}
+	rep := memo.Report()
+	if stalls == 0 || rep.RelayedRequests == 0 {
+		t.Fatalf("%d stall rounds, %d relayed requests: the workload never reached the case under test",
+			stalls, rep.RelayedRequests)
 	}
 }

@@ -111,23 +111,6 @@ type Config struct {
 	// The reference path for differential tests and ablations; production
 	// runs leave it false.
 	SweepRevalidation bool
-	// Shards partitions the round's hot stages (expiry, targeted
-	// invalidation, certificate rechecks, matching) across this many
-	// concurrent shards keyed by stripe group (stripe mod Shards). The
-	// deterministic merge phase makes StepResult — including obstruction
-	// certificates — bit-identical at every shard count, so Shards is a
-	// pure throughput knob. 0 or 1 selects the serial engine.
-	Shards int
-	// LazyShardRights defers sub-matcher right-space registration to
-	// first touch instead of pre-registering every (shard, holder) pair
-	// from the allocation at construction. Pre-registration (the default)
-	// eliminates the per-round lazy-growth allocations that fresh-video
-	// churn otherwise causes on the sharded engine; the lazy mode exists
-	// for populations so large that materializing ~Shards×Boxes right
-	// records up front would dominate memory (see
-	// BenchmarkStepTenMillionBoxes). Results are identical either way —
-	// registration order only renames shard-local right ids.
-	LazyShardRights bool
 	// SerialAugment selects the matcher's retained per-root augmentation
 	// reference instead of blocking-flow batch phases. Both reach a
 	// maximum matching every round (equal cardinality, possibly different
@@ -151,17 +134,7 @@ func (cfg *Config) validate() ([]int64, error) {
 	if cfg.Mu < 1 {
 		return nil, fmt.Errorf("core: µ=%v must be at least 1", cfg.Mu)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("core: shards=%d must be non-negative", cfg.Shards)
-	}
 	cat := cfg.Alloc.Catalog()
-	if cfg.Shards > cat.NumStripes() {
-		// Stripes partition across shards (stripe mod Shards); more shards
-		// than stripes leaves permanently empty lanes that still cost a
-		// parked worker and a dispatch each round.
-		return nil, fmt.Errorf("core: shards=%d exceeds the catalog's %d stripes; empty shards would be idle weight",
-			cfg.Shards, cat.NumStripes())
-	}
 	caps := make([]int64, n)
 	for b, u := range cfg.Uploads {
 		if u < 0 {

@@ -78,20 +78,12 @@ func TestConfigValidation(t *testing.T) {
 		{Alloc: alloc, Uploads: ups, Mu: 1.2, Strategy: StrategyRelayed},             // relayed without u*
 		{Alloc: alloc, Uploads: ups, Mu: 1.2, Strategy: StrategyRelayed, UStar: 1.2}, // relayed without relays
 		{Alloc: alloc, Uploads: ups, Mu: 1.2, Strategy: Strategy(99)},                // unknown strategy
-		{Alloc: alloc, Uploads: ups, Mu: 1.2, Shards: -1},                            // negative shard count
-		{Alloc: alloc, Uploads: ups, Mu: 1.2, Shards: 9},                             // more shards than the 8 stripes
 	}
 	for i, cfg := range cases {
 		if _, err := NewSystem(cfg); err == nil {
 			t.Errorf("config case %d should fail", i)
 		}
 	}
-	// The boundary case — exactly one stripe per shard — must construct.
-	sys, err := NewSystem(Config{Alloc: alloc, Uploads: ups, Mu: 1.2, Shards: 8})
-	if err != nil {
-		t.Fatalf("shards == stripes should be valid: %v", err)
-	}
-	sys.Close()
 }
 
 func TestSingleViewingLifecycle(t *testing.T) {

@@ -33,18 +33,10 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	if s.failed {
 		return StepResult{}, fmt.Errorf("core: system already failed at round %d", s.metrics.failRound)
 	}
-	if s.pool != nil && s.pool.closed.Load() {
-		return StepResult{}, fmt.Errorf("core: Step on closed system (round %d)", s.round)
-	}
 	s.round++
 	res := StepResult{Round: s.round}
 	s.tracker.BeginRound(s.round)
-	if s.sharded == nil {
-		s.avail.expire(s.round)
-	}
-	// The sharded engine defers expiry into the fused pre-merge dispatch
-	// (matchStageShard); selfPossesses masks the deferred entries, so
-	// admission below still sees the post-expiry window.
+	s.avail.expire(s.round)
 
 	// Retire completed requests (progress reached T). retireRequest
 	// swap-removes the current slot, so only advance on survivors.
@@ -96,26 +88,20 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	// flagged; the sweep runs under Config.NaiveAvailability and while a
 	// stall episode keeps certificates unreliable (see invalidation.go).
 	adj := s.adj
-	var unmatched []int
-	if s.sharded != nil {
-		unmatched = s.matchSharded()
-		res.Matched = s.sharded.MatchedCount()
+	if s.eventDriven && !s.needSweep {
+		s.invalidateTargeted(adj)
 	} else {
-		if s.eventDriven && !s.needSweep {
-			s.invalidateTargeted(adj)
-		} else {
-			if s.eventDriven {
-				s.discardInvalidationBacklog()
-			}
-			s.matcher.Revalidate(adj)
+		if s.eventDriven {
+			s.discardInvalidationBacklog()
 		}
-		unmatched = s.matcher.AugmentAll(adj)
-		res.Matched = s.matcher.MatchedCount()
+		s.matcher.Revalidate(adj)
 	}
+	unmatched := s.matcher.AugmentAll(adj)
+	res.Matched = s.matcher.MatchedCount()
 	res.Unmatched = len(unmatched)
 
 	if len(unmatched) > 0 {
-		res.Obstruction = s.recordObstruction(adj, unmatched)
+		res.Obstruction = s.recordObstruction(adj)
 		if s.cfg.Failure == FailStop {
 			s.failed = true
 			s.metrics.failRound = s.round
@@ -123,40 +109,31 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 		}
 		s.metrics.stalls += int64(len(unmatched))
 		// Rewrite the deficient maximum matching to the canonical covered
-		// set (unique fixpoint, see bipartite.CanonicalizeDeficit): the
-		// serial engine and every shard count then agree on exactly which
-		// requests stall, which is what keeps whole FailStall trajectories
-		// — not just per-round counts — shard-invariant.
-		if s.sharded != nil {
-			s.sharded.CanonicalizeDeficit(adj, unmatched)
-		} else {
-			s.matcher.CanonicalizeDeficit(adj, unmatched)
-		}
+		// set (unique fixpoint, see bipartite.CanonicalizeDeficit): which
+		// requests stall then depends on the graph alone, not on which
+		// maximum matching the augmenter happened to find, so whole
+		// FailStall trajectories — not just per-round counts — are the same
+		// under either augmentation mode.
+		s.matcher.CanonicalizeDeficit(adj, unmatched)
 	}
 
 	// Verify while edges still reflect matching-time possession; the
 	// progress update below legitimately stales edges for the next round
 	// (Revalidate repairs them at the top of the next Step).
 	if s.cfg.Paranoid {
-		if err := s.verifyMatching(adj); err != nil {
+		if err := s.matcher.Verify(adj); err != nil {
 			return res, fmt.Errorf("core: round %d matcher corrupt: %w", s.round, err)
 		}
 	}
 
-	// Matched requests advance one chunk, then certificates refresh. The
-	// sharded engine fuses both into its second (post-merge) dispatch.
-	if s.sharded != nil {
-		s.advanceAndCertifySharded(res.Unmatched)
-		s.timing.fold()
-	} else {
-		for _, slot := range s.activeList {
-			if s.matcher.Server(int(slot)) != -1 {
-				s.reqProgress[slot]++
-			}
+	// Matched requests advance one chunk, then certificates refresh.
+	for _, slot := range s.activeList {
+		if s.matcher.Server(int(slot)) != -1 {
+			s.reqProgress[slot]++
 		}
-		if s.eventDriven {
-			s.refreshAssignmentCertificates(res.Unmatched)
-		}
+	}
+	if s.eventDriven {
+		s.refreshAssignmentCertificates(res.Unmatched)
 	}
 
 	s.metrics.observeRound(s, res)
@@ -339,15 +316,10 @@ func (s *System) planRelayedPoor(b int32, v video.ID, preloadIdx int) int {
 
 // recordObstruction extracts and records the Hall-violator certificate.
 // The alternating-reachable region is invariant across maximum matchings
-// (Dulmage–Mendelsohn), so the serial and sharded extractions agree bit
-// for bit.
-func (s *System) recordObstruction(adj bipartite.Adjacency, unmatched []int) *Obstruction {
-	var v *bipartite.Violator
-	if s.sharded != nil {
-		v = s.sharded.HallViolator(adj, unmatched)
-	} else {
-		v = s.matcher.HallViolator(adj)
-	}
+// (Dulmage–Mendelsohn), so the certificate does not depend on which one
+// the augmenter found.
+func (s *System) recordObstruction(adj bipartite.Adjacency) *Obstruction {
+	v := s.matcher.HallViolator(adj)
 	if v == nil {
 		return nil
 	}

@@ -2,8 +2,8 @@ package core
 
 import "math/bits"
 
-// keyIndex is the (stripe, box) → chain-head table of one availability
-// shard: an open-addressed hash table with linear probing over a single
+// keyIndex is the (stripe, box) → chain-head table of the availability
+// store: an open-addressed hash table with linear probing over a single
 // slot array, so a lookup is one hashed cache line (four 16-byte slots)
 // instead of a Go map's bucket walk. Keys are availKey values hashed by
 // Fibonacci multiplication; the table keeps at least half its slots empty

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
 	"repro/internal/bipartite"
 	"repro/internal/swarm"
@@ -52,24 +50,10 @@ type System struct {
 	round      int
 	failed     bool
 
-	// adj is the Section 2.2 graph every global matcher call sees,
+	// adj is the Section 2.2 graph every matcher call sees,
 	// adjacency{s}. A field rather than a literal at each call so that a
 	// differential test can substitute another view of the same graph.
 	adj bipartite.Hinted
-
-	// Sharded round engine (Config.Shards > 1): sharded replaces matcher —
-	// exactly one of the two is non-nil — and lanes carries the per-shard
-	// engine state (recheck rings, event scratch, adjacency). pool owns the
-	// persistent shard workers; certMode is the post-merge dispatch's
-	// serially decided certificate disposition and timing the round's
-	// parallel/serial wall-clock split. See shard.go.
-	sharded        *bipartite.Sharded
-	numShards      int
-	lanes          []lane
-	shardUnmatched [][]int // per-shard unmatched frontiers (scratch)
-	pool           *shardPool
-	certMode       certMode
-	timing         stageTiming
 
 	// Request slot arrays (index = matcher left ID).
 	reqStripe   []video.StripeID
@@ -136,64 +120,26 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	cat := cfg.Alloc.Catalog()
 	n := cfg.Alloc.NumBoxes()
-	S := cfg.Shards
-	if S == 0 {
-		S = 1
-	}
 	s := &System{
 		cfg:         cfg,
 		cat:         cat,
 		n:           n,
-		numShards:   S,
+		matcher:     bipartite.NewMatcher(caps),
 		tracker:     swarm.NewTracker(cat.M, cat.T, cfg.Mu),
 		boxes:       make([]boxRec, n),
 		pendingRing: make([][]issuance, maxIssuanceDelay+1),
 	}
 	s.adj = adjacency{s}
-	if S == 1 {
-		s.matcher = bipartite.NewMatcher(caps)
-		s.matcher.SerialAugment = cfg.SerialAugment
-	} else {
-		s.sharded = bipartite.NewSharded(caps, S)
-		s.lanes = make([]lane, S)
-		s.shardUnmatched = make([][]int, S)
-		for sh := 0; sh < S; sh++ {
-			s.sharded.Sub(sh).SerialAugment = cfg.SerialAugment
-			s.lanes[sh].init(s, sh)
-		}
-		if !cfg.LazyShardRights {
-			s.preRegisterShardRights()
-		}
-		s.pool = newShardPool(S - 1)
-		// Safety net for systems dropped without Close: parked workers only
-		// reference the pool (never the System between dispatches), so an
-		// abandoned engine is collectable and the cleanup releases its
-		// workers. The cleanup func must not capture s.
-		runtime.AddCleanup(s, func(p *shardPool) { p.close() }, s.pool)
-	}
+	s.matcher.SerialAugment = cfg.SerialAugment
 	if cfg.NaiveAvailability {
-		na := newNaiveAvailability(cat.NumStripes(), cat.T)
-		na.setShards(S, nil)
-		s.avail = na
+		s.avail = newNaiveAvailability(cat.NumStripes(), cat.T)
 	} else {
 		ix := newIndexedAvailability(cat.NumStripes(), cat.T)
-		if S > 1 {
-			ix.setShards(S, func(shard int, box int32) int32 {
-				return int32(s.sharded.Register(shard, int(box)))
-			})
-		}
 		if !cfg.SweepRevalidation {
 			ix.logEvents = true
 			s.eventDriven = true
-			if S == 1 {
-				s.recheckRing = make([][]int32, cat.T+2)
-				s.matcher.LogAssignments(true)
-			} else {
-				for sh := 0; sh < S; sh++ {
-					s.lanes[sh].recheckRing = make([][]int32, cat.T+2)
-					s.sharded.Sub(sh).LogAssignments(true)
-				}
-			}
+			s.recheckRing = make([][]int32, cat.T+2)
+			s.matcher.LogAssignments(true)
 		}
 		s.avail = ix
 	}
@@ -231,68 +177,6 @@ func (s *System) markIdle(b int32) {
 	s.boxes[b].idlePos = int32(len(s.idleList))
 	s.idleList = append(s.idleList, b)
 	s.idleBits.set(b)
-}
-
-// Close releases the sharded engine's persistent workers. Idempotent and
-// a no-op on the serial engine; Step after Close returns an error. Must
-// not be called concurrently with Step (the System is single-writer).
-// Systems dropped without Close are still collectable — a runtime cleanup
-// releases their workers — but long-lived processes that build many
-// systems should Close explicitly rather than wait for the GC.
-func (s *System) Close() {
-	if s.pool != nil {
-		s.pool.close()
-	}
-}
-
-// StageTiming is the sharded round's wall-clock split: the pooled
-// parallel dispatches vs the serial Merge/GlobalAugment tail. Last
-// completed round plus an exponentially weighted moving average
-// (alpha 0.1). All zeros on the serial engine.
-type StageTiming struct {
-	ParallelNS     int64
-	SerialNS       int64
-	ParallelEWMANS float64
-	SerialEWMANS   float64
-}
-
-// timeBase anchors nowNS: time.Since reads the monotonic clock without
-// allocating, which keeps the timed sharded round at 0 allocs.
-var timeBase = time.Now()
-
-func nowNS() int64 { return int64(time.Since(timeBase)) }
-
-// stageTiming is the engine-internal accumulator behind StageTiming.
-type stageTiming struct {
-	parallelNS int64
-	serialNS   int64
-	ewmaPar    float64
-	ewmaSer    float64
-	rounds     int64
-}
-
-// fold absorbs the finished round's split into the EWMAs.
-func (t *stageTiming) fold() {
-	const alpha = 0.1
-	if t.rounds == 0 {
-		t.ewmaPar = float64(t.parallelNS)
-		t.ewmaSer = float64(t.serialNS)
-	} else {
-		t.ewmaPar += (float64(t.parallelNS) - t.ewmaPar) * alpha
-		t.ewmaSer += (float64(t.serialNS) - t.ewmaSer) * alpha
-	}
-	t.rounds++
-}
-
-// StageTiming reports the per-round parallel/serial wall-clock split of
-// the sharded engine (zeros on the serial engine; see StageTiming type).
-func (s *System) StageTiming() StageTiming {
-	return StageTiming{
-		ParallelNS:     s.timing.parallelNS,
-		SerialNS:       s.timing.serialNS,
-		ParallelEWMANS: s.timing.ewmaPar,
-		SerialEWMANS:   s.timing.ewmaSer,
-	}
 }
 
 // Round returns the last simulated round. Rounds are 1-based — a demand
@@ -354,11 +238,7 @@ func (s *System) issueRequest(stripe video.StripeID, requester, viewer, mirror i
 	s.activeReqs++
 	s.posInActive[slot] = int32(len(s.activeList))
 	s.activeList = append(s.activeList, slot)
-	if s.sharded != nil {
-		s.sharded.AddLeft(int(slot), s.shardOf(stripe))
-	} else {
-		s.matcher.AddLeft(int(slot))
-	}
+	s.matcher.AddLeft(int(slot))
 	if !s.cfg.DisableCacheServing {
 		s.avail.add(stripe, entry{box: requester, start: int32(s.round), req: slot})
 		if mirror >= 0 {
@@ -374,11 +254,7 @@ func (s *System) issueRequest(stripe video.StripeID, requester, viewer, mirror i
 // entries, and releases the viewer when its last request finishes.
 func (s *System) retireRequest(slot int32) {
 	s.avail.retire(s.reqStripe[slot], slot, s.reqProgress[slot])
-	if s.sharded != nil {
-		s.sharded.RemoveLeft(int(slot))
-	} else {
-		s.matcher.RemoveLeft(int(slot))
-	}
+	s.matcher.RemoveLeft(int(slot))
 	s.reqActive[slot] = false
 	s.activeReqs--
 	// Swap-remove from the live list.
@@ -404,19 +280,6 @@ func (s *System) finishOne(viewer int32) {
 	}
 }
 
-// shardOf maps a stripe to its owning shard (stripe mod Shards): requests
-// for a stripe only edge into boxes possessing it, so lefts partition
-// cleanly by stripe group.
-func (s *System) shardOf(st video.StripeID) int { return int(st) % s.numShards }
-
-// serverOf returns the global box serving request slot l, or -1.
-func (s *System) serverOf(l int) int {
-	if s.sharded != nil {
-		return s.sharded.Server(l)
-	}
-	return s.matcher.Server(l)
-}
-
 // SetCapacity changes box b's upload capacity to slots mid-run (failure
 // injection and the capacity-change rounds of the differential tests). The
 // value is the matcher slot capacity — relay reservations, if any, are the
@@ -435,11 +298,7 @@ func (s *System) SetCapacity(b int, slots int64) error {
 	}
 	s.totalSlots += slots - int64(s.boxes[b].capSlots)
 	s.boxes[b].capSlots = int32(slots)
-	if s.sharded != nil {
-		s.sharded.SetCapacity(b, slots)
-	} else {
-		s.matcher.SetCapacity(b, slots)
-	}
+	s.matcher.SetCapacity(b, slots)
 	return nil
 }
 
@@ -505,7 +364,7 @@ func (a adjacency) NextServer(c *bipartite.Cursor) int {
 		c.ID = s.avail.visitHead(stripe)
 	}
 	if c.Stage == 1 {
-		box, _, next := s.avail.visitStep(stripe, c.ID, requester, s.reqProgress[slot], s.reqProgress)
+		box, next := s.avail.visitStep(stripe, c.ID, requester, s.reqProgress[slot], s.reqProgress)
 		c.ID = next
 		if box >= 0 {
 			return int(box)
@@ -575,12 +434,7 @@ func (a adjacency) ServerClass(left int) (class, need int32, self int) {
 
 // selfPossesses reports whether box b already has stripe st available
 // locally: stored by allocation, or completely cached from a recent
-// viewing (frozen full-progress entry inside the window). The minStart
-// bound re-states the cache window explicitly: the serial engine has
-// already expired this round when admission asks (making the bound a
-// no-op), but the sharded engine defers expiry into the fused match
-// stage, so the bound is what masks the entries due to expire this round
-// and keeps admission bit-identical across engines.
+// viewing (frozen full-progress entry inside the window).
 func (s *System) selfPossesses(b int32, st video.StripeID) bool {
 	if s.cfg.Alloc.Stores(int(b), st) {
 		return true
@@ -588,7 +442,7 @@ func (s *System) selfPossesses(b int32, st video.StripeID) bool {
 	if s.cfg.DisableCacheServing {
 		return false
 	}
-	return s.avail.hasFull(st, b, int32(s.cat.T), int32(s.round-s.cat.T))
+	return s.avail.hasFull(st, b, int32(s.cat.T))
 }
 
 // String summarizes the system state for debugging.

@@ -79,14 +79,5 @@ func (v *View) NumIdle() int { return len(v.s.idleList) }
 func (v *View) ActiveRequests() int { return v.s.activeReqs }
 
 // ServerLoad returns the matcher load of box b this round (slots in use
-// as of the previous matching). Note: while matched cardinalities are
-// bit-identical at every shard count, *which* maximum matching realizes
-// them can differ, so per-box loads may legitimately vary with
-// Config.Shards; generators that must stay shard-invariant should not
-// branch on it.
-func (v *View) ServerLoad(b int) int64 {
-	if v.s.sharded != nil {
-		return v.s.sharded.Load(b)
-	}
-	return v.s.matcher.Load(b)
-}
+// as of the previous matching).
+func (v *View) ServerLoad(b int) int64 { return v.s.matcher.Load(b) }

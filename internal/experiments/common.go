@@ -70,14 +70,12 @@ func buildHom(seed uint64, p homParams, k int, tweak func(*core.Config)) (*core.
 	return sys, m, nil
 }
 
-// tweakFor composes the Options-level config knobs (the SerialAugment
-// matcher ablation and the sharded round engine) with an experiment's own
-// tweak, so every builder call site honors the global flags with one
-// wrapper.
+// tweakFor composes the Options-level config knob (the SerialAugment
+// matcher ablation) with an experiment's own tweak, so every builder call
+// site honors the global flag with one wrapper.
 func tweakFor(o Options, extra func(*core.Config)) func(*core.Config) {
 	return func(cfg *core.Config) {
 		cfg.SerialAugment = o.SerialAugment
-		cfg.Shards = o.Shards
 		if extra != nil {
 			extra(cfg)
 		}

@@ -22,20 +22,12 @@ type Options struct {
 	// counts so the whole suite runs in seconds (used by tests and CI).
 	Quick bool
 	// Workers bounds the Monte-Carlo worker pool — how many *independent
-	// trials* run concurrently; 0 means GOMAXPROCS. Orthogonal to Shards,
-	// which parallelizes inside a single simulated system.
+	// trials* run concurrently; 0 means GOMAXPROCS.
 	Workers int
 	// SerialAugment runs every simulated system on the matcher's retained
 	// per-root augmentation reference instead of blocking-flow batch
 	// phases (vodbench -serial-augment; ablations and A/B timing).
 	SerialAugment bool
-	// Shards runs every simulated system's round engine on this many
-	// concurrent shards (vodbench -shards). Results are bit-identical at
-	// any shard count, so this only trades Workers-level for intra-run
-	// parallelism; 0 keeps the serial engine — experiments deliberately
-	// do not inherit GOMAXPROCS here, so seeded runs stay single-threaded
-	// (and trial-parallel) unless explicitly asked.
-	Shards int
 }
 
 func (o Options) workers() int {

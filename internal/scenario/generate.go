@@ -85,7 +85,7 @@ type Expanded struct {
 // Expand generates the deterministic workload corpus for spec + seed.
 // seed == 0 selects the spec's default seed. Generation never consults a
 // running engine — only the spec and the catalog geometry — so the corpus
-// is byte-identical across runs, hosts, and shard counts by construction.
+// is byte-identical across runs and hosts by construction.
 func Expand(s *Spec, seed uint64) (*Expanded, error) {
 	if seed == 0 {
 		seed = s.Seed

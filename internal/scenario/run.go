@@ -13,9 +13,6 @@ import (
 type RunOptions struct {
 	// Seed overrides the spec's default seed (0 = use the spec's).
 	Seed uint64
-	// Shards is the engine shard count. Scenario results are bit-identical
-	// at every shard count, so this is purely a throughput knob.
-	Shards int
 }
 
 // Result is one scenario run: the expanded corpus plus the engine report
@@ -32,9 +29,7 @@ func Run(s *Spec, opt RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	vs := ex.VodSpec
-	vs.Shards = opt.Shards
-	sys, err := vod.New(vs)
+	sys, err := vod.New(ex.VodSpec)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
@@ -61,8 +56,8 @@ func CorpusHash(t *trace.Trace) string {
 // committed golden files. Every line is deterministic: corpus generation
 // never consults the engine, and every engine quantity reported here
 // (admission counters, canonicalized stalls, Dulmage–Mendelsohn-invariant
-// obstruction counts, utilization, startup delays) is bit-identical at
-// every shard count.
+// obstruction counts, utilization, startup delays) is a function of the
+// corpus alone.
 func (r *Result) GoldenSummary() string {
 	ex := r.Expanded
 	st := ex.Trace.Summarize()

@@ -114,32 +114,6 @@ func TestCorpusByteIdentity(t *testing.T) {
 	}
 }
 
-// TestShardInvariance pins that a scenario run is bit-identical at every
-// shard count — the whole golden summary, not just the corpus.
-func TestShardInvariance(t *testing.T) {
-	specs := referenceSpecs(t)
-	for _, name := range []string{"steady-zipf", "hetero-churn"} {
-		s, ok := specs[name]
-		if !ok {
-			t.Fatalf("reference scenario %s missing", name)
-		}
-		base, err := Run(s, RunOptions{Shards: 1})
-		if err != nil {
-			t.Fatalf("%s shards=1: %v", name, err)
-		}
-		for _, shards := range []int{2, 4} {
-			res, err := Run(s, RunOptions{Shards: shards})
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
-			}
-			if got, want := res.GoldenSummary(), base.GoldenSummary(); got != want {
-				t.Errorf("%s: shards=%d summary differs from serial:\n--- got ---\n%s--- want ---\n%s",
-					name, shards, got, want)
-			}
-		}
-	}
-}
-
 // TestGenerateReplayRoundTrip pins the corpus path end to end: the
 // generated trace survives CSV and JSON serialization event-for-event,
 // and a Replayer re-emits exactly the generated demands.

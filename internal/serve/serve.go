@@ -90,14 +90,12 @@ func (s *Server) heapAllocBytes() uint64 {
 	return s.heapAllocs[0].Value.Uint64()
 }
 
-// Close releases the engine's persistent shard workers. Call it when the
-// daemon shuts down; handlers racing a Close serialize on the server
-// mutex, and a Step after Close surfaces as an engine error, not a hang.
-func (s *Server) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sys.Close()
-}
+// Close does nothing: the server owns no goroutines (Tick runs on its
+// caller's) and the engine holds nothing to release.
+//
+// Deprecated: the benchmark harness (benchmark/wire.go) is the one caller
+// left; goes when vod.System.Close does.
+func (s *Server) Close() {}
 
 // EnableAutoCheckpoint turns on periodic checkpointing: after every
 // `every`-th round the engine reaches, a checkpoint is written atomically
@@ -171,7 +169,7 @@ func (g drainGen) Next(_ *vod.View, round int) []vod.Demand {
 // returns nil when ctx ends it and the reason otherwise: a Step error, or
 // a system that stopped at an obstruction and will never step again. No
 // round starts after ctx is done, so a caller that cancels ctx and waits
-// for Tick to return may then Close the server.
+// for Tick to return knows the engine is quiescent.
 func (s *Server) Tick(ctx context.Context, period time.Duration) error {
 	if period <= 0 {
 		return fmt.Errorf("serve: tick period %v must be positive", period)
@@ -271,7 +269,6 @@ func (s *Server) checkpointLocked(path string) (int64, error) {
 type Metrics struct {
 	Round           int              `json:"round"`
 	Restored        bool             `json:"restored"`
-	MatcherMode     string           `json:"matcher_mode"`
 	LiveRequests    int              `json:"live_requests"`
 	IdleBoxes       int              `json:"idle_boxes"`
 	PendingDemands  int              `json:"pending_demands"`
@@ -290,28 +287,14 @@ type Metrics struct {
 	AutoCheckpoints int64            `json:"auto_checkpoints,omitempty"`
 	LastCheckpoint  string           `json:"last_checkpoint,omitempty"`
 	CheckpointError string           `json:"checkpoint_error,omitempty"`
-
-	// Sharded-engine stage timing (zeros under the serial engine): the
-	// last round's wall-clock split between the pooled parallel shard
-	// dispatches and the serial Merge/GlobalAugment tail, plus EWMAs
-	// (alpha 0.1) — the merge tail's share of the round on a live daemon.
-	StageParallelNS     int64   `json:"stage_parallel_ns"`
-	StageSerialNS       int64   `json:"stage_serial_tail_ns"`
-	StageParallelEWMANS float64 `json:"stage_parallel_ewma_ns"`
-	StageSerialEWMANS   float64 `json:"stage_serial_tail_ewma_ns"`
 }
 
 func (s *Server) metricsLocked() Metrics {
 	rep := s.sys.Report()
 	view := s.sys.View()
-	mode := "serial"
-	if sh := s.sys.Spec().Shards; sh > 1 {
-		mode = fmt.Sprintf("sharded-%d", sh)
-	}
 	m := Metrics{
 		Round:           s.sys.Round(),
 		Restored:        s.restored,
-		MatcherMode:     mode,
 		LiveRequests:    view.ActiveRequests(),
 		IdleBoxes:       view.NumIdle(),
 		PendingDemands:  len(s.pending),
@@ -339,11 +322,6 @@ func (s *Server) metricsLocked() Metrics {
 	if s.stepRounds > 0 {
 		m.AllocsPerRound = s.allocBytes / uint64(s.stepRounds)
 	}
-	st := s.sys.StageTiming()
-	m.StageParallelNS = st.ParallelNS
-	m.StageSerialNS = st.SerialNS
-	m.StageParallelEWMANS = st.ParallelEWMANS
-	m.StageSerialEWMANS = st.SerialEWMANS
 	return m
 }
 

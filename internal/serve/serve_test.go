@@ -20,7 +20,7 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	sys, err := vod.New(vod.Spec{Boxes: 30, Upload: 2.0, Resilient: true, Shards: 2, Seed: 7})
+	sys, err := vod.New(vod.Spec{Boxes: 30, Upload: 2.0, Resilient: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +90,6 @@ func TestDemandStepMetrics(t *testing.T) {
 	if m.Round != 5 || m.Demands != 3 || m.Admitted != 3 {
 		t.Fatalf("metrics: %+v", m)
 	}
-	if m.MatcherMode != "sharded-2" {
-		t.Fatalf("matcher mode: %q", m.MatcherMode)
-	}
 	if m.SteppedRounds != 5 || m.RoundsPerSec <= 0 {
 		t.Fatalf("step accounting: %+v", m)
 	}
@@ -101,76 +98,20 @@ func TestDemandStepMetrics(t *testing.T) {
 	}
 }
 
-// TestStageTimingMetrics pins the /metrics stage-timing fields: after a
-// sharded step both halves of the round split are observable (parallel
-// dispatches and the serial merge tail) along with their EWMAs.
-func TestStageTimingMetrics(t *testing.T) {
-	_, ts := newTestServer(t)
-	if code, out := postJSON(t, ts.URL+"/step", map[string]int{"rounds": 3}); code != http.StatusOK {
-		t.Fatalf("step: %d %v", code, out)
-	}
-	var m Metrics
-	getJSON(t, ts.URL+"/metrics", &m)
-	if m.StageParallelNS <= 0 || m.StageSerialNS <= 0 {
-		t.Fatalf("sharded stage split not observed: %+v", m)
-	}
-	if m.StageParallelEWMANS <= 0 || m.StageSerialEWMANS <= 0 {
-		t.Fatalf("stage EWMAs not observed: %+v", m)
-	}
-
-	// The serial engine reports zeros — the fields mean "sharded split".
-	serialSys, err := vod.New(vod.Spec{Boxes: 30, Upload: 2.0, Resilient: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialSrv := httptest.NewServer(New(serialSys, false).Handler())
-	defer serialSrv.Close()
-	if code, out := postJSON(t, serialSrv.URL+"/step", map[string]int{"rounds": 3}); code != http.StatusOK {
-		t.Fatalf("serial step: %d %v", code, out)
-	}
-	var ms Metrics
-	getJSON(t, serialSrv.URL+"/metrics", &ms)
-	if ms.StageParallelNS != 0 || ms.StageSerialNS != 0 {
-		t.Fatalf("serial engine reported a stage split: %+v", ms)
-	}
-}
-
-// TestServerCloseReleasesWorkers pins the daemon half of the pool
-// lifecycle: serving traffic spawns no per-round goroutines, and closing
-// the server after handler shutdown returns the process to its goroutine
-// baseline (vodserve calls exactly this sequence on SIGTERM).
-func TestServerCloseReleasesWorkers(t *testing.T) {
-	base := goroutineBaseline(t)
-	srv, ts := newTestServer(t)
-	for i := 0; i < 10; i++ {
-		postJSON(t, ts.URL+"/demand", map[string]int{"box": i, "video": 0})
-		postJSON(t, ts.URL+"/step", nil)
-	}
-	ts.Close() // handler shutdown first, then the engine
-	srv.Close()
-	waitGoroutines(t, base)
-
-	// A step through a closed server surfaces the engine error.
-	if _, err := srv.StepRounds(1); err == nil {
-		t.Fatal("StepRounds after Close should error")
-	}
-}
-
 // goroutineBaseline returns the process's settled goroutine count after
 // one full build+serve+close cycle, which creates the runtime's lazy
 // helper goroutines so the baseline is stable.
 func goroutineBaseline(t *testing.T) int {
 	t.Helper()
-	srv, ts := newTestServer(t)
+	_, ts := newTestServer(t)
 	postJSON(t, ts.URL+"/step", map[string]int{"rounds": 1})
 	ts.Close()
-	srv.Close()
 	waitGoroutines(t, runtime.NumGoroutine())
 	return runtime.NumGoroutine()
 }
 
 // waitGoroutines polls until the goroutine count returns to base —
-// httptest connections and pool workers park asynchronously.
+// httptest connections park asynchronously.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -297,10 +238,9 @@ func roundOf(s *Server) int {
 	return s.sys.Round()
 }
 
-// TestTickStopsWithContext is TestServerCloseReleasesWorkers for a ticking
-// daemon, in vodserve's shutdown order: cancel the round clock, wait for it,
-// shut the handlers, close the engine. Once Tick has returned the round no
-// longer moves, and the process is back at its goroutine baseline.
+// TestTickStopsWithContext follows vodserve's shutdown order: cancel the
+// round clock, wait for it, shut the handlers. Once Tick has returned the
+// round no longer moves, and the process is back at its goroutine baseline.
 func TestTickStopsWithContext(t *testing.T) {
 	base := goroutineBaseline(t)
 	srv, ts := newTestServer(t)
@@ -324,7 +264,6 @@ func TestTickStopsWithContext(t *testing.T) {
 		t.Fatalf("round moved from %d to %d after Tick returned", stopped, now)
 	}
 	ts.Close()
-	srv.Close()
 	waitGoroutines(t, base)
 }
 
@@ -337,7 +276,6 @@ func TestTickExitsOnFailedSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(sys, false)
-	defer srv.Close()
 	for b := 0; b < 20; b++ {
 		srv.pending = append(srv.pending, vod.Demand{Box: b, Video: vod.VideoID(b % sys.Catalog().M)})
 	}
@@ -442,7 +380,6 @@ func TestHotReplyBodiesUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	stalled := New(sys, false)
-	defer stalled.Close()
 	var batch []string
 	for b := 0; b < 20; b++ {
 		batch = append(batch, fmt.Sprintf(`{"box":%d,"video":%d}`, b, b%sys.Catalog().M))

@@ -97,18 +97,11 @@ type Spec struct {
 	Resilient bool
 	// Trace records per-round statistics into the report.
 	Trace bool
-	// Shards runs the round's hot stages on this many concurrent shards
-	// (stripe mod Shards). Results are bit-identical at every shard count
-	// — seeded runs stay reproducible — so this is purely a throughput
-	// knob for large populations. 0 or 1 selects the serial engine; it is
-	// deliberately NOT defaulted to GOMAXPROCS so single-run experiments
-	// stay single-threaded unless asked.
+	// Shards is accepted and ignored: there is one round engine, and
+	// results were bit-identical at every shard count by contract.
+	//
+	// Deprecated: removed with the contended-sharded workload.
 	Shards int
-	// LazyShardRights defers sharded right-space registration to first
-	// touch instead of pre-registering from the allocation. Only worth
-	// setting for extreme populations where ~Shards×Boxes right records
-	// would dominate memory; results are identical either way.
-	LazyShardRights bool
 	// Seed drives the random allocation (and nothing else).
 	Seed uint64
 }
@@ -204,8 +197,6 @@ func New(spec Spec) (*System, error) {
 		Mu:                  mu,
 		DisableCacheServing: spec.SourcingOnly,
 		TraceRounds:         spec.Trace,
-		Shards:              spec.Shards,
-		LazyShardRights:     spec.LazyShardRights,
 	}
 	if spec.Resilient {
 		cfg.Failure = core.FailStall
@@ -244,19 +235,25 @@ func (s *System) Step(gen Generator) (StepResult, error) { return s.inner.Step(g
 // the spec was Resilient) and returns the aggregate report.
 func (s *System) Run(gen Generator, rounds int) (Report, error) { return s.inner.Run(gen, rounds) }
 
-// Close releases the sharded engine's persistent shard workers (a no-op
-// for serial systems). Idempotent; Step after Close returns an error.
-// Systems dropped without Close are reclaimed by a runtime cleanup, but
-// long-lived processes should Close explicitly.
-func (s *System) Close() { s.inner.Close() }
+// Close does nothing, any number of times: a System holds no goroutines
+// or other resources to release, and stepping it afterwards works.
+//
+// Deprecated: removed with the contended-sharded workload.
+func (s *System) Close() {}
 
-// StageTiming is the sharded engine's per-round wall-clock split between
-// the pooled parallel dispatches and the serial merge tail (zeros on the
-// serial engine).
-type StageTiming = core.StageTiming
+// StageTiming was the sharded engine's per-round wall-clock split; the
+// one engine has no such stages and every field stays zero.
+//
+// Deprecated: removed with the contended-sharded workload.
+type StageTiming struct {
+	ParallelNS int64
+	SerialNS   int64
+}
 
-// StageTiming reports the last round's parallel/serial split plus EWMAs.
-func (s *System) StageTiming() StageTiming { return s.inner.StageTiming() }
+// StageTiming returns the zero value.
+//
+// Deprecated: removed with the contended-sharded workload.
+func (s *System) StageTiming() StageTiming { return StageTiming{} }
 
 // Failed reports whether the system hit a fail-stop obstruction.
 func (s *System) Failed() bool { return s.inner.Failed() }

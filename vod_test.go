@@ -1,6 +1,7 @@
 package vod
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -215,5 +216,41 @@ func TestWithRetryWrapping(t *testing.T) {
 	}
 	if rep.Admitted == 0 {
 		t.Fatal("nothing admitted through retry wrapper")
+	}
+}
+
+// TestDeprecatedShardShims pins the three names the benchmark harness
+// still uses of the removed sharded engine: Spec.Shards is accepted and
+// changes nothing, Close does nothing any number of times (the system
+// steps afterwards), and StageTiming is zero.
+func TestDeprecatedShardShims(t *testing.T) {
+	run := func(spec Spec) []StepResult {
+		sys, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := NewZipfWorkload(3, 0.4, 0.9)
+		var out []StepResult
+		for r := 0; r < 60; r++ {
+			if r == 30 {
+				sys.Close()
+				sys.Close()
+			}
+			res, err := sys.Step(gen)
+			if err != nil {
+				t.Fatalf("%+v round %d: %v", spec, r+1, err)
+			}
+			out = append(out, res)
+		}
+		if st := sys.StageTiming(); st != (StageTiming{}) {
+			t.Fatalf("stage timing %+v, want zeros", st)
+		}
+		return out
+	}
+	base := Spec{Boxes: 30, Upload: 2.0, Growth: 1.3, Resilient: true, Seed: 11}
+	sharded := base
+	sharded.Shards = 4
+	if got, want := run(sharded), run(base); !reflect.DeepEqual(got, want) {
+		t.Fatal("Spec.Shards changed the StepResult stream")
 	}
 }
