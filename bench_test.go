@@ -53,7 +53,6 @@ func BenchmarkE12ProtocolGap(b *testing.B)           { benchExperiment(b, "E12")
 func BenchmarkE13StrategyAblation(b *testing.B)      { benchExperiment(b, "E13") }
 func BenchmarkE14ExpanderAudit(b *testing.B)         { benchExperiment(b, "E14") }
 func BenchmarkE15PopulationScaling(b *testing.B)     { benchExperiment(b, "E15") }
-func BenchmarkE16UtilizationSweep(b *testing.B)      { benchExperiment(b, "E16") }
 func BenchmarkT1Planner(b *testing.B)                { benchExperiment(b, "T1") }
 
 // --- Micro-benchmarks: max-flow solvers (E11 wall-clock half) ---
@@ -104,55 +103,20 @@ func BenchmarkMaxflowPushRelabel(b *testing.B) {
 
 // --- Ablation: warm-started incremental matching vs cold recompute ---
 
-type benchAdj struct{ neighbors [][]int32 }
-
-func (a *benchAdj) VisitServers(l int, fn func(int) bool) {
-	for _, r := range a.neighbors[l] {
-		if !fn(int(r)) {
-			return
-		}
-	}
-}
-
-// BeginServers/NextServer implement bipartite.CursorAdjacency so matcher
-// benchmarks exercise the same cursor path the engine adjacencies use.
-func (a *benchAdj) BeginServers(l int, c *bipartite.Cursor) {
-	c.Left = int32(l)
-	c.Index = 0
-}
-
-func (a *benchAdj) NextServer(c *bipartite.Cursor) int {
-	ns := a.neighbors[c.Left]
-	if int(c.Index) >= len(ns) {
-		return -1
-	}
-	r := ns[c.Index]
-	c.Index++
-	return int(r)
-}
-
-func (a *benchAdj) CanServe(l, r int) bool {
-	for _, x := range a.neighbors[l] {
-		if int(x) == r {
-			return true
-		}
-	}
-	return false
-}
-
 func benchMatcherChurn(b *testing.B, warm bool) {
 	const nL, nR, deg = 1200, 300, 4
 	rng := stats.NewRNG(7)
-	adj := &benchAdj{neighbors: make([][]int32, nL)}
+	lists := make(bipartite.Lists, nL)
 	caps := make([]int64, nR)
 	for r := range caps {
 		caps[r] = 5
 	}
-	for l := range adj.neighbors {
+	for l := range lists {
 		for _, r := range rng.SampleWithoutReplacement(nR, deg) {
-			adj.neighbors[l] = append(adj.neighbors[l], int32(r))
+			lists[l] = append(lists[l], int32(r))
 		}
 	}
+	var adj bipartite.Adjacency = lists // boxed once, not per call
 	b.ReportAllocs()
 	b.ResetTimer()
 	m := bipartite.NewMatcher(caps)
@@ -186,74 +150,24 @@ func benchMatcherChurn(b *testing.B, warm bool) {
 func BenchmarkMatcherWarmIncremental(b *testing.B) { benchMatcherChurn(b, true) }
 func BenchmarkMatcherColdRecompute(b *testing.B)   { benchMatcherChurn(b, false) }
 
-// --- Blocking-flow batch augmentation vs per-root serial reference ---
-
-// benchAugmentAll is the high-utilization long-path crowd: the demand
-// slightly oversubscribes the slot capacity at sparse degree, so free
-// slots are rare, augmenting paths must cascade through many full
-// servers, and a residue of requests stays unmatched — the E5 µ=3 flash
-// crowd at matcher level. The serial reference pays one full failed BFS
-// per unmatched root on every call (and re-walks them each retry pass);
-// batch phases settle the whole frontier with one layered BFS. Each
-// iteration churns 5% of the requests and re-augments; both modes see
-// the identical instance and churn stream and end every iteration at
-// the same (maximum) matching cardinality.
-func benchAugmentAll(b *testing.B, serial bool) {
-	const nR, capR, deg = 400, 4, 3
-	const nL = nR * capR * 101 / 100
-	rng := stats.NewRNG(23)
-	adj := &benchAdj{neighbors: make([][]int32, nL)}
-	caps := make([]int64, nR)
-	for r := range caps {
-		caps[r] = capR
-	}
-	for l := range adj.neighbors {
-		for _, r := range rng.SampleWithoutReplacement(nR, deg) {
-			adj.neighbors[l] = append(adj.neighbors[l], int32(r))
-		}
-	}
-	m := bipartite.NewMatcher(caps)
-	m.SerialAugment = serial
-	for l := 0; l < nL; l++ {
-		m.AddLeft(l)
-	}
-	m.AugmentAll(adj)
-	churn := stats.NewRNG(29)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < nL/20; j++ {
-			l := churn.Intn(nL)
-			if m.Active(l) {
-				m.RemoveLeft(l)
-				m.AddLeft(l)
-			}
-		}
-		m.AugmentAll(adj)
-	}
-	b.ReportMetric(float64(m.MatchedCount()), "matched")
-}
-
-func BenchmarkAugmentAllBatch(b *testing.B)  { benchAugmentAll(b, false) }
-func BenchmarkAugmentAllSerial(b *testing.B) { benchAugmentAll(b, true) }
-
 // --- Ablation: greedy vs optimal matcher on identical instances ---
 
 func BenchmarkMatcherGreedy(b *testing.B) {
 	const nL, nR, deg = 1200, 300, 4
 	rng := stats.NewRNG(7)
-	adj := &benchAdj{neighbors: make([][]int32, nL)}
+	lists := make(bipartite.Lists, nL)
 	caps := make([]int64, nR)
 	lefts := make([]int, nL)
 	for r := range caps {
 		caps[r] = 5
 	}
-	for l := range adj.neighbors {
+	for l := range lists {
 		lefts[l] = l
 		for _, r := range rng.SampleWithoutReplacement(nR, deg) {
-			adj.neighbors[l] = append(adj.neighbors[l], int32(r))
+			lists[l] = append(lists[l], int32(r))
 		}
 	}
+	var adj bipartite.Adjacency = lists
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -165,3 +165,28 @@ func TestLoadCheckpointRefusesVersion1(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadCheckpointVersion3 restores the checkpoint the last daemon
+// before the reference engines stopped being configurable wrote
+// (`vodserve -n 20 -u 2 -seed 7`, round 3) and re-encodes it: the bytes
+// must come back identical, so state version 3 needed no bump.
+func TestLoadCheckpointVersion3(t *testing.T) {
+	want, err := os.ReadFile("internal/core/testdata/v3.vodckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := LoadCheckpoint(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Round() != 3 {
+		t.Fatalf("restored round %d, the fixture was written at round 3", sys.Round())
+	}
+	var got bytes.Buffer
+	if err := sys.SaveCheckpoint(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("re-encoded checkpoint differs from the fixture (%d bytes vs %d)", got.Len(), len(want))
+	}
+}

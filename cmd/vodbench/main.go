@@ -13,7 +13,6 @@
 //	vodbench -format md      # markdown output
 //	vodbench -plot           # add ASCII plots of figure series
 //	vodbench -seq            # run experiments sequentially
-//	vodbench -serial-augment # per-root matcher reference (ablation)
 //
 // Experiments run concurrently on a worker pool by default (output is
 // buffered until every selected experiment finishes and prints in index
@@ -40,7 +39,6 @@ func main() {
 		format  = flag.String("format", "text", "output format: text, md, csv")
 		plot    = flag.Bool("plot", false, "render ASCII plots for figures (text format only)")
 		seq     = flag.Bool("seq", false, "run experiments sequentially, streaming output")
-		serial  = flag.Bool("serial-augment", false, "use the matcher's per-root serial augmentation reference instead of blocking-flow batch phases")
 		scen    = flag.String("scenario", "", "run a declarative scenario spec (YAML/JSON) instead of the experiment suite")
 	)
 	flag.Parse()
@@ -92,7 +90,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Seed: *seed, Quick: !*full, Workers: *workers, SerialAugment: *serial}
+	opts := experiments.Options{Seed: *seed, Quick: !*full, Workers: *workers}
 	var selected []experiments.Experiment
 	if *runIDs == "" {
 		selected = experiments.All()

@@ -43,7 +43,7 @@ func main() {
 	for r := range inst.Candidates {
 		m.AddLeft(r)
 	}
-	m.AugmentAll(adj{inst})
+	m.AugmentAll(bipartite.Lists(inst.Candidates))
 	optimal := m.MatchedCount()
 	fmt.Printf("centralized max-flow optimum: %d / %d requests served\n\n", optimal, nRequests)
 
@@ -60,24 +60,4 @@ func main() {
 	fmt.Println("\nevery variant produces a valid maximal matching (≥ half optimal by")
 	fmt.Println("theory); the measured gaps show a handful of messages per request")
 	fmt.Println("buys a near-optimal decentralized matching.")
-}
-
-// adj adapts a protocol.Instance to the bipartite matcher.
-type adj struct{ inst protocol.Instance }
-
-func (a adj) VisitServers(l int, fn func(int) bool) {
-	for _, s := range a.inst.Candidates[l] {
-		if !fn(int(s)) {
-			return
-		}
-	}
-}
-
-func (a adj) CanServe(l, r int) bool {
-	for _, s := range a.inst.Candidates[l] {
-		if int(s) == r {
-			return true
-		}
-	}
-	return false
 }

@@ -23,7 +23,7 @@ import (
 )
 
 // EncodeState serializes the matcher's matching state. Construction-time
-// settings (SerialAugment, log switches) are not written: restore targets
+// settings (the assignment-log switch) are not written: restore targets
 // a matcher freshly built from the same configuration.
 func (m *Matcher) EncodeState(w *ckpt.Writer) {
 	w.Int(len(m.rights))

@@ -44,14 +44,6 @@ func (a *classAdj) serves(l int, e classEntry) bool {
 	return e.right != a.self[l] && e.weight > a.need[l]
 }
 
-func (a *classAdj) VisitServers(l int, fn func(int) bool) {
-	for _, e := range a.lists[a.class[l]] {
-		if a.serves(l, e) && !fn(e.right) {
-			return
-		}
-	}
-}
-
 func (a *classAdj) CanServe(l, r int) bool {
 	a.probes++
 	for _, e := range a.lists[a.class[l]] {
@@ -322,7 +314,7 @@ func TestClassMemoBoundsEnumeration(t *testing.T) {
 		if !reportClasses {
 			g = classless{adj}
 		}
-		m.trav.bind(g)
+		m.trav.adj = g
 		adj.pulls, adj.probes = 0, 0
 		if m.bfsLayer(frontier, g, true) {
 			t.Fatal("saturated instance reached a free right")

@@ -2,21 +2,16 @@ package bipartite
 
 // Cursor-based adjacency traversal.
 //
-// The callback form of Adjacency.VisitServers forces every traversal site
-// in the matcher to build a closure over its local state; because the
-// matcher mutates itself (assign/move) from inside those callbacks, the
-// captured variables escape and each probe of the search costs two heap
-// objects. At steady state that closure traffic is the dominant allocation
-// of the whole round loop (~800 objects/round on the bounded Step
-// benchmarks, ~3k per oversubscribed AugmentAll). The cursor API inverts
-// control: the adjacency exposes resumable pull-style enumeration, the
-// matcher owns one reusable Cursor per traversal depth, and the hot paths
-// iterate with a plain loop — no closures, no escapes, no allocation.
+// The adjacency exposes resumable pull-style enumeration, the matcher owns
+// one reusable Cursor per traversal depth, and the hot paths iterate with
+// a plain loop. A callback enumeration would force every traversal site to
+// build a closure over state the matcher mutates from inside it, so each
+// probe would escape two heap objects; the cursor costs none.
 
 // Cursor is the resumable state of one left node's server enumeration.
-// Its fields are owned by the CursorAdjacency implementation — the
-// matcher only allocates cursors (one per live traversal depth, reused
-// forever) and passes them back; it never interprets Stage, Index, or ID.
+// Its fields are owned by the Adjacency implementation — the matcher only
+// allocates cursors (one per live traversal depth, reused forever) and
+// passes them back; it never interprets Stage, Index, or ID.
 type Cursor struct {
 	Left  int32 // left node being enumerated (set by BeginServers)
 	Stage int32 // implementation-defined enumeration stage
@@ -24,76 +19,52 @@ type Cursor struct {
 	ID    int32 // implementation-defined auxiliary position (e.g. a slab id)
 }
 
-// CursorAdjacency is the allocation-free extension of Adjacency: the same
-// edge set as VisitServers, enumerated by pulling. Implementations must
-// yield exactly the sequence VisitServers would produce — traversal order
-// is behavior (it decides which maximum matching the search finds, pinned
-// by the bit-identity differentials) — and the sequence must be stable
-// under matcher mutations: the matcher assigns, moves, and unassigns
-// lefts between NextServer calls, so enumeration state must not depend on
-// the matching (our adjacencies walk the static allocation and the
-// availability store, both quiescent during matching).
-type CursorAdjacency interface {
-	Adjacency
-	// BeginServers positions c at the start of left's server enumeration.
-	BeginServers(left int, c *Cursor)
-	// NextServer returns the next right able to serve c's left and
-	// advances the cursor, or returns a negative value when the
-	// enumeration is exhausted.
-	NextServer(c *Cursor) int
-}
-
 // traverser owns the reusable traversal frames the matcher's searches
-// enumerate servers through. The cursor path drives a CursorAdjacency
-// directly; plain Adjacency implementations (tests, examples, external
-// graphs) fall back to materializing each left's VisitServers output into
-// a per-frame buffer first — allocation-free once warm for them too,
-// except the one closure VisitServers itself costs. Frames are indexed by
-// traversal depth so the batch DFS can hold an open enumeration per
-// recursion level.
+// enumerate servers through. Frames are indexed by traversal depth so the
+// batch DFS can hold an open enumeration per recursion level.
 type traverser struct {
-	cadj CursorAdjacency // non-nil when the bound adjacency supports cursors
-	fadj Adjacency       // bound adjacency (fallback buffering path)
-	curs []Cursor        // per-depth cursors / fallback read positions
-	bufs [][]int32       // per-depth materialized server lists (fallback)
-}
-
-// bind points the traverser at adj for the duration of one public matcher
-// call. The type assertion runs once per call, not once per probe.
-func (t *traverser) bind(adj Adjacency) {
-	t.fadj = adj
-	t.cadj, _ = adj.(CursorAdjacency)
+	adj  Adjacency // bound for the duration of one public matcher call
+	curs []Cursor  // per-depth cursors
 }
 
 // begin opens the enumeration of left l's servers in frame d.
 func (t *traverser) begin(l int32, d int32) {
 	for int(d) >= len(t.curs) {
 		t.curs = append(t.curs, Cursor{})
-		t.bufs = append(t.bufs, nil)
 	}
-	if t.cadj != nil {
-		t.cadj.BeginServers(int(l), &t.curs[d])
-		return
-	}
-	buf := t.bufs[d][:0]
-	t.fadj.VisitServers(int(l), func(r int) bool {
-		buf = append(buf, int32(r))
-		return true
-	})
-	t.bufs[d] = buf
-	t.curs[d] = Cursor{Left: l}
+	t.adj.BeginServers(int(l), &t.curs[d])
 }
 
 // next returns the next server in frame d, or -1 when exhausted.
 func (t *traverser) next(d int32) int {
-	if t.cadj != nil {
-		return t.cadj.NextServer(&t.curs[d])
-	}
-	c := &t.curs[d]
-	if int(c.Index) >= len(t.bufs[d]) {
+	return t.adj.NextServer(&t.curs[d])
+}
+
+// Lists is an explicit adjacency: Lists[l] holds the rights able to serve
+// left l, enumerated in order. It suits static instances — synthetic
+// round snapshots and protocol comparisons — where the edges are known up
+// front.
+type Lists [][]int32
+
+// BeginServers implements Adjacency.
+func (a Lists) BeginServers(l int, c *Cursor) { *c = Cursor{Left: int32(l)} }
+
+// NextServer implements Adjacency.
+func (a Lists) NextServer(c *Cursor) int {
+	ns := a[c.Left]
+	if int(c.Index) >= len(ns) {
 		return -1
 	}
-	r := t.bufs[d][c.Index]
 	c.Index++
-	return int(r)
+	return int(ns[c.Index-1])
+}
+
+// CanServe implements Adjacency.
+func (a Lists) CanServe(l, r int) bool {
+	for _, x := range a[l] {
+		if int(x) == r {
+			return true
+		}
+	}
+	return false
 }

@@ -28,17 +28,18 @@ func (g *Greedy) Reset() {
 func (g *Greedy) Match(adj Adjacency, lefts []int) ([]int, int) {
 	out := make([]int, len(lefts))
 	matched := 0
+	var c Cursor
 	for i, l := range lefts {
 		out[i] = Unassigned
-		adj.VisitServers(l, func(r int) bool {
+		adj.BeginServers(l, &c)
+		for r := adj.NextServer(&c); r >= 0; r = adj.NextServer(&c) {
 			if g.load[r] < g.caps[r] {
 				g.load[r]++
 				out[i] = r
 				matched++
-				return false
+				break
 			}
-			return true
-		})
+		}
 	}
 	return out, matched
 }

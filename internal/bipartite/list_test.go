@@ -24,8 +24,9 @@ func TestRightRecIs32Bytes(t *testing.T) {
 // passes for any assignment the model test makes.
 type completeAdj struct{}
 
-func (completeAdj) VisitServers(int, func(int) bool) {}
-func (completeAdj) CanServe(int, int) bool           { return true }
+func (completeAdj) BeginServers(int, *Cursor) {}
+func (completeAdj) NextServer(*Cursor) int    { return -1 }
+func (completeAdj) CanServe(int, int) bool    { return true }
 
 // listModel is the reference: one slice per right, append on assign,
 // swap-remove on unassign.

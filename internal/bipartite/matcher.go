@@ -11,7 +11,7 @@
 // rather than clearing peak-sized arrays. Augmentation itself runs in
 // Hopcroft–Karp-style blocking-flow phases over the whole dirty frontier
 // (one layered BFS, then vertex-disjoint shortest-path DFS augmentations),
-// with the per-root reference path retained behind SerialAugment. When
+// with a per-root path as the fallback for pathological cascades. When
 // augmentation stalls, the alternating-reachability set from the unmatched
 // requests is exactly a Hall violator — the paper's *obstruction*
 // certificate (Lemma 1): a set X of requests with total box capacity
@@ -31,7 +31,7 @@ const Unassigned = -1
 
 // maxBatchDepth bounds the augmenting-path length the batch DFS will
 // recurse through; longer (pathological capacity-1 cascade) phases fall
-// back to the iterative serial reference. ~4k frames stays well under a
+// back to the iterative per-root path. ~4k frames stays well under a
 // megabyte of goroutine stack.
 const maxBatchDepth = 4096
 
@@ -41,10 +41,20 @@ const noStable = -2
 // Adjacency exposes the dynamic bipartite graph. The simulator implements
 // it directly over its swarm and allocation state so that edges never need
 // to be materialized.
+//
+// Servers are enumerated by pulling (see cursor.go). Enumeration order is
+// behavior: it decides which maximum matching the search finds, pinned by
+// the bit-identity differentials. The sequence must also be stable under
+// matcher mutations: the matcher assigns, moves, and unassigns lefts
+// between NextServer calls, so enumeration state must not depend on the
+// matching.
 type Adjacency interface {
-	// VisitServers calls fn for every right node currently able to serve
-	// left node l, stopping early if fn returns false.
-	VisitServers(left int, fn func(right int) bool)
+	// BeginServers positions c at the start of left's server enumeration.
+	BeginServers(left int, c *Cursor)
+	// NextServer returns the next right able to serve c's left and
+	// advances the cursor, or returns a negative value when the
+	// enumeration is exhausted.
+	NextServer(c *Cursor) int
 	// CanServe reports whether right can currently serve left.
 	CanServe(left, right int) bool
 }
@@ -97,13 +107,6 @@ type rightRec struct {
 
 // Matcher holds the incremental assignment state.
 type Matcher struct {
-	// SerialAugment selects the retained per-root augmentation reference
-	// path instead of blocking-flow batch phases. The two produce equal
-	// matching cardinality (both drive the matching to maximum) but may
-	// pick different maximum matchings, so differential tests pin
-	// cardinality + Verify feasibility, not bit-identity.
-	SerialAugment bool
-
 	rights []rightRec // per right node: capacity, load, search marks
 
 	assigned []int32 // left -> right, or Unassigned
@@ -531,9 +534,8 @@ func (m *Matcher) DrainAssigned(dst []int32) []int32 {
 }
 
 // AugmentAll drives the matching to maximum over the dirty frontier: the
-// lefts that were added or unassigned since the last call. The default
-// path runs blocking-flow batch phases (augmentBatch); SerialAugment
-// selects the retained per-root reference. Both end with no augmenting
+// lefts that were added or unassigned since the last call. It runs
+// blocking-flow batch phases (augmentBatch), which end with no augmenting
 // path from the implicit super-source, so the matching is maximum. It
 // returns the remaining unmatched lefts in ascending order; a non-empty
 // result certifies a Lemma 1 obstruction, extractable via HallViolator.
@@ -541,7 +543,13 @@ func (m *Matcher) DrainAssigned(dst []int32) []int32 {
 // DrainAssigned convention): it is valid until the next AugmentAll call
 // and must not be retained across rounds.
 func (m *Matcher) AugmentAll(adj Adjacency) []int {
-	m.trav.bind(adj)
+	m.trav.adj = adj
+	return m.settle(m.augmentBatch(adj, m.takeDirty()))
+}
+
+// takeDirty empties the dirty queue into the worklist of its lefts that
+// are live and unassigned.
+func (m *Matcher) takeDirty() []int32 {
 	todo := m.todo[:0]
 	for _, l := range m.dirty {
 		m.inDirty[l] = false
@@ -550,11 +558,12 @@ func (m *Matcher) AugmentAll(adj Adjacency) []int {
 		}
 	}
 	m.dirty = m.dirty[:0]
-	if m.SerialAugment {
-		todo = m.augmentSerial(adj, todo)
-	} else {
-		todo = m.augmentBatch(adj, todo)
-	}
+	return todo
+}
+
+// settle re-queues the lefts augmentation left unmatched and returns them
+// sorted in AugmentAll's result buffer.
+func (m *Matcher) settle(todo []int32) []int {
 	if len(todo) == 0 {
 		m.todo = todo
 		return nil
@@ -570,9 +579,11 @@ func (m *Matcher) AugmentAll(adj Adjacency) []int {
 	return m.unmatchedOut
 }
 
-// augmentSerial is the reference augmentation path: one alternating BFS
+// augmentSerial is the per-root augmentation path: one alternating BFS
 // per unmatched root, repeated until a full pass makes no progress. It
-// returns the lefts that stayed unmatched (reusing todo's storage).
+// returns the lefts that stayed unmatched (reusing todo's storage). The
+// batch path falls back to it for pathological cascades, and the tests
+// hold the two to equal cardinality and canonical stall sets.
 func (m *Matcher) augmentSerial(adj Adjacency, todo []int32) []int32 {
 	hinter, hinted := adj.(Hinted)
 	for len(todo) > 0 {
@@ -641,7 +652,7 @@ func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 		if m.maxLevel > maxBatchDepth {
 			// Pathological cascade: the phase DFS recurses once per path
 			// hop, so an extreme shortest-path length would translate into
-			// goroutine stack depth. The iterative per-root reference
+			// goroutine stack depth. The iterative per-root path
 			// (BFS queue + applyPath loop) handles arbitrary lengths in
 			// O(1) stack; it is also maximum, so switching mid-call keeps
 			// the cardinality contract.
@@ -960,7 +971,7 @@ func (m *Matcher) beginSearch() {
 // displacement swaps a root for its victim) and returned re-sorted;
 // cardinality never changes.
 func (m *Matcher) CanonicalizeDeficit(adj Adjacency, unmatched []int) []int {
-	m.trav.bind(adj)
+	m.trav.adj = adj
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < len(unmatched); i++ {
@@ -1056,7 +1067,7 @@ type Violator struct {
 // from all unmatched lefts; the reached lefts X and rights B(X) satisfy
 // U_B(X) < |X| (in slots). Returns nil if every active left is matched.
 func (m *Matcher) HallViolator(adj Adjacency) *Violator {
-	m.trav.bind(adj)
+	m.trav.adj = adj
 	m.beginSearch()
 	m.queue = m.queue[:0]
 	m.reachedR = m.reachedR[:0]

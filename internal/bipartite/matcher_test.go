@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,12 +18,15 @@ func newListAdj() *listAdj { return &listAdj{neighbors: make(map[int][]int)} }
 
 func (a *listAdj) add(l int, rs ...int) { a.neighbors[l] = append(a.neighbors[l], rs...) }
 
-func (a *listAdj) VisitServers(l int, fn func(int) bool) {
-	for _, r := range a.neighbors[l] {
-		if !fn(r) {
-			return
-		}
+func (a *listAdj) BeginServers(l int, c *Cursor) { *c = Cursor{Left: int32(l)} }
+
+func (a *listAdj) NextServer(c *Cursor) int {
+	ns := a.neighbors[int(c.Left)]
+	if int(c.Index) >= len(ns) {
+		return -1
 	}
+	c.Index++
+	return ns[c.Index-1]
 }
 
 func (a *listAdj) CanServe(l, r int) bool {
@@ -500,16 +504,27 @@ func TestInvalidateMatchesRevalidate(t *testing.T) {
 	}
 }
 
+// augmentAllSerial is AugmentAll on the per-root path: the reference the
+// blocking-flow batch phases are held to.
+func (m *Matcher) augmentAllSerial(adj Adjacency) []int {
+	m.trav.adj = adj
+	return m.settle(m.augmentSerial(adj, m.takeDirty()))
+}
+
 // TestBatchEqualsSerialLockstep is the blocking-flow differential: a
-// batch-phase matcher and a SerialAugment reference are driven through
-// identical randomized rounds of arrivals, departures, edge invalidation
-// (adjacency mutation + Revalidate), and capacity changes. Batch phases
-// may pick a different maximum matching than root-by-root augmentation,
-// so the pin is cardinality + feasibility, not bit-identity: after every
-// round both matchers must (a) match exactly the same number of lefts,
-// (b) equal the max-flow optimum on the live instance, and (c) pass
-// Verify. See AugmentAll's contract.
+// batch-phase matcher and the per-root reference (augmentAllSerial) are
+// driven through identical randomized rounds of arrivals, departures,
+// edge invalidation (adjacency mutation + Revalidate), and capacity
+// changes. Batch phases may pick a different maximum matching than
+// root-by-root augmentation, so the pin is cardinality + feasibility, not
+// bit-identity: after every round both matchers must (a) match exactly
+// the same number of lefts, (b) equal the max-flow optimum on the live
+// instance, and (c) pass Verify. On a deficit round both are then
+// canonicalized, as the engine does, and (d) must leave exactly the same
+// lefts unmatched: CanonicalizeDeficit makes the stall set a function of
+// the graph, not of the search that found the matching.
 func TestBatchEqualsSerialLockstep(t *testing.T) {
+	deficits := 0
 	for seed := uint64(0); seed < 12; seed++ {
 		rng := stats.NewRNG(0xb10c ^ seed)
 		nR := 3 + rng.Intn(8)
@@ -519,7 +534,6 @@ func TestBatchEqualsSerialLockstep(t *testing.T) {
 		}
 		batch := NewMatcher(caps)
 		serial := NewMatcher(caps)
-		serial.SerialAugment = true
 
 		adj := newListAdj()
 		var nextLeft int
@@ -579,13 +593,22 @@ func TestBatchEqualsSerialLockstep(t *testing.T) {
 			}
 
 			unB := batch.AugmentAll(adj)
-			unS := serial.AugmentAll(adj)
+			unS := serial.augmentAllSerial(adj)
 			if batch.MatchedCount() != serial.MatchedCount() {
 				t.Fatalf("seed %d round %d: batch matched %d, serial %d",
 					seed, round, batch.MatchedCount(), serial.MatchedCount())
 			}
 			if len(unB) != len(unS) {
 				t.Fatalf("seed %d round %d: batch unmatched %v, serial %v", seed, round, unB, unS)
+			}
+			if len(unB) > 0 {
+				deficits++
+				unB = batch.CanonicalizeDeficit(adj, unB)
+				unS = serial.CanonicalizeDeficit(adj, unS)
+				if !slices.Equal(unB, unS) {
+					t.Fatalf("seed %d round %d: canonical stall sets differ: batch %v, serial %v",
+						seed, round, unB, unS)
+				}
 			}
 			var lefts []int
 			for l := range active {
@@ -605,6 +628,9 @@ func TestBatchEqualsSerialLockstep(t *testing.T) {
 				t.Fatalf("seed %d round %d: serial matcher corrupt: %v", seed, round, err)
 			}
 		}
+	}
+	if deficits < 50 {
+		t.Fatalf("only %d deficit rounds: the canonical stall-set pin is barely exercised", deficits)
 	}
 }
 
@@ -642,7 +668,7 @@ func TestBatchLongPaths(t *testing.T) {
 // TestBatchDepthFallback crosses maxBatchDepth with the same cascade
 // chain: the phase BFS measures a shortest path longer than the DFS
 // recursion bound, so the batch path must hand the frontier to the
-// iterative serial reference and still reach the maximum matching.
+// iterative per-root path and still reach the maximum matching.
 func TestBatchDepthFallback(t *testing.T) {
 	const n = maxBatchDepth + 64
 	caps := make([]int64, n)

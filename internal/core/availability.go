@@ -46,8 +46,8 @@ type availEvent struct {
 
 // availabilityStore indexes the playback-cache entries that, together with
 // the static allocation, define the server sets B(x) of Section 2.2. The
-// production implementation is indexedAvailability; naiveAvailability is
-// the retained linear-scan reference the differential tests pin it to.
+// production implementation is indexedAvailability; the differential
+// tests substitute a linear-scan reference through this interface.
 type availabilityStore interface {
 	// add records a new cache entry for stripe st.
 	add(st video.StripeID, e entry)
@@ -57,21 +57,16 @@ type availabilityStore interface {
 	// retire freezes all entries backed by request slot req at final
 	// progress final (each entry freezes at final−lag).
 	retire(st video.StripeID, req int32, final int32)
-	// visit calls fn for every entry of st whose box is not exclude and
-	// whose progress exceeds need, stopping early if fn returns false.
-	visit(st video.StripeID, exclude int32, need int32, reqProgress []int32, fn func(right int) bool)
 	// visitHead returns the starting position of stripe st's entry walk
 	// for visitStep — an implementation-defined token, not a box id.
-	// Together they are the pull-style (cursor) form of visit, used by
-	// the adjacency's bipartite.CursorAdjacency implementation so the
-	// matcher's searches enumerate servers without callback closures.
-	// The emitted sequence is exactly visit's; positions stay valid as
-	// long as the store is quiescent (no add/retire/expire), which holds
+	// Together they enumerate the boxes serving a request of st, for the
+	// adjacency's bipartite.Adjacency cursor. Positions stay valid as long
+	// as the store is quiescent (no add/retire/expire), which holds
 	// throughout the matching phase.
 	visitHead(st video.StripeID) int32
-	// visitStep scans from position h for the next entry of st passing
-	// visit's filter (box != exclude, chunks > need), returning its box and
-	// the position after it. Exhaustion returns box -1.
+	// visitStep scans from position h for the next entry of st whose box
+	// is not exclude and whose progress exceeds need, returning its box
+	// and the position after it. Exhaustion returns box -1.
 	visitStep(st video.StripeID, h int32, exclude int32, need int32, reqProgress []int32) (box, next int32)
 	// canServe reports whether box has an entry for st with progress
 	// beyond need.
@@ -116,10 +111,6 @@ type indexedAvailability struct {
 	byKey     keyIndex     // (stripe, box) → head of same-key chain
 	ring      [][]int32    // entry ids bucketed by start mod ring length
 	eventLog  []availEvent // freeze/expiry events since the last drain
-
-	// logEvents enables the freeze/expiry log; the engine turns it on for
-	// event-driven invalidation (sweep modes never drain, so it stays off).
-	logEvents bool
 }
 
 // availKey packs a (stripe, box) pair into one index key.
@@ -257,9 +248,7 @@ func (ix *indexedAvailability) remove(id int32) {
 	if e.req >= 0 {
 		ix.unlinkReq(e.req, id)
 	}
-	if ix.logEvents {
-		ix.eventLog = append(ix.eventLog, availEvent{stripe: e.stripe, box: e.box})
-	}
+	ix.eventLog = append(ix.eventLog, availEvent{stripe: e.stripe, box: e.box})
 	ix.slab[id] = idxEntry{}
 	ix.free = append(ix.free, id)
 }
@@ -277,20 +266,7 @@ func (ix *indexedAvailability) retire(_ video.StripeID, req int32, final int32) 
 		e.frozen = final - e.lag
 		e.req = -1
 		links[i] = -1
-		if ix.logEvents {
-			ix.eventLog = append(ix.eventLog, availEvent{stripe: e.stripe, box: e.box})
-		}
-	}
-}
-
-func (ix *indexedAvailability) visit(st video.StripeID, exclude int32, need int32, reqProgress []int32, fn func(right int) bool) {
-	for id := ix.byStripe[st]; id >= 0; id = ix.slab[id].next {
-		e := &ix.slab[id]
-		if e.box != exclude && entryChunks(&e.entry, reqProgress) > need {
-			if !fn(int(e.box)) {
-				return
-			}
-		}
+		ix.eventLog = append(ix.eventLog, availEvent{stripe: e.stripe, box: e.box})
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 //
 //  1. A store-level property test drives both implementations with one
 //     randomized event stream (adds, freezes, window expiry) and asserts
-//     every query — visit sets, canServe, margin, hasFull, live counts —
-//     agrees after each round.
+//     every query — visitHead/visitStep walks, canServe, margin, hasFull,
+//     live counts — agrees after each round.
 //  2. A system-level differential test runs full simulations twice, once
-//     per store (Config.NaiveAvailability), and asserts identical step
-//     results, obstruction certificates, and reports round by round.
+//     per store (the reference installed by useNaiveStore and stepped with
+//     sweepStep), and asserts identical step results, obstruction
+//     certificates, and reports round by round.
 //     Under FailStop every pre-failure round has all requests matched and
 //     the Hall-violator sets are invariant across maximum matchings, so
 //     runs must agree exactly however the matcher orders its search.
@@ -110,17 +111,30 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 			}
 			exclude := int32(rng.Intn(numBoxes))
 			need := int32(rng.Intn(T + 1))
-			collect := func(s availabilityStore) []int {
+			// The walk the adjacency's cursor runs. Enumeration order
+			// legitimately differs between the stores, so the yields are
+			// compared sorted. A box holding several serving entries of the
+			// stripe is yielded once per entry; the naive walk is a plain
+			// index scan, so any entry the indexed walk yields twice (or
+			// skips) shows as a count mismatch.
+			walk := func(s availabilityStore) []int {
 				var out []int
-				s.visit(st, exclude, need, reqProgress, func(right int) bool {
-					out = append(out, right)
-					return true
-				})
+				for h := s.visitHead(st); ; {
+					box, next := s.visitStep(st, h, exclude, need, reqProgress)
+					if box < 0 {
+						break
+					}
+					if len(out) > naive.live(st) {
+						t.Fatalf("round %d stripe %d: walk yields more boxes than the stripe has entries", round, st)
+					}
+					out = append(out, int(box))
+					h = next
+				}
 				sort.Ints(out)
 				return out
 			}
-			if got, want := collect(idx), collect(naive); !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d stripe %d visit(exclude=%d, need=%d): indexed %v, naive %v",
+			if got, want := walk(idx), walk(naive); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d stripe %d walk(exclude=%d, need=%d): indexed %v, naive %v",
 					round, st, exclude, need, got, want)
 			}
 			for box := int32(0); int(box) < numBoxes; box++ {
@@ -148,9 +162,10 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 	return idx
 }
 
-// runDifferential steps an indexed and a naive system in lockstep and
-// fails on the first observable divergence.
-func runDifferential(t *testing.T, name string, mkSys func(t *testing.T, naive bool) *System, mkGen func() Generator, rounds int) {
+// runDifferential steps a production system and a reference — built by
+// mkSys(t, true) and stepped with sweepStep — in lockstep and fails on
+// the first observable divergence.
+func runDifferential(t *testing.T, name string, mkSys func(t *testing.T, ref bool) *System, mkGen func() Generator, rounds int) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
 		indexed := mkSys(t, false)
@@ -158,7 +173,7 @@ func runDifferential(t *testing.T, name string, mkSys func(t *testing.T, naive b
 		genI, genN := mkGen(), mkGen()
 		for r := 0; r < rounds && !indexed.Failed() && !naive.Failed(); r++ {
 			resI, errI := indexed.Step(genI)
-			resN, errN := naive.Step(genN)
+			resN, errN := sweepStep(naive, genN)
 			if (errI == nil) != (errN == nil) {
 				t.Fatalf("round %d: errors diverge: indexed %v, naive %v", r+1, errI, errN)
 			}
@@ -253,18 +268,25 @@ func buildRelayedDiff(t *testing.T, naive bool) *System {
 		t.Fatal(err)
 	}
 	sys, err := NewSystem(Config{
-		Alloc:             alloc,
-		Uploads:           uploads,
-		Mu:                1.05,
-		Strategy:          StrategyRelayed,
-		UStar:             1.5,
-		Relays:            []int{2, 3, NoRelay, NoRelay, NoRelay, NoRelay},
-		Paranoid:          true,
-		TraceRounds:       true,
-		NaiveAvailability: naive,
+		Alloc:       alloc,
+		Uploads:     uploads,
+		Mu:          1.05,
+		Strategy:    StrategyRelayed,
+		UStar:       1.5,
+		Relays:      []int{2, 3, NoRelay, NoRelay, NoRelay, NoRelay},
+		Paranoid:    true,
+		TraceRounds: true,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return withStore(naive, sys)
+}
+
+// withStore installs the naive reference store on sys when naive is set.
+func withStore(naive bool, sys *System) *System {
+	if naive {
+		useNaiveStore(sys)
 	}
 	return sys
 }
@@ -272,11 +294,10 @@ func buildRelayedDiff(t *testing.T, naive bool) *System {
 func TestIndexedMatchesNaiveAvailability(t *testing.T) {
 	homogeneous := func(seed uint64, strategy Strategy, u float64) func(*testing.T, bool) *System {
 		return func(t *testing.T, naive bool) *System {
-			return buildHomogeneous(t, seed, 24, 2, 4, 12, 4, u, 1.4, func(cfg *Config) {
+			return withStore(naive, buildHomogeneous(t, seed, 24, 2, 4, 12, 4, u, 1.4, func(cfg *Config) {
 				cfg.Strategy = strategy
-				cfg.NaiveAvailability = naive
 				cfg.TraceRounds = true
-			})
+			}))
 		}
 	}
 
@@ -294,10 +315,9 @@ func TestIndexedMatchesNaiveAvailability(t *testing.T) {
 	// Under-provisioned: both stores must fail on the same round with the
 	// same Hall-violator certificate.
 	underProvisioned := func(t *testing.T, naive bool) *System {
-		return buildHomogeneous(t, 8, 10, 1, 4, 12, 1, 0.5, 2.0, func(cfg *Config) {
-			cfg.NaiveAvailability = naive
+		return withStore(naive, buildHomogeneous(t, 8, 10, 1, 4, 12, 1, 0.5, 2.0, func(cfg *Config) {
 			cfg.TraceRounds = true
-		})
+		}))
 	}
 	runDifferential(t, "obstruction/avoid", underProvisioned,
 		func() Generator { return genAvoidStored{} }, 20)
@@ -307,15 +327,14 @@ func TestIndexedMatchesNaiveAvailability(t *testing.T) {
 	// and the first fully matched round afterwards rebuilds every
 	// invalidation certificate — both transitions must stay bit-identical
 	// to the always-sweep reference. The reference here is the *indexed*
-	// store with SweepRevalidation (not the naive store): under stalls the
+	// store, swept every round (not the naive store): under stalls the
 	// victim choice among equally maximum matchings depends on server
 	// enumeration order, which differs between the two stores, so only
 	// same-store pairs are exactly comparable in stall regimes (the
 	// naive-store pairs above all run fully matched until failure).
-	overloaded := func(t *testing.T, sweep bool) *System {
+	overloaded := func(t *testing.T, _ bool) *System {
 		return buildHomogeneous(t, 33, 12, 1, 4, 10, 1, 0.75, 3.0, func(cfg *Config) {
 			cfg.Failure = FailStall
-			cfg.SweepRevalidation = sweep
 			cfg.TraceRounds = true
 		})
 	}
@@ -349,10 +368,9 @@ func TestIndexedMatchesNaiveAvailability(t *testing.T) {
 
 	// Back-to-back viewings exercise frozen-entry self-possession.
 	backToBack := func(t *testing.T, naive bool) *System {
-		return buildHomogeneous(t, 25, 12, 2, 3, 8, 4, 2.0, 1.5, func(cfg *Config) {
-			cfg.NaiveAvailability = naive
+		return withStore(naive, buildHomogeneous(t, 25, 12, 2, 3, 8, 4, 2.0, 1.5, func(cfg *Config) {
 			cfg.TraceRounds = true
-		})
+		}))
 	}
 	runDifferential(t, "preload/backtoback", backToBack,
 		func() Generator {

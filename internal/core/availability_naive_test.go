@@ -1,14 +1,16 @@
 package core
 
 import (
+	"repro/internal/ckpt"
 	"repro/internal/video"
 )
 
 // naiveAvailability is the executable specification of the availability
 // substrate: flat per-stripe entry slices with linear scans everywhere and
 // a full-catalog sweep on expiry — the original hot path, retained so the
-// differential tests can pin indexedAvailability to its exact semantics
-// (Config.NaiveAvailability selects it).
+// differential tests can pin indexedAvailability to its exact semantics.
+// A test installs it with s.avail = newNaiveAvailability(…) right after
+// NewSystem and forces the Revalidate sweep (it logs no events).
 type naiveAvailability struct {
 	T       int
 	entries [][]entry // per stripe, in insertion order
@@ -50,17 +52,6 @@ func (na *naiveAvailability) retire(st video.StripeID, req int32, final int32) {
 		if e.req == req {
 			e.frozen = final - e.lag
 			e.req = -1
-		}
-	}
-}
-
-func (na *naiveAvailability) visit(st video.StripeID, exclude int32, need int32, reqProgress []int32, fn func(right int) bool) {
-	for i := range na.entries[st] {
-		e := &na.entries[st][i]
-		if e.box != exclude && entryChunks(e, reqProgress) > need {
-			if !fn(int(e.box)) {
-				return
-			}
 		}
 	}
 }
@@ -121,3 +112,9 @@ func (na *naiveAvailability) margin(st video.StripeID, box int32, need int32, re
 // drainEvents is a no-op: the naive store pairs with the full Revalidate
 // sweep, which needs no targeted notifications.
 func (na *naiveAvailability) drainEvents(dst []availEvent) []availEvent { return dst }
+
+// The reference store is never checkpointed.
+func (na *naiveAvailability) encodeState(*ckpt.Writer) { panic("core: naive store has no codec") }
+func (na *naiveAvailability) decodeState(*ckpt.Reader) error {
+	panic("core: naive store has no codec")
+}

@@ -56,18 +56,12 @@ func (s *System) Fingerprint() uint64 {
 	put(uint64(s.cat.T))
 	put(uint64(s.cfg.Strategy))
 	put(uint64(s.cfg.Failure))
-	flags := uint64(0)
-	if s.eventDriven {
-		flags |= 1
-	}
-	if s.cfg.NaiveAvailability {
-		flags |= 2
-	}
+	// Bit 0 (event-driven invalidation) is always set and bits 1 and 3
+	// named reference engines that are no longer configurable; the word
+	// keeps that layout so every configuration hashes as it always has.
+	flags := uint64(1)
 	if s.cfg.DisableCacheServing {
 		flags |= 4
-	}
-	if s.cfg.SerialAugment {
-		flags |= 8
 	}
 	put(flags)
 	put(math.Float64bits(s.cfg.Mu))
@@ -252,7 +246,7 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 }
 
 // encodeRing writes a recheck ring (bucket count, then each bucket in
-// order). A nil ring — sweep mode — writes zero buckets.
+// order).
 func encodeRing(w *ckpt.Writer, ring [][]int32) {
 	w.Int(len(ring))
 	for _, bucket := range ring {
@@ -287,42 +281,6 @@ func encodeEntry(w *ckpt.Writer, e *entry) {
 
 func decodeEntry(r *ckpt.Reader) entry {
 	return entry{box: r.I32(), start: r.I32(), req: r.I32(), lag: r.I32(), frozen: r.I32()}
-}
-
-func (na *naiveAvailability) encodeState(w *ckpt.Writer) {
-	w.Int(len(na.entries))
-	for st := range na.entries {
-		es := na.entries[st]
-		w.Int(len(es))
-		for i := range es {
-			encodeEntry(w, &es[i])
-		}
-	}
-}
-
-func (na *naiveAvailability) decodeState(r *ckpt.Reader) error {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(na.entries) {
-		return fmt.Errorf("core: checkpoint has %d stripes, store has %d", n, len(na.entries))
-	}
-	for st := range na.entries {
-		k := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if k < 0 || k > math.MaxInt32 {
-			return fmt.Errorf("core: checkpoint stripe %d entry count %d out of range", st, k)
-		}
-		es := make([]entry, k)
-		for i := range es {
-			es[i] = decodeEntry(r)
-		}
-		na.entries[st] = es
-	}
-	return r.Err()
 }
 
 // encodeState writes the indexed store raw: the slab with its intrusive

@@ -100,23 +100,6 @@ type Config struct {
 	UStar float64
 	// Paranoid enables per-round matching verification (tests).
 	Paranoid bool
-	// NaiveAvailability selects the retained linear-scan reference
-	// availability store instead of the indexed one (which also implies
-	// SweepRevalidation — the naive store emits no invalidation events).
-	// It exists for the differential tests and ablations; production runs
-	// leave it false.
-	NaiveAvailability bool
-	// SweepRevalidation forces the full per-round Revalidate sweep over
-	// all assigned requests instead of event-driven targeted invalidation.
-	// The reference path for differential tests and ablations; production
-	// runs leave it false.
-	SweepRevalidation bool
-	// SerialAugment selects the matcher's retained per-root augmentation
-	// reference instead of blocking-flow batch phases. Both reach a
-	// maximum matching every round (equal cardinality, possibly different
-	// assignments); the serial path exists for differential tests and
-	// ablations, and production runs leave it false.
-	SerialAugment bool
 	// TraceRounds records per-round statistics in the report when true.
 	TraceRounds bool
 }

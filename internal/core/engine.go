@@ -83,18 +83,16 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	s.metrics.demands += int64(res.Demanded)
 	s.metrics.admitted += int64(res.Admitted)
 
-	// Connection matching (Lemma 1). Event-driven mode repairs only the
+	// Connection matching (Lemma 1). Invalidation repairs only the
 	// assignments that freeze/expiry events or due margin rechecks have
-	// flagged; the sweep runs under Config.NaiveAvailability and while a
-	// stall episode keeps certificates unreliable (see invalidation.go).
+	// flagged; the full sweep runs while a stall episode keeps
+	// certificates unreliable (see invalidation.go).
 	adj := s.adj
-	if s.eventDriven && !s.needSweep {
-		s.invalidateTargeted(adj)
-	} else {
-		if s.eventDriven {
-			s.discardInvalidationBacklog()
-		}
+	if s.needSweep {
+		s.discardInvalidationBacklog()
 		s.matcher.Revalidate(adj)
+	} else {
+		s.invalidateTargeted(adj)
 	}
 	unmatched := s.matcher.AugmentAll(adj)
 	res.Matched = s.matcher.MatchedCount()
@@ -112,8 +110,8 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 		// set (unique fixpoint, see bipartite.CanonicalizeDeficit): which
 		// requests stall then depends on the graph alone, not on which
 		// maximum matching the augmenter happened to find, so whole
-		// FailStall trajectories — not just per-round counts — are the same
-		// under either augmentation mode.
+		// FailStall trajectories — not just per-round counts — do not
+		// depend on the augmenter's search order.
 		s.matcher.CanonicalizeDeficit(adj, unmatched)
 	}
 
@@ -132,9 +130,7 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 			s.reqProgress[slot]++
 		}
 	}
-	if s.eventDriven {
-		s.refreshAssignmentCertificates(res.Unmatched)
-	}
+	s.refreshAssignmentCertificates(res.Unmatched)
 
 	s.metrics.observeRound(s, res)
 	return res, batchErr

@@ -20,8 +20,8 @@ package core
 // Allocation-backed (stable) edges never decay and carry no certificate.
 // The result is a fully output-sensitive invalidation phase: per-round
 // cost tracks freeze/expiry volume and due rechecks, not the active set.
-// Config.NaiveAvailability selects the retained Revalidate sweep, and the
-// differential tests pin both paths to identical behavior.
+// The differential tests pin it to the Revalidate sweep, which they force
+// every round by setting needSweep.
 
 import "repro/internal/bipartite"
 

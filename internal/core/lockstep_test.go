@@ -7,88 +7,96 @@ import (
 	"repro/internal/stats"
 )
 
-// driveLockstep steps every system through the same seeded workload for
-// `rounds` rounds, applying the same deterministic capacity changes to
-// all of them, and fails on the first observable divergence from the
-// first system: StepResult (including the obstruction certificate, which
-// reflect.DeepEqual follows through the pointer), per-slot progress, and
-// the busy set. Returns the number of rounds with unmatched requests.
-func driveLockstep(t *testing.T, systems []*System, seed uint64, p float64, rounds int, capFlip bool) int {
+// sweepStep forces the Revalidate sweep for s's next round and steps it:
+// the reference that targeted invalidation is pinned to. Certificates
+// rebuilt at the end of a fully matched round are never consulted, since
+// the next call forces the sweep again.
+func sweepStep(s *System, gen Generator) (StepResult, error) {
+	s.needSweep = true
+	return s.Step(gen)
+}
+
+// useNaiveStore swaps in the linear-scan reference store. It must run
+// right after NewSystem, and the system must then be stepped with
+// sweepStep: the naive store logs no invalidation events.
+func useNaiveStore(s *System) {
+	s.avail = newNaiveAvailability(s.cat.NumStripes(), s.cat.T)
+}
+
+// driveLockstep steps a production system and a reference (stepped with
+// sweepStep) through the same seeded workload for `rounds` rounds,
+// applying the same deterministic capacity changes to both, and fails on
+// the first observable divergence: StepResult (including the obstruction
+// certificate, which reflect.DeepEqual follows through the pointer),
+// per-slot progress, and the busy set. Returns the number of rounds with
+// unmatched requests.
+func driveLockstep(t *testing.T, prod, ref *System, seed uint64, p float64, rounds int, capFlip bool) int {
 	t.Helper()
-	gens := make([]Generator, len(systems))
-	for i := range systems {
-		gens[i] = &uniformGen{rng: stats.NewRNG(seed), p: p}
-	}
-	ref := systems[0]
-	n := ref.NumBoxes()
-	origCap := ref.View().UploadSlots(0)
+	genP := &uniformGen{rng: stats.NewRNG(seed), p: p}
+	genR := &uniformGen{rng: stats.NewRNG(seed), p: p}
+	n := prod.NumBoxes()
+	origCap := prod.View().UploadSlots(0)
 	stallRounds := 0
 	for r := 1; r <= rounds; r++ {
-		var refRes StepResult
-		for i, sys := range systems {
-			if capFlip {
-				checkpointChurn(t, sys, r, origCap)
-			}
-			res, err := sys.Step(gens[i])
-			if err != nil {
-				t.Fatalf("round %d system %d: %v", r, i, err)
-			}
-			if i == 0 {
-				refRes = res
-				continue
-			}
-			if !reflect.DeepEqual(res, refRes) {
-				t.Fatalf("round %d: step results diverge\nsystem 0: %+v\nsystem %d: %+v", r, refRes, i, res)
-			}
-			for _, slot := range ref.activeList {
-				if ref.reqProgress[slot] != sys.reqProgress[slot] {
-					t.Fatalf("round %d system %d: progress of slot %d diverges: %d vs %d",
-						r, i, slot, ref.reqProgress[slot], sys.reqProgress[slot])
-				}
-			}
-			for b := 0; b < n; b++ {
-				if ref.boxes[b].busy != sys.boxes[b].busy {
-					t.Fatalf("round %d system %d: busy state of box %d diverges", r, i, b)
-				}
+		if capFlip {
+			checkpointChurn(t, prod, r, origCap)
+			checkpointChurn(t, ref, r, origCap)
+		}
+		resP, errP := prod.Step(genP)
+		resR, errR := sweepStep(ref, genR)
+		if errP != nil || errR != nil {
+			t.Fatalf("round %d: errors production=%v reference=%v", r, errP, errR)
+		}
+		if !reflect.DeepEqual(resP, resR) {
+			t.Fatalf("round %d: step results diverge\nproduction: %+v\nreference:  %+v", r, resP, resR)
+		}
+		for _, slot := range prod.activeList {
+			if prod.reqProgress[slot] != ref.reqProgress[slot] {
+				t.Fatalf("round %d: progress of slot %d diverges: %d vs %d",
+					r, slot, prod.reqProgress[slot], ref.reqProgress[slot])
 			}
 		}
-		if refRes.Unmatched > 0 {
+		for b := 0; b < n; b++ {
+			if prod.boxes[b].busy != ref.boxes[b].busy {
+				t.Fatalf("round %d: busy state of box %d diverges", r, b)
+			}
+		}
+		if resP.Unmatched > 0 {
 			stallRounds++
 		}
-		if ref.Failed() {
+		if prod.Failed() {
 			break
 		}
 	}
 	return stallRounds
 }
 
-// TestReferencePinsLockstep holds each retained reference path (naive
-// availability, sweep revalidation, serial augmentation) in lockstep with
-// the production path over a FailStall workload that mixes admissions,
-// retirements, capacity changes, and stall rounds. Stall rounds are the
-// hard case — different maximum matchings cover different request subsets
-// — and CanonicalizeDeficit is what pins both sides to one stall set.
+// TestReferencePinsLockstep holds each retained reference (naive
+// availability, sweep revalidation) in lockstep with the production path
+// over a FailStall workload that mixes admissions, retirements, capacity
+// changes, and stall rounds. Stall rounds are the hard case — different
+// maximum matchings cover different request subsets — and
+// CanonicalizeDeficit is what pins both sides to one stall set.
 func TestReferencePinsLockstep(t *testing.T) {
 	pins := []struct {
-		name  string
-		tweak func(*Config)
+		name    string
+		install func(*System)
 	}{
-		{"naive-availability", func(cfg *Config) { cfg.NaiveAvailability = true }},
-		{"sweep-revalidation", func(cfg *Config) { cfg.SweepRevalidation = true }},
-		{"serial-augment", func(cfg *Config) { cfg.SerialAugment = true }},
+		{"naive-availability", useNaiveStore},
+		{"sweep-revalidation", nil},
 	}
 	for _, pin := range pins {
 		t.Run(pin.name, func(t *testing.T) {
-			mk := func(tweak func(*Config)) *System {
+			mk := func() *System {
 				return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) {
 					cfg.Failure = FailStall
-					if tweak != nil {
-						tweak(cfg)
-					}
 				})
 			}
-			systems := []*System{mk(nil), mk(pin.tweak)}
-			if driveLockstep(t, systems, 1213, 0.8, 120, true) == 0 {
+			prod, ref := mk(), mk()
+			if pin.install != nil {
+				pin.install(ref)
+			}
+			if driveLockstep(t, prod, ref, 1213, 0.8, 120, true) == 0 {
 				t.Fatal("workload never stalled: the canonical-deficit comparison is untested")
 			}
 		})

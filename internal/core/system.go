@@ -94,11 +94,9 @@ type System struct {
 	// (round mod len), so issuing costs O(due this round), not O(pending).
 	pendingRing [][]issuance
 
-	// Event-driven invalidation state (see invalidation.go). eventDriven
-	// is false under Config.NaiveAvailability, which keeps the full
-	// Revalidate sweep; needSweep forces sweeps after stall rounds until
+	// Event-driven invalidation state (see invalidation.go). needSweep
+	// forces the full Revalidate sweep after stall rounds until
 	// certificates can be rebuilt.
-	eventDriven bool
 	needSweep   bool
 	recheckRing [][]int32
 	availEvents []availEvent
@@ -128,21 +126,11 @@ func NewSystem(cfg Config) (*System, error) {
 		tracker:     swarm.NewTracker(cat.M, cat.T, cfg.Mu),
 		boxes:       make([]boxRec, n),
 		pendingRing: make([][]issuance, maxIssuanceDelay+1),
+		avail:       newIndexedAvailability(cat.NumStripes(), cat.T),
+		recheckRing: make([][]int32, cat.T+2),
 	}
 	s.adj = adjacency{s}
-	s.matcher.SerialAugment = cfg.SerialAugment
-	if cfg.NaiveAvailability {
-		s.avail = newNaiveAvailability(cat.NumStripes(), cat.T)
-	} else {
-		ix := newIndexedAvailability(cat.NumStripes(), cat.T)
-		if !cfg.SweepRevalidation {
-			ix.logEvents = true
-			s.eventDriven = true
-			s.recheckRing = make([][]int32, cat.T+2)
-			s.matcher.LogAssignments(true)
-		}
-		s.avail = ix
-	}
+	s.matcher.LogAssignments(true)
 	s.idleList = make([]int32, n)
 	for b := range s.idleList {
 		if caps[b] > math.MaxInt32 {
@@ -306,41 +294,20 @@ func (s *System) SetCapacity(b int, slots int64) error {
 // playback caches — the graph G of Section 2.2.
 type adjacency struct{ s *System }
 
-// VisitServers enumerates B(x): allocation boxes first (they hold the full
-// stripe), then swarm predecessors with enough progress.
-func (a adjacency) VisitServers(left int, fn func(right int) bool) {
-	s := a.s
-	slot := int32(left)
-	stripe := s.reqStripe[slot]
-	requester := s.reqBox[slot]
-	for _, b := range s.cfg.Alloc.ByStripe[stripe] {
-		if b != requester {
-			if !fn(int(b)) {
-				return
-			}
-		}
-	}
-	if s.cfg.DisableCacheServing {
-		return
-	}
-	s.avail.visit(stripe, requester, s.reqProgress[slot], s.reqProgress, fn)
-}
-
-// BeginServers implements bipartite.CursorAdjacency: the matcher's hot
-// traversal path, replacing the closure form of VisitServers (whose
-// captured locals escape to the heap on every probe). Stage 0 walks the
-// allocation holders by index; stage 1 walks the availability store via
-// its pull-style visitHead/visitStep cursor. Both substrates are
-// quiescent during matching — entries are added/retired/expired only in
-// other Step phases — so the live cursor sees exactly the sequence the
-// callback form would.
+// BeginServers implements bipartite.Adjacency: it opens the enumeration
+// of B(x), allocation boxes first (they hold the full stripe), then swarm
+// predecessors with enough progress. Stage 0 walks the allocation holders
+// by index; stage 1 walks the availability store via its pull-style
+// visitHead/visitStep cursor. Both substrates are quiescent during
+// matching — entries are added/retired/expired only in other Step
+// phases — so an open cursor stays valid while the matcher mutates.
 func (a adjacency) BeginServers(left int, c *bipartite.Cursor) {
 	c.Left = int32(left)
 	c.Stage = 0
 	c.Index = 0
 }
 
-// NextServer implements bipartite.CursorAdjacency; it yields -1 when the
+// NextServer implements bipartite.Adjacency; it yields -1 when the
 // server list of the cursor's request is exhausted.
 func (a adjacency) NextServer(c *bipartite.Cursor) int {
 	s := a.s
@@ -374,7 +341,8 @@ func (a adjacency) NextServer(c *bipartite.Cursor) int {
 	return -1
 }
 
-// CanServe mirrors VisitServers for a single candidate.
+// CanServe tests a single candidate against the same B(x) NextServer
+// enumerates.
 func (a adjacency) CanServe(left, right int) bool {
 	s := a.s
 	slot := int32(left)

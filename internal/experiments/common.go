@@ -35,9 +35,7 @@ type homParams struct {
 
 // buildHom constructs a homogeneous system with replication k, trimming
 // storage so the catalog is the largest m with k·m·c ≤ n·d·c. It returns
-// the system and the achieved catalog size. Experiments honoring
-// Options.SerialAugment set cfg.SerialAugment in their tweak (see
-// tweakFor).
+// the system and the achieved catalog size.
 func buildHom(seed uint64, p homParams, k int, tweak func(*core.Config)) (*core.System, int, error) {
 	storage := make([]float64, p.n)
 	for i := range storage {
@@ -68,18 +66,6 @@ func buildHom(seed uint64, p homParams, k int, tweak func(*core.Config)) (*core.
 		return nil, 0, err
 	}
 	return sys, m, nil
-}
-
-// tweakFor composes the Options-level config knob (the SerialAugment
-// matcher ablation) with an experiment's own tweak, so every builder call
-// site honors the global flag with one wrapper.
-func tweakFor(o Options, extra func(*core.Config)) func(*core.Config) {
-	return func(cfg *core.Config) {
-		cfg.SerialAugment = o.SerialAugment
-		if extra != nil {
-			extra(cfg)
-		}
-	}
 }
 
 // namedGen pairs an adversary with a label for reports.
@@ -133,7 +119,7 @@ func feasibleAtK(o Options, p homParams, k, rounds, seeds int, tweak func(*core.
 	}
 	ok, err := parallelAll(o.workers(), len(trials), func(i int) (bool, error) {
 		tr := trials[i]
-		sys, _, err := buildHom(tr.seed, p, k, tweakFor(o, tweak))
+		sys, _, err := buildHom(tr.seed, p, k, tweak)
 		if err != nil {
 			return false, err
 		}

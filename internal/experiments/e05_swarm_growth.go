@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/report"
 )
 
@@ -27,9 +25,8 @@ func runE5(o Options) Result {
 	// population within ~8 rounds, so live requests peak at n·c (70k at
 	// n=1024, c=68) at ~80% slot utilization, where augmenting paths get
 	// long — exactly the regime the matcher's blocking-flow batch phases
-	// target (ablated in E5b below; E16 sweeps utilization directly). The
-	// 10⁵–10⁶ population regime is E15's job, whose arrival rate (and
-	// hence live work) is fixed independent of n.
+	// target. The 10⁵–10⁶ population regime is E15's job, whose arrival
+	// rate (and hence live work) is fixed independent of n.
 	n := pick(o, 64, 1024)
 	d, T := 2, 25
 	u, mu := 1.25, 3.0
@@ -52,7 +49,7 @@ func runE5(o Options) Result {
 		maxSwarm := 0
 		failures, err := parallelCount(o.workers(), trials, func(i int) (bool, error) {
 			seed := mixSeed(o.Seed, uint64(i), uint64(c))
-			sys, _, err := buildHom(seed, p, k, tweakFor(o, nil))
+			sys, _, err := buildHom(seed, p, k, nil)
 			if err != nil {
 				return false, err
 			}
@@ -79,63 +76,6 @@ func runE5(o Options) Result {
 		n, d, k, u, mu, rounds, trials, (2*mu*mu-1)/(u-1))
 	tbl.AddNote("claim shape: failure rate high for c below c*, dropping toward 0 above it (ν > 0)")
 
-	// E5b: matcher-mode ablation at the sweep's highest-utilization point
-	// (largest c): the same flash-crowd trials, timed sequentially, once
-	// with blocking-flow batch phases and once with the per-root serial
-	// reference. Matching cardinality is identical every round (both are
-	// maximum); only the wall-clock differs.
-	cMax := cs[len(cs)-1]
-	abl := report.New("E5b: matcher-mode ablation (flash crowd at c = max)",
-		"matcher", "ms/round", "rounds", "failures/trials")
-	pAbl := homParams{n: n, d: d, c: cMax, T: T, u: u, mu: mu}
-	msByMode := map[bool]float64{}
-	for _, serial := range []bool{false, true} {
-		fails, totalRounds := 0, 0
-		var elapsed time.Duration
-		for i := 0; i < trials; i++ {
-			// Same per-trial seeds as the main sweep: the ablation is paired
-			// on identical allocations and crowds.
-			seed := mixSeed(o.Seed, uint64(i), uint64(cMax))
-			sys, _, err := buildHom(seed, pAbl, k, func(cfg *core.Config) {
-				cfg.SerialAugment = serial
-			})
-			if err != nil {
-				abl.AddRow(modeName(serial), "error: "+err.Error(), "", "")
-				continue
-			}
-			start := time.Now()
-			rep, err := sys.Run(&adversary.FlashCrowd{Target: 0, Rotate: true}, rounds)
-			elapsed += time.Since(start)
-			if err != nil {
-				abl.AddRow(modeName(serial), "error: "+err.Error(), "", "")
-				continue
-			}
-			totalRounds += rep.Rounds
-			if rep.Failed {
-				fails++
-			}
-		}
-		ms := 0.0
-		if totalRounds > 0 {
-			ms = float64(elapsed.Microseconds()) / 1000 / float64(totalRounds)
-		}
-		msByMode[serial] = ms
-		abl.AddRowValues(modeName(serial), ms, totalRounds, fails)
-	}
-	if msByMode[false] > 0 {
-		abl.AddNote("serial/batch end-to-end speedup: %.2f× at c=%d (%d trials, sequential timing)",
-			msByMode[true]/msByMode[false], cMax, trials)
-	}
-	abl.AddNote("wall-clock timings are indicative — run with -seq on a quiet machine for clean numbers")
-
 	return Result{ID: "E5", Name: "swarm-growth", Claim: registry["E5"].Claim,
-		Tables: []*report.Table{tbl, abl}, Figures: []*report.Figure{fig}}
-}
-
-// modeName labels a SerialAugment flag for report rows.
-func modeName(serial bool) string {
-	if serial {
-		return "serial (per-root reference)"
-	}
-	return "batch (blocking-flow)"
+		Tables: []*report.Table{tbl}, Figures: []*report.Figure{fig}}
 }

@@ -24,8 +24,7 @@ func init() {
 }
 
 // buildHetero assembles a relayed system over a bimodal population.
-// tweak (usually tweakFor) runs on the config before construction.
-func buildHetero(seed uint64, pop hetero.Population, uStar, mu float64, c, k, T int, tweak func(*core.Config)) (*core.System, int, error) {
+func buildHetero(seed uint64, pop hetero.Population, uStar, mu float64, c, k, T int) (*core.System, int, error) {
 	relays, err := hetero.Compensate(pop.Uploads, uStar)
 	if err != nil {
 		return nil, 0, err
@@ -49,9 +48,6 @@ func buildHetero(seed uint64, pop hetero.Population, uStar, mu float64, c, k, T 
 		Strategy: core.StrategyRelayed,
 		UStar:    uStar,
 		Relays:   relays,
-	}
-	if tweak != nil {
-		tweak(&cfg)
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
@@ -84,7 +80,7 @@ func runE6(o Options) Result {
 
 		outcome := "n/a (no relay assignment)"
 		val := 0.0
-		if sys, _, err := buildHetero(mixSeed(o.Seed, math.Float64bits(frac)), pop, uStar, mu, c, k, T, tweakFor(o, nil)); err == nil {
+		if sys, _, err := buildHetero(mixSeed(o.Seed, math.Float64bits(frac)), pop, uStar, mu, c, k, T); err == nil {
 			gen := &adversary.PoorFirst{UStar: uStar}
 			rep, runErr := sys.Run(gen, rounds)
 			if runErr != nil {

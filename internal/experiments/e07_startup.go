@@ -34,9 +34,9 @@ func runE7(o Options) Result {
 	p99S := fig.AddSeries("p99")
 
 	for _, load := range loads {
-		sys, _, err := buildHom(o.Seed, p, k, tweakFor(o, func(cfg *core.Config) {
+		sys, _, err := buildHom(o.Seed, p, k, func(cfg *core.Config) {
 			cfg.Failure = core.FailStall
-		}))
+		})
 		if err != nil {
 			tbl.AddRow(report.Cell(load), "error: "+err.Error(), "", "", "", "")
 			continue
@@ -64,7 +64,7 @@ func runE7(o Options) Result {
 	relTbl := report.New("E7b: start-up delay in the relayed heterogeneous system",
 		"population", "min", "max", "mean")
 	pop := hetero.Bimodal(pick(o, 20, 40), 0.7, 3.0, 0.5, 2.0)
-	if sys, _, err := buildHetero(mixSeed(o.Seed, 0xe7b), pop, 1.5, 1.05, 25, 3, pick(o, 25, 40), tweakFor(o, nil)); err == nil {
+	if sys, _, err := buildHetero(mixSeed(o.Seed, 0xe7b), pop, 1.5, 1.05, 25, 3, pick(o, 25, 40)); err == nil {
 		gen := &adversary.PoorFirst{UStar: 1.5}
 		if rep, runErr := sys.Run(gen, pick(o, 60, 120)); runErr == nil {
 			d := rep.StartupDelay

@@ -24,29 +24,8 @@ func init() {
 type matchingInstance struct {
 	name  string
 	caps  []int64
-	adj   *instanceAdj
+	adj   bipartite.Lists
 	lefts []int
-}
-
-type instanceAdj struct {
-	neighbors [][]int32
-}
-
-func (a *instanceAdj) VisitServers(l int, fn func(int) bool) {
-	for _, r := range a.neighbors[l] {
-		if !fn(int(r)) {
-			return
-		}
-	}
-}
-
-func (a *instanceAdj) CanServe(l, r int) bool {
-	for _, x := range a.neighbors[l] {
-		if int(x) == r {
-			return true
-		}
-	}
-	return false
 }
 
 // synthesizeInstance builds a flash-crowd-shaped matching instance.
@@ -55,7 +34,7 @@ func synthesizeInstance(rng *stats.RNG, name string, n, stripes, perStripe, k, s
 	for i := range caps {
 		caps[i] = int64(slots)
 	}
-	adj := &instanceAdj{}
+	var adj bipartite.Lists
 	var lefts []int
 	l := 0
 	for s := 0; s < stripes; s++ {
@@ -73,7 +52,7 @@ func synthesizeInstance(rng *stats.RNG, name string, n, stripes, perStripe, k, s
 			for e := 0; e < extra; e++ {
 				nbr = append(nbr, int32(rng.Intn(n)))
 			}
-			adj.neighbors = append(adj.neighbors, nbr)
+			adj = append(adj, nbr)
 			lefts = append(lefts, l)
 			l++
 		}
@@ -130,10 +109,9 @@ func solversAgree(inst matchingInstance, want int64) bool {
 		src, sink := 0, 1
 		for i, l := range inst.lefts {
 			g.AddEdge(src, 2+i, 1)
-			inst.adj.VisitServers(l, func(r int) bool {
-				g.AddEdge(2+i, 2+nL+r, 1)
-				return true
-			})
+			for _, r := range inst.adj[l] {
+				g.AddEdge(2+i, 2+nL+int(r), 1)
+			}
 		}
 		for r, c := range inst.caps {
 			g.AddEdge(2+nL+r, sink, c)

@@ -48,10 +48,7 @@ func runE12(o Options) Result {
 		// Convert to a protocol instance.
 		inst := protocol.Instance{Caps: mi.caps, Candidates: make([][]int32, len(mi.lefts))}
 		for i, l := range mi.lefts {
-			mi.adj.VisitServers(l, func(r int) bool {
-				inst.Candidates[i] = append(inst.Candidates[i], int32(r))
-				return true
-			})
+			inst.Candidates[i] = append([]int32(nil), mi.adj[l]...)
 		}
 		nsCfg := netsim.Config{BaseLatency: 1, Jitter: 0.4, Seed: mixSeed(o.Seed, 0xe12a, uint64(idx))}
 		blind := protocol.Run(inst, nsCfg)

@@ -53,9 +53,9 @@ func runE13(o Options) Result {
 				p := homParams{n: n, d: d, c: c, T: T, u: u, mu: mu}
 				// Hashed per (trial, µ); both strategies share a stream so the
 				// ablation is paired on identical allocations.
-				sys, _, err := buildHom(mixSeed(o.Seed, uint64(i), math.Float64bits(mu)), p, k, tweakFor(o, func(cfg *core.Config) {
+				sys, _, err := buildHom(mixSeed(o.Seed, uint64(i), math.Float64bits(mu)), p, k, func(cfg *core.Config) {
 					cfg.Strategy = strat
-				}))
+				})
 				if err != nil {
 					return false, err
 				}

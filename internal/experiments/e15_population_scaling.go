@@ -60,9 +60,9 @@ func runE15(o Options) Result {
 		"n", "catalog m", "µs/round", "rounds/sec", "live requests", "admitted", "stalls")
 	for _, n := range ns {
 		p := homParams{n: n, d: d, c: c, T: T, u: u, mu: mu}
-		sys, m, err := buildHom(mixSeed(o.Seed, uint64(n)), p, k, tweakFor(o, func(cfg *core.Config) {
+		sys, m, err := buildHom(mixSeed(o.Seed, uint64(n)), p, k, func(cfg *core.Config) {
 			cfg.Failure = core.FailStall
-		}))
+		})
 		if err != nil {
 			tbl.AddRow(report.Cell(n), "error: "+err.Error(), "", "", "", "", "")
 			continue

@@ -24,10 +24,6 @@ type Options struct {
 	// Workers bounds the Monte-Carlo worker pool — how many *independent
 	// trials* run concurrently; 0 means GOMAXPROCS.
 	Workers int
-	// SerialAugment runs every simulated system on the matcher's retained
-	// per-root augmentation reference instead of blocking-flow batch
-	// phases (vodbench -serial-augment; ablations and A/B timing).
-	SerialAugment bool
 }
 
 func (o Options) workers() int {

@@ -147,7 +147,7 @@ func TestQuickHalfOptimal(t *testing.T) {
 		res := Run(inst, cfg(seed))
 
 		m := bipartite.NewMatcher(inst.Caps)
-		adj := instAdj{inst}
+		adj := bipartite.Lists(inst.Candidates)
 		for r := range inst.Candidates {
 			m.AddLeft(r)
 		}
@@ -166,25 +166,6 @@ func newExactMatcher(inst Instance) int {
 	for r := range inst.Candidates {
 		m.AddLeft(r)
 	}
-	m.AugmentAll(instAdj{inst})
+	m.AugmentAll(bipartite.Lists(inst.Candidates))
 	return m.MatchedCount()
-}
-
-type instAdj struct{ inst Instance }
-
-func (a instAdj) VisitServers(l int, fn func(int) bool) {
-	for _, s := range a.inst.Candidates[l] {
-		if !fn(int(s)) {
-			return
-		}
-	}
-}
-
-func (a instAdj) CanServe(l, r int) bool {
-	for _, s := range a.inst.Candidates[l] {
-		if int(s) == r {
-			return true
-		}
-	}
-	return false
 }
