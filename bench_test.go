@@ -1,9 +1,9 @@
 package vod
 
-// The benchmark harness: one Benchmark per experiment in the DESIGN.md
-// index (each regenerates its table/figure and reports headline numbers as
-// custom metrics), plus micro-benchmarks and ablations of the design
-// choices called out in DESIGN.md §7.
+// The benchmark harness: one Benchmark per experiment (each regenerates its
+// table/figure and logs it), plus micro-benchmarks and ablations of the
+// design choices: warm vs cold matching, greedy vs exact, Step cost at
+// bounded live work.
 //
 // Run everything:   go test -bench=. -benchmem
 // One experiment:   go test -bench=BenchmarkE5 -v   (-v prints the tables)
@@ -18,8 +18,6 @@ import (
 	"repro/internal/expander"
 	"repro/internal/experiments"
 	"repro/internal/maxflow"
-	"repro/internal/netsim"
-	"repro/internal/protocol"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -49,13 +47,11 @@ func BenchmarkE8AllocationBalance(b *testing.B)      { benchExperiment(b, "E8") 
 func BenchmarkE9SourcingBaseline(b *testing.B)       { benchExperiment(b, "E9") }
 func BenchmarkE10Impossibility(b *testing.B)         { benchExperiment(b, "E10") }
 func BenchmarkE11MatchingEnginesTable(b *testing.B)  { benchExperiment(b, "E11") }
-func BenchmarkE12ProtocolGap(b *testing.B)           { benchExperiment(b, "E12") }
 func BenchmarkE13StrategyAblation(b *testing.B)      { benchExperiment(b, "E13") }
 func BenchmarkE14ExpanderAudit(b *testing.B)         { benchExperiment(b, "E14") }
-func BenchmarkE15PopulationScaling(b *testing.B)     { benchExperiment(b, "E15") }
 func BenchmarkT1Planner(b *testing.B)                { benchExperiment(b, "T1") }
 
-// --- Micro-benchmarks: max-flow solvers (E11 wall-clock half) ---
+// --- Micro-benchmark: Dinic, the exact side of E11 ---
 
 // benchFlowNetwork builds a bipartite-shaped flow instance: L requests,
 // R servers, degree k, server capacity cap.
@@ -75,30 +71,17 @@ func benchFlowNetwork(seed uint64, l, r, k int, capacity int64) (*maxflow.Networ
 	return g, src, sink
 }
 
-func benchSolver(b *testing.B, mk func() maxflow.Solver) {
+func BenchmarkMaxflowDinic(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		g, s, t := benchFlowNetwork(uint64(i), 2000, 500, 4, 5)
-		solver := mk()
+		var d maxflow.Dinic
 		b.StartTimer()
-		flow := solver.MaxFlow(g, s, t)
-		if flow <= 0 {
+		if d.MaxFlow(g, s, t) <= 0 {
 			b.Fatal("no flow")
 		}
 	}
-}
-
-func BenchmarkMaxflowDinic(b *testing.B) {
-	benchSolver(b, func() maxflow.Solver { return &maxflow.Dinic{} })
-}
-
-func BenchmarkMaxflowEdmondsKarp(b *testing.B) {
-	benchSolver(b, func() maxflow.Solver { return &maxflow.EdmondsKarp{} })
-}
-
-func BenchmarkMaxflowPushRelabel(b *testing.B) {
-	benchSolver(b, func() maxflow.Solver { return &maxflow.PushRelabel{} })
 }
 
 // --- Ablation: warm-started incremental matching vs cold recompute ---
@@ -357,30 +340,6 @@ func BenchmarkStepContended(b *testing.B) {
 	benchSteps(b, sys, &sweepArrivals{perRound: 250, nextBox: 1}, 100)
 }
 
-// --- Protocol and netsim benchmarks ---
-
-func BenchmarkProtocolProposalRound(b *testing.B) {
-	rng := stats.NewRNG(13)
-	inst := protocol.Instance{Caps: make([]int64, 200)}
-	for i := range inst.Caps {
-		inst.Caps[i] = 4
-	}
-	for r := 0; r < 800; r++ {
-		var cand []int32
-		for _, s := range rng.SampleWithoutReplacement(200, 4) {
-			cand = append(cand, int32(s))
-		}
-		inst.Candidates = append(inst.Candidates, cand)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := protocol.Run(inst, netsim.Config{BaseLatency: 1, Jitter: 0.3, Seed: uint64(i)})
-		if res.Matched == 0 {
-			b.Fatal("nothing matched")
-		}
-	}
-}
-
 // --- Expander audit ---
 
 func BenchmarkExpanderAudit(b *testing.B) {
@@ -424,35 +383,6 @@ func BenchmarkTraceRecordReplay(b *testing.B) {
 		if _, err := sys2.Run(trace.NewReplayer(&rec.Trace), 60); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Netsim event throughput ---
-
-type benchEcho struct{}
-
-func (benchEcho) OnTimer(ctx *netsim.Context, kind int) {
-	ctx.Send(netsim.NodeID(kind), struct{}{})
-}
-
-func (benchEcho) OnMessage(ctx *netsim.Context, msg netsim.Message) {}
-
-func BenchmarkNetsimEvents(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		net := netsim.New(netsim.Config{BaseLatency: 1, Jitter: 0.5, Seed: uint64(i)})
-		const nodes = 200
-		for n := 0; n < nodes; n++ {
-			net.AddNode(benchEcho{})
-		}
-		for n := 0; n < nodes; n++ {
-			for k := 0; k < 10; k++ {
-				net.Timer(netsim.NodeID(n), float64(k), (n+k)%nodes)
-			}
-		}
-		b.StartTimer()
-		net.RunAll(nodes * 25)
 	}
 }
 

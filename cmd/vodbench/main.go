@@ -1,7 +1,6 @@
 // Command vodbench runs the reproduction experiment suite: every table and
-// figure in the experiment index (DESIGN.md §5) can be regenerated from
-// here. Results print as aligned text tables; use -format to get Markdown
-// or CSV for EXPERIMENTS.md.
+// figure of E1–E11, E13, E14 and T1 can be regenerated from here. Results
+// print as aligned text tables; use -format to get Markdown or CSV.
 //
 // Usage:
 //

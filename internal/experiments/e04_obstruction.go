@@ -56,7 +56,7 @@ func runE4(o Options) Result {
 	// Full mode grew 4× over the seed population now that round cost
 	// tracks live work; the attack suite's per-box generators (e.g.
 	// AvoidPossession scans every idle box against the catalog) keep n
-	// modest here — the large-n regime is E15's job.
+	// modest here — the large-n regime belongs to the Step benchmarks.
 	n := pick(o, 48, 256)
 	m := n / 2
 	c, T := 4, 20

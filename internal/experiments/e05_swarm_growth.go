@@ -25,7 +25,8 @@ func runE5(o Options) Result {
 	// population within ~8 rounds, so live requests peak at n·c (70k at
 	// n=1024, c=68) at ~80% slot utilization, where augmenting paths get
 	// long — exactly the regime the matcher's blocking-flow batch phases
-	// target. The 10⁵–10⁶ population regime is E15's job, whose arrival
+	// target. The 10⁵–10⁶ population regime belongs to the Step benchmarks
+	// (BenchmarkStepLargeSwarm, BenchmarkStepMillionBoxes), whose arrival
 	// rate (and hence live work) is fixed independent of n.
 	n := pick(o, 64, 1024)
 	d, T := 2, 25

@@ -14,20 +14,8 @@ func init() {
 		Name: "strategy-ablation",
 		Claim: "the Section 3 preloading strategy (1 round-robin preload stripe, " +
 			"c−1 postponed requests one round later) is what absorbs flash crowds; " +
-			"requesting all c stripes at once fails at identical resources " +
-			"(DESIGN.md §7 ablation)",
+			"requesting all c stripes at once fails at identical resources",
 		Run: runE13,
-	})
-}
-
-func init() {
-	register(Experiment{
-		ID:   "E14",
-		Name: "expander-audit",
-		Claim: "the expansion property Theorem 1 requires of random allocations " +
-			"is checkable by cheap sampled Hall-condition probes: audit violations " +
-			"track simulated defeats across the replication sweep (Lemmas 1–4)",
-		Run: runE14,
 	})
 }
 

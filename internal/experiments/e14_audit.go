@@ -11,6 +11,17 @@ import (
 	"repro/internal/video"
 )
 
+func init() {
+	register(Experiment{
+		ID:   "E14",
+		Name: "expander-audit",
+		Claim: "the expansion property Theorem 1 requires of random allocations " +
+			"is checkable by cheap sampled Hall-condition probes: audit violations " +
+			"track simulated defeats across the replication sweep (Lemmas 1–4)",
+		Run: runE14,
+	})
+}
+
 func runE14(o Options) Result {
 	n := pick(o, 48, 48)
 	m := n / 2

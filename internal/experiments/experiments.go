@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one runner per
-// experiment in the index of DESIGN.md (E1–E12, T1), each regenerating a
-// table or figure series that validates a specific claim of the paper.
-// The vodbench binary and the root-level benchmarks both drive this
-// package; EXPERIMENTS.md records paper-claim vs. measured output.
+// experiment (E1–E11, E13, E14, T1), each regenerating a table or figure
+// series that validates a specific claim of the paper, and each pinned by a
+// shape test in experiments_test.go. The vodbench binary and the root-level
+// benchmarks both drive this package.
 package experiments
 
 import (
@@ -89,7 +89,7 @@ func All() []Experiment {
 	return out
 }
 
-// key orders E1..E12 numerically, then T1.
+// key orders E1..E14 numerically, then T1.
 func key(id string) string {
 	if len(id) >= 2 && (id[0] == 'E' || id[0] == 'T') && len(id) == 2 {
 		return string(id[0]) + "0" + id[1:]

@@ -2,7 +2,7 @@ package maxflow
 
 // Dinic implements Dinic's blocking-flow algorithm: O(V²E) in general,
 // O(E·√V) on the unit-capacity bipartite networks produced by connection
-// matching, which is why it is the default solver for the simulator.
+// matching.
 //
 // The struct retains its scratch buffers between calls, so reusing one
 // Dinic value across rounds avoids per-round allocation.
@@ -12,10 +12,8 @@ type Dinic struct {
 	queue []int32
 }
 
-// Name implements Solver.
-func (d *Dinic) Name() string { return "dinic" }
-
-// MaxFlow implements Solver. It may be called repeatedly on the same
+// MaxFlow pushes as much flow as possible from source to sink and returns
+// the amount pushed by this call. It may be called repeatedly on the same
 // network as edges are added; each call augments the existing flow to a
 // new maximum (warm start).
 func (d *Dinic) MaxFlow(g *Network, source, sink int) int64 {

@@ -5,9 +5,8 @@
 // question, and an infeasibility certificate (an *obstruction* in the
 // paper's vocabulary) is a min cut.
 //
-// Three solvers are provided behind the Solver interface — Dinic (the
-// default), Edmonds–Karp, and FIFO push–relabel — so the experiment suite
-// can ablate the choice (experiment E11).
+// Dinic is the one solver. It is the oracle the round engine's matcher is
+// checked against (TestRoundOracle) and the exact side of experiment E11.
 package maxflow
 
 import "fmt"
@@ -20,7 +19,7 @@ type Network struct {
 	// edges[i] and edges[i^1] are residual partners.
 	to   []int32
 	cap  []int64 // residual capacity
-	init []int64 // capacity at construction time (for Reset/Flow)
+	init []int64 // capacity at construction time (for Capacity)
 	adj  [][]int32
 }
 
@@ -30,13 +29,6 @@ func NewNetwork(n int) *Network {
 		panic("maxflow: negative node count")
 	}
 	return &Network{numNodes: n, adj: make([][]int32, n)}
-}
-
-// AddNode appends one node and returns its ID.
-func (g *Network) AddNode() int {
-	g.adj = append(g.adj, nil)
-	g.numNodes++
-	return g.numNodes - 1
 }
 
 // NumNodes returns the node count.
@@ -79,26 +71,6 @@ func (g *Network) EdgeEndpoints(id int) (int, int) {
 // Capacity returns the original capacity of forward edge id.
 func (g *Network) Capacity(id int) int64 { return g.init[id] }
 
-// Reset restores all residual capacities to their construction values,
-// erasing any computed flow.
-func (g *Network) Reset() {
-	copy(g.cap, g.init)
-}
-
-// SetCapacity changes the capacity of forward edge id on a network with no
-// computed flow. It panics if the edge currently carries flow, because
-// silently invalidating flow would corrupt warm starts.
-func (g *Network) SetCapacity(id int, capacity int64) {
-	if g.Flow(id) != 0 {
-		panic("maxflow: SetCapacity on an edge carrying flow")
-	}
-	if capacity < 0 {
-		panic("maxflow: negative capacity")
-	}
-	g.cap[id] = capacity
-	g.init[id] = capacity
-}
-
 // OutFlow returns the net flow leaving node v (flow out minus flow in),
 // used by conservation checks in tests.
 func (g *Network) OutFlow(v int) int64 {
@@ -136,29 +108,4 @@ func (g *Network) MinCutSourceSide(source int) []bool {
 		}
 	}
 	return seen
-}
-
-// Solver computes a maximum flow on a Network.
-type Solver interface {
-	// MaxFlow pushes as much flow as possible from source to sink,
-	// starting from whatever flow the network currently carries, and
-	// returns the amount pushed by this call.
-	MaxFlow(g *Network, source, sink int) int64
-	// Name identifies the solver in ablation reports.
-	Name() string
-}
-
-// NewSolver returns a solver by name: "dinic", "ek", or "pushrelabel".
-// An empty name selects Dinic.
-func NewSolver(name string) (Solver, error) {
-	switch name {
-	case "", "dinic":
-		return &Dinic{}, nil
-	case "ek", "edmonds-karp":
-		return &EdmondsKarp{}, nil
-	case "pushrelabel", "push-relabel":
-		return &PushRelabel{}, nil
-	default:
-		return nil, fmt.Errorf("maxflow: unknown solver %q", name)
-	}
 }

@@ -1,9 +1,9 @@
 // Package trace records and replays demand workloads. A Trace is the
 // exact sequence of demands a generator produced, round by round, so that
 // different system configurations (allocation seeds, strategies, sourcing
-// vs. swarming, centralized vs. decentralized matching) can be compared on
-// *identical* inputs — the controlled-variable discipline behind
-// experiments E9 and E12. Traces serialize to JSON for archival and to a
+// vs. swarming) can be compared on *identical* inputs — the
+// controlled-variable discipline behind experiment E9. Traces serialize to
+// JSON for archival and to a
 // compact CSV for external tooling.
 package trace
 
