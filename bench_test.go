@@ -323,6 +323,22 @@ func BenchmarkStepNearThreshold(b *testing.B) {
 	benchSteps(b, sys, NewZipfWorkload(1, 0.5, 0.9), 80)
 }
 
+// BenchmarkStepBelowThreshold is BenchmarkStepNearThreshold's spec with
+// upload cut to u=0.95 and 200 boxes: below the paper's threshold, so most
+// rounds leave requests unmatched, run the canonical-deficit rewrite and
+// record an obstruction, and the stalled requests are the ones the retire
+// ring has to move on. It is the only Step bench on that path.
+func BenchmarkStepBelowThreshold(b *testing.B) {
+	sys, err := New(Spec{
+		Boxes: 200, Upload: 0.95, Storage: 4, Stripes: 8, Replicas: 4,
+		Duration: 40, Growth: 1.2, Seed: 1, Resilient: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSteps(b, sys, NewZipfWorkload(1, 0.5, 0.9), 80)
+}
+
 // BenchmarkStepContended is the repository benchmark's contended-serial
 // workload as a Go benchmark, seed 1: 250 000 boxes at 2.5% slot
 // utilization with 250 arrivals a round. Phase 0 of the matcher places

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,30 @@ func TestLoadCheckpointRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
+	}
+}
+
+// TestLoadCheckpointAllocatesWhatTheFileHolds: a length prefix is a claim
+// the file has to back. The 5-byte file is a magic length of 2^28 and
+// nothing else, which once made LoadCheckpoint allocate 268 MB before it
+// compared the magic; the second file is the right magic followed by a
+// spec length of 2^31.
+func TestLoadCheckpointAllocatesWhatTheFileHolds(t *testing.T) {
+	spec := append([]byte{byte(len(checkpointMagic))}, checkpointMagic...)
+	for _, file := range [][]byte{
+		{0x80, 0x80, 0x80, 0x80, 0x01},
+		append(spec, 0x80, 0x80, 0x80, 0x80, 0x08),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadCheckpoint(bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("% x: loaded", file)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("% x: LoadCheckpoint allocated %d bytes on a %d-byte file", file, grew, len(file))
+		}
 	}
 }
 

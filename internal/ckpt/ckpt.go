@@ -14,10 +14,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
-// maxSliceLen bounds decoded slice lengths so a corrupt or truncated
-// stream fails cleanly instead of attempting a huge allocation.
+// maxSliceLen bounds decoded slice lengths. Allocation is bounded by the
+// elements that arrive (see firstCap), not by this.
 const maxSliceLen = 1 << 32
 
 // Writer serializes values to an underlying stream.
@@ -132,8 +133,9 @@ func (w *Writer) Bools(s []bool) {
 
 // Reader deserializes values written by Writer, in the same order.
 type Reader struct {
-	r   *bufio.Reader
-	err error
+	r     *bufio.Reader
+	err   error
+	words []uint64 // the slice readers' element scratch, reused across calls
 }
 
 // NewReader wraps r.
@@ -199,81 +201,123 @@ func (r *Reader) sliceLen() int {
 	return int(n)
 }
 
-// Bytes reads a length-prefixed byte slice.
+// firstCap caps what a reader reserves before elements arrive: a count
+// the stream does not back costs at most this many elements, and storage
+// for a real one doubles as it fills.
+const firstCap = 4096
+
+// Records reads n records with read, stopping at the first error. The
+// result grows as records arrive, so n is never trusted before the stream
+// has backed it; a decoder reading a count of its own uses it instead of
+// make.
+func Records[T any](r *Reader, n int, read func() T) []T {
+	if n <= 0 {
+		return nil
+	}
+	s := make([]T, 0, min(n, firstCap))
+	for len(s) < n && r.err == nil {
+		if len(s) == cap(s) {
+			s = slices.Grow(s, min(n-len(s), len(s)))
+		}
+		s = append(s, read())
+	}
+	return s
+}
+
+// readWords reads a length-prefixed slice's elements as raw uvarints into
+// the reader's scratch, which grows like Records' result — in proportion
+// to the elements actually present — and which later slices reuse.
+// Varints the buffer already holds are decoded in place rather than a
+// byte call at a time. It returns nil after an error.
+func (r *Reader) readWords() []uint64 {
+	n := r.sliceLen()
+	words := r.words[:0]
+	for len(words) < n && r.err == nil {
+		if len(words) == cap(words) {
+			words = slices.Grow(words, min(n-len(words), max(len(words), firstCap)))
+		}
+		buf, _ := r.r.Peek(r.r.Buffered())
+		used, limit := 0, min(n, cap(words))
+		for len(words) < limit {
+			v, k := binary.Uvarint(buf[used:])
+			if k <= 0 {
+				break // the buffer ends inside this varint, or it overflows
+			}
+			words = append(words, v)
+			used += k
+		}
+		if used > 0 {
+			r.r.Discard(used) // cannot fail: the bytes are buffered
+		} else {
+			words = append(words, r.U64()) // refills the buffer, or fails
+		}
+	}
+	r.words = words
+	if r.err != nil {
+		return nil
+	}
+	return words
+}
+
+// unzigzag reads a signed varint's unsigned form, as binary.Varint does.
+func unzigzag(w uint64) int64 {
+	if w&1 != 0 {
+		return ^int64(w >> 1)
+	}
+	return int64(w >> 1)
+}
+
+// convert allocates a decoded slice once, at its exact length, from the
+// words every element has already been read into.
+func convert[T any](words []uint64, conv func(uint64) T) []T {
+	if len(words) == 0 {
+		return nil
+	}
+	s := make([]T, len(words))
+	for i, w := range words {
+		s[i] = conv(w)
+	}
+	return s
+}
+
+// Bytes reads a length-prefixed byte slice in chunks of at most firstCap
+// bytes, so the buffer never runs ahead of what the stream holds by more
+// than one chunk plus append's slack.
 func (r *Reader) Bytes() []byte {
 	n := r.sliceLen()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.fail(fmt.Errorf("ckpt: %w", err))
-		return nil
+	var b []byte
+	for len(b) < n {
+		chunk := min(n-len(b), firstCap)
+		b = slices.Grow(b, chunk)
+		if _, err := io.ReadFull(r.r, b[len(b):len(b)+chunk]); err != nil {
+			r.fail(fmt.Errorf("ckpt: %w", err))
+			return nil
+		}
+		b = b[:len(b)+chunk]
 	}
 	return b
 }
 
 // I32s reads a length-prefixed []int32.
 func (r *Reader) I32s() []int32 {
-	n := r.sliceLen()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = r.I32()
-	}
-	return s
+	return convert(r.readWords(), func(w uint64) int32 { return int32(unzigzag(w)) })
 }
 
 // I64s reads a length-prefixed []int64.
-func (r *Reader) I64s() []int64 {
-	n := r.sliceLen()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = r.I64()
-	}
-	return s
-}
+func (r *Reader) I64s() []int64 { return convert(r.readWords(), unzigzag) }
 
 // Ints reads a length-prefixed []int.
 func (r *Reader) Ints() []int {
-	n := r.sliceLen()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]int, n)
-	for i := range s {
-		s[i] = r.Int()
-	}
-	return s
+	return convert(r.readWords(), func(w uint64) int { return int(unzigzag(w)) })
 }
 
 // F64s reads a length-prefixed []float64.
-func (r *Reader) F64s() []float64 {
-	n := r.sliceLen()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = r.F64()
-	}
-	return s
-}
+func (r *Reader) F64s() []float64 { return convert(r.readWords(), math.Float64frombits) }
 
 // Bools reads a length-prefixed []bool.
 func (r *Reader) Bools() []bool {
-	n := r.sliceLen()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]bool, n)
-	for i := range s {
-		s[i] = r.Bool()
-	}
-	return s
+	return convert(r.readWords(), func(w uint64) bool { return w != 0 })
 }

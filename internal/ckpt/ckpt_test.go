@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -124,5 +125,77 @@ func TestEmptyStream(t *testing.T) {
 	_ = r.U64()
 	if r.Err() == nil {
 		t.Fatal("read from empty stream succeeded")
+	}
+}
+
+// TestReadersAllocateWhatTheStreamHolds gives every slice reader a length
+// prefix of 2^31 with nothing behind it. Each must fail on the missing
+// bytes having allocated a bounded first chunk, not the 2^31 elements the
+// prefix asks for.
+func TestReadersAllocateWhatTheStreamHolds(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.U64(1 << 31)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		read func(r *Reader)
+	}{
+		{"Bytes", func(r *Reader) { r.Bytes() }},
+		{"I32s", func(r *Reader) { r.I32s() }},
+		{"I64s", func(r *Reader) { r.I64s() }},
+		{"Ints", func(r *Reader) { r.Ints() }},
+		{"F64s", func(r *Reader) { r.F64s() }},
+		{"Bools", func(r *Reader) { r.Bools() }},
+	} {
+		r := NewReader(bytes.NewReader(buf.Bytes()))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tc.read(r)
+		runtime.ReadMemStats(&after)
+		if r.Err() == nil {
+			t.Errorf("%s: a %d-byte stream decoded a 2^31-element slice", tc.name, buf.Len())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: allocated %d bytes on a %d-byte stream", tc.name, grew, buf.Len())
+		}
+	}
+}
+
+// TestSlicesSpanningManyBuffers reads slices far longer than the reader's
+// 64 KB buffer, with varints of every length, so that elements are decoded
+// from the buffer in bulk, across refills, and straddling its end.
+func TestSlicesSpanningManyBuffers(t *testing.T) {
+	i64 := make([]int64, 100_000)
+	f64 := make([]float64, 30_000)
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := range i64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		i64[i] = int64(x) >> (x % 64) // magnitudes of every varint length, both signs
+	}
+	for i := range f64 {
+		f64[i] = float64(i64[i]) / 3
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.I64s(i64)
+	w.F64s(f64)
+	w.I64s(i64[:3])
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(bytes.NewReader(buf.Bytes()))
+	if got := r.I64s(); !reflect.DeepEqual(got, i64) {
+		t.Fatal("I64s did not round-trip")
+	}
+	if got := r.F64s(); !reflect.DeepEqual(got, f64) {
+		t.Fatal("F64s did not round-trip")
+	}
+	if got := r.I64s(); !reflect.DeepEqual(got, i64[:3]) || r.Err() != nil {
+		t.Fatalf("short slice after long ones: %v, %v", got, r.Err())
 	}
 }

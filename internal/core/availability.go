@@ -20,11 +20,21 @@ type entry struct {
 	frozen int32 // progress at freeze time (valid when req == -1)
 }
 
-// entryChunks returns how many chunks the entry's box has of its stripe;
-// reqProgress is the system's per-slot progress array.
-func entryChunks(e *entry, reqProgress []int32) int32 {
+// progressView reads request progress without storing it: a live slot
+// has progress clock − base[slot]. Every matched request advances when
+// the clock ticks; a stalled one bumps its base instead.
+type progressView struct {
+	clock int32
+	base  []int32
+}
+
+// of returns live slot's progress in chunks.
+func (v progressView) of(slot int32) int32 { return v.clock - v.base[slot] }
+
+// entryChunks returns how many chunks the entry's box has of its stripe.
+func entryChunks(e *entry, pv progressView) int32 {
 	if e.req >= 0 {
-		p := reqProgress[e.req] - e.lag
+		p := pv.of(e.req) - e.lag
 		if p < 0 {
 			return 0
 		}
@@ -67,10 +77,10 @@ type availabilityStore interface {
 	// visitStep scans from position h for the next entry of st whose box
 	// is not exclude and whose progress exceeds need, returning its box
 	// and the position after it. Exhaustion returns box -1.
-	visitStep(st video.StripeID, h int32, exclude int32, need int32, reqProgress []int32) (box, next int32)
+	visitStep(st video.StripeID, h int32, exclude int32, need int32, pv progressView) (box, next int32)
 	// canServe reports whether box has an entry for st with progress
 	// beyond need.
-	canServe(st video.StripeID, box int32, need int32, reqProgress []int32) bool
+	canServe(st video.StripeID, box int32, need int32, pv progressView) bool
 	// hasFull reports whether box holds a frozen full copy of st (frozen
 	// progress ≥ full) still inside the window, which expiry enforces: the
 	// round's expire has run by the time admission asks.
@@ -83,7 +93,7 @@ type availabilityStore interface {
 	// cannot decay while every request keeps progressing), and bestFrozen
 	// the maximum frozen progress among serving frozen entries — the round
 	// budget before a frozen-only edge is overtaken by the requester.
-	margin(st video.StripeID, box int32, need int32, reqProgress []int32) (hasLive bool, bestFrozen int32, ok bool)
+	margin(st video.StripeID, box int32, need int32, pv progressView) (hasLive bool, bestFrozen int32, ok bool)
 	// drainEvents appends the (stripe, box) freeze/expiry events recorded
 	// since the last drain and clears the log. Keys may repeat.
 	drainEvents(dst []availEvent) []availEvent
@@ -272,19 +282,19 @@ func (ix *indexedAvailability) retire(_ video.StripeID, req int32, final int32) 
 
 func (ix *indexedAvailability) visitHead(st video.StripeID) int32 { return ix.byStripe[st] }
 
-func (ix *indexedAvailability) visitStep(st video.StripeID, h int32, exclude int32, need int32, reqProgress []int32) (int32, int32) {
+func (ix *indexedAvailability) visitStep(st video.StripeID, h int32, exclude int32, need int32, pv progressView) (int32, int32) {
 	for id := h; id >= 0; id = ix.slab[id].next {
 		e := &ix.slab[id]
-		if e.box != exclude && entryChunks(&e.entry, reqProgress) > need {
+		if e.box != exclude && entryChunks(&e.entry, pv) > need {
 			return e.box, e.next
 		}
 	}
 	return -1, -1
 }
 
-func (ix *indexedAvailability) canServe(st video.StripeID, box int32, need int32, reqProgress []int32) bool {
+func (ix *indexedAvailability) canServe(st video.StripeID, box int32, need int32, pv progressView) bool {
 	for id := ix.byKey.get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
-		if entryChunks(&ix.slab[id].entry, reqProgress) > need {
+		if entryChunks(&ix.slab[id].entry, pv) > need {
 			return true
 		}
 	}
@@ -303,10 +313,10 @@ func (ix *indexedAvailability) hasFull(st video.StripeID, box int32, full int32)
 
 func (ix *indexedAvailability) live(st video.StripeID) int { return int(ix.liveCount[st]) }
 
-func (ix *indexedAvailability) margin(st video.StripeID, box int32, need int32, reqProgress []int32) (hasLive bool, bestFrozen int32, ok bool) {
+func (ix *indexedAvailability) margin(st video.StripeID, box int32, need int32, pv progressView) (hasLive bool, bestFrozen int32, ok bool) {
 	for id := ix.byKey.get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
 		e := &ix.slab[id].entry
-		if entryChunks(e, reqProgress) <= need {
+		if entryChunks(e, pv) <= need {
 			continue
 		}
 		ok = true

@@ -54,11 +54,11 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 	naive := newNaiveAvailability(numStripes, T)
 	stores := []availabilityStore{idx, naive}
 
-	var reqProgress []int32
+	var pv progressView // progress as the engine keeps it: clock − base
 	var reqs []diffReq
 	newSlot := func(st video.StripeID) int32 {
-		slot := int32(len(reqProgress))
-		reqProgress = append(reqProgress, 0)
+		slot := int32(len(pv.base))
+		pv.base = append(pv.base, pv.clock)
 		reqs = append(reqs, diffReq{slot: slot, stripe: st, live: true})
 		return slot
 	}
@@ -86,18 +86,20 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 				}
 			}
 		}
-		// Progress advances on a random subset of live requests.
+		// Progress advances on a random subset of live requests: the clock
+		// ticks and the rest stall.
+		pv.clock++
 		for i := range reqs {
-			if reqs[i].live && rng.Bool(0.8) {
-				reqProgress[reqs[i].slot]++
+			if reqs[i].live && !rng.Bool(0.8) {
+				pv.base[reqs[i].slot]++
 			}
 		}
 		// Some requests retire (freeze their entries).
 		for i := range reqs {
 			r := &reqs[i]
-			if r.live && (reqProgress[r.slot] >= int32(T) || rng.Bool(0.05)) {
+			if r.live && (pv.of(r.slot) >= int32(T) || rng.Bool(0.05)) {
 				for _, s := range stores {
-					s.retire(r.stripe, r.slot, reqProgress[r.slot])
+					s.retire(r.stripe, r.slot, pv.of(r.slot))
 				}
 				r.live = false
 			}
@@ -120,7 +122,7 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 			walk := func(s availabilityStore) []int {
 				var out []int
 				for h := s.visitHead(st); ; {
-					box, next := s.visitStep(st, h, exclude, need, reqProgress)
+					box, next := s.visitStep(st, h, exclude, need, pv)
 					if box < 0 {
 						break
 					}
@@ -138,12 +140,12 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 					round, st, exclude, need, got, want)
 			}
 			for box := int32(0); int(box) < numBoxes; box++ {
-				if g, w := idx.canServe(st, box, need, reqProgress), naive.canServe(st, box, need, reqProgress); g != w {
+				if g, w := idx.canServe(st, box, need, pv), naive.canServe(st, box, need, pv); g != w {
 					t.Fatalf("round %d stripe %d canServe(box=%d, need=%d): indexed %v, naive %v",
 						round, st, box, need, g, w)
 				}
-				gLive, gBest, gOK := idx.margin(st, box, need, reqProgress)
-				wLive, wBest, wOK := naive.margin(st, box, need, reqProgress)
+				gLive, gBest, gOK := idx.margin(st, box, need, pv)
+				wLive, wBest, wOK := naive.margin(st, box, need, pv)
 				if gLive != wLive || gBest != wBest || gOK != wOK {
 					t.Fatalf("round %d stripe %d margin(box=%d, need=%d): indexed (%v, %d, %v), naive (%v, %d, %v)",
 						round, st, box, need, gLive, gBest, gOK, wLive, wBest, wOK)

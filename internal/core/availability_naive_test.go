@@ -60,21 +60,21 @@ func (na *naiveAvailability) retire(st video.StripeID, req int32, final int32) {
 // the stripe's insertion-ordered slice.
 func (na *naiveAvailability) visitHead(st video.StripeID) int32 { return 0 }
 
-func (na *naiveAvailability) visitStep(st video.StripeID, h int32, exclude int32, need int32, reqProgress []int32) (int32, int32) {
+func (na *naiveAvailability) visitStep(st video.StripeID, h int32, exclude int32, need int32, pv progressView) (int32, int32) {
 	es := na.entries[st]
 	for i := h; int(i) < len(es); i++ {
 		e := &es[i]
-		if e.box != exclude && entryChunks(e, reqProgress) > need {
+		if e.box != exclude && entryChunks(e, pv) > need {
 			return e.box, i + 1
 		}
 	}
 	return -1, -1
 }
 
-func (na *naiveAvailability) canServe(st video.StripeID, box int32, need int32, reqProgress []int32) bool {
+func (na *naiveAvailability) canServe(st video.StripeID, box int32, need int32, pv progressView) bool {
 	for i := range na.entries[st] {
 		e := &na.entries[st][i]
-		if e.box == box && entryChunks(e, reqProgress) > need {
+		if e.box == box && entryChunks(e, pv) > need {
 			return true
 		}
 	}
@@ -93,10 +93,10 @@ func (na *naiveAvailability) hasFull(st video.StripeID, box int32, full int32) b
 
 func (na *naiveAvailability) live(st video.StripeID) int { return len(na.entries[st]) }
 
-func (na *naiveAvailability) margin(st video.StripeID, box int32, need int32, reqProgress []int32) (hasLive bool, bestFrozen int32, ok bool) {
+func (na *naiveAvailability) margin(st video.StripeID, box int32, need int32, pv progressView) (hasLive bool, bestFrozen int32, ok bool) {
 	for i := range na.entries[st] {
 		e := &na.entries[st][i]
-		if e.box != box || entryChunks(e, reqProgress) <= need {
+		if e.box != box || entryChunks(e, pv) <= need {
 			continue
 		}
 		ok = true

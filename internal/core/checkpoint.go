@@ -97,7 +97,10 @@ func (s *System) EncodeState(w *ckpt.Writer) error {
 	w.I32s(s.reqStart)
 	w.I32s(s.reqBox)
 	w.I32s(s.reqViewer)
-	w.I32s(s.reqProgress)
+	w.U64(uint64(len(s.reqBase))) // the I32s layout
+	for slot := range s.reqBase {
+		w.I32(s.encodedProgress(slot))
+	}
 	w.Bools(s.reqActive)
 	w.I32s(s.freeSlots)
 	w.I32s(s.activeList)
@@ -130,6 +133,16 @@ func (s *System) EncodeState(w *ckpt.Writer) error {
 	return w.Err()
 }
 
+// encodedProgress is slot's progress as the checkpoint has always carried
+// it: clock − base for a live slot and T for a retired one, which retired
+// the round its progress reached T.
+func (s *System) encodedProgress(slot int) int32 {
+	if s.reqActive[slot] {
+		return s.clock - s.reqBase[slot]
+	}
+	return int32(s.cat.T)
+}
+
 // DecodeState restores state written by EncodeState into a freshly
 // constructed System built from the identical Config (same allocation,
 // uploads, mode flags — enforced by the fingerprint).
@@ -157,14 +170,11 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	if nSlots < 0 || nSlots > math.MaxInt32 {
 		return fmt.Errorf("core: checkpoint slot count %d out of range", nSlots)
 	}
-	s.reqStripe = make([]video.StripeID, nSlots)
-	for i := range s.reqStripe {
-		s.reqStripe[i] = video.StripeID(r.I32())
-	}
+	s.reqStripe = ckpt.Records(r, nSlots, func() video.StripeID { return video.StripeID(r.I32()) })
 	s.reqStart = r.I32s()
 	s.reqBox = r.I32s()
 	s.reqViewer = r.I32s()
-	s.reqProgress = r.I32s()
+	progress := r.I32s()
 	s.reqActive = r.Bools()
 	s.freeSlots = r.I32s()
 	s.activeList = r.I32s()
@@ -172,28 +182,46 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 		return err
 	}
 	if len(s.reqStart) != nSlots || len(s.reqBox) != nSlots || len(s.reqViewer) != nSlots ||
-		len(s.reqProgress) != nSlots || len(s.reqActive) != nSlots {
+		len(progress) != nSlots || len(s.reqActive) != nSlots {
 		return fmt.Errorf("core: checkpoint slot arrays disagree on length")
 	}
+	s.clock = int32(s.round) + 1
+	if s.failed {
+		s.clock--
+	}
+	T := int32(s.cat.T)
+	for slot, p := range progress {
+		if live := s.reqActive[slot]; live && (p < 0 || p > T) || !live && p != T {
+			return fmt.Errorf("core: checkpoint slot %d (live %v) has progress %d, T is %d", slot, live, p, T)
+		}
+		progress[slot] = s.clock - p
+	}
+	s.reqBase = progress
 	s.posInActive = make([]int32, nSlots)
 	for i := range s.posInActive {
 		s.posInActive[i] = -1
 	}
+	for b := range s.retireRing {
+		s.retireRing[b] = nil
+	}
 	for pos, slot := range s.activeList {
-		if slot < 0 || int(slot) >= nSlots || !s.reqActive[slot] {
+		if slot < 0 || int(slot) >= nSlots || !s.reqActive[slot] || s.posInActive[slot] >= 0 {
 			return fmt.Errorf("core: checkpoint live list holds invalid slot %d", slot)
 		}
 		s.posInActive[slot] = int32(pos)
+		s.bucketRetire(slot)
 	}
 	s.activeReqs = len(s.activeList)
 
 	s.totalSlots = 0
+	awaited := int64(0) // every pending issuance is outstanding work of its viewer
 	for b := range s.boxes {
 		s.boxes[b].outstanding = r.I32()
 		s.boxes[b].capSlots = r.I32()
 		s.boxes[b].busy = r.Bool()
 		s.boxes[b].idlePos = -1
 		s.totalSlots += int64(s.boxes[b].capSlots)
+		awaited += max(int64(s.boxes[b].outstanding), 0)
 	}
 	s.idleList = r.I32s()
 	s.idleBits.initEmpty(s.n)
@@ -210,20 +238,19 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if n < 0 || n > math.MaxInt32 {
-			return fmt.Errorf("core: checkpoint pending bucket length %d out of range", n)
+		if n < 0 || int64(n) > awaited {
+			return fmt.Errorf("core: checkpoint pending bucket length %d exceeds the %d requests the boxes still await", n, awaited)
 		}
-		bucket := make([]issuance, n)
-		for j := range bucket {
-			bucket[j] = issuance{
+		awaited -= int64(n)
+		s.pendingRing[i] = ckpt.Records(r, n, func() issuance {
+			return issuance{
 				round:     r.Int(),
 				stripe:    video.StripeID(r.I32()),
 				requester: r.I32(),
 				viewer:    r.I32(),
 				mirror:    r.I32(),
 			}
-		}
-		s.pendingRing[i] = bucket
+		})
 	}
 
 	s.needSweep = r.Bool()
@@ -345,16 +372,15 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
 	if n < 0 || n > math.MaxInt32 {
 		return fmt.Errorf("core: checkpoint slab size %d out of range", n)
 	}
-	ix.slab = make([]idxEntry, n)
-	for i := range ix.slab {
-		ix.slab[i] = idxEntry{
+	ix.slab = ckpt.Records(r, n, func() idxEntry {
+		return idxEntry{
 			entry:   decodeEntry(r),
 			stripe:  video.StripeID(r.I32()),
 			next:    r.I32(),
 			prev:    r.I32(),
 			nextKey: r.I32(),
 		}
-	}
+	})
 	byStripe := r.I32s()
 	liveCount := r.I32s()
 	if err := r.Err(); err != nil {
@@ -372,10 +398,7 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
 	if nLinks < 0 || nLinks > math.MaxInt32 {
 		return fmt.Errorf("core: checkpoint request-link count %d out of range", nLinks)
 	}
-	ix.reqLinks = make([][2]int32, nLinks)
-	for i := range ix.reqLinks {
-		ix.reqLinks[i] = [2]int32{r.I32(), r.I32()}
-	}
+	ix.reqLinks = ckpt.Records(r, nLinks, func() [2]int32 { return [2]int32{r.I32(), r.I32()} })
 	ix.free = r.I32s()
 	nKeys := r.Int()
 	if err := r.Err(); err != nil {
@@ -421,10 +444,9 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
 	if nEvents < 0 || nEvents > math.MaxInt32 {
 		return fmt.Errorf("core: checkpoint event count %d out of range", nEvents)
 	}
-	ix.eventLog = make([]availEvent, nEvents)
-	for i := range ix.eventLog {
-		ix.eventLog[i] = availEvent{stripe: video.StripeID(r.I32()), box: r.I32()}
-	}
+	ix.eventLog = ckpt.Records(r, nEvents, func() availEvent {
+		return availEvent{stripe: video.StripeID(r.I32()), box: r.I32()}
+	})
 	return r.Err()
 }
 
@@ -518,19 +540,19 @@ func (m *runMetrics) decode(r *ckpt.Reader, round int) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if nObs < 0 || nObs > math.MaxInt32 {
-		return fmt.Errorf("core: checkpoint obstruction count %d out of range", nObs)
+	// At most one certificate and one trace record per round.
+	if nObs < 0 || nObs > max(round, 0) {
+		return fmt.Errorf("core: checkpoint has %d obstructions by round %d", nObs, round)
 	}
-	m.obstructions = make([]Obstruction, nObs)
-	for i := range m.obstructions {
-		m.obstructions[i] = Obstruction{
+	m.obstructions = ckpt.Records(r, nObs, func() Obstruction {
+		return Obstruction{
 			Round:           r.Int(),
 			Requests:        r.Int(),
 			DistinctStripes: r.Int(),
 			Boxes:           r.Int(),
 			Slots:           r.I64(),
 		}
-	}
+	})
 	hist, err := decodeStartupHist(r, round, m.admitted)
 	if err != nil {
 		return err
@@ -543,12 +565,11 @@ func (m *runMetrics) decode(r *ckpt.Reader, round int) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if nTrace < 0 || nTrace > math.MaxInt32 {
-		return fmt.Errorf("core: checkpoint trace length %d out of range", nTrace)
+	if nTrace < 0 || nTrace > max(round, 0) {
+		return fmt.Errorf("core: checkpoint has %d trace records by round %d", nTrace, round)
 	}
-	m.trace = make([]RoundStats, nTrace)
-	for i := range m.trace {
-		m.trace[i] = RoundStats{
+	m.trace = ckpt.Records(r, nTrace, func() RoundStats {
+		return RoundStats{
 			Round:       r.Int(),
 			ActiveReqs:  r.Int(),
 			Matched:     r.Int(),
@@ -558,7 +579,7 @@ func (m *runMetrics) decode(r *ckpt.Reader, round int) error {
 			MaxSwarm:    r.Int(),
 			Utilization: r.F64(),
 		}
-	}
+	})
 	m.preloadReqs = r.I64()
 	m.postponedReqs = r.I64()
 	m.relayedReqs = r.I64()

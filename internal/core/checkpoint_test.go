@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,6 +46,15 @@ func checkpointChurn(t *testing.T, sys *System, r int, origCap int64) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// progressTable is every slot's progress as the checkpoint carries it.
+func progressTable(s *System) []int32 {
+	table := make([]int32, len(s.reqBase))
+	for slot := range table {
+		table[slot] = s.encodedProgress(slot)
+	}
+	return table
 }
 
 // TestCheckpointRoundTripBitIdentical is the tentpole differential:
@@ -101,7 +111,7 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 				t.Fatalf("round %d: %v", r, err)
 			}
 			wantResults = append(wantResults, res)
-			wantProgress = append(wantProgress, append([]int32(nil), live.reqProgress...))
+			wantProgress = append(wantProgress, progressTable(live))
 			busy := make([]bool, live.NumBoxes())
 			for b := range busy {
 				busy[b] = live.boxes[b].busy
@@ -135,14 +145,14 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 				t.Fatalf("round %d diverged after restore\nlive:     %+v\nrestored: %+v",
 					r, wantResults[i], res)
 			}
-			if len(restored.reqProgress) != len(wantProgress[i]) {
+			if len(restored.reqBase) != len(wantProgress[i]) {
 				t.Fatalf("round %d: slot table grew to %d slots, live had %d",
-					r, len(restored.reqProgress), len(wantProgress[i]))
+					r, len(restored.reqBase), len(wantProgress[i]))
 			}
 			for slot, want := range wantProgress[i] {
-				if restored.reqProgress[slot] != want {
+				if restored.encodedProgress(slot) != want {
 					t.Fatalf("round %d: progress of slot %d diverges: %d vs %d",
-						r, slot, want, restored.reqProgress[slot])
+						r, slot, want, restored.encodedProgress(slot))
 				}
 			}
 			for b, want := range wantBusy[i] {
@@ -362,6 +372,212 @@ func TestStoreDecodeRejectsCorruptKeyIndex(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("%s: decodeState allocated %d bytes on a %d-byte stream", tc.name, grew, len(ss.bytes()))
+		}
+	}
+}
+
+// streamOfWrites returns the bytes write puts through a ckpt.Writer.
+func streamOfWrites(write func(w *ckpt.Writer)) []byte {
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	write(w)
+	if err := w.Flush(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// writeSlotHead writes EncodeState's layout up to the progress column.
+func writeSlotHead(w *ckpt.Writer, s *System) {
+	w.U64(coreStateVersion)
+	w.U64(s.Fingerprint())
+	w.Int(s.round)
+	w.Bool(s.failed)
+	w.Int(len(s.reqStripe))
+	for _, st := range s.reqStripe {
+		w.I32(int32(st))
+	}
+	w.I32s(s.reqStart)
+	w.I32s(s.reqBox)
+	w.I32s(s.reqViewer)
+}
+
+// TestDecodeBoundsHostileCounts gives each count a decoder reads — and
+// each count in a slice reader under it, through the rows that stop at
+// one — a value the stream does not back, behind the shortest prefix that
+// reaches it. Where decoded state bounds the count, a count past the bound
+// is an error naming it; otherwise decoding fails on the missing bytes.
+// Either way it must have allocated less than 1 MB. The last rows are an
+// honest checkpoint with one progress value no engine writes, or with its
+// live list naming a slot twice (which would file it in the retire ring
+// twice).
+func TestDecodeBoundsHostileCounts(t *testing.T) {
+	const huge = 1 << 30
+	mk := func() *System { return buildHomogeneous(t, 5, 4, 1, 2, 6, 2, 1.5, 1.2, nil) }
+	fresh := mk()
+	numStripes, T := fresh.cat.NumStripes(), fresh.cat.T
+	boxes := func(w *ckpt.Writer, outstanding int32) {
+		w.Int(0) // no slots: seven empty slot arrays follow
+		for i := 0; i < 7; i++ {
+			w.U64(0)
+		}
+		for b := 0; b < fresh.n; b++ {
+			w.I32(outstanding)
+			w.I32(1)
+			w.Bool(false)
+			outstanding = 0
+		}
+		w.U64(0) // idle list
+	}
+	systemHead := func(w *ckpt.Writer) {
+		w.U64(coreStateVersion)
+		w.U64(fresh.Fingerprint())
+		w.Int(0)
+		w.Bool(false)
+	}
+	storeHead := func(w *ckpt.Writer) {
+		w.Int(0) // slab
+		w.I32s(make([]int32, numStripes))
+		w.I32s(make([]int32, numStripes))
+	}
+	metricsHead := func(w *ckpt.Writer) {
+		for i := 0; i < 6; i++ {
+			w.I64(0)
+		}
+		w.Int(-1) // fail round
+		w.Int(0)  // peak requests
+	}
+	// Each decoder is built before the allocation count starts.
+	type decoder func() func(*ckpt.Reader) error
+	decodeSystem := func() func(*ckpt.Reader) error { return mk().DecodeState }
+	decodeStore := func() func(*ckpt.Reader) error { return newIndexedAvailability(numStripes, T).decodeState }
+	decodeMetrics := func(round int) decoder {
+		return func() func(*ckpt.Reader) error {
+			m := new(runMetrics)
+			return func(r *ckpt.Reader) error { return m.decode(r, round) }
+		}
+	}
+
+	// An honest checkpoint with stalled, live and retired slots, and the
+	// stream with its progress column or its live list replaced.
+	live := buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) { cfg.Failure = FailStall })
+	gen := &uniformGen{rng: stats.NewRNG(1213), p: 0.8}
+	for r := 0; r < 40; r++ {
+		if _, err := live.Step(gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	honest := streamOfWrites(func(w *ckpt.Writer) {
+		if err := live.EncodeState(w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	slotSection := func(progress, list []int32) []byte {
+		return streamOfWrites(func(w *ckpt.Writer) {
+			writeSlotHead(w, live)
+			w.I32s(progress)
+			w.Bools(live.reqActive)
+			w.I32s(live.freeSlots)
+			w.I32s(list)
+		})
+	}
+	section := slotSection(progressTable(live), live.activeList)
+	if !bytes.Equal(honest[:len(section)], section) {
+		t.Fatal("EncodeState's slot section moved")
+	}
+	rest := honest[len(section):]
+	withProgress := func(slot int, p int32) []byte {
+		table := progressTable(live)
+		table[slot] = p
+		return append(slotSection(table, live.activeList), rest...)
+	}
+	listing := func(list []int32) []byte { return append(slotSection(progressTable(live), list), rest...) }
+	liveT := int32(live.cat.T)
+	liveSlot, retiredSlot := int(live.activeList[0]), -1
+	for slot, active := range live.reqActive {
+		if !active {
+			retiredSlot = slot
+		}
+	}
+	if retiredSlot < 0 {
+		t.Fatal("no retired slot to corrupt")
+	}
+	decodeLive := func() func(*ckpt.Reader) error {
+		return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) { cfg.Failure = FailStall }).DecodeState
+	}
+	if err := decodeLive()(ckpt.NewReader(bytes.NewReader(listing(live.activeList)))); err != nil {
+		t.Fatalf("honest stream rebuilt by hand rejected: %v", err)
+	}
+	twice := slices.Clone(live.activeList)
+	twice[len(twice)-1] = twice[0]
+
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		decode decoder
+		want   string
+	}{
+		{"slot count", streamOfWrites(func(w *ckpt.Writer) { systemHead(w); w.Int(huge) }), decodeSystem, ""},
+		{"pending bucket", streamOfWrites(func(w *ckpt.Writer) {
+			systemHead(w)
+			boxes(w, math.MaxInt32)
+			w.Int(huge)
+		}), decodeSystem, ""},
+		{"pending bucket past the awaited requests", streamOfWrites(func(w *ckpt.Writer) {
+			systemHead(w)
+			boxes(w, 2)
+			w.Int(3)
+		}), decodeSystem, "exceeds the 2 requests"},
+		{"slab", streamOfWrites(func(w *ckpt.Writer) { w.Int(huge) }), decodeStore, ""},
+		{"request links", streamOfWrites(func(w *ckpt.Writer) { storeHead(w); w.Int(huge) }), decodeStore, ""},
+		{"events", streamOfWrites(func(w *ckpt.Writer) {
+			storeHead(w)
+			w.Int(0)     // request links
+			w.U64(0)     // free list
+			w.Int(0)     // keys
+			w.Int(T + 4) // expiry ring
+			for i := 0; i < T+4; i++ {
+				w.U64(0)
+			}
+			w.Int(huge)
+		}), decodeStore, ""},
+		{"obstructions", streamOfWrites(func(w *ckpt.Writer) { metricsHead(w); w.Int(huge) }), decodeMetrics(1 << 40), ""},
+		{"obstructions past the round", streamOfWrites(func(w *ckpt.Writer) { metricsHead(w); w.Int(11) }),
+			decodeMetrics(10), "11 obstructions by round 10"},
+		{"trace", streamOfWrites(func(w *ckpt.Writer) {
+			metricsHead(w)
+			w.Int(0) // obstructions
+			w.U64(0) // start-up histogram
+			w.F64(0) // utilization sum
+			w.I64(0) // utilization rounds
+			w.Int(0) // largest swarm
+			w.Int(huge)
+		}), decodeMetrics(1 << 40), ""},
+		{"trace past the round", streamOfWrites(func(w *ckpt.Writer) {
+			metricsHead(w)
+			w.Int(0)
+			w.U64(0)
+			w.F64(0)
+			w.I64(0)
+			w.Int(0)
+			w.Int(11)
+		}), decodeMetrics(10), "11 trace records by round 10"},
+		{"live slot behind its start", withProgress(liveSlot, -1), decodeLive, "has progress -1"},
+		{"live slot past T", withProgress(liveSlot, liveT+1), decodeLive, "has progress 10"},
+		{"retired slot short of T", withProgress(retiredSlot, liveT-1), decodeLive, "(live false) has progress 8"},
+		{"live list naming a slot twice", listing(twice), decodeLive, "live list holds invalid slot"},
+	} {
+		decode, r := tc.decode(), ckpt.NewReader(bytes.NewReader(tc.stream))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode(r)
+		runtime.ReadMemStats(&after)
+		t.Logf("%s (%d bytes): %v", tc.name, len(tc.stream), err)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decode returned %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decode allocated %d bytes on a %d-byte stream", tc.name, grew, len(tc.stream))
 		}
 	}
 }

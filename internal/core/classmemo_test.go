@@ -88,10 +88,10 @@ func TestClassMemoRelayedLockstep(t *testing.T) {
 		}
 		for _, slot := range memo.activeList {
 			l := int(slot)
-			if memo.reqProgress[slot] != ref.reqProgress[slot] || memo.matcher.Server(l) != ref.matcher.Server(l) {
+			if memo.encodedProgress(int(slot)) != ref.encodedProgress(int(slot)) || memo.matcher.Server(l) != ref.matcher.Server(l) {
 				t.Fatalf("round %d slot %d: progress %d server %d, classless progress %d server %d",
-					round, slot, memo.reqProgress[slot], memo.matcher.Server(l),
-					ref.reqProgress[slot], ref.matcher.Server(l))
+					round, slot, memo.encodedProgress(int(slot)), memo.matcher.Server(l),
+					ref.encodedProgress(int(slot)), ref.matcher.Server(l))
 			}
 		}
 		if got.Unmatched > 0 {

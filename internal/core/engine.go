@@ -38,16 +38,7 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	s.tracker.BeginRound(s.round)
 	s.avail.expire(s.round)
 
-	// Retire completed requests (progress reached T). retireRequest
-	// swap-removes the current slot, so only advance on survivors.
-	for i := 0; i < len(s.activeList); {
-		slot := s.activeList[i]
-		if s.reqProgress[slot] >= int32(s.cat.T) {
-			s.retireRequest(slot)
-		} else {
-			i++
-		}
-	}
+	s.retireDue()
 
 	// Issue scheduled requests due this round. Strategies never schedule
 	// into the current round's bucket (delay ≥ 1), so draining it before
@@ -97,6 +88,7 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	unmatched := s.matcher.AugmentAll(adj)
 	res.Matched = s.matcher.MatchedCount()
 	res.Unmatched = len(unmatched)
+	stalled := unmatched
 
 	if len(unmatched) > 0 {
 		res.Obstruction = s.recordObstruction(adj)
@@ -112,7 +104,7 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 		// maximum matching the augmenter happened to find, so whole
 		// FailStall trajectories — not just per-round counts — do not
 		// depend on the augmenter's search order.
-		s.matcher.CanonicalizeDeficit(adj, unmatched)
+		stalled = s.matcher.CanonicalizeDeficit(adj, unmatched)
 	}
 
 	// Verify while edges still reflect matching-time possession; the
@@ -122,18 +114,60 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 		if err := s.matcher.Verify(adj); err != nil {
 			return res, fmt.Errorf("core: round %d matcher corrupt: %w", s.round, err)
 		}
+		// The advance below trusts the stall list to name every unmatched
+		// request: one missing from it would advance silently.
+		if want := s.activeReqs - s.matcher.MatchedCount(); len(stalled) != want {
+			return res, fmt.Errorf("core: round %d stall list names %d requests, %d are unmatched",
+				s.round, len(stalled), want)
+		}
 	}
 
-	// Matched requests advance one chunk, then certificates refresh.
-	for _, slot := range s.activeList {
-		if s.matcher.Server(int(slot)) != -1 {
-			s.reqProgress[slot]++
-		}
+	// Matched requests advance one chunk with the clock; stalled ones keep
+	// their progress by moving their base along. Then certificates refresh.
+	s.clock++
+	for _, l := range stalled {
+		s.reqBase[l]++
 	}
 	s.refreshAssignmentCertificates(res.Unmatched)
 
 	s.metrics.observeRound(s, res)
 	return res, batchErr
+}
+
+// retireDue retires the requests whose progress reaches T at this clock:
+// the slots of its retire bucket, less those that stalled since they were
+// filed, which move to the bucket of their new due clock (a base only
+// grows, so a lazy move is never late). The due slots retire in the order
+// a scan of activeList would retire them: by position, and at each
+// position again while the slot retireRequest swapped in from the tail is
+// due too. That keeps freeSlots, activeList and the matcher's left order —
+// and so every later round — what a scan makes them.
+func (s *System) retireDue() {
+	T := int32(s.cat.T)
+	b := int(s.clock) % len(s.retireRing)
+	bucket := s.retireRing[b]
+	keys := s.retireScratch[:0]
+	for _, slot := range bucket {
+		if s.reqBase[slot]+T != s.clock {
+			s.bucketRetire(slot)
+			continue
+		}
+		keys = append(keys, uint64(s.posInActive[slot])<<32|uint64(slot))
+	}
+	s.retireRing[b] = bucket[:0]
+	slices.Sort(keys)
+	for _, k := range keys {
+		slot := int32(uint32(k))
+		if !s.reqActive[slot] {
+			continue // an earlier position's chain retired it
+		}
+		pos := int(s.posInActive[slot])
+		s.retireRequest(slot)
+		for pos < len(s.activeList) && s.reqBase[s.activeList[pos]]+T == s.clock {
+			s.retireRequest(s.activeList[pos])
+		}
+	}
+	s.retireScratch = keys
 }
 
 // checkDemands reports the first demand of batch that names a box or a

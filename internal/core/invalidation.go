@@ -79,8 +79,9 @@ func (s *System) scheduleCertificate(l int) {
 	if s.cfg.Alloc.Stores(r, st) {
 		return
 	}
-	need := s.reqProgress[slot]
-	hasLive, bestFrozen, ok := s.avail.margin(st, int32(r), need, s.reqProgress)
+	pv := s.progress()
+	need := pv.of(slot)
+	hasLive, bestFrozen, ok := s.avail.margin(st, int32(r), need, pv)
 	switch {
 	case !ok:
 		// Already overtaken (the post-matching progress update legitimately

@@ -39,9 +39,9 @@ func TestEventInvalidationMatchesSweepRandomized(t *testing.T) {
 			}
 		}
 		for _, slot := range event.activeList {
-			if event.reqProgress[slot] != sweep.reqProgress[slot] {
+			if event.encodedProgress(int(slot)) != sweep.encodedProgress(int(slot)) {
 				t.Fatalf("round %d: progress of slot %d diverges: %d vs %d",
-					r, slot, event.reqProgress[slot], sweep.reqProgress[slot])
+					r, slot, event.encodedProgress(int(slot)), sweep.encodedProgress(int(slot)))
 			}
 			if se, ss := event.matcher.Server(int(slot)), sweep.matcher.Server(int(slot)); se != ss {
 				t.Fatalf("round %d: slot %d assigned %d (event) vs %d (sweep)", r, slot, se, ss)

@@ -51,9 +51,9 @@ func driveLockstep(t *testing.T, prod, ref *System, seed uint64, p float64, roun
 			t.Fatalf("round %d: step results diverge\nproduction: %+v\nreference:  %+v", r, resP, resR)
 		}
 		for _, slot := range prod.activeList {
-			if prod.reqProgress[slot] != ref.reqProgress[slot] {
+			if prod.encodedProgress(int(slot)) != ref.encodedProgress(int(slot)) {
 				t.Fatalf("round %d: progress of slot %d diverges: %d vs %d",
-					r, slot, prod.reqProgress[slot], ref.reqProgress[slot])
+					r, slot, prod.encodedProgress(int(slot)), ref.encodedProgress(int(slot)))
 			}
 		}
 		for b := 0; b < n; b++ {

@@ -14,13 +14,13 @@ import (
 // oracleMaxFlow is the paper's statement of a round, computed without the
 // matcher: one unit of flow per live request, each box's upload slots as
 // its capacity, and an edge wherever CanServe holds over every (live
-// request, box) pair. progress is the per-slot progress the round was
-// matched under; Step has advanced the matched requests since, so the
-// graph is enumerated with that vector swapped in.
-func oracleMaxFlow(s *System, progress []int32) int64 {
-	now := s.reqProgress
-	s.reqProgress = progress
-	defer func() { s.reqProgress = now }()
+// request, box) pair. under is the progress the round was matched under;
+// Step has advanced the matched requests since, so the graph is
+// enumerated with that view swapped in.
+func oracleMaxFlow(s *System, under progressView) int64 {
+	now := s.progress()
+	s.clock, s.reqBase = under.clock, under.base
+	defer func() { s.clock, s.reqBase = now.clock, now.base }()
 
 	live := s.activeList
 	const src, sink = 0, 1
@@ -66,7 +66,7 @@ func foldRound(h hash.Hash64, s *System, res StepResult) {
 	for slot, active := range s.reqActive {
 		if active {
 			put(int64(slot))
-			put(int64(s.reqProgress[slot]))
+			put(int64(s.encodedProgress(slot)))
 		}
 	}
 	for b := range s.boxes {
@@ -134,28 +134,33 @@ func TestRoundOracle(t *testing.T) {
 				if tc.churn {
 					checkpointChurn(t, sys, r, origCap)
 				}
-				before := slices.Clone(sys.reqProgress)
+				before := progressTable(sys)
 				res, err := sys.Step(gen)
 				if err != nil {
 					t.Fatalf("round %d: %v", r, err)
 				}
-				// The progress this round was matched under: a request
-				// issued this round had none, an older one had what it
-				// entered the round with (its slot cannot have been retired
-				// and reissued, or it would carry this round as its start).
-				matchedUnder := slices.Clone(sys.reqProgress)
+				// The progress this round was matched under, at the clock
+				// before the round's tick: a request issued this round had
+				// none, an older one had what it entered the round with (its
+				// slot cannot have been retired and reissued, or it would
+				// carry this round as its start).
+				matchedUnder := progressView{clock: sys.clock - 1, base: slices.Clone(sys.reqBase)}
+				if sys.Failed() {
+					matchedUnder.clock++ // a halted round does not tick
+				}
 				advanced := 0
 				for _, slot := range sys.activeList {
 					p := int32(0)
 					if int(sys.reqStart[slot]) != r {
 						p = before[slot]
 					}
-					if step := sys.reqProgress[slot] - p; step == 1 {
+					now := sys.encodedProgress(int(slot))
+					if step := now - p; step == 1 {
 						advanced++
 					} else if step != 0 {
-						t.Fatalf("round %d: slot %d went from progress %d to %d", r, slot, p, sys.reqProgress[slot])
+						t.Fatalf("round %d: slot %d went from progress %d to %d", r, slot, p, now)
 					}
-					matchedUnder[slot] = p
+					matchedUnder.base[slot] = matchedUnder.clock - p
 				}
 				live := len(sys.activeList)
 				flow := int(oracleMaxFlow(sys, matchedUnder))

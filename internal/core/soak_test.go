@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/allocation"
@@ -10,21 +11,44 @@ import (
 
 // TestSoakMixedWorkload runs a long paranoid simulation with a workload
 // that mixes background demand, churn waves, and periodic flash crowds,
-// checking engine invariants every round.
+// checking engine invariants every round: once with upload to spare and
+// once below the threshold, where requests stall and the retire ring has
+// to move them on.
 func TestSoakMixedWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
+	t.Run("u=2.5", func(t *testing.T) { soakMixed(t, 2.5) })
+	t.Run("u=0.9", func(t *testing.T) { soakMixed(t, 0.9) })
+}
+
+func soakMixed(t *testing.T, u float64) {
 	const n, d, c, T, k = 40, 2, 4, 12, 5
-	sys := buildHomogeneous(t, 77, n, d, c, T, k, 2.5, 1.3, func(cfg *Config) {
+	sys := buildHomogeneous(t, 77, n, d, c, T, k, u, 1.3, func(cfg *Config) {
 		cfg.Failure = FailStall
 	})
 	rng := stats.NewRNG(101)
 	gen := &mixedGen{rng: rng}
+	early := 0
 	for round := 0; round < 600; round++ {
+		wasLive, before := slices.Clone(sys.reqActive), progressTable(sys)
 		res, err := sys.Step(gen)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		// A slot retires exactly when its progress has reached T, so T is
+		// what the checkpoint's progress column says of every retired slot.
+		early += checkRetireRing(t, sys)
+		for slot, live := range wasLive {
+			retired := !sys.reqActive[slot] || int(sys.reqStart[slot]) == sys.Round()
+			if live && retired != (before[slot] == int32(T)) {
+				t.Fatalf("round %d: slot %d entered at progress %d, retired %v", round, slot, before[slot], retired)
+			}
+		}
+		for slot, live := range sys.reqActive {
+			if !live && sys.encodedProgress(slot) != int32(T) {
+				t.Fatalf("round %d: retired slot %d encodes progress %d", round, slot, sys.encodedProgress(slot))
+			}
 		}
 		if res.Matched < 0 || res.Unmatched < 0 {
 			t.Fatalf("round %d: negative counts %+v", round, res)
@@ -45,15 +69,20 @@ func TestSoakMixedWorkload(t *testing.T) {
 			if !active {
 				continue
 			}
-			if sys.reqProgress[slot] < 0 || sys.reqProgress[slot] > int32(T) {
+			if sys.encodedProgress(slot) < 0 || sys.encodedProgress(slot) > int32(T) {
 				t.Fatalf("round %d: request %d progress %d out of [0,%d]",
-					round, slot, sys.reqProgress[slot], T)
+					round, slot, sys.encodedProgress(slot), T)
 			}
 		}
 	}
 	rep := sys.Report()
 	if rep.CompletedViewings < 100 {
 		t.Errorf("soak completed only %d viewings", rep.CompletedViewings)
+	}
+	t.Logf("%d viewings, %d stalled request-rounds, %d slot-rounds filed ahead of their due clock",
+		rep.CompletedViewings, rep.Stalls, early)
+	if (u < 1) != (rep.Stalls > 0 && early > 0) {
+		t.Errorf("u=%v soak stalled %d request-rounds and filed %d slot-rounds early", u, rep.Stalls, early)
 	}
 }
 

@@ -55,20 +55,34 @@ type System struct {
 	// differential test can substitute another view of the same graph.
 	adj bipartite.Hinted
 
-	// Request slot arrays (index = matcher left ID).
-	reqStripe   []video.StripeID
-	reqStart    []int32
-	reqBox      []int32 // downloader (the relay for relayed requests)
-	reqViewer   []int32 // box whose playback depends on this request
-	reqProgress []int32
-	reqActive   []bool
-	freeSlots   []int32
-	activeReqs  int
+	// Request slot arrays (index = matcher left ID). Progress is implicit
+	// (see progressView): clock − reqBase[slot] for a live slot.
+	reqStripe  []video.StripeID
+	reqStart   []int32
+	reqBox     []int32 // downloader (the relay for relayed requests)
+	reqViewer  []int32 // box whose playback depends on this request
+	reqBase    []int32
+	reqActive  []bool
+	freeSlots  []int32
+	activeReqs int
 
-	// Live request slots, swap-removed on retirement, so per-round sweeps
-	// cost O(live requests) instead of O(peak slots ever allocated).
+	// Live request slots, swap-removed on retirement. Its order is
+	// behaviour (retirement order, checkpoint); Step walks it whole only
+	// to rebuild certificates after a stall episode.
 	activeList  []int32
 	posInActive []int32
+
+	// clock ticks once per round that ran to its end — round+1 between
+	// Steps, round on a FailStop-halted system — so a matched request
+	// advances without being touched and a stalled one stays put by
+	// bumping its base. retireRing buckets every live slot by the clock
+	// at which it is due, base+T (mod T+1), as pendingRing does issuance;
+	// a slot that stalled since it was bucketed moves on when its bucket
+	// drains. Both are derived: the checkpoint carries neither, and decode
+	// rebuilds them from round and progress.
+	clock         int32
+	retireRing    [][]int32
+	retireScratch []uint64
 
 	// avail indexes the playback-cache entries (the swarm half of the
 	// Section 2.2 graph); the allocation half lives in cfg.Alloc.
@@ -128,6 +142,8 @@ func NewSystem(cfg Config) (*System, error) {
 		pendingRing: make([][]issuance, maxIssuanceDelay+1),
 		avail:       newIndexedAvailability(cat.NumStripes(), cat.T),
 		recheckRing: make([][]int32, cat.T+2),
+		retireRing:  make([][]int32, cat.T+1),
+		clock:       1,
 	}
 	s.adj = adjacency{s}
 	s.matcher.LogAssignments(true)
@@ -196,7 +212,7 @@ func (s *System) allocSlot() int32 {
 	s.reqStart = append(s.reqStart, 0)
 	s.reqBox = append(s.reqBox, 0)
 	s.reqViewer = append(s.reqViewer, 0)
-	s.reqProgress = append(s.reqProgress, 0)
+	s.reqBase = append(s.reqBase, 0)
 	s.reqActive = append(s.reqActive, false)
 	s.posInActive = append(s.posInActive, -1)
 	return slot
@@ -221,7 +237,8 @@ func (s *System) issueRequest(stripe video.StripeID, requester, viewer, mirror i
 	s.reqStart[slot] = int32(s.round)
 	s.reqBox[slot] = requester
 	s.reqViewer[slot] = viewer
-	s.reqProgress[slot] = 0
+	s.reqBase[slot] = s.clock
+	s.bucketRetire(slot)
 	s.reqActive[slot] = true
 	s.activeReqs++
 	s.posInActive[slot] = int32(len(s.activeList))
@@ -238,10 +255,20 @@ func (s *System) issueRequest(stripe video.StripeID, requester, viewer, mirror i
 	}
 }
 
+// bucketRetire files live slot under the clock at which its progress
+// reaches T.
+func (s *System) bucketRetire(slot int32) {
+	b := (int(s.reqBase[slot]) + s.cat.T) % len(s.retireRing)
+	s.retireRing[b] = append(s.retireRing[b], slot)
+}
+
+// progress returns the view every progress reader goes through.
+func (s *System) progress() progressView { return progressView{s.clock, s.reqBase} }
+
 // retireRequest completes a request: frees the slot, freezes its cache
 // entries, and releases the viewer when its last request finishes.
 func (s *System) retireRequest(slot int32) {
-	s.avail.retire(s.reqStripe[slot], slot, s.reqProgress[slot])
+	s.avail.retire(s.reqStripe[slot], slot, s.progress().of(slot))
 	s.matcher.RemoveLeft(int(slot))
 	s.reqActive[slot] = false
 	s.activeReqs--
@@ -331,7 +358,8 @@ func (a adjacency) NextServer(c *bipartite.Cursor) int {
 		c.ID = s.avail.visitHead(stripe)
 	}
 	if c.Stage == 1 {
-		box, next := s.avail.visitStep(stripe, c.ID, requester, s.reqProgress[slot], s.reqProgress)
+		pv := s.progress()
+		box, next := s.avail.visitStep(stripe, c.ID, requester, pv.of(slot), pv)
 		c.ID = next
 		if box >= 0 {
 			return int(box)
@@ -359,7 +387,8 @@ func (a adjacency) CanServe(left, right int) bool {
 	if s.cfg.DisableCacheServing {
 		return false
 	}
-	return s.avail.canServe(stripe, int32(right), s.reqProgress[slot], s.reqProgress)
+	pv := s.progress()
+	return s.avail.canServe(stripe, int32(right), pv.of(slot), pv)
 }
 
 // ServerCountHint implements bipartite.Hinted: a cheap upper bound on
@@ -397,7 +426,7 @@ func (a adjacency) StableEdge(left, right int) bool {
 // other than the box the latter must skip, its own requester.
 func (a adjacency) ServerClass(left int) (class, need int32, self int) {
 	s := a.s
-	return int32(s.reqStripe[left]), s.reqProgress[left], int(s.reqBox[left])
+	return int32(s.reqStripe[left]), s.progress().of(int32(left)), int(s.reqBox[left])
 }
 
 // selfPossesses reports whether box b already has stripe st available

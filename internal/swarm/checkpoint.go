@@ -73,13 +73,16 @@ func (tr *Tracker) DecodeState(r *ckpt.Reader) error {
 	if nActive < 0 || nActive > tr.m {
 		return fmt.Errorf("swarm: checkpoint active list length %d out of range", nActive)
 	}
-	tr.activeVids = make([]video.ID, nActive)
+	tr.activeVids = make([]video.ID, nActive) // at most the catalog, whatever the stream says
 	for i := range tr.pos {
 		tr.pos[i] = -1
 	}
 	for i := range tr.activeVids {
 		v := r.Int()
-		if v < 0 || v >= tr.m {
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if v < 0 || v >= tr.m || tr.pos[v] >= 0 {
 			return fmt.Errorf("swarm: checkpoint active list holds invalid video %d", v)
 		}
 		tr.activeVids[i] = video.ID(v)

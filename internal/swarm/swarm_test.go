@@ -1,10 +1,13 @@
 package swarm
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ckpt"
 	"repro/internal/video"
 )
 
@@ -266,5 +269,33 @@ func TestMaxSizeEver(t *testing.T) {
 	}
 	if tr.MaxSizeEver() != peak {
 		t.Fatalf("MaxSizeEver = %d, per-round peak = %d", tr.MaxSizeEver(), peak)
+	}
+}
+
+// TestDecodeRejectsRepeatedActiveVideo: the active-video list is restored
+// with a position index, so a checkpoint naming one video twice would
+// leave an index entry pointing at the wrong slot. Decoding refuses it.
+func TestDecodeRejectsRepeatedActiveVideo(t *testing.T) {
+	tr := NewTracker(3, 10, 2)
+	tr.BeginRound(1)
+	for _, v := range []video.ID{2, 0} {
+		if _, err := tr.Enter(v, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	tr.EncodeState(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if err := NewTracker(3, 10, 2).DecodeState(ckpt.NewReader(bytes.NewReader(b))); err != nil {
+		t.Fatalf("honest checkpoint rejected: %v", err)
+	}
+	b[len(b)-1] = b[len(b)-2] // the list ends with two one-byte video ids
+	err := NewTracker(3, 10, 2).DecodeState(ckpt.NewReader(bytes.NewReader(b)))
+	if err == nil || !strings.Contains(err.Error(), "invalid video") {
+		t.Fatalf("active list naming one video twice: %v", err)
 	}
 }
