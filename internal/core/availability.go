@@ -31,6 +31,11 @@ type progressView struct {
 // of returns live slot's progress in chunks.
 func (v progressView) of(slot int32) int32 { return v.clock - v.base[slot] }
 
+// issued returns the round the entry's request was issued: a mirror
+// entry starts one round after its request (start = round+1, lag 1), so
+// the issue round is start − lag, not start.
+func (e *entry) issued() int32 { return e.start - e.lag }
+
 // entryChunks returns how many chunks the entry's box has of its stripe.
 func entryChunks(e *entry, pv progressView) int32 {
 	if e.req >= 0 {
@@ -76,7 +81,19 @@ type availabilityStore interface {
 	visitHead(st video.StripeID) int32
 	// visitStep scans from position h for the next entry of st whose box
 	// is not exclude and whose progress exceeds need, returning its box
-	// and the position after it. Exhaustion returns box -1.
+	// and the position after it. Exhaustion returns box -1. Every store
+	// yields the same entries in the same order as a plain scan of its
+	// own sequence; the indexed store's sequence is the naive store's
+	// reversed. The indexed store skips, a whole run at a time, entries
+	// that the progress bound proves cannot serve:
+	//   - bound: an entry issued at round r has at most clock − r chunks
+	//     (issueRequest sets base = clock = r and a base only grows, so a
+	//     live entry has clock − base − lag ≤ clock − r and a frozen one
+	//     froze at final − lag ≤ clock − r), so r ≥ clock − need cannot
+	//     pass chunks > need;
+	//   - order: add prepends and issue rounds never decrease, so every
+	//     stripe list is non-increasing in r from its head, and every
+	//     entry past the skipped prefix has r < clock − need.
 	visitStep(st video.StripeID, h int32, exclude int32, need int32, pv progressView) (box, next int32)
 	// canServe reports whether box has an entry for st with progress
 	// beyond need.
@@ -99,13 +116,15 @@ type availabilityStore interface {
 	drainEvents(dst []availEvent) []availEvent
 	// encodeState / decodeState serialize the store's full mutable state
 	// for checkpointing (see checkpoint.go). decodeState targets a freshly
-	// constructed store with the same shape (stripes, T).
+	// constructed store with the same shape (stripes, T); round is the
+	// checkpoint's round, which no entry's issue round may exceed.
 	encodeState(w *ckpt.Writer)
-	decodeState(r *ckpt.Reader) error
+	decodeState(r *ckpt.Reader, round int32) error
 }
 
 // indexedAvailability is the production store: intrusive per-stripe lists
-// of live entries for iteration, a per-(stripe,box) chain index for O(1)
+// of live entries for iteration (newest first, with run links over equal
+// issue rounds), a per-(stripe,box) chain index for O(1)
 // lookups, and a round-bucketed expiry ring so each round touches only the
 // entries whose window actually closes — never the full catalog. All
 // linkage runs through one slab, so steady-state operation allocates
@@ -134,6 +153,10 @@ type idxEntry struct {
 	stripe     video.StripeID
 	next, prev int32 // intrusive per-stripe live list
 	nextKey    int32 // next entry id with the same (stripe, box), or −1
+	// jump is the first later entry of the stripe list issued at a
+	// strictly earlier round, or −1: the end of this entry's run. It is
+	// derived state, rebuilt on decode and never checkpointed.
+	jump int32
 }
 
 // newIndexedAvailability sizes the store for a catalog. The ring needs
@@ -165,12 +188,22 @@ func (ix *indexedAvailability) add(st video.StripeID, e entry) {
 	}
 	nextKey := ix.byKey.swap(availKey(st, e.box), id)
 	head := ix.byStripe[st]
+	jump := head
+	if head >= 0 {
+		switch h := &ix.slab[head]; {
+		case h.issued() == e.issued():
+			jump = h.jump
+		case h.issued() > e.issued():
+			panic(fmt.Sprintf("core: stripe %d entry issued at round %d added after one issued at %d", st, e.issued(), h.issued()))
+		}
+	}
 	ix.slab[id] = idxEntry{
 		entry:   e,
 		stripe:  st,
 		next:    head,
 		prev:    -1,
 		nextKey: nextKey,
+		jump:    jump,
 	}
 	if head >= 0 {
 		ix.slab[head].prev = id
@@ -228,8 +261,20 @@ func (ix *indexedAvailability) expire(round int) {
 // backing request, and returns the slab slot to the free list.
 func (ix *indexedAvailability) remove(id int32) {
 	e := &ix.slab[id]
-	// Stripe list: unlink.
+	// Stripe list: unlink. When id opens its run, the previous run's
+	// entries all jump to it: retarget them to the next entry of the run,
+	// or past the run when id was its last. Expiry removes in issue order,
+	// so a run is retargeted at most twice (primaries, then mirrors).
 	if e.prev >= 0 {
+		if r := e.issued(); ix.slab[e.prev].issued() != r {
+			target := e.jump
+			if e.next >= 0 && ix.slab[e.next].issued() == r {
+				target = e.next
+			}
+			for q := e.prev; q >= 0 && ix.slab[q].jump == id; q = ix.slab[q].prev {
+				ix.slab[q].jump = target
+			}
+		}
 		ix.slab[e.prev].next = e.next
 	} else {
 		ix.byStripe[e.stripe] = e.next
@@ -283,8 +328,14 @@ func (ix *indexedAvailability) retire(_ video.StripeID, req int32, final int32) 
 func (ix *indexedAvailability) visitHead(st video.StripeID) int32 { return ix.byStripe[st] }
 
 func (ix *indexedAvailability) visitStep(st video.StripeID, h int32, exclude int32, need int32, pv progressView) (int32, int32) {
-	for id := h; id >= 0; id = ix.slab[id].next {
-		e := &ix.slab[id]
+	slab, id := ix.slab, h
+	for young := pv.clock - need; id >= 0; id = slab[id].jump {
+		if slab[id].issued() < young {
+			break
+		}
+	}
+	for ; id >= 0; id = slab[id].next {
+		e := &slab[id]
 		if e.box != exclude && entryChunks(&e.entry, pv) > need {
 			return e.box, e.next
 		}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/allocation"
@@ -54,7 +54,10 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 	naive := newNaiveAvailability(numStripes, T)
 	stores := []availabilityStore{idx, naive}
 
-	var pv progressView // progress as the engine keeps it: clock − base
+	// Progress as the engine keeps it: clock − base, with the clock at the
+	// round number while requests are issued, so a request's base starts
+	// at its issue round.
+	pv := progressView{clock: 1}
 	var reqs []diffReq
 	newSlot := func(st video.StripeID) int32 {
 		slot := int32(len(pv.base))
@@ -105,6 +108,9 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 			}
 		}
 
+		if err := runLinkError(idx); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 		// Compare every query the system can pose.
 		for st := video.StripeID(0); int(st) < numStripes; st++ {
 			if idx.live(st) != naive.live(st) {
@@ -113,30 +119,14 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 			}
 			exclude := int32(rng.Intn(numBoxes))
 			need := int32(rng.Intn(T + 1))
-			// The walk the adjacency's cursor runs. Enumeration order
-			// legitimately differs between the stores, so the yields are
-			// compared sorted. A box holding several serving entries of the
-			// stripe is yielded once per entry; the naive walk is a plain
-			// index scan, so any entry the indexed walk yields twice (or
-			// skips) shows as a count mismatch.
-			walk := func(s availabilityStore) []int {
-				var out []int
-				for h := s.visitHead(st); ; {
-					box, next := s.visitStep(st, h, exclude, need, pv)
-					if box < 0 {
-						break
-					}
-					if len(out) > naive.live(st) {
-						t.Fatalf("round %d stripe %d: walk yields more boxes than the stripe has entries", round, st)
-					}
-					out = append(out, int(box))
-					h = next
-				}
-				sort.Ints(out)
-				return out
-			}
-			if got, want := walk(idx), walk(naive); !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d stripe %d walk(exclude=%d, need=%d): indexed %v, naive %v",
+			// The walk the adjacency's cursor runs. The indexed store
+			// prepends and the naive one appends, so the indexed walk must
+			// yield exactly the naive walk reversed: matcher visit order,
+			// and with it bit-identity, rests on that order.
+			want := walkBoxes(naive, st, exclude, need, pv)
+			slices.Reverse(want)
+			if got := walkBoxes(idx, st, exclude, need, pv); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d stripe %d walk(exclude=%d, need=%d): indexed %v, naive reversed %v",
 					round, st, exclude, need, got, want)
 			}
 			for box := int32(0); int(box) < numBoxes; box++ {

@@ -115,6 +115,6 @@ func (na *naiveAvailability) drainEvents(dst []availEvent) []availEvent { return
 
 // The reference store is never checkpointed.
 func (na *naiveAvailability) encodeState(*ckpt.Writer) { panic("core: naive store has no codec") }
-func (na *naiveAvailability) decodeState(*ckpt.Reader) error {
+func (na *naiveAvailability) decodeState(*ckpt.Reader, int32) error {
 	panic("core: naive store has no codec")
 }

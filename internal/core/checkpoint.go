@@ -260,7 +260,7 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	if err := s.matcher.DecodeState(r); err != nil {
 		return err
 	}
-	if err := s.avail.decodeState(r); err != nil {
+	if err := s.avail.decodeState(r, int32(s.round)); err != nil {
 		return err
 	}
 	if err := s.tracker.DecodeState(r); err != nil {
@@ -364,7 +364,7 @@ func (ix *indexedAvailability) encodeState(w *ckpt.Writer) {
 	}
 }
 
-func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
+func (ix *indexedAvailability) decodeState(r *ckpt.Reader, round int32) error {
 	n := r.Int()
 	if err := r.Err(); err != nil {
 		return err
@@ -400,6 +400,13 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
 	}
 	ix.reqLinks = ckpt.Records(r, nLinks, func() [2]int32 { return [2]int32{r.I32(), r.I32()} })
 	ix.free = r.I32s()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	mark, listed, err := ix.relinkStripes(round)
+	if err != nil {
+		return err
+	}
 	nKeys := r.Int()
 	if err := r.Err(); err != nil {
 		return err
@@ -417,6 +424,9 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
 		}
 		if id < 0 || int(id) >= len(ix.slab) {
 			return fmt.Errorf("core: checkpoint key index holds entry id %d outside the slab", id)
+		}
+		if mark[id] != slabListed {
+			return fmt.Errorf("core: checkpoint key index holds entry %d, which is free", id)
 		}
 		if e := &ix.slab[id]; availKey(e.stripe, e.box) != key {
 			return fmt.Errorf("core: checkpoint key %#x points at entry %d of stripe %d, box %d",
@@ -437,6 +447,12 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
 	for b := range ix.ring {
 		ix.ring[b] = r.I32s()
 	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if err := ix.checkFiling(mark, listed); err != nil {
+		return err
+	}
 	nEvents := r.Int()
 	if err := r.Err(); err != nil {
 		return err
@@ -448,6 +464,114 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader) error {
 		return availEvent{stripe: video.StripeID(r.I32()), box: r.I32()}
 	})
 	return r.Err()
+}
+
+// Marks of decodeState's pass over the slab.
+const (
+	slabFreed = 1 + iota
+	slabListed
+	slabFiled
+)
+
+// relinkStripes checks the decoded stripe lists, which every walk and
+// every remove trusts, and rebuilds the run links, which the checkpoint
+// does not carry. The free list must name distinct slab ids. Each stripe
+// list must hold exactly liveCount[st] entries of st, linked both ways, in
+// non-increasing issue round no later than the checkpoint's round (add
+// refuses an entry issued before the head); and every slab entry must be
+// either free or listed. Each entry is marked as the walk reaches it, so a
+// cyclic list ends at its first repeat and a hostile list costs O(slab).
+// It returns the marks and the number of listed entries for checkFiling.
+func (ix *indexedAvailability) relinkStripes(round int32) (mark []uint8, listed int, err error) {
+	mark = make([]uint8, len(ix.slab))
+	for _, id := range ix.free {
+		if id < 0 || int(id) >= len(ix.slab) || mark[id] != 0 {
+			return nil, 0, fmt.Errorf("core: checkpoint free list holds entry id %d twice or outside the slab", id)
+		}
+		mark[id] = slabFreed
+	}
+	for st, head := range ix.byStripe {
+		prev, n := int32(-1), int32(0)
+		for id := head; id >= 0; prev, id = id, ix.slab[id].next {
+			if int(id) >= len(ix.slab) {
+				return nil, 0, fmt.Errorf("core: checkpoint stripe %d list holds entry id %d outside the slab", st, id)
+			}
+			e := &ix.slab[id]
+			switch {
+			case mark[id] == slabFreed:
+				return nil, 0, fmt.Errorf("core: checkpoint stripe %d list holds entry %d, which is free", st, id)
+			case mark[id] == slabListed:
+				return nil, 0, fmt.Errorf("core: checkpoint stripe %d list reaches entry %d twice", st, id)
+			case int(e.stripe) != st:
+				return nil, 0, fmt.Errorf("core: checkpoint stripe %d list holds entry %d of stripe %d", st, id, e.stripe)
+			case e.prev != prev:
+				return nil, 0, fmt.Errorf("core: checkpoint stripe %d entry %d links back to %d, not %d", st, id, e.prev, prev)
+			case e.issued() > round:
+				return nil, 0, fmt.Errorf("core: checkpoint stripe %d entry %d issued at round %d, after round %d", st, id, e.issued(), round)
+			case prev >= 0 && e.issued() > ix.slab[prev].issued():
+				return nil, 0, fmt.Errorf("core: checkpoint stripe %d entry %d issued at round %d follows one issued at %d",
+					st, id, e.issued(), ix.slab[prev].issued())
+			}
+			mark[id] = slabListed
+			n++
+		}
+		if n != ix.liveCount[st] {
+			return nil, 0, fmt.Errorf("core: checkpoint stripe %d list holds %d entries, its count says %d", st, n, ix.liveCount[st])
+		}
+		for id := prev; id >= 0; id = ix.slab[id].prev {
+			e := &ix.slab[id]
+			e.jump = e.next
+			if e.next >= 0 && ix.slab[e.next].issued() == e.issued() {
+				e.jump = ix.slab[e.next].jump
+			}
+		}
+		listed += int(n)
+	}
+	if listed+len(ix.free) != len(ix.slab) {
+		return nil, 0, fmt.Errorf("core: checkpoint slab has %d entries, %d listed and %d free", len(ix.slab), listed, len(ix.free))
+	}
+	return mark, listed, nil
+}
+
+// checkFiling checks the two indexes that remove and retire trust: every
+// listed entry is filed once, in the expiry bucket of its start, and the
+// request links name listed entries backed by their slot, one link per
+// request-backed entry.
+func (ix *indexedAvailability) checkFiling(mark []uint8, listed int) error {
+	filed := 0
+	for b, bucket := range ix.ring {
+		for _, id := range bucket {
+			if id < 0 || int(id) >= len(ix.slab) || mark[id] != slabListed || int(ix.slab[id].start)%len(ix.ring) != b {
+				return fmt.Errorf("core: checkpoint expiry bucket %d holds entry %d, which is not a live entry due there", b, id)
+			}
+			mark[id] = slabFiled
+			filed++
+		}
+	}
+	if filed != listed {
+		return fmt.Errorf("core: checkpoint files %d of %d live entries for expiry", filed, listed)
+	}
+	backed, linked := 0, 0
+	for id := range ix.slab {
+		if mark[id] == slabFiled && ix.slab[id].req >= 0 {
+			backed++
+		}
+	}
+	for slot, links := range ix.reqLinks {
+		for _, id := range links {
+			if id < 0 {
+				continue
+			}
+			if int(id) >= len(ix.slab) || mark[id] != slabFiled || int(ix.slab[id].req) != slot || links[0] == links[1] {
+				return fmt.Errorf("core: checkpoint request %d links entry %d, which it does not back", slot, id)
+			}
+			linked++
+		}
+	}
+	if linked != backed {
+		return fmt.Errorf("core: checkpoint links %d of %d request-backed entries", linked, backed)
+	}
+	return nil
 }
 
 func (m *runMetrics) encode(w *ckpt.Writer) {

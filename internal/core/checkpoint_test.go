@@ -339,7 +339,7 @@ func TestStoreDecodeRejectsCorruptKeyIndex(t *testing.T) {
 		t.Fatal("encodeState does not write the key index as chain heads in ascending id (or the layout moved)")
 	}
 	fresh := func() *indexedAvailability { return newIndexedAvailability(numStripes, T) }
-	if err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(honest.bytes()))); err != nil {
+	if err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(honest.bytes())), 13); err != nil {
 		t.Fatalf("honest stream rejected: %v", err)
 	}
 	if len(honest.keys) < 2 || len(honest.ix.free) == 0 {
@@ -360,18 +360,144 @@ func TestStoreDecodeRejectsCorruptKeyIndex(t *testing.T) {
 		{"key twice", func(ss *storeStream) {
 			ss.keys[1], ss.keyIDs[1] = ss.keys[0], ss.keyIDs[0]
 		}, "repeats key"},
+		{"id of a free entry", func(ss *storeStream) {
+			id := ss.ix.free[0]
+			ss.keys[0], ss.keyIDs[0] = availKey(ss.ix.slab[id].stripe, ss.ix.slab[id].box), id
+		}, "which is free"},
 	} {
 		ss := streamOf(build())
 		tc.corrupt(&ss)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(ss.bytes())))
+		err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(ss.bytes())), 13)
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: decodeState returned %v, want an error naming %q", tc.name, err, tc.want)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("%s: decodeState allocated %d bytes on a %d-byte stream", tc.name, grew, len(ss.bytes()))
+		}
+	}
+}
+
+// TestStoreDecodeRejectsMalformedLists feeds decodeState stripe lists,
+// expiry buckets and request links no encoder writes. Walks, remove and
+// retire trust all three, and a cyclic list used to decode and then hang
+// the next Step, so each must come back as an error — not a hang, not a
+// panic — having allocated less than 1 MB. The honest stream decodes to
+// the same slab, run links included.
+func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
+	const numStripes, T = 3, 5
+	build := func() *indexedAvailability {
+		ix := newIndexedAvailability(numStripes, T)
+		rng := stats.NewRNG(78)
+		var live []diffReq
+		slot := int32(0)
+		for round := 1; round <= 12; round++ {
+			ix.expire(round)
+			for i := 0; i < 4; i++ {
+				st := video.StripeID(rng.Intn(numStripes))
+				ix.add(st, entry{box: int32(rng.Intn(4)), start: int32(round), req: slot})
+				if rng.Bool(0.5) {
+					ix.add(st, entry{box: int32(rng.Intn(4)), start: int32(round + 1), req: slot, lag: 1})
+				}
+				live = append(live, diffReq{slot: slot, stripe: st, live: true})
+				slot++
+			}
+			for i := range live {
+				if r := &live[i]; r.live && rng.Bool(0.3) {
+					ix.retire(r.stripe, r.slot, 2)
+					r.live = false
+				}
+			}
+		}
+		ix.expire(13) // nothing added after it: the slots it frees stay free
+		return ix
+	}
+	honest := build()
+	fresh := func() *indexedAvailability { return newIndexedAvailability(numStripes, T) }
+	decoded := fresh()
+	if err := decoded.decodeState(ckpt.NewReader(bytes.NewReader(streamOf(honest).bytes())), 13); err != nil {
+		t.Fatalf("honest stream rejected: %v", err)
+	}
+	if !reflect.DeepEqual(decoded.slab, honest.slab) {
+		t.Fatal("decoded slab differs from the encoded one: the run links were not rebuilt as add and remove keep them")
+	}
+	// st0's list has two runs; its second entry opens neither.
+	st0, backed, frozen := video.StripeID(-1), int32(-1), int32(-1)
+	for st, head := range honest.byStripe {
+		if head >= 0 && honest.slab[head].jump >= 0 && honest.slab[head].next != honest.slab[head].jump {
+			st0 = video.StripeID(st)
+		}
+	}
+	for id := range honest.slab {
+		switch e := &honest.slab[id]; {
+		case slices.Contains(honest.free, int32(id)):
+		case e.req >= 0:
+			backed = int32(id)
+		case e.lag == 0:
+			frozen = int32(id)
+		}
+	}
+	if st0 < 0 || backed < 0 || frozen < 0 || len(honest.free) == 0 {
+		t.Fatal("scenario too small: need a list with two runs, a backed and a frozen entry, and a free slot")
+	}
+	tail := func(ix *indexedAvailability) int32 {
+		id := ix.byStripe[st0]
+		for ix.slab[id].next >= 0 {
+			id = ix.slab[id].next
+		}
+		return id
+	}
+	second := func(ix *indexedAvailability) *idxEntry { return &ix.slab[ix.slab[ix.byStripe[st0]].next] }
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(ix *indexedAvailability)
+		want    string
+	}{
+		{"cyclic list", func(ix *indexedAvailability) { ix.slab[tail(ix)].next = ix.byStripe[st0] }, "twice"},
+		{"wrong prev", func(ix *indexedAvailability) { second(ix).prev = -1 }, "links back"},
+		{"freed id in a list", func(ix *indexedAvailability) { ix.slab[tail(ix)].next = ix.free[0] }, "which is free"},
+		{"id past the slab", func(ix *indexedAvailability) { ix.slab[tail(ix)].next = int32(len(ix.slab)) }, "outside the slab"},
+		{"entry of another stripe", func(ix *indexedAvailability) { second(ix).stripe = (st0 + 1) % numStripes }, "of stripe"},
+		{"out of order", func(ix *indexedAvailability) {
+			head := &ix.slab[ix.byStripe[st0]]
+			head.start = second(ix).issued() - 1 + head.lag
+		}, "follows one issued"},
+		{"issued after the checkpoint's round", func(ix *indexedAvailability) { ix.slab[ix.byStripe[st0]].start = 14 }, "after round 13"},
+		{"short count", func(ix *indexedAvailability) { ix.liveCount[st0]-- }, "its count says"},
+		{"entry neither listed nor free", func(ix *indexedAvailability) { ix.free = ix.free[1:] }, "listed and"},
+		{"free list naming an id twice", func(ix *indexedAvailability) { ix.free = append(ix.free, ix.free[0]) }, "free list holds"},
+		{"freed id in an expiry bucket", func(ix *indexedAvailability) { ix.ring[0] = append(ix.ring[0], ix.free[0]) }, "not a live entry due there"},
+		{"entry filed under another start", func(ix *indexedAvailability) {
+			b := int(ix.slab[frozen].start) % len(ix.ring)
+			ix.ring[b] = slices.DeleteFunc(ix.ring[b], func(id int32) bool { return id == frozen })
+			ix.ring[(b+1)%len(ix.ring)] = append(ix.ring[(b+1)%len(ix.ring)], frozen)
+		}, "not a live entry due there"},
+		{"live entry filed nowhere", func(ix *indexedAvailability) {
+			b := int(ix.slab[frozen].start) % len(ix.ring)
+			ix.ring[b] = slices.DeleteFunc(ix.ring[b], func(id int32) bool { return id == frozen })
+		}, "for expiry"},
+		{"request link to an entry it does not back", func(ix *indexedAvailability) {
+			ix.reqLinks[ix.slab[backed].req] = [2]int32{frozen, -1}
+		}, "does not back"},
+		{"backed entry its request does not link", func(ix *indexedAvailability) {
+			ix.reqLinks[ix.slab[backed].req] = [2]int32{-1, -1}
+		}, "request-backed entries"},
+	} {
+		ss := streamOf(build()) // keys from the honest lists; corrupt after
+		tc.corrupt(ss.ix)
+		stream := ss.bytes()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(stream)), 13)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decodeState returned %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decodeState allocated %d bytes on a %d-byte stream", tc.name, grew, len(stream))
 		}
 	}
 }
@@ -437,7 +563,11 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 	}
 	storeHead := func(w *ckpt.Writer) {
 		w.Int(0) // slab
-		w.I32s(make([]int32, numStripes))
+		heads := make([]int32, numStripes)
+		for st := range heads {
+			heads[st] = -1 // empty lists
+		}
+		w.I32s(heads)
 		w.I32s(make([]int32, numStripes))
 	}
 	metricsHead := func(w *ckpt.Writer) {
@@ -450,7 +580,10 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 	// Each decoder is built before the allocation count starts.
 	type decoder func() func(*ckpt.Reader) error
 	decodeSystem := func() func(*ckpt.Reader) error { return mk().DecodeState }
-	decodeStore := func() func(*ckpt.Reader) error { return newIndexedAvailability(numStripes, T).decodeState }
+	decodeStore := func() func(*ckpt.Reader) error {
+		ix := newIndexedAvailability(numStripes, T)
+		return func(r *ckpt.Reader) error { return ix.decodeState(r, 0) }
+	}
 	decodeMetrics := func(round int) decoder {
 		return func() func(*ckpt.Reader) error {
 			m := new(runMetrics)

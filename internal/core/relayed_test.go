@@ -62,10 +62,15 @@ func buildRelayedSmall(t *testing.T, uPoor float64) *System {
 func TestRelayedPoorViewingLifecycle(t *testing.T) {
 	sys := buildRelayedSmall(t, 0.5)
 	gen := &scripted{byRound: map[int][]Demand{1: {{Box: 0, Video: 0}}}}
-	rep, err := sys.Run(gen, 40)
-	if err != nil {
-		t.Fatal(err)
+	// Stepped by hand so the run links, which mirror entries (issued a
+	// round before they start) put to the test, are checked every round.
+	for r := 0; r < 40 && !sys.Failed(); r++ {
+		if _, err := sys.Step(gen); err != nil {
+			t.Fatal(err)
+		}
+		checkRunLinks(t, sys)
 	}
+	rep := sys.Report()
 	if rep.Failed {
 		t.Fatalf("relayed poor viewing failed: %+v", rep.Obstructions)
 	}

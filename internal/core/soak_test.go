@@ -36,6 +36,7 @@ func soakMixed(t *testing.T, u float64) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		checkRunLinks(t, sys)
 		// A slot retires exactly when its progress has reached T, so T is
 		// what the checkpoint's progress column says of every retired slot.
 		early += checkRetireRing(t, sys)
