@@ -252,16 +252,27 @@ func (g *sweepArrivals) Next(v *View, _ int) []Demand {
 // and therefore, with fully output-sensitive rounds, the per-round cost —
 // is the same at every population size.
 func benchStepBounded(b *testing.B, n, perRound int) {
-	sys, err := New(Spec{
-		Boxes: n, Upload: 2.0, Storage: 2, Stripes: 4, Replicas: 4,
-		Duration: 50, Growth: 1.2, Seed: 17,
-	})
+	sys, err := New(boundedSpec(n))
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Warm past the first cache-window expiry so measured rounds carry
 	// steady-state expiry and retirement work.
 	benchSteps(b, sys, &sweepArrivals{perRound: perRound}, 60)
+}
+
+// boundedSpec is the population-n system of the bounded Step benchmarks.
+func boundedSpec(n int) Spec {
+	return Spec{
+		Boxes: n, Upload: 2.0, Storage: 2, Stripes: 4, Replicas: 4,
+		Duration: 50, Growth: 1.2, Seed: 17,
+	}
+}
+
+// nearThresholdSpec is the repository benchmark's near-threshold system.
+var nearThresholdSpec = Spec{
+	Boxes: 4000, Upload: 1.25, Storage: 4, Stripes: 8, Replicas: 4,
+	Duration: 40, Growth: 1.2, Seed: 1, Resilient: true,
 }
 
 // benchSteps steps sys through warm untimed rounds, then b.N timed ones.
@@ -312,10 +323,7 @@ func BenchmarkStepMillionContended(b *testing.B) { benchStepBounded(b, 1_000_000
 // layered BFS and its class memo run every round, so its allocs/round
 // ceiling is what holds the memo table to "grown once, then reused".
 func BenchmarkStepNearThreshold(b *testing.B) {
-	sys, err := New(Spec{
-		Boxes: 4000, Upload: 1.25, Storage: 4, Stripes: 8, Replicas: 4,
-		Duration: 40, Growth: 1.2, Seed: 1, Resilient: true,
-	})
+	sys, err := New(nearThresholdSpec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,13 +14,17 @@ import (
 )
 
 // Allocation records which boxes statically store which stripe replicas.
+// It is a read-only table in compressed-row form: stripe s owns
+// holders[start[s]:start[s+1]], so the whole allocation is two flat
+// arrays however many stripes and boxes there are.
 type Allocation struct {
 	cat video.Catalog
-	// ByStripe[s] lists the boxes storing a replica of stripe s. A box may
-	// appear more than once only in independent allocations.
-	ByStripe [][]int32
-	// ByBox[b] lists the stripes stored by box b.
-	ByBox [][]video.StripeID
+	n   int
+	// holders lists the boxes storing each stripe's replicas, stripe by
+	// stripe. A box may appear more than once in one stripe's run only in
+	// independent allocations.
+	holders []int32
+	start   []int32
 	// Overflow counts independent-allocation replicas that fell into an
 	// already-full box (and were therefore dropped, per the paper's note
 	// that the process stops on a full box). Always 0 for permutations.
@@ -31,20 +35,47 @@ type Allocation struct {
 func (a *Allocation) Catalog() video.Catalog { return a.cat }
 
 // NumBoxes returns the number of boxes.
-func (a *Allocation) NumBoxes() int { return len(a.ByBox) }
+func (a *Allocation) NumBoxes() int { return a.n }
+
+// NumStripes returns the number of stripes.
+func (a *Allocation) NumStripes() int { return len(a.start) - 1 }
+
+// Holders returns the boxes storing a replica of stripe s, without
+// allocating. The slice aliases the table and must not be modified; its
+// capacity ends with the stripe, so an append copies instead of writing
+// over the next stripe.
+func (a *Allocation) Holders(s video.StripeID) []int32 {
+	lo, hi := a.start[s], a.start[s+1]
+	return a.holders[lo:hi:hi]
+}
 
 // Replicas returns the number of stored replicas of stripe s.
-func (a *Allocation) Replicas(s video.StripeID) int { return len(a.ByStripe[s]) }
+func (a *Allocation) Replicas(s video.StripeID) int { return int(a.start[s+1] - a.start[s]) }
 
 // Stores reports whether box b stores stripe s.
 func (a *Allocation) Stores(b int, s video.StripeID) bool {
-	for _, bb := range a.ByStripe[s] {
+	for _, bb := range a.Holders(s) {
 		if int(bb) == b {
 			return true
 		}
 	}
 	return false
 }
+
+// newTable returns an empty allocation of n boxes with room for replicas
+// holders. Callers append each stripe's holders in stripe order and close
+// the stripe with endStripe.
+func newTable(cat video.Catalog, n, replicas int) *Allocation {
+	return &Allocation{
+		cat:     cat,
+		n:       n,
+		holders: make([]int32, 0, replicas),
+		start:   make([]int32, 1, cat.NumStripes()+1),
+	}
+}
+
+// endStripe closes the current stripe's run of holders.
+func (a *Allocation) endStripe() { a.start = append(a.start, int32(len(a.holders))) }
 
 // Permutation builds a random permutation allocation: k replicas per
 // stripe, slotsPerBox[b] replica slots on box b, with
@@ -66,7 +97,8 @@ func Permutation(rng *stats.RNG, cat video.Catalog, slotsPerBox []int, k int) (*
 			totalSlots, replicas, k, cat.M, cat.C)
 	}
 	// Slot i belongs to the box whose cumulative slot range contains i;
-	// replica j (of stripe j/k) lands in slot perm[j].
+	// replica j (of stripe j/k) lands in slot perm[j], so the permutation
+	// becomes the holder table in place, stripe s owning [s·k, s·k+k).
 	slotOwner := make([]int32, totalSlots)
 	pos := 0
 	for b, s := range slotsPerBox {
@@ -75,19 +107,15 @@ func Permutation(rng *stats.RNG, cat video.Catalog, slotsPerBox []int, k int) (*
 			pos++
 		}
 	}
-	perm := rng.Perm(totalSlots)
-	a := &Allocation{
-		cat:      cat,
-		ByStripe: make([][]int32, cat.NumStripes()),
-		ByBox:    make([][]video.StripeID, len(slotsPerBox)),
+	holders := rng.Perm(totalSlots)
+	for j, slot := range holders {
+		holders[j] = slotOwner[slot]
 	}
-	for j := 0; j < replicas; j++ {
-		s := video.StripeID(j / k)
-		b := slotOwner[perm[j]]
-		a.ByStripe[s] = append(a.ByStripe[s], b)
-		a.ByBox[b] = append(a.ByBox[b], s)
+	start := make([]int32, cat.NumStripes()+1)
+	for s := range start {
+		start[s] = int32(s * k)
 	}
-	return a, nil
+	return &Allocation{cat: cat, n: len(slotsPerBox), holders: holders, start: start}, nil
 }
 
 // HomogeneousPermutation is the common case: n boxes with d videos of
@@ -132,11 +160,7 @@ func Independent(rng *stats.RNG, cat video.Catalog, slotsPerBox []int, k int) (*
 	if total == 0 {
 		return nil, fmt.Errorf("allocation: no storage slots at all")
 	}
-	a := &Allocation{
-		cat:      cat,
-		ByStripe: make([][]int32, cat.NumStripes()),
-		ByBox:    make([][]video.StripeID, n),
-	}
+	a := newTable(cat, n, k*cat.NumStripes())
 	used := make([]int, n)
 	for s := 0; s < cat.NumStripes(); s++ {
 		for r := 0; r < k; r++ {
@@ -146,9 +170,9 @@ func Independent(rng *stats.RNG, cat video.Catalog, slotsPerBox []int, k int) (*
 				continue
 			}
 			used[b]++
-			a.ByStripe[s] = append(a.ByStripe[s], int32(b))
-			a.ByBox[b] = append(a.ByBox[b], video.StripeID(s))
+			a.holders = append(a.holders, int32(b))
 		}
+		a.endStripe()
 	}
 	return a, nil
 }
@@ -164,11 +188,7 @@ func FullReplication(cat video.Catalog, slotsPerBox []int, k int) (*Allocation, 
 		return nil, fmt.Errorf("allocation: k=%d must be >= 1", k)
 	}
 	n := len(slotsPerBox)
-	a := &Allocation{
-		cat:      cat,
-		ByStripe: make([][]int32, cat.NumStripes()),
-		ByBox:    make([][]video.StripeID, n),
-	}
+	a := newTable(cat, n, k*cat.NumStripes())
 	used := make([]int, n)
 	next := 0
 	for s := 0; s < cat.NumStripes(); s++ {
@@ -179,8 +199,7 @@ func FullReplication(cat video.Catalog, slotsPerBox []int, k int) (*Allocation, 
 				next++
 				if used[b] < slotsPerBox[b] {
 					used[b]++
-					a.ByStripe[s] = append(a.ByStripe[s], int32(b))
-					a.ByBox[b] = append(a.ByBox[b], video.StripeID(s))
+					a.holders = append(a.holders, int32(b))
 					placed = true
 					break
 				}
@@ -189,6 +208,7 @@ func FullReplication(cat video.Catalog, slotsPerBox []int, k int) (*Allocation, 
 				return nil, fmt.Errorf("allocation: storage exhausted at stripe %d replica %d", s, r)
 			}
 		}
+		a.endStripe()
 	}
 	return a, nil
 }
@@ -204,19 +224,18 @@ type LoadStats struct {
 
 // Stats computes load statistics for the allocation.
 func (a *Allocation) Stats() LoadStats {
-	boxLoads := make([]float64, len(a.ByBox))
-	maxLoad := 0
-	for b := range a.ByBox {
-		l := len(a.ByBox[b])
-		boxLoads[b] = float64(l)
-		if l > maxLoad {
-			maxLoad = l
-		}
+	boxLoads := make([]float64, a.n)
+	for _, b := range a.holders {
+		boxLoads[b]++
 	}
-	stripeLoads := make([]float64, len(a.ByStripe))
+	maxLoad := 0
+	for _, l := range boxLoads {
+		maxLoad = max(maxLoad, int(l))
+	}
+	stripeLoads := make([]float64, a.NumStripes())
 	minStripes := -1
-	for s := range a.ByStripe {
-		l := len(a.ByStripe[s])
+	for s := range stripeLoads {
+		l := a.Replicas(video.StripeID(s))
 		stripeLoads[s] = float64(l)
 		if minStripes < 0 || l < minStripes {
 			minStripes = l

@@ -1,6 +1,7 @@
 package allocation
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -19,15 +20,15 @@ func TestHomogeneousPermutationExactBalance(t *testing.T) {
 		t.Fatalf("catalog m = %d, want %d", cat.M, d*n/k)
 	}
 	// Every box stores exactly d*c replicas.
-	for b := range a.ByBox {
-		if len(a.ByBox[b]) != d*c {
-			t.Errorf("box %d stores %d replicas, want %d", b, len(a.ByBox[b]), d*c)
+	for b, l := range boxLoads(a) {
+		if l != d*c {
+			t.Errorf("box %d stores %d replicas, want %d", b, l, d*c)
 		}
 	}
 	// Every stripe has exactly k replicas.
-	for s := range a.ByStripe {
-		if len(a.ByStripe[s]) != k {
-			t.Errorf("stripe %d has %d replicas, want %d", s, len(a.ByStripe[s]), k)
+	for s, holders := range stripeLists(a) {
+		if len(holders) != k {
+			t.Errorf("stripe %d has %d replicas, want %d", s, len(holders), k)
 		}
 	}
 	if a.Overflow != 0 {
@@ -67,9 +68,10 @@ func TestPermutationHeterogeneousSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loads := boxLoads(a)
 	for b, want := range slots {
-		if len(a.ByBox[b]) != want {
-			t.Errorf("box %d load %d, want %d", b, len(a.ByBox[b]), want)
+		if loads[b] != want {
+			t.Errorf("box %d load %d, want %d", b, loads[b], want)
 		}
 	}
 }
@@ -80,15 +82,8 @@ func TestPermutationDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	a2, _, _ := HomogeneousPermutation(stats.NewRNG(42), 10, 2, 2, 20, 4)
-	for s := range a1.ByStripe {
-		if len(a1.ByStripe[s]) != len(a2.ByStripe[s]) {
-			t.Fatal("determinism broken: different replica counts")
-		}
-		for i := range a1.ByStripe[s] {
-			if a1.ByStripe[s][i] != a2.ByStripe[s][i] {
-				t.Fatal("determinism broken: different boxes")
-			}
-		}
+	if !reflect.DeepEqual(stripeLists(a1), stripeLists(a2)) {
+		t.Fatal("determinism broken: different holder lists")
 	}
 }
 
@@ -105,16 +100,16 @@ func TestIndependentAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for s := range a.ByStripe {
-		total += len(a.ByStripe[s])
+	for _, holders := range stripeLists(a) {
+		total += len(holders)
 	}
 	if total+a.Overflow != 3*cat.NumStripes() {
 		t.Fatalf("replicas %d + overflow %d != %d", total, a.Overflow, 3*cat.NumStripes())
 	}
 	// No box exceeds its slots.
-	for b := range a.ByBox {
-		if len(a.ByBox[b]) > slots[b] {
-			t.Errorf("box %d over capacity: %d > %d", b, len(a.ByBox[b]), slots[b])
+	for b, l := range boxLoads(a) {
+		if l > slots[b] {
+			t.Errorf("box %d over capacity: %d > %d", b, l, slots[b])
 		}
 	}
 }
@@ -163,14 +158,14 @@ func TestFullReplicationRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := range a.ByStripe {
-		if len(a.ByStripe[s]) != 4 {
-			t.Errorf("stripe %d has %d replicas", s, len(a.ByStripe[s]))
+	for s, holders := range stripeLists(a) {
+		if len(holders) != 4 {
+			t.Errorf("stripe %d has %d replicas", s, len(holders))
 		}
 	}
-	for b := range a.ByBox {
-		if len(a.ByBox[b]) != 4 {
-			t.Errorf("box %d load %d", b, len(a.ByBox[b]))
+	for b, l := range boxLoads(a) {
+		if l != 4 {
+			t.Errorf("box %d load %d", b, l)
 		}
 	}
 }
@@ -201,7 +196,7 @@ func TestStoresAndAccessors(t *testing.T) {
 		if a.Replicas(s) != 3 {
 			t.Errorf("Replicas(%d) = %d", s, a.Replicas(s))
 		}
-		for _, b := range a.ByStripe[s] {
+		for _, b := range a.Holders(s) {
 			if !a.Stores(int(b), s) {
 				t.Errorf("Stores(%d,%d) = false for a stored replica", b, s)
 			}
@@ -210,7 +205,7 @@ func TestStoresAndAccessors(t *testing.T) {
 	if a.Stores(0, 0) {
 		// Only a problem if box 0 genuinely does not store stripe 0.
 		found := false
-		for _, b := range a.ByStripe[0] {
+		for _, b := range a.Holders(0) {
 			if b == 0 {
 				found = true
 			}
@@ -250,8 +245,8 @@ func TestQuickPermutationBalance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for b := range a.ByBox {
-			if len(a.ByBox[b]) != d*c {
+		for _, l := range boxLoads(a) {
+			if l != d*c {
 				return false
 			}
 		}
@@ -284,15 +279,147 @@ func TestQuickIndependentConservation(t *testing.T) {
 			return false
 		}
 		placed := 0
-		for b := range a.ByBox {
-			if len(a.ByBox[b]) > slots[b] {
+		for b, l := range boxLoads(a) {
+			if l > slots[b] {
 				return false
 			}
-			placed += len(a.ByBox[b])
+			placed += l
 		}
 		return placed+a.Overflow == k*cat.NumStripes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// boxLoads counts the replicas each box stores, read off Holders.
+func boxLoads(a *Allocation) []int {
+	loads := make([]int, a.NumBoxes())
+	for s := range a.NumStripes() {
+		for _, b := range a.Holders(video.StripeID(s)) {
+			loads[b]++
+		}
+	}
+	return loads
+}
+
+// stripeLists copies every stripe's holders into its own slice.
+func stripeLists(a *Allocation) [][]int32 {
+	lists := make([][]int32, a.NumStripes())
+	for s := range lists {
+		lists[s] = append([]int32{}, a.Holders(video.StripeID(s))...)
+	}
+	return lists
+}
+
+// Holders aliases the flat table, so its capacity must end with the
+// stripe: an append to one stripe's holders may not reach the next.
+func TestHoldersAppendLeavesNextStripe(t *testing.T) {
+	a, cat, err := HomogeneousPermutation(stats.NewRNG(3), 8, 2, 2, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stripeLists(a)
+	for s := range cat.NumStripes() {
+		grown := append(a.Holders(video.StripeID(s)), -1, -2)
+		if len(grown) != len(before[s])+2 {
+			t.Fatalf("stripe %d: append gave %d holders", s, len(grown))
+		}
+	}
+	if got := stripeLists(a); !reflect.DeepEqual(got, before) {
+		t.Fatalf("appending to Holders rewrote the table:\n got %v\nwant %v", got, before)
+	}
+}
+
+// The flat table must hold, stripe for stripe, what the same draws give
+// when every stripe's list is grown by append: for Independent, including
+// the replicas that overflow and the stripes left with none; for
+// Permutation, including ShuffleInts standing in for Perm.
+func TestTablesMatchAppendReference(t *testing.T) {
+	independentRef := func(seed uint64, cat video.Catalog, slots []int, k int) ([][]int32, int) {
+		rng := stats.NewRNG(seed)
+		weights := make([]float64, len(slots))
+		for b, s := range slots {
+			weights[b] = float64(s)
+		}
+		ref, used, overflow := make([][]int32, cat.NumStripes()), make([]int, len(slots)), 0
+		for s := range ref {
+			for range k {
+				b := rng.WeightedChoice(weights)
+				if used[b] >= slots[b] {
+					overflow++
+					continue
+				}
+				used[b]++
+				ref[s] = append(ref[s], int32(b))
+			}
+		}
+		return ref, overflow
+	}
+	permutationRef := func(seed uint64, cat video.Catalog, slots []int, k int) [][]int32 {
+		var owner []int32
+		for b, s := range slots {
+			for range s {
+				owner = append(owner, int32(b))
+			}
+		}
+		p := make([]int, len(owner))
+		for i := range p {
+			p[i] = i
+		}
+		stats.NewRNG(seed).ShuffleInts(p)
+		ref := make([][]int32, cat.NumStripes())
+		for j, slot := range p {
+			ref[j/k] = append(ref[j/k], owner[slot])
+		}
+		return ref
+	}
+	for _, tc := range []struct {
+		name        string
+		cat         video.Catalog
+		slots       []int
+		k           int
+		emptyStripe bool // some stripe must end with no holder
+	}{
+		{"roomy", video.MustCatalog(10, 4, 20), []int{8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8}, 3, false},
+		{"tight", video.MustCatalog(20, 4, 20), []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, 2, false},
+		{"starved", video.MustCatalog(8, 2, 10), []int{1, 2, 0, 1}, 1, true},
+		{"uneven", video.MustCatalog(6, 3, 10), []int{1, 9, 3, 2, 7}, 2, false},
+	} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			a, err := Independent(stats.NewRNG(seed), tc.cat, tc.slots, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, overflow := independentRef(seed, tc.cat, tc.slots, tc.k)
+			for s := range ref {
+				if ref[s] == nil {
+					ref[s] = []int32{}
+				}
+			}
+			if got := stripeLists(a); !reflect.DeepEqual(got, ref) || a.Overflow != overflow {
+				t.Errorf("%s seed %d: Independent gave %v (overflow %d), reference %v (overflow %d)",
+					tc.name, seed, got, a.Overflow, ref, overflow)
+			}
+			if st := a.Stats(); tc.emptyStripe && st.MinStripes != 0 {
+				t.Errorf("%s seed %d: MinStripes %d, want a stripe with no holder", tc.name, seed, st.MinStripes)
+			}
+
+			total := 0
+			for _, s := range tc.slots {
+				total += s
+			}
+			if total%tc.k != 0 || total/tc.k%tc.cat.C != 0 {
+				continue
+			}
+			pcat := video.MustCatalog(total/tc.k/tc.cat.C, tc.cat.C, tc.cat.T)
+			p, err := Permutation(stats.NewRNG(seed), pcat, tc.slots, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := stripeLists(p), permutationRef(seed, pcat, tc.slots, tc.k); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: Permutation gave %v, reference %v", tc.name, seed, got, want)
+			}
+		}
 	}
 }

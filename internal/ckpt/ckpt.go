@@ -46,22 +46,28 @@ func (w *Writer) Flush() error {
 
 // U64 writes an unsigned varint.
 func (w *Writer) U64(v uint64) {
-	if w.err != nil {
-		return
+	if w.room() {
+		_, w.err = w.w.Write(binary.AppendUvarint(w.w.AvailableBuffer(), v))
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, w.err = w.w.Write(buf[:n])
 }
 
 // I64 writes a signed varint (zig-zag).
 func (w *Writer) I64(v int64) {
-	if w.err != nil {
-		return
+	if w.room() {
+		_, w.err = w.w.Write(binary.AppendVarint(w.w.AvailableBuffer(), v))
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, w.err = w.w.Write(buf[:n])
+}
+
+// room reports whether a varint may be written, flushing first if the
+// buffer's free tail could not hold one. A varint is then encoded straight
+// into that tail: a local array handed to Write would escape to the heap
+// (bufio passes large writes through to the underlying io.Writer), one
+// allocation per integer written.
+func (w *Writer) room() bool {
+	if w.err == nil && w.w.Available() < binary.MaxVarintLen64 {
+		w.err = w.w.Flush()
+	}
+	return w.err == nil
 }
 
 // Int writes an int as a signed varint.

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -197,5 +198,29 @@ func TestSlicesSpanningManyBuffers(t *testing.T) {
 	}
 	if got := r.I64s(); !reflect.DeepEqual(got, i64[:3]) || r.Err() != nil {
 		t.Fatalf("short slice after long ones: %v, %v", got, r.Err())
+	}
+}
+
+// Writing an integer must not allocate: a checkpoint of a large system is
+// millions of them.
+func TestWritersDoNotAllocate(t *testing.T) {
+	w := NewWriter(io.Discard)
+	values := []int32{-1, 0, 1, 1 << 20, math.MinInt32, math.MaxInt32}
+	var v uint64
+	for _, tc := range []struct {
+		name  string
+		write func()
+	}{
+		{"U64", func() { v = v*31 + 7; w.U64(v) }},
+		{"I64", func() { v = v*31 + 7; w.I64(-int64(v >> 1)) }},
+		{"I32s", func() { w.I32s(values) }},
+	} {
+		// Enough runs to cross the 64 KiB buffer several times.
+		if got := testing.AllocsPerRun(20000, tc.write); got != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", tc.name, got)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }

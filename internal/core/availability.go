@@ -120,6 +120,9 @@ type availabilityStore interface {
 	// checkpoint's round, which no entry's issue round may exceed.
 	encodeState(w *ckpt.Writer)
 	decodeState(r *ckpt.Reader, round int32) error
+	// checkBacking, after decodeState, refuses a request-backed entry
+	// whose slot is not a live request of the entry's stripe.
+	checkBacking(reqStripe []video.StripeID, reqActive []bool) error
 }
 
 // indexedAvailability is the production store: intrusive per-stripe lists

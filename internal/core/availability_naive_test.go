@@ -118,3 +118,6 @@ func (na *naiveAvailability) encodeState(*ckpt.Writer) { panic("core: naive stor
 func (na *naiveAvailability) decodeState(*ckpt.Reader, int32) error {
 	panic("core: naive store has no codec")
 }
+func (na *naiveAvailability) checkBacking([]video.StripeID, []bool) error {
+	panic("core: naive store has no codec")
+}

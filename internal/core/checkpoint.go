@@ -72,7 +72,8 @@ func (s *System) Fingerprint() uint64 {
 	for _, r := range s.cfg.Relays {
 		put(uint64(int64(r)))
 	}
-	for _, holders := range s.cfg.Alloc.ByStripe {
+	for st := range s.cfg.Alloc.NumStripes() {
+		holders := s.cfg.Alloc.Holders(video.StripeID(st))
 		put(uint64(len(holders)))
 		for _, b := range holders {
 			put(uint64(uint32(b)))
@@ -261,6 +262,9 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 		return err
 	}
 	if err := s.avail.decodeState(r, int32(s.round)); err != nil {
+		return err
+	}
+	if err := s.avail.checkBacking(s.reqStripe, s.reqActive); err != nil {
 		return err
 	}
 	if err := s.tracker.DecodeState(r); err != nil {
@@ -570,6 +574,26 @@ func (ix *indexedAvailability) checkFiling(mark []uint8, listed int) error {
 	}
 	if linked != backed {
 		return fmt.Errorf("core: checkpoint links %d of %d request-backed entries", linked, backed)
+	}
+	return nil
+}
+
+// checkBacking checks the decoded store against the decoded slots: every
+// request-backed entry must name a live slot of its own stripe, which
+// entryChunks reads the progress of and retire freezes it through. By
+// checkFiling every such entry is linked from its slot, so the links are
+// what is walked.
+func (ix *indexedAvailability) checkBacking(reqStripe []video.StripeID, reqActive []bool) error {
+	for slot, links := range ix.reqLinks {
+		for _, id := range links {
+			if id < 0 {
+				continue
+			}
+			if st := ix.slab[id].stripe; slot >= len(reqStripe) || !reqActive[slot] || reqStripe[slot] != st {
+				return fmt.Errorf("core: checkpoint entry %d of stripe %d is backed by slot %d, which is no live request of that stripe",
+					id, st, slot)
+			}
+		}
 	}
 	return nil
 }

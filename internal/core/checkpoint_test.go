@@ -714,3 +714,93 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRefusesEntriesOfNoLiveSlot re-points one request-backed cache
+// entry of an honest checkpoint, link included, at a slot that is not a
+// live request of its stripe. Each structure is consistent on its own, so
+// only the check of the store against the slots can refuse it. Without
+// it, an entry naming a slot past the slot arrays decodes, and the first
+// walk of its stripe that reaches it (entryChunks) indexes past the
+// progress array and panics.
+func TestDecodeRefusesEntriesOfNoLiveSlot(t *testing.T) {
+	build := func() *System {
+		return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) { cfg.Failure = FailStall })
+	}
+	live := build()
+	gen := &uniformGen{rng: stats.NewRNG(1213), p: 0.8}
+	for r := 0; r < 40; r++ {
+		if _, err := live.Step(gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode := func(s *System) []byte {
+		return streamOfWrites(func(w *ckpt.Writer) {
+			if err := s.EncodeState(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	honest := encode(live)
+	// rebacked restores the honest checkpoint, moves the first linked
+	// entry (and its link) to the slot target picks, and encodes the result.
+	rebacked := func(target func(s *System, st video.StripeID) int) []byte {
+		s := build()
+		if err := s.DecodeState(ckpt.NewReader(bytes.NewReader(honest))); err != nil {
+			t.Fatalf("honest checkpoint rejected: %v", err)
+		}
+		ix := s.avail.(*indexedAvailability)
+		for slot := range ix.reqLinks {
+			if id := ix.reqLinks[slot][0]; id >= 0 {
+				to := target(s, ix.slab[id].stripe)
+				for len(ix.reqLinks) <= to {
+					ix.reqLinks = append(ix.reqLinks, [2]int32{-1, -1})
+				}
+				free := slices.Index(ix.reqLinks[to][:], -1)
+				if free < 0 {
+					t.Fatalf("slot %d backs two entries already", to)
+				}
+				ix.reqLinks[slot][0], ix.reqLinks[slot][1] = ix.reqLinks[slot][1], -1
+				ix.reqLinks[to][free] = id
+				ix.slab[id].req = int32(to)
+				return encode(s)
+			}
+		}
+		t.Fatal("no request-backed entry to move")
+		return nil
+	}
+	retired := func(s *System, _ video.StripeID) int {
+		return slices.Index(s.reqActive, false)
+	}
+	otherStripe := func(s *System, st video.StripeID) int {
+		links := s.avail.(*indexedAvailability).reqLinks
+		for _, slot := range s.activeList {
+			if s.reqStripe[slot] != st && (int(slot) >= len(links) || slices.Contains(links[slot][:], -1)) {
+				return int(slot)
+			}
+		}
+		t.Fatal("no live slot of another stripe with a free link")
+		return -1
+	}
+	for _, tc := range []struct {
+		name   string
+		target func(s *System, st video.StripeID) int
+	}{
+		{"slot past the slot arrays", func(s *System, _ video.StripeID) int { return len(s.reqStripe) + 3 }},
+		{"retired slot", retired},
+		{"live slot of another stripe", otherStripe},
+	} {
+		stream := rebacked(tc.target)
+		s := build()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := s.DecodeState(ckpt.NewReader(bytes.NewReader(stream)))
+		runtime.ReadMemStats(&after)
+		t.Logf("%s: %v", tc.name, err)
+		if err == nil || !strings.Contains(err.Error(), "no live request of that stripe") {
+			t.Errorf("%s: decode returned %v, want the backing refused", tc.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decode allocated %d bytes on a %d-byte stream", tc.name, grew, len(stream))
+		}
+	}
+}

@@ -342,7 +342,7 @@ func (a adjacency) NextServer(c *bipartite.Cursor) int {
 	stripe := s.reqStripe[slot]
 	requester := s.reqBox[slot]
 	if c.Stage == 0 {
-		holders := s.cfg.Alloc.ByStripe[stripe]
+		holders := s.cfg.Alloc.Holders(stripe)
 		for int(c.Index) < len(holders) {
 			b := holders[c.Index]
 			c.Index++
@@ -379,10 +379,8 @@ func (a adjacency) CanServe(left, right int) bool {
 	if int32(right) == requester {
 		return false
 	}
-	for _, b := range s.cfg.Alloc.ByStripe[stripe] {
-		if int(b) == right {
-			return true
-		}
+	if s.cfg.Alloc.Stores(right, stripe) {
+		return true
 	}
 	if s.cfg.DisableCacheServing {
 		return false
@@ -398,7 +396,7 @@ func (a adjacency) CanServe(left, right int) bool {
 func (a adjacency) ServerCountHint(left int) int {
 	s := a.s
 	stripe := s.reqStripe[int32(left)]
-	hint := len(s.cfg.Alloc.ByStripe[stripe])
+	hint := s.cfg.Alloc.Replicas(stripe)
 	if !s.cfg.DisableCacheServing {
 		hint += s.avail.live(stripe)
 	}
@@ -411,12 +409,7 @@ func (a adjacency) ServerCountHint(left int) int {
 // matcher's Revalidate skips re-probing it.
 func (a adjacency) StableEdge(left, right int) bool {
 	s := a.s
-	for _, b := range s.cfg.Alloc.ByStripe[s.reqStripe[int32(left)]] {
-		if int(b) == right {
-			return true
-		}
-	}
-	return false
+	return s.cfg.Alloc.Stores(right, s.reqStripe[int32(left)])
 }
 
 // ServerClass implements bipartite.Hinted: requests of one stripe have

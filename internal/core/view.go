@@ -50,7 +50,7 @@ func (v *View) Replicas(st video.StripeID) int { return v.s.cfg.Alloc.Replicas(s
 
 // StripeHolders returns the boxes storing stripe st by allocation.
 // The returned slice must not be modified.
-func (v *View) StripeHolders(st video.StripeID) []int32 { return v.s.cfg.Alloc.ByStripe[st] }
+func (v *View) StripeHolders(st video.StripeID) []int32 { return v.s.cfg.Alloc.Holders(st) }
 
 // IdleBoxes appends the indices of all idle boxes to dst in ascending
 // order and returns it. Cost is O(idle) via the system's hierarchical

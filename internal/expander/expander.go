@@ -74,7 +74,7 @@ func (a *Auditor) measure(stripes []video.StripeID, requests int) Finding {
 	seen := make(map[int32]struct{})
 	var slots int64
 	for _, s := range stripes {
-		for _, b := range a.alloc.ByStripe[s] {
+		for _, b := range a.alloc.Holders(s) {
 			if _, ok := seen[b]; !ok {
 				seen[b] = struct{}{}
 				slots += a.slots[b]
@@ -166,7 +166,7 @@ func (a *Auditor) AuditGreedy(rng *stats.RNG, probes, depth int) Audit {
 		add := func(s video.StripeID) {
 			inSet[s] = struct{}{}
 			stripes = append(stripes, s)
-			for _, b := range a.alloc.ByStripe[s] {
+			for _, b := range a.alloc.Holders(s) {
 				if _, ok := boxes[b]; !ok {
 					boxes[b] = struct{}{}
 					slots += a.slots[b]
@@ -184,7 +184,7 @@ func (a *Auditor) AuditGreedy(rng *stats.RNG, probes, depth int) Audit {
 					continue
 				}
 				var cost int64
-				for _, b := range a.alloc.ByStripe[cand] {
+				for _, b := range a.alloc.Holders(cand) {
 					if _, ok := boxes[b]; !ok {
 						cost += a.slots[b]
 					}
@@ -213,7 +213,7 @@ func (a *Auditor) AuditGreedy(rng *stats.RNG, probes, depth int) Audit {
 func (a *Auditor) stripeSlots(s video.StripeID) int64 {
 	var slots int64
 	seen := make(map[int32]struct{})
-	for _, b := range a.alloc.ByStripe[s] {
+	for _, b := range a.alloc.Holders(s) {
 		if _, ok := seen[b]; !ok {
 			seen[b] = struct{}{}
 			slots += a.slots[b]

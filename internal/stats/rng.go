@@ -58,13 +58,18 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+// Perm returns a uniformly random permutation of [0, n) as int32s (n
+// below 2³¹). It makes ShuffleInts' draws, so it yields the permutation
+// that shuffling 0…n−1 with ShuffleInts would.
+func (r *RNG) Perm(n int) []int32 {
+	p := make([]int32, n)
 	for i := range p {
-		p[i] = i
+		p[i] = int32(i)
 	}
-	r.ShuffleInts(p)
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 	return p
 }
 

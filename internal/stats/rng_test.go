@@ -85,10 +85,32 @@ func TestPermIsPermutation(t *testing.T) {
 		}
 		seen := make([]bool, n)
 		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
+			if v < 0 || int(v) >= n || seen[v] {
 				t.Fatalf("Perm(%d) invalid: %v", n, p)
 			}
 			seen[v] = true
+		}
+	}
+}
+
+// Perm must make ShuffleInts' draws: the allocation's permutation, and so
+// every seeded system, depends on it.
+func TestPermMatchesShuffleInts(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 1000} {
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		ra, rb := NewRNG(uint64(n)+3), NewRNG(uint64(n)+3)
+		rb.ShuffleInts(want)
+		got := ra.Perm(n)
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("Perm(%d)[%d] = %d, ShuffleInts gives %d", n, i, got[i], want[i])
+			}
+		}
+		if ra.Uint64() != rb.Uint64() {
+			t.Fatalf("Perm(%d) and ShuffleInts leave the generator in different states", n)
 		}
 	}
 }
@@ -305,7 +327,7 @@ func TestQuickPermValid(t *testing.T) {
 		p := NewRNG(seed).Perm(n)
 		seen := make([]bool, n)
 		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
+			if v < 0 || int(v) >= n || seen[v] {
 				return false
 			}
 			seen[v] = true
