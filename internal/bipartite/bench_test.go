@@ -10,13 +10,11 @@ import (
 // slightly oversubscribes the slot capacity at sparse degree, so free
 // slots are rare, augmenting paths must cascade through many full
 // servers, and a residue of requests stays unmatched — the E5 µ=3 flash
-// crowd at matcher level. The serial reference pays one full failed BFS
-// per unmatched root on every call (and re-walks them each retry pass);
-// batch phases settle the whole frontier with one layered BFS. Each
-// iteration churns 5% of the requests and re-augments; both modes see
-// the identical instance and churn stream and end every iteration at
-// the same (maximum) matching cardinality.
-func benchAugmentAll(b *testing.B, serial bool) {
+// crowd at matcher level. Batch phases settle the whole frontier with one
+// layered BFS per phase instead of one failed search per unmatched root.
+// Each iteration churns 5% of the requests and re-augments to the maximum
+// matching cardinality.
+func BenchmarkAugmentAllBatch(b *testing.B) {
 	const nR, capR, deg = 400, 4, 3
 	const nL = nR * capR * 101 / 100
 	rng := stats.NewRNG(23)
@@ -32,14 +30,10 @@ func benchAugmentAll(b *testing.B, serial bool) {
 	}
 	var adj Adjacency = lists // boxed once, not per call
 	m := NewMatcher(caps)
-	augment := m.AugmentAll
-	if serial {
-		augment = m.augmentAllSerial
-	}
 	for l := 0; l < nL; l++ {
 		m.AddLeft(l)
 	}
-	augment(adj)
+	m.AugmentAll(adj)
 	churn := stats.NewRNG(29)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -51,10 +45,7 @@ func benchAugmentAll(b *testing.B, serial bool) {
 				m.AddLeft(l)
 			}
 		}
-		augment(adj)
+		m.AugmentAll(adj)
 	}
 	b.ReportMetric(float64(m.MatchedCount()), "matched")
 }
-
-func BenchmarkAugmentAllBatch(b *testing.B)  { benchAugmentAll(b, false) }
-func BenchmarkAugmentAllSerial(b *testing.B) { benchAugmentAll(b, true) }

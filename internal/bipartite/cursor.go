@@ -3,15 +3,16 @@ package bipartite
 // Cursor-based adjacency traversal.
 //
 // The adjacency exposes resumable pull-style enumeration, the matcher owns
-// one reusable Cursor per traversal depth, and the hot paths iterate with
-// a plain loop. A callback enumeration would force every traversal site to
-// build a closure over state the matcher mutates from inside it, so each
-// probe would escape two heap objects; the cursor costs none.
+// its cursors — one for the breadth searches, one per frame of the phase
+// DFS's explicit stack — and the hot paths iterate with a plain loop. A
+// callback enumeration would force every traversal site to build a closure
+// over state the matcher mutates from inside it, so each probe would
+// escape two heap objects; the cursor costs none.
 
 // Cursor is the resumable state of one left node's server enumeration.
 // Its fields are owned by the Adjacency implementation — the matcher only
-// allocates cursors (one per live traversal depth, reused forever) and
-// passes them back; it never interprets Stage, Index, or ID.
+// allocates cursors (reused forever) and passes them back; it never
+// interprets Stage, Index, or ID.
 type Cursor struct {
 	Left  int32 // left node being enumerated (set by BeginServers)
 	Stage int32 // implementation-defined enumeration stage
@@ -19,26 +20,19 @@ type Cursor struct {
 	ID    int32 // implementation-defined auxiliary position (e.g. a slab id)
 }
 
-// traverser owns the reusable traversal frames the matcher's searches
-// enumerate servers through. Frames are indexed by traversal depth so the
-// batch DFS can hold an open enumeration per recursion level.
+// traverser owns the cursor the breadth searches (phase 0, the layered
+// BFS, canonicalization, the Hall violator) enumerate servers through:
+// each finishes one left's enumeration before opening the next.
 type traverser struct {
-	adj  Adjacency // bound for the duration of one public matcher call
-	curs []Cursor  // per-depth cursors
+	adj Adjacency // bound for the duration of one public matcher call
+	cur Cursor
 }
 
-// begin opens the enumeration of left l's servers in frame d.
-func (t *traverser) begin(l int32, d int32) {
-	for int(d) >= len(t.curs) {
-		t.curs = append(t.curs, Cursor{})
-	}
-	t.adj.BeginServers(int(l), &t.curs[d])
-}
+// begin opens the enumeration of left l's servers.
+func (t *traverser) begin(l int32) { t.adj.BeginServers(int(l), &t.cur) }
 
-// next returns the next server in frame d, or -1 when exhausted.
-func (t *traverser) next(d int32) int {
-	return t.adj.NextServer(&t.curs[d])
-}
+// next returns the next server, or -1 when exhausted.
+func (t *traverser) next() int { return t.adj.NextServer(&t.cur) }
 
 // Lists is an explicit adjacency: Lists[l] holds the rights able to serve
 // left l, enumerated in order. It suits static instances — synthetic

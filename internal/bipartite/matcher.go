@@ -10,12 +10,12 @@
 // slot ever allocated), and BFS scratch is reset by epoch stamping in O(1)
 // rather than clearing peak-sized arrays. Augmentation itself runs in
 // Hopcroft–Karp-style blocking-flow phases over the whole dirty frontier
-// (one layered BFS, then vertex-disjoint shortest-path DFS augmentations),
-// with a per-root path as the fallback for pathological cascades. When
-// augmentation stalls, the alternating-reachability set from the unmatched
-// requests is exactly a Hall violator — the paper's *obstruction*
-// certificate (Lemma 1): a set X of requests with total box capacity
-// U_B(X) < |X|/c.
+// (one layered BFS, then vertex-disjoint shortest-path DFS augmentations
+// over an explicit stack, so a path of any length costs no goroutine
+// stack). When augmentation stalls, the alternating-reachability set from
+// the unmatched requests is exactly a Hall violator — the paper's
+// *obstruction* certificate (Lemma 1): a set X of requests with total box
+// capacity U_B(X) < |X|/c.
 package bipartite
 
 import (
@@ -28,12 +28,6 @@ import (
 
 // Unassigned marks a left node with no current server.
 const Unassigned = -1
-
-// maxBatchDepth bounds the augmenting-path length the batch DFS will
-// recurse through; longer (pathological capacity-1 cascade) phases fall
-// back to the iterative per-root path. ~4k frames stays well under a
-// megabyte of goroutine stack.
-const maxBatchDepth = 4096
 
 // noStable marks an empty stableTo cache slot (distinct from any right).
 const noStable = -2
@@ -102,7 +96,7 @@ type rightRec struct {
 	visit      uint32
 	done       uint32
 	level      int32
-	parentLeft int32 // the left that discovered it (serial BFS)
+	parentLeft int32 // the left that discovered it (canonicalization BFS)
 }
 
 // Matcher holds the incremental assignment state.
@@ -161,10 +155,13 @@ type Matcher struct {
 	// right, so the cache lives until the left ID is recycled by AddLeft.
 	stableTo []int32
 
-	// trav owns the per-depth traversal frames every search enumerates
-	// servers through (see cursor.go); bound to the caller's adjacency at
-	// each public entry point, reused across rounds.
+	// trav owns the cursor the breadth searches enumerate servers through
+	// (see cursor.go); bound to the caller's adjacency at each public entry
+	// point, reused across rounds.
 	trav traverser
+	// dfs is the phase DFS's explicit stack, one frame per path hop, reused
+	// across phases and rounds.
+	dfs []dfsFrame
 
 	// arena holds every per-right assignment list, addressed by absolute
 	// slot p = arena[p>>arenaShift][p&arenaMask]: a table of
@@ -378,6 +375,8 @@ func (m *Matcher) link(l, r int) {
 	m.matchedCount++
 }
 
+// assign gives l a slot of r, first releasing any slot l holds, so the
+// same call places a root and moves an interior left along a path.
 func (m *Matcher) assign(l, r int) {
 	if m.assigned[l] != Unassigned {
 		m.unassign(l)
@@ -408,13 +407,6 @@ func (m *Matcher) unassign(l int) {
 	m.posInRight[l] = -1
 	m.matchedCount--
 	m.markDirty(l)
-}
-
-// move reassigns l from its current server to r without touching other
-// bookkeeping invariants.
-func (m *Matcher) move(l, r int) {
-	m.unassign(l)
-	m.assign(l, r)
 }
 
 // revalidateOne re-checks left l's assignment and unassigns it when the
@@ -579,35 +571,6 @@ func (m *Matcher) settle(todo []int32) []int {
 	return m.unmatchedOut
 }
 
-// augmentSerial is the per-root augmentation path: one alternating BFS
-// per unmatched root, repeated until a full pass makes no progress. It
-// returns the lefts that stayed unmatched (reusing todo's storage). The
-// batch path falls back to it for pathological cascades, and the tests
-// hold the two to equal cardinality and canonical stall sets.
-func (m *Matcher) augmentSerial(adj Adjacency, todo []int32) []int32 {
-	hinter, hinted := adj.(Hinted)
-	for len(todo) > 0 {
-		progressed := false
-		rest := todo[:0] // safe: writes trail reads
-		for _, l := range todo {
-			if hinted && hinter.ServerCountHint(int(l)) == 0 {
-				rest = append(rest, l)
-				continue
-			}
-			if m.augment(int(l)) {
-				progressed = true
-			} else {
-				rest = append(rest, l)
-			}
-		}
-		todo = rest
-		if !progressed {
-			break
-		}
-	}
-	return todo
-}
-
 // augmentBatch drives the whole frontier to maximum in blocking-flow
 // phases (Hopcroft–Karp on the b-matching residual graph): each phase
 // runs one layered BFS from every still-unmatched frontier left toward
@@ -621,10 +584,10 @@ func (m *Matcher) augmentSerial(adj Adjacency, todo []int32) []int32 {
 func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 	hinter, hinted := adj.(Hinted)
 	// Phase 0: length-1 paths. Most arrivals have a direct server with a
-	// free slot; resolve them with the same early-exit probe the serial
-	// path's first BFS step uses, so the layered machinery below — which
-	// must label *every* server of a frontier left — only ever runs for
-	// lefts that genuinely need an alternating cascade.
+	// free slot; resolve them with an early-exit probe, so the layered
+	// machinery below — which must label *every* server of a frontier
+	// left — only ever runs for lefts that genuinely need an alternating
+	// cascade.
 	rest := todo[:0]
 	for _, l := range todo {
 		if hinted && hinter.ServerCountHint(int(l)) == 0 {
@@ -632,8 +595,8 @@ func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 			continue
 		}
 		assigned := false
-		m.trav.begin(l, 0)
-		for r := m.trav.next(0); r >= 0; r = m.trav.next(0) {
+		m.trav.begin(l)
+		for r := m.trav.next(); r >= 0; r = m.trav.next() {
 			if m.rights[r].load < m.rights[r].cap {
 				m.assign(int(l), r)
 				assigned = true
@@ -649,15 +612,6 @@ func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 		if !m.bfsLayer(todo, hinter, hinted) {
 			break // no free right reachable: the matching is maximum
 		}
-		if m.maxLevel > maxBatchDepth {
-			// Pathological cascade: the phase DFS recurses once per path
-			// hop, so an extreme shortest-path length would translate into
-			// goroutine stack depth. The iterative per-root path
-			// (BFS queue + applyPath loop) handles arbitrary lengths in
-			// O(1) stack; it is also maximum, so switching mid-call keeps
-			// the cardinality contract.
-			return m.augmentSerial(adj, todo)
-		}
 		progressed := false
 		for _, l := range todo {
 			if m.assigned[l] != Unassigned || m.visitL[l] != m.epoch {
@@ -667,12 +621,17 @@ func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 				continue
 			}
 			m.usedL[l] = m.epoch
-			if m.dfsAugment(l, 0) {
+			if m.dfsAugment(l) {
 				progressed = true
 			}
 		}
 		if !progressed {
-			break // defensive: a reachable free right always yields ≥1 path
+			// The BFS reached free capacity along layer edges the DFS then
+			// failed to retrace: the enumeration changed under the
+			// matcher's mutations. Stopping here would return a
+			// non-maximum matching as a false obstruction.
+			panic(fmt.Sprintf("bipartite: phase reached free capacity at layer %d but found no augmenting path: "+
+				"Adjacency enumeration is not stable under matcher mutations", m.maxLevel))
 		}
 		// Compact the frontier so later phases scan only open roots.
 		rest := todo[:0]
@@ -770,7 +729,7 @@ type classMemo struct {
 // first right to label, negative when there is none. A left whose class
 // was already expanded at a need no higher than its own yields at most the
 // one right that expansion excluded; any other left records its class and
-// walks its whole server list through frame 0.
+// walks its whole server list through the traverser's cursor.
 func (m *Matcher) bfsFirst(hinter Hinted, l int32) int {
 	m.memoWalk = true
 	if hinter != nil {
@@ -789,8 +748,8 @@ func (m *Matcher) bfsFirst(hinter Hinted, l int32) int {
 			*e = classMemo{stamp: m.epoch, class: class, need: need, self: int32(self)}
 		}
 	}
-	m.trav.begin(l, 0)
-	return m.trav.next(0)
+	m.trav.begin(l)
+	return m.trav.next()
 }
 
 // bfsNext continues the enumeration bfsFirst opened.
@@ -798,7 +757,7 @@ func (m *Matcher) bfsNext() int {
 	if !m.memoWalk {
 		return -1
 	}
-	return m.trav.next(0)
+	return m.trav.next()
 }
 
 // memoSlot returns class's slot in the current search, or the empty slot
@@ -834,89 +793,75 @@ func (m *Matcher) growMemo() {
 	}
 }
 
-// dfsAugment extends a shortest augmenting path from left l at layer d
-// along layer edges only: usable rights carry this phase's stamp at
-// exactly layer d, and full rights recurse into their assigned lefts at
-// layer d+1. On success the whole path below l has been applied and l is
-// assigned (root) or moved (interior left) onto a layer-d right,
-// momentarily vacated by its rerouted occupant, so loads are restored
-// everywhere except the free slot consumed at layer maxLevel. Exhausted
-// rights are stamped done and dead for the rest of the phase; each left
-// is consumed at most once (vertex-disjoint paths), which is what makes
-// the phase a blocking flow.
-func (m *Matcher) dfsAugment(l int32, d int32) bool {
-	m.trav.begin(l, d)
-	for r := m.trav.next(d); r >= 0; r = m.trav.next(d) {
-		rr := &m.rights[r]
-		if rr.visit != m.epoch || rr.level != d || rr.done == m.epoch {
-			continue
-		}
-		if rr.load < rr.cap {
-			if m.assigned[l] == Unassigned {
-				m.assign(int(l), r)
-			} else {
-				m.move(int(l), r)
-			}
-			return true
-		}
-		if d < m.maxLevel {
-			for _, l2 := range m.AssignedLefts(r) {
-				if m.visitL[l2] != m.epoch || m.levelL[l2] != d+1 || m.usedL[l2] == m.epoch {
-					continue
-				}
-				m.usedL[l2] = m.epoch
-				if m.dfsAugment(l2, d+1) {
-					// l2 vacated one of r's slots; take it.
-					if m.assigned[l] == Unassigned {
-						m.assign(int(l), r)
-					} else {
-						m.move(int(l), r)
-					}
-					return true
-				}
-			}
-		}
-		rr.done = m.epoch
-	}
-	return false
+// dfsFrame is one hop of the phase DFS: left l at layer (its stack
+// index) enumerating its servers through its own cursor, and — while r is
+// non-negative — descending through full layer right r, whose assigned
+// lefts from index i on are still to be tried.
+type dfsFrame struct {
+	l, r, i int32
+	cur     Cursor
 }
 
-// augment searches one alternating BFS tree rooted at unmatched left root
-// and applies the augmenting path if a right node with spare capacity is
-// found.
-func (m *Matcher) augment(root int) bool {
-	m.beginSearch()
-	m.queue = m.queue[:0]
-	m.queue = append(m.queue, int32(root))
-	m.visitL[root] = m.epoch
-	// prevRight[l] is implicit: for non-root lefts it is assigned[l].
-	for head := 0; head < len(m.queue); head++ {
-		l := m.queue[head]
-		found := -1
-		m.trav.begin(l, 0)
-		for r := m.trav.next(0); r >= 0; r = m.trav.next(0) {
-			rr := &m.rights[r]
-			if rr.visit == m.epoch {
+// dfsAugment extends a shortest augmenting path from the root along layer
+// edges only: usable rights for the left at depth d carry this phase's
+// stamp at exactly layer d, and full rights descend into their assigned
+// lefts at layer d+1, one frame per hop on m.dfs, so path length costs
+// heap, not goroutine stack. On success every left on the path moves onto
+// its frame's right, so loads are restored everywhere except the free slot
+// consumed at layer maxLevel. Exhausted rights are stamped done and dead
+// for the rest of the phase; each left is consumed at most once
+// (vertex-disjoint paths), which is what makes the phase a blocking flow.
+func (m *Matcher) dfsAugment(root int32) bool {
+	adj := m.trav.adj
+	st := append(m.dfs[:0], dfsFrame{l: root, r: -1})
+	adj.BeginServers(int(root), &st[0].cur)
+	for len(st) > 0 {
+		d := int32(len(st) - 1)
+		f := &st[d]
+		if f.r < 0 {
+			r := adj.NextServer(&f.cur)
+			if r < 0 {
+				st = st[:d] // the parent tries its right's next left
 				continue
 			}
-			rr.visit = m.epoch
-			rr.parentLeft = l
+			rr := &m.rights[r]
+			if rr.visit != m.epoch || rr.level != d || rr.done == m.epoch {
+				continue
+			}
 			if rr.load < rr.cap {
-				found = r
-				break
-			}
-			for _, l2 := range m.AssignedLefts(r) {
-				if m.visitL[l2] != m.epoch {
-					m.visitL[l2] = m.epoch
-					m.queue = append(m.queue, l2)
+				// Apply the path deepest first: the top left takes the
+				// free slot, each left above it the slot its child vacated.
+				f.r = int32(r)
+				for i := len(st) - 1; i >= 0; i-- {
+					m.assign(int(st[i].l), int(st[i].r))
 				}
+				m.dfs = st[:0]
+				return true
 			}
+			if d >= m.maxLevel {
+				rr.done = m.epoch
+				continue
+			}
+			f.r, f.i = int32(r), 0
 		}
-		if found >= 0 {
-			m.applyPath(found)
-			return true
+		lefts := m.AssignedLefts(int(f.r))
+		for f.i < int32(len(lefts)) {
+			l2 := lefts[f.i]
+			f.i++
+			if m.visitL[l2] != m.epoch || m.levelL[l2] != d+1 || m.usedL[l2] == m.epoch {
+				continue
+			}
+			m.usedL[l2] = m.epoch
+			st = append(st, dfsFrame{l: l2, r: -1})
+			adj.BeginServers(int(l2), &st[d+1].cur)
+			break
+		}
+		if int32(len(st)) == d+1 {
+			m.rights[f.r].done = m.epoch
+			f.r = -1
 		}
 	}
+	m.dfs = st
 	return false
 }
 
@@ -926,13 +871,12 @@ func (m *Matcher) applyPath(freeRight int) {
 	r := freeRight
 	for {
 		l := int(m.rights[r].parentLeft)
-		if m.assigned[l] == Unassigned {
-			m.assign(l, r)
+		prev := m.assigned[l]
+		m.assign(l, r)
+		if prev == Unassigned {
 			return
 		}
-		prev := int(m.assigned[l])
-		m.move(l, r)
-		r = prev
+		r = int(prev)
 	}
 }
 
@@ -965,9 +909,8 @@ func (m *Matcher) beginSearch() {
 // is the fixpoint where no unmatched left can displace a matched left
 // with a larger id along an alternating path. Exchanges strictly shrink
 // the sorted matched-id vector, so any maximal exchange sequence
-// terminates at that same fixpoint regardless of order; this is what lets
-// the batch and per-root augmenters agree bit-for-bit on which requests
-// stall in a deficit round. The unmatched slice is updated in place (each
+// terminates at that same fixpoint regardless of order; this is what makes
+// any two maximum matchings yield the same stall set in a deficit round. The unmatched slice is updated in place (each
 // displacement swaps a root for its victim) and returned re-sorted;
 // cardinality never changes.
 func (m *Matcher) CanonicalizeDeficit(adj Adjacency, unmatched []int) []int {
@@ -1016,9 +959,9 @@ func (m *Matcher) displace(adj Adjacency, root int) (int, bool) {
 	for head := 0; head < len(m.queue); head++ {
 		l := m.queue[head]
 		victim, server := -1, -1
-		m.trav.begin(l, 0)
+		m.trav.begin(l)
 	probe:
-		for r := m.trav.next(0); r >= 0; r = m.trav.next(0) {
+		for r := m.trav.next(); r >= 0; r = m.trav.next() {
 			rr := &m.rights[r]
 			if rr.visit == m.epoch {
 				continue
@@ -1082,8 +1025,8 @@ func (m *Matcher) HallViolator(adj Adjacency) *Violator {
 	}
 	for head := 0; head < len(m.queue); head++ {
 		l := m.queue[head]
-		m.trav.begin(l, 0)
-		for r := m.trav.next(0); r >= 0; r = m.trav.next(0) {
+		m.trav.begin(l)
+		for r := m.trav.next(); r >= 0; r = m.trav.next() {
 			if m.rights[r].visit == m.epoch {
 				continue
 			}

@@ -1,7 +1,9 @@
 package bipartite
 
 import (
+	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -504,26 +506,32 @@ func TestInvalidateMatchesRevalidate(t *testing.T) {
 	}
 }
 
-// augmentAllSerial is AugmentAll on the per-root path: the reference the
-// blocking-flow batch phases are held to.
-func (m *Matcher) augmentAllSerial(adj Adjacency) []int {
-	m.trav.adj = adj
-	return m.settle(m.augmentSerial(adj, m.takeDirty()))
+// greedyStallSet is the canonical stall set by its definition: the
+// transversal matroid's greedy basis over lefts in ascending id, each kept
+// when Dinic still covers the basis plus that left. The lefts left out are
+// the ones that stall, returned ascending.
+func greedyStallSet(adj *listAdj, lefts []int, caps []int64) []int {
+	lefts = slices.Sorted(slices.Values(lefts))
+	var basis, stalled []int
+	for _, l := range lefts {
+		basis = append(basis, l)
+		if optimalViaMaxflow(adj, basis, caps) < int64(len(basis)) {
+			basis = basis[:len(basis)-1]
+			stalled = append(stalled, l)
+		}
+	}
+	return stalled
 }
 
-// TestBatchEqualsSerialLockstep is the blocking-flow differential: a
-// batch-phase matcher and the per-root reference (augmentAllSerial) are
-// driven through identical randomized rounds of arrivals, departures,
-// edge invalidation (adjacency mutation + Revalidate), and capacity
-// changes. Batch phases may pick a different maximum matching than
-// root-by-root augmentation, so the pin is cardinality + feasibility, not
-// bit-identity: after every round both matchers must (a) match exactly
-// the same number of lefts, (b) equal the max-flow optimum on the live
-// instance, and (c) pass Verify. On a deficit round both are then
-// canonicalized, as the engine does, and (d) must leave exactly the same
-// lefts unmatched: CanonicalizeDeficit makes the stall set a function of
-// the graph, not of the search that found the matching.
-func TestBatchEqualsSerialLockstep(t *testing.T) {
+// TestAugmentAllAgainstOracles drives one matcher through randomized
+// rounds of arrivals, departures, edge invalidation (adjacency mutation +
+// Revalidate) and capacity changes, and holds every round to oracles
+// computed from the live instance alone: the matching must (a) equal the
+// max-flow optimum and (b) pass Verify. On a deficit round the matching is
+// then canonicalized, as the engine does, and (c) must leave exactly the
+// greedy basis's complement unmatched: CanonicalizeDeficit makes the stall
+// set a function of the graph, not of the search that found the matching.
+func TestAugmentAllAgainstOracles(t *testing.T) {
 	deficits := 0
 	for seed := uint64(0); seed < 12; seed++ {
 		rng := stats.NewRNG(0xb10c ^ seed)
@@ -532,8 +540,7 @@ func TestBatchEqualsSerialLockstep(t *testing.T) {
 		for r := range caps {
 			caps[r] = int64(rng.Intn(4))
 		}
-		batch := NewMatcher(caps)
-		serial := NewMatcher(caps)
+		m := NewMatcher(caps)
 
 		adj := newListAdj()
 		var nextLeft int
@@ -561,71 +568,50 @@ func TestBatchEqualsSerialLockstep(t *testing.T) {
 				}
 				adj.neighbors[l] = newNeighbors()
 				active[l] = true
-				batch.AddLeft(l)
-				serial.AddLeft(l)
+				m.AddLeft(l)
 			}
 			// Departures.
 			for l := range active {
 				if rng.Bool(0.15) {
 					delete(active, l)
 					free = append(free, l)
-					batch.RemoveLeft(l)
-					serial.RemoveLeft(l)
+					m.RemoveLeft(l)
 				}
 			}
-			// Edge invalidation: rewire a few lefts, then Revalidate both.
-			// (The matchers hold different assignments, so the *drop counts*
-			// may legitimately differ; only cardinality after re-augmenting
-			// is pinned.)
+			// Edge invalidation: rewire a few lefts, then Revalidate.
 			for l := range active {
 				if rng.Bool(0.2) {
 					adj.neighbors[l] = newNeighbors()
 				}
 			}
-			batch.Revalidate(adj)
-			serial.Revalidate(adj)
+			m.Revalidate(adj)
 			// Capacity change: eviction victims are re-queued internally.
 			if rng.Bool(0.5) {
-				r := rng.Intn(nR)
-				c := int64(rng.Intn(4))
-				batch.SetCapacity(r, c)
-				serial.SetCapacity(r, c)
+				m.SetCapacity(rng.Intn(nR), int64(rng.Intn(4)))
 			}
 
-			unB := batch.AugmentAll(adj)
-			unS := serial.augmentAllSerial(adj)
-			if batch.MatchedCount() != serial.MatchedCount() {
-				t.Fatalf("seed %d round %d: batch matched %d, serial %d",
-					seed, round, batch.MatchedCount(), serial.MatchedCount())
-			}
-			if len(unB) != len(unS) {
-				t.Fatalf("seed %d round %d: batch unmatched %v, serial %v", seed, round, unB, unS)
-			}
-			if len(unB) > 0 {
-				deficits++
-				unB = batch.CanonicalizeDeficit(adj, unB)
-				unS = serial.CanonicalizeDeficit(adj, unS)
-				if !slices.Equal(unB, unS) {
-					t.Fatalf("seed %d round %d: canonical stall sets differ: batch %v, serial %v",
-						seed, round, unB, unS)
-				}
-			}
+			unmatched := m.AugmentAll(adj)
 			var lefts []int
 			for l := range active {
 				lefts = append(lefts, l)
 			}
 			capsNow := make([]int64, nR)
 			for r := 0; r < nR; r++ {
-				capsNow[r] = batch.Capacity(r)
+				capsNow[r] = m.Capacity(r)
 			}
-			if opt := optimalViaMaxflow(adj, lefts, capsNow); int64(batch.MatchedCount()) != opt {
-				t.Fatalf("seed %d round %d: matched %d, optimum %d", seed, round, batch.MatchedCount(), opt)
+			if opt := optimalViaMaxflow(adj, lefts, capsNow); int64(m.MatchedCount()) != opt {
+				t.Fatalf("seed %d round %d: matched %d, optimum %d", seed, round, m.MatchedCount(), opt)
 			}
-			if err := batch.Verify(adj); err != nil {
-				t.Fatalf("seed %d round %d: batch matcher corrupt: %v", seed, round, err)
+			if len(unmatched) > 0 {
+				deficits++
+				got := m.CanonicalizeDeficit(adj, unmatched)
+				if want := greedyStallSet(adj, lefts, capsNow); !slices.Equal(got, want) {
+					t.Fatalf("seed %d round %d: canonical stall set %v, greedy basis leaves %v",
+						seed, round, got, want)
+				}
 			}
-			if err := serial.Verify(adj); err != nil {
-				t.Fatalf("seed %d round %d: serial matcher corrupt: %v", seed, round, err)
+			if err := m.Verify(adj); err != nil {
+				t.Fatalf("seed %d round %d: matcher corrupt: %v", seed, round, err)
 			}
 		}
 	}
@@ -638,7 +624,7 @@ func TestBatchEqualsSerialLockstep(t *testing.T) {
 // last augmenting path is forced to be maximally long: a chain of
 // capacity-1 rights where left 0 can only enter at the occupied head, so
 // its augmentation must cascade every other left one hop down the chain
-// (path length n — also a recursion-depth check for the phase DFS).
+// (path length n, with every arrival re-augmented on the way).
 func TestBatchLongPaths(t *testing.T) {
 	const n = 512
 	caps := make([]int64, n)
@@ -665,20 +651,21 @@ func TestBatchLongPaths(t *testing.T) {
 	}
 }
 
-// TestBatchDepthFallback crosses maxBatchDepth with the same cascade
-// chain: the phase BFS measures a shortest path longer than the DFS
-// recursion bound, so the batch path must hand the frontier to the
-// iterative per-root path and still reach the maximum matching.
-func TestBatchDepthFallback(t *testing.T) {
-	const n = maxBatchDepth + 64
+// TestDeepCascade runs the same cascade chain at 10⁵ hops under a 1 MiB
+// goroutine stack cap: the phase DFS keeps its path on an explicit stack,
+// so a shortest augmenting path of any length costs heap, not goroutine
+// stack (a DFS recursing once per hop overflows the cap here).
+func TestDeepCascade(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+	const n = 100_000
 	caps := make([]int64, n)
 	for r := range caps {
 		caps[r] = 1
 	}
-	adj := newListAdj()
-	adj.add(0, 0)
+	lists := make(Lists, n)
+	lists[0] = []int32{0}
 	for l := 1; l < n; l++ {
-		adj.add(l, l-1, l)
+		lists[l] = []int32{int32(l - 1), int32(l)}
 	}
 	m := NewMatcher(caps)
 	// Reverse arrival keeps every augmentation greedy (left l takes the
@@ -686,19 +673,54 @@ func TestBatchDepthFallback(t *testing.T) {
 	// cascade through all n rights.
 	for l := n - 1; l >= 1; l-- {
 		m.AddLeft(l)
-		if un := m.AugmentAll(adj); un != nil {
-			t.Fatalf("left %d unmatched: %v", l, un)
-		}
+	}
+	if un := m.AugmentAll(lists); un != nil {
+		t.Fatalf("%d lefts unmatched before the cascade", len(un))
 	}
 	m.AddLeft(0)
-	if un := m.AugmentAll(adj); un != nil {
+	if un := m.AugmentAll(lists); un != nil {
 		t.Fatalf("cascade unmatched: %v", un)
 	}
 	if m.MatchedCount() != n {
 		t.Fatalf("matched %d, want %d", m.MatchedCount(), n)
 	}
-	if err := m.Verify(adj); err != nil {
+	if err := m.Verify(lists); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fadingAdj breaks the Adjacency stability contract: left 0 has servers
+// only on its first two BeginServers calls, so the phase DFS cannot
+// retrace the path its BFS labeled.
+type fadingAdj struct {
+	Lists
+	begun int
+}
+
+func (a *fadingAdj) BeginServers(l int, c *Cursor) {
+	a.Lists.BeginServers(l, c)
+	if l == 0 {
+		if a.begun++; a.begun > 2 {
+			c.Index = int32(len(a.Lists[l]))
+		}
+	}
+}
+
+// TestUnstableAdjacencyPanics pins the one exit of a phase that finds no
+// path after its BFS reached free capacity: it must panic, not return a
+// non-maximum matching that would read as a Lemma 1 obstruction.
+func TestUnstableAdjacencyPanics(t *testing.T) {
+	adj := &fadingAdj{Lists: Lists{{0}, {0, 1}}}
+	m := NewMatcher([]int64{1, 1})
+	m.AddLeft(1)
+	m.AddLeft(0)
+	msg := func() (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		m.AugmentAll(adj)
+		return ""
+	}()
+	if !strings.Contains(msg, "Adjacency enumeration is not stable") {
+		t.Fatalf("AugmentAll did not panic on the broken stability contract (panic value %q)", msg)
 	}
 }
 
