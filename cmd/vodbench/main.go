@@ -8,7 +8,6 @@
 //	vodbench -full           # full-size run (minutes)
 //	vodbench -run E1,E5      # selected experiments
 //	vodbench -list           # list experiment IDs and claims
-//	vodbench -scenario s.yaml # run one declarative scenario spec
 //	vodbench -format md      # markdown output
 //	vodbench -plot           # add ASCII plots of figure series
 //	vodbench -seq            # run experiments sequentially
@@ -25,7 +24,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/scenario"
 )
 
 func main() {
@@ -38,7 +36,6 @@ func main() {
 		format  = flag.String("format", "text", "output format: text, md, csv")
 		plot    = flag.Bool("plot", false, "render ASCII plots for figures (text format only)")
 		seq     = flag.Bool("seq", false, "run experiments sequentially, streaming output")
-		scen    = flag.String("scenario", "", "run a declarative scenario spec (YAML/JSON) instead of the experiment suite")
 	)
 	flag.Parse()
 
@@ -53,39 +50,6 @@ func main() {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-4s %-20s %s\n", e.ID, e.Name, e.Claim)
 		}
-		return
-	}
-
-	if *scen != "" {
-		// Only an explicit -seed overrides the spec's own default seed,
-		// so a bare `vodbench -scenario s.yaml` reproduces the spec's
-		// committed golden corpus.
-		seedSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				seedSet = true
-			}
-		})
-		spec, err := scenario.ParseFile(*scen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		var opt scenario.RunOptions
-		if seedSet {
-			opt.Seed = *seed
-		}
-		run, err := scenario.Run(spec, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		printResult(experiments.Result{
-			ID:     "scenario",
-			Name:   spec.Name,
-			Claim:  "spec-driven workload; same spec + seed reproduces this corpus and report byte-for-byte",
-			Tables: run.Tables(),
-		}, *format, *plot)
 		return
 	}
 

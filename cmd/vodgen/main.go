@@ -1,7 +1,7 @@
 // Command vodgen expands a declarative scenario spec into a deterministic
 // workload corpus. The corpus is a plain internal/trace file, so it flows
-// through everything that already speaks that format: vodsim -replay,
-// vodbench -scenario, and a running vodserve daemon via POST /demand.
+// through everything that already speaks that format: vodsim -replay and a
+// running vodserve daemon via POST /demand.
 //
 // Examples:
 //

@@ -32,6 +32,13 @@ func main() {
 	)
 	flag.Parse()
 
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := planIgnores(set, *heteroP > 0); err != nil {
+		fmt.Fprintln(os.Stderr, "vodplan:", err)
+		os.Exit(1)
+	}
+
 	if *heteroP > 0 {
 		pop := vod.Bimodal(*n, 1-*heteroP, 3.0, 0.5, 2.0)
 		plan, err := vod.HeteroPlanFor(pop, *uStar, *mu)
@@ -94,6 +101,21 @@ func main() {
 		fmt.Println()
 		_ = it.WriteText(os.Stdout)
 	}
+}
+
+// planIgnores refuses any set flag the chosen plan would ignore: a
+// heterogeneous plan takes its uploads and storage from the bimodal fleet
+// and searches no k, and a homogeneous plan has no u*.
+func planIgnores(set []string, hetero bool) error {
+	for _, name := range set {
+		switch {
+		case hetero && (name == "u" || name == "d" || name == "target-prob"):
+			return fmt.Errorf("-%s has no effect with -hetero", name)
+		case !hetero && name == "ustar":
+			return fmt.Errorf("-ustar needs -hetero > 0")
+		}
+	}
+	return nil
 }
 
 func boolStr(b bool) string {

@@ -23,6 +23,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 
 	vod "repro"
 	"repro/internal/experiments"
@@ -63,17 +64,15 @@ func main() {
 	// -hetero installs the heterogeneous defaults, but an explicitly set
 	// -mu must survive them: only flags the user did not pass are defaulted.
 	// A -seed the user did not pass defers to a scenario spec's default.
-	muSet, seedSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "mu":
-			muSet = true
-		case "seed":
-			seedSet = true
-		}
-	})
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	muSet, seedSet := slices.Contains(set, "mu"), slices.Contains(set, "seed")
 
 	if *scenPath != "" {
+		if err := scenarioIgnores(set); err != nil {
+			fmt.Fprintln(os.Stderr, "vodsim:", err)
+			os.Exit(1)
+		}
 		if *seeds > 1 {
 			if *goldenPath != "" {
 				fmt.Fprintln(os.Stderr, "vodsim: -golden compares a single run; it is incompatible with -seeds")
@@ -236,6 +235,20 @@ func main() {
 		f.Close()
 		fmt.Printf("\nrecorded %d demands to %s\n", recorder.Trace.Len(), *recordPath)
 	}
+}
+
+// scenarioIgnores refuses a -scenario run any set flag it would ignore: the
+// spec fixes the system and the workload, so only -seed, -seeds, -workers
+// and -golden still mean something.
+func scenarioIgnores(set []string) error {
+	for _, name := range set {
+		switch name {
+		case "scenario", "seed", "seeds", "workers", "golden":
+		default:
+			return fmt.Errorf("-%s has no effect with -scenario, which takes only -seed, -seeds, -workers and -golden", name)
+		}
+	}
+	return nil
 }
 
 // runScenario expands a declarative scenario, replays its corpus through

@@ -115,7 +115,8 @@ func PeerAssistedServer(n int, serverUpload, serverStorage, uClient, clientStora
 // u*+1−2u_b, subject to the per-relay constraint
 // u_a ≥ u* + Σ_{b: r(b)=a}(u*+1−2u_b). Poor boxes are placed in
 // decreasing order of need onto the relay with the most spare capacity
-// (best-fit-decreasing). Returns core-ready relay indices (NoRelay for
+// (best-fit-decreasing), the lowest-numbered on a tie, so the assignment
+// depends on the uploads alone. Returns core-ready relay indices (NoRelay for
 // rich boxes) or an error when no feasible assignment exists.
 func Compensate(uploads []float64, uStar float64) ([]int, error) {
 	if uStar <= 1 {
@@ -128,26 +129,28 @@ func Compensate(uploads []float64, uStar float64) ([]int, error) {
 		need float64
 	}
 	var poor []poorBox
-	spare := make(map[int]float64)
+	var rich []int
+	spare := make([]float64, n)
 	for b, u := range uploads {
 		relays[b] = core.NoRelay
 		if u < uStar {
 			poor = append(poor, poorBox{b, analysis.ReservationNeed(u, uStar)})
 		} else {
+			rich = append(rich, b)
 			spare[b] = u - uStar
 		}
 	}
 	if len(poor) == 0 {
 		return relays, nil
 	}
-	if len(spare) == 0 {
+	if len(rich) == 0 {
 		return nil, fmt.Errorf("hetero: no rich boxes (u ≥ u*=%v) to relay %d poor boxes", uStar, len(poor))
 	}
 	sort.Slice(poor, func(i, j int) bool { return poor[i].need > poor[j].need })
 	for _, pb := range poor {
 		best, bestSpare := -1, -1.0
-		for a, sp := range spare {
-			if sp >= pb.need && sp > bestSpare {
+		for _, a := range rich {
+			if sp := spare[a]; sp >= pb.need && sp > bestSpare {
 				best, bestSpare = a, sp
 			}
 		}

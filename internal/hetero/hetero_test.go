@@ -2,6 +2,7 @@ package hetero
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +98,23 @@ func TestCompensateNoPoor(t *testing.T) {
 	for _, r := range relays {
 		if r != core.NoRelay {
 			t.Fatal("rich boxes must have no relay")
+		}
+	}
+}
+
+func TestCompensateTiesGoToLowestBox(t *testing.T) {
+	// Four rich boxes with equal spare 1.5 and two poor boxes needing 1.5
+	// each: best fit ties, and the lowest rich box wins each tie, so the
+	// same fleet always gets the same relays.
+	us := []float64{3, 3, 3, 3, 0.5, 0.5}
+	want := []int{core.NoRelay, core.NoRelay, core.NoRelay, core.NoRelay, 0, 1}
+	for i := 0; i < 10; i++ {
+		relays, err := Compensate(us, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(relays, want) {
+			t.Fatalf("call %d: relays %v, want %v", i, relays, want)
 		}
 	}
 }

@@ -5,8 +5,8 @@
 // popularity with drift — into reproducible scenarios, plus a corpus
 // generator that expands a spec and a seed into a deterministic workload
 // file in internal/trace's format. Generated corpora flow through the
-// existing -record/-replay machinery, stream to vodserve over POST
-// /demand, and drive vodbench's spec-driven runner; the committed
+// existing -record/-replay machinery and stream to vodserve over POST
+// /demand; vodsim -scenario runs a spec end to end, and the committed
 // reference scenarios under examples/scenarios/ pin golden summaries in
 // tests and CI.
 //
