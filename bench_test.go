@@ -331,6 +331,41 @@ func BenchmarkStepNearThreshold(b *testing.B) {
 	benchSteps(b, sys, NewZipfWorkload(1, 0.5, 0.9), 80)
 }
 
+// BenchmarkStepNearThresholdLadder is BenchmarkStepNearThreshold's spec
+// with only Boxes changed, at 4000, 16 000 and 64 000 boxes: the ruler for
+// how a near-threshold round grows with the population. Live requests grow
+// with the boxes, so ns/live_request — ns/op over the timed rounds' mean
+// live requests — stays flat exactly when the round is linear in them.
+func BenchmarkStepNearThresholdLadder(b *testing.B) {
+	for _, boxes := range []int{4000, 16_000, 64_000} {
+		b.Run("boxes="+strconv.Itoa(boxes), func(b *testing.B) {
+			spec := nearThresholdSpec
+			spec.Boxes = boxes
+			sys, err := New(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen := NewZipfWorkload(1, 0.5, 0.9)
+			for r := 0; r < 80; r++ {
+				if _, err := sys.Step(gen); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			live := 0
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Step(gen); err != nil {
+					b.Fatal(err)
+				}
+				live += sys.View().ActiveRequests()
+			}
+			b.ReportMetric(float64(live)/float64(b.N), "active_requests")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(live), "ns/live_request")
+		})
+	}
+}
+
 // BenchmarkStepBelowThreshold is BenchmarkStepNearThreshold's spec with
 // upload cut to u=0.95 and 200 boxes: below the paper's threshold, so most
 // rounds leave requests unmatched, run the canonical-deficit rewrite and

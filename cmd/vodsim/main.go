@@ -94,6 +94,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vodsim: -golden requires -scenario")
 		os.Exit(1)
 	}
+	if err := simIgnores(set, *heteroP > 0, *replayPath != "", *workload); err != nil {
+		fmt.Fprintln(os.Stderr, "vodsim:", err)
+		os.Exit(1)
+	}
 
 	mkSpec := func(allocSeed uint64) vod.Spec {
 		spec := vod.Spec{
@@ -246,6 +250,26 @@ func scenarioIgnores(set []string) error {
 		case "scenario", "seed", "seeds", "workers", "golden":
 		default:
 			return fmt.Errorf("-%s has no effect with -scenario, which takes only -seed, -seeds, -workers and -golden", name)
+		}
+	}
+	return nil
+}
+
+// simIgnores refuses a simulation any set flag it would ignore: -hetero
+// takes uploads and storage from the bimodal fleet, -ustar shapes only a
+// heterogeneous system, a replay takes its demands from the recording, and
+// only the zipf workload reads -load and -zipf-s.
+func simIgnores(set []string, hetero, replay bool, workload string) error {
+	for _, name := range set {
+		switch {
+		case hetero && (name == "u" || name == "d"):
+			return fmt.Errorf("-%s has no effect with -hetero, which takes uploads and storage from the bimodal fleet", name)
+		case !hetero && name == "ustar":
+			return fmt.Errorf("-ustar needs -hetero > 0")
+		case replay && (name == "workload" || name == "load" || name == "zipf-s"):
+			return fmt.Errorf("-%s has no effect with -replay, which takes its demands from the recording", name)
+		case !replay && workload != "zipf" && (name == "load" || name == "zipf-s"):
+			return fmt.Errorf("-%s has no effect with -workload %s; only zipf reads it", name, workload)
 		}
 	}
 	return nil

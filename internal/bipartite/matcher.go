@@ -10,12 +10,15 @@
 // slot ever allocated), and BFS scratch is reset by epoch stamping in O(1)
 // rather than clearing peak-sized arrays. Augmentation itself runs in
 // Hopcroft–Karp-style blocking-flow phases over the whole dirty frontier
-// (one layered BFS, then vertex-disjoint shortest-path DFS augmentations
-// over an explicit stack, so a path of any length costs no goroutine
-// stack). When augmentation stalls, the alternating-reachability set from
-// the unmatched requests is exactly a Hall violator — the paper's
-// *obstruction* certificate (Lemma 1): a set X of requests with total box
-// capacity U_B(X) < |X|/c.
+// (one layered BFS that stops at the first free slot, then vertex-disjoint
+// shortest-path DFS augmentations over an explicit stack, so a path of any
+// length costs no goroutine stack). Both halves of a phase walk a stripe's
+// server list about once rather than once per request: requests of one
+// server class share a memo of how far the list has been used up (see
+// Hinted.ServerClass). When augmentation stalls, the alternating-
+// reachability set from the unmatched requests is exactly a Hall violator
+// — the paper's *obstruction* certificate (Lemma 1): a set X of requests
+// with total box capacity U_B(X) < |X|/c.
 package bipartite
 
 import (
@@ -62,10 +65,14 @@ type Adjacency interface {
 // disappear while both endpoints stay live (e.g. the server holds the
 // stripe statically), letting Revalidate skip re-validating it each round.
 //
-// ServerClass exposes nested server sets to the layered BFS. Lefts of one
-// class (≥ 0) are ordered by need, and their server sets nest up to one
-// excluded right each: for a, b of the same class with need(a) ≤ need(b),
-// every server of b other than a's self is also a server of a. A negative
+// ServerClass exposes nested server sets to the blocking-flow phases. Lefts
+// of one class (≥ 0) are ordered by need, and their server sets nest up to
+// one excluded right each: for a, b of the same class with need(a) ≤
+// need(b), every server of b other than a's self is also a server of a.
+// Their enumerations nest the same way, position for position: a cursor
+// opened for a class-C left may continue any class-C left of no lower
+// need once its Left is set, yielding from its position on exactly the
+// servers the new left's own enumeration yields from there. A negative
 // class means the left has no such structure and is always enumerated in
 // full. need and self must not change while a matcher call is running.
 type Hinted interface {
@@ -132,13 +139,14 @@ type Matcher struct {
 	// convention: valid until the next call, never retained by callers).
 	unmatchedOut []int
 
-	// memo is the layered BFS's class table (see bfsLayer): open-addressed
-	// by Hinted.ServerClass, slots valid while their stamp equals epoch.
-	// It is search scratch — absent until a BFS first records a class, then
-	// grown to twice the most classes any one search expanded and reused,
-	// so its size follows the search, never the class space. memoLive
-	// counts the current search's slots; memoWalk tells bfsNext whether the
-	// left being expanded is enumerating its servers or probing one.
+	// memo is the phase's class table (see bfsLayer and dfsOpen):
+	// open-addressed by Hinted.ServerClass and search depth, slots valid
+	// while their stamp equals epoch. It is search scratch — absent until a
+	// phase first records a class, then grown to twice the most slots any
+	// one phase wrote and reused, so its size follows the search, never the
+	// class space. memoLive counts the current phase's slots; memoWalk
+	// tells bfsNext whether the left being expanded is enumerating its
+	// servers or probing one.
 	memo      []classMemo
 	memoShift uint8
 	memoLive  int
@@ -583,31 +591,7 @@ func (m *Matcher) settle(todo []int32) []int {
 // stayed unmatched (reusing todo's storage).
 func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 	hinter, hinted := adj.(Hinted)
-	// Phase 0: length-1 paths. Most arrivals have a direct server with a
-	// free slot; resolve them with an early-exit probe, so the layered
-	// machinery below — which must label *every* server of a frontier
-	// left — only ever runs for lefts that genuinely need an alternating
-	// cascade.
-	rest := todo[:0]
-	for _, l := range todo {
-		if hinted && hinter.ServerCountHint(int(l)) == 0 {
-			rest = append(rest, l)
-			continue
-		}
-		assigned := false
-		m.trav.begin(l)
-		for r := m.trav.next(); r >= 0; r = m.trav.next() {
-			if m.rights[r].load < m.rights[r].cap {
-				m.assign(int(l), r)
-				assigned = true
-				break
-			}
-		}
-		if !assigned {
-			rest = append(rest, l)
-		}
-	}
-	todo = rest
+	todo = m.direct(todo, hinter, hinted)
 	for len(todo) > 0 {
 		if !m.bfsLayer(todo, hinter, hinted) {
 			break // no free right reachable: the matching is maximum
@@ -621,7 +605,7 @@ func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 				continue
 			}
 			m.usedL[l] = m.epoch
-			if m.dfsAugment(l) {
+			if m.dfsAugment(l, hinter) {
 				progressed = true
 			}
 		}
@@ -645,12 +629,41 @@ func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 	return todo
 }
 
+// direct is phase 0, length-1 paths: most arrivals have a direct server
+// with a free slot, and an early-exit probe resolves them, so the layered
+// phases only ever run for lefts that genuinely need an alternating
+// cascade. Returns the lefts it could not place (reusing todo's storage).
+func (m *Matcher) direct(todo []int32, hinter Hinted, hinted bool) []int32 {
+	rest := todo[:0]
+	for _, l := range todo {
+		if hinted && hinter.ServerCountHint(int(l)) == 0 {
+			rest = append(rest, l)
+			continue
+		}
+		assigned := false
+		m.trav.begin(l)
+		for r := m.trav.next(); r >= 0; r = m.trav.next() {
+			if m.rights[r].load < m.rights[r].cap {
+				m.assign(int(l), r)
+				assigned = true
+				break
+			}
+		}
+		if !assigned {
+			rest = append(rest, l)
+		}
+	}
+	return rest
+}
+
 // bfsLayer runs one phase's layered BFS: every unmatched frontier left
 // sits at layer 0; full rights reached at layer d expand to their
-// assigned lefts at layer d+1; the wave stops at the first layer where a
-// right with spare capacity appears (all shortest augmenting paths end
-// there), recorded in maxLevel. Reports whether any free right was
-// reached.
+// assigned lefts at layer d+1; the wave stops at the first right with
+// spare capacity, whose layer — recorded in maxLevel — is where every
+// shortest augmenting path ends. Reports whether any free right was
+// reached. The layer of the free right is left partly unlabelled, which
+// the DFS never misses: there it takes any right with spare capacity
+// without reading labels, and no free right sits on a lower layer.
 //
 // Lefts of one ServerClass share most of their servers, and a right's
 // label is its BFS distance whichever left reaches it first, so the wave
@@ -661,8 +674,8 @@ func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 // one excluded right, so it probes just that one with CanServe instead of
 // walking its server list. A left with a lower need walks in full and
 // takes over the class's slot. Visit stamps, levels, queue order and
-// maxLevel come out exactly as if every left had walked. The DFS phase is
-// not memoized: there the enumeration order picks the matching.
+// maxLevel come out exactly as if every left had walked. The phase DFS
+// memoizes its walks the same way (see dfsOpen).
 func (m *Matcher) bfsLayer(frontier []int32, hinter Hinted, hinted bool) bool {
 	m.beginSearch()
 	m.memoLive = 0
@@ -678,7 +691,6 @@ func (m *Matcher) bfsLayer(frontier []int32, hinter Hinted, hinted bool) bool {
 		m.levelL[l] = 0
 		q = append(q, l)
 	}
-	found := false
 	for layerStart, layerEnd := 0, len(q); layerStart < layerEnd; layerStart, layerEnd = layerEnd, len(q) {
 		for i := layerStart; i < layerEnd; i++ {
 			l := q[i]
@@ -688,41 +700,38 @@ func (m *Matcher) bfsLayer(frontier []int32, hinter Hinted, hinted bool) bool {
 				if rr.visit == m.epoch {
 					continue
 				}
+				if rr.load < rr.cap {
+					m.maxLevel = d
+					m.queue = q
+					return true
+				}
 				rr.visit = m.epoch
 				rr.level = d
-				if rr.load < rr.cap {
-					// Free capacity at this layer: finish labeling the
-					// layer (other shortest paths end here too) but stop
-					// expanding deeper.
-					found = true
-					m.maxLevel = d
-					continue
-				}
-				if !found {
-					for _, l2 := range m.AssignedLefts(r) {
-						if m.visitL[l2] != m.epoch {
-							m.visitL[l2] = m.epoch
-							m.levelL[l2] = d + 1
-							q = append(q, l2)
-						}
+				for _, l2 := range m.AssignedLefts(r) {
+					if m.visitL[l2] != m.epoch {
+						m.visitL[l2] = m.epoch
+						m.levelL[l2] = d + 1
+						q = append(q, l2)
 					}
 				}
 			}
 		}
-		if found {
-			break
-		}
 	}
 	m.queue = q
-	return found
+	return false
 }
 
-// classMemo is one slot of the layered BFS's class table.
+// classMemo is one slot of a phase's class table. The layered BFS keys
+// its slots by class alone (depth −1) and records the lowest need it
+// expanded; the phase DFS keys them by class and frame depth and records,
+// for the lowest need whose frame walked there, where that walk stopped.
 type classMemo struct {
-	stamp uint32 // epoch of the search that wrote the slot
+	stamp uint32 // epoch of the phase that wrote the slot
 	class int32
-	need  int32 // lowest need expanded for the class in that search
-	self  int32 // the right that expansion excluded, negative for none
+	depth int32
+	need  int32  // lowest need recorded for the class in that phase
+	self  int32  // the right that walk excluded, negative for none
+	cur   Cursor // DFS slots: the walk's cursor, Left not yet re-set
 }
 
 // bfsFirst opens left l's enumeration for the layered BFS and returns the
@@ -734,7 +743,7 @@ func (m *Matcher) bfsFirst(hinter Hinted, l int32) int {
 	m.memoWalk = true
 	if hinter != nil {
 		if class, need, self := hinter.ServerClass(int(l)); class >= 0 {
-			e := m.memoSlot(class)
+			e := m.memoSlot(class, -1)
 			if e.stamp == m.epoch && e.need <= need {
 				m.memoWalk = false
 				if e.self >= 0 && m.rights[e.self].visit != m.epoch && hinter.CanServe(int(l), int(e.self)) {
@@ -745,7 +754,7 @@ func (m *Matcher) bfsFirst(hinter Hinted, l int32) int {
 			if e.stamp != m.epoch {
 				m.memoLive++
 			}
-			*e = classMemo{stamp: m.epoch, class: class, need: need, self: int32(self)}
+			*e = classMemo{stamp: m.epoch, class: class, depth: -1, need: need, self: int32(self)}
 		}
 	}
 	m.trav.begin(l)
@@ -760,23 +769,24 @@ func (m *Matcher) bfsNext() int {
 	return m.trav.next()
 }
 
-// memoSlot returns class's slot in the current search, or the empty slot
-// where it belongs (stamp != epoch). The table keeps at least half its
-// slots empty, growing before the probe when the next insert would not.
-func (m *Matcher) memoSlot(class int32) *classMemo {
+// memoSlot returns the slot of (class, depth) in the current phase, or the
+// empty slot where it belongs (stamp != epoch). The table keeps at least
+// half its slots empty, growing before the probe when the next insert
+// would not.
+func (m *Matcher) memoSlot(class, depth int32) *classMemo {
 	if 2*(m.memoLive+1) > len(m.memo) {
 		m.growMemo()
 	}
 	mask := uint32(len(m.memo) - 1)
-	for i := uint32(class) * 0x9E3779B1 >> m.memoShift; ; i = (i + 1) & mask {
+	for i := (uint32(class) + uint32(depth)*0x85EBCA6B) * 0x9E3779B1 >> m.memoShift; ; i = (i + 1) & mask {
 		e := &m.memo[i]
-		if e.stamp != m.epoch || e.class == class {
+		if e.stamp != m.epoch || e.class == class && e.depth == depth {
 			return e
 		}
 	}
 }
 
-// growMemo doubles the class table, carrying over the current search's
+// growMemo doubles the class table, carrying over the current phase's
 // slots.
 func (m *Matcher) growMemo() {
 	old := m.memo
@@ -788,7 +798,7 @@ func (m *Matcher) growMemo() {
 	m.memoShift = uint8(32 - bits.TrailingZeros(uint(n)))
 	for i := range old {
 		if old[i].stamp == m.epoch {
-			*m.memoSlot(old[i].class) = old[i]
+			*m.memoSlot(old[i].class, old[i].depth) = old[i]
 		}
 	}
 }
@@ -796,53 +806,59 @@ func (m *Matcher) growMemo() {
 // dfsFrame is one hop of the phase DFS: left l at layer (its stack
 // index) enumerating its servers through its own cursor, and — while r is
 // non-negative — descending through full layer right r, whose assigned
-// lefts from index i on are still to be tried.
+// lefts from index i on are still to be tried. at is the cursor as it was
+// before r was pulled; class, need and self are l's ServerClass (class
+// negative when l has none).
 type dfsFrame struct {
-	l, r, i int32
-	cur     Cursor
+	l, r, i           int32
+	class, need, self int32
+	cur, at           Cursor
 }
 
 // dfsAugment extends a shortest augmenting path from the root along layer
-// edges only: usable rights for the left at depth d carry this phase's
-// stamp at exactly layer d, and full rights descend into their assigned
-// lefts at layer d+1, one frame per hop on m.dfs, so path length costs
-// heap, not goroutine stack. On success every left on the path moves onto
-// its frame's right, so loads are restored everywhere except the free slot
-// consumed at layer maxLevel. Exhausted rights are stamped done and dead
-// for the rest of the phase; each left is consumed at most once
-// (vertex-disjoint paths), which is what makes the phase a blocking flow.
-func (m *Matcher) dfsAugment(root int32) bool {
-	adj := m.trav.adj
+// edges only: usable rights for the left at depth d < maxLevel carry this
+// phase's stamp at exactly layer d and descend into their assigned lefts at
+// layer d+1, one frame per hop on m.dfs, so path length costs heap, not
+// goroutine stack; at depth maxLevel any right with spare capacity ends
+// the path. On success every left on the path moves onto its frame's
+// right, so loads are restored everywhere except the free slot consumed at
+// layer maxLevel. Exhausted rights are stamped done and dead for the rest
+// of the phase; each left is consumed at most once (vertex-disjoint
+// paths), which is what makes the phase a blocking flow.
+//
+// Every frame hands its position to later frames of its class and depth
+// (dfsOpen): on exhaustion the end of its list, on success the cursor
+// before the right it is on. hinter is the adjacency's Hinted view, nil
+// when it has none.
+func (m *Matcher) dfsAugment(root int32, hinter Hinted) bool {
 	st := append(m.dfs[:0], dfsFrame{l: root, r: -1})
-	adj.BeginServers(int(root), &st[0].cur)
+	m.dfsOpen(hinter, &st[0], 0)
 	for len(st) > 0 {
 		d := int32(len(st) - 1)
 		f := &st[d]
 		if f.r < 0 {
-			r := adj.NextServer(&f.cur)
+			f.at = f.cur
+			r := m.trav.adj.NextServer(&f.cur)
 			if r < 0 {
+				m.dfsRecord(f, d, &f.cur)
 				st = st[:d] // the parent tries its right's next left
 				continue
 			}
-			rr := &m.rights[r]
-			if rr.visit != m.epoch || rr.level != d || rr.done == m.epoch {
+			if !m.onLayer(r, d) {
 				continue
 			}
-			if rr.load < rr.cap {
+			f.r = int32(r)
+			if d == m.maxLevel {
 				// Apply the path deepest first: the top left takes the
 				// free slot, each left above it the slot its child vacated.
-				f.r = int32(r)
 				for i := len(st) - 1; i >= 0; i-- {
+					m.dfsRecord(&st[i], int32(i), &st[i].at)
 					m.assign(int(st[i].l), int(st[i].r))
 				}
 				m.dfs = st[:0]
 				return true
 			}
-			if d >= m.maxLevel {
-				rr.done = m.epoch
-				continue
-			}
-			f.r, f.i = int32(r), 0
+			f.i = 0
 		}
 		lefts := m.AssignedLefts(int(f.r))
 		for f.i < int32(len(lefts)) {
@@ -853,7 +869,7 @@ func (m *Matcher) dfsAugment(root int32) bool {
 			}
 			m.usedL[l2] = m.epoch
 			st = append(st, dfsFrame{l: l2, r: -1})
-			adj.BeginServers(int(l2), &st[d+1].cur)
+			m.dfsOpen(hinter, &st[d+1], d+1)
 			break
 		}
 		if int32(len(st)) == d+1 {
@@ -863,6 +879,64 @@ func (m *Matcher) dfsAugment(root int32) bool {
 	}
 	m.dfs = st
 	return false
+}
+
+// onLayer reports whether right r can carry a path from a left at depth d:
+// at depth maxLevel, any right with spare capacity; above it, a full right
+// labelled layer d and not yet exhausted. Within a phase labels are fixed,
+// done only grows and loads change only at layer maxLevel, where they only
+// rise, so a right that fails this test fails it for the rest of the phase.
+func (m *Matcher) onLayer(r int, d int32) bool {
+	rr := &m.rights[r]
+	if d == m.maxLevel {
+		return rr.load < rr.cap
+	}
+	return rr.visit == m.epoch && rr.level == d && rr.done != m.epoch
+}
+
+// dfsOpen positions frame f, at depth d, in its left's enumeration. The
+// memo slot of the left's class at depth d holds where this phase's walk
+// of the lowest need so far stopped; every server of that walk's left
+// before the stop fails onLayer at depth d for good. A left of no lower
+// need has no server there but the walk's excluded right (Hinted's
+// nesting), so unless that right can serve it on this layer, it resumes at
+// the stop — the rights it skips are the ones its own walk would have
+// rejected, in the same order. Any other left starts at the top.
+func (m *Matcher) dfsOpen(hinter Hinted, f *dfsFrame, d int32) {
+	f.class = -1
+	if hinter != nil {
+		class, need, self := hinter.ServerClass(int(f.l))
+		if class >= 0 {
+			f.class, f.need, f.self = class, need, int32(self)
+			e := m.memoSlot(class, d)
+			if e.stamp == m.epoch && e.need <= need &&
+				(e.self < 0 || !m.onLayer(int(e.self), d) || !hinter.CanServe(int(f.l), int(e.self))) {
+				f.cur = e.cur
+				f.cur.Left = f.l
+				return
+			}
+		}
+	}
+	m.trav.adj.BeginServers(int(f.l), &f.cur)
+}
+
+// dfsRecord offers cur, the position frame f at depth d stopped at, to its
+// class's slot: it takes the slot unless the slot already holds a lower
+// need. A frame of equal need that resumed from the slot holds the same
+// guarantee its left's own full walk would, so it may move the stop on.
+func (m *Matcher) dfsRecord(f *dfsFrame, d int32, cur *Cursor) {
+	if f.class < 0 {
+		return
+	}
+	e := m.memoSlot(f.class, d)
+	if e.stamp == m.epoch {
+		if e.need < f.need {
+			return
+		}
+	} else {
+		m.memoLive++
+	}
+	*e = classMemo{stamp: m.epoch, class: f.class, depth: d, need: f.need, self: f.self, cur: *cur}
 }
 
 // applyPath walks parent pointers back from the free right node, shifting

@@ -139,53 +139,9 @@ func TestRoundOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d: %v", r, err)
 				}
-				// The progress this round was matched under, at the clock
-				// before the round's tick: a request issued this round had
-				// none, an older one had what it entered the round with (its
-				// slot cannot have been retired and reissued, or it would
-				// carry this round as its start).
-				matchedUnder := progressView{clock: sys.clock - 1, base: slices.Clone(sys.reqBase)}
-				if sys.Failed() {
-					matchedUnder.clock++ // a halted round does not tick
-				}
-				advanced := 0
-				for _, slot := range sys.activeList {
-					p := int32(0)
-					if int(sys.reqStart[slot]) != r {
-						p = before[slot]
-					}
-					now := sys.encodedProgress(int(slot))
-					if step := now - p; step == 1 {
-						advanced++
-					} else if step != 0 {
-						t.Fatalf("round %d: slot %d went from progress %d to %d", r, slot, p, now)
-					}
-					matchedUnder.base[slot] = matchedUnder.clock - p
-				}
-				live := len(sys.activeList)
-				flow := int(oracleMaxFlow(sys, matchedUnder))
-				if res.Matched != flow || res.Unmatched != live-flow {
-					t.Fatalf("round %d: matched %d, unmatched %d; the max flow over %d live requests is %d",
-						r, res.Matched, res.Unmatched, live, flow)
-				}
-				if !sys.Failed() && advanced != res.Matched {
-					t.Fatalf("round %d: %d requests advanced, %d were matched", r, advanced, res.Matched)
-				}
-				if (res.Obstruction != nil) != (res.Unmatched > 0) {
-					t.Fatalf("round %d: %d unmatched, obstruction %+v", r, res.Unmatched, res.Obstruction)
-				}
-				if ob := res.Obstruction; ob != nil {
+				checkRoundOracle(t, sys, r, res, before)
+				if res.Obstruction != nil {
 					stallRounds++
-					if int64(ob.Requests) <= ob.Slots {
-						t.Fatalf("round %d: certificate %+v is no Hall violator: %d requests fit %d slots",
-							r, *ob, ob.Requests, ob.Slots)
-					}
-					// The violator's own deficiency is the whole deficiency:
-					// its requests can reach no slot outside it.
-					if ob.Requests-int(ob.Slots) != res.Unmatched {
-						t.Fatalf("round %d: certificate %+v is short by %d, the round by %d",
-							r, *ob, ob.Requests-int(ob.Slots), res.Unmatched)
-					}
 				}
 				foldRound(h, sys, res)
 			}
@@ -200,5 +156,61 @@ func TestRoundOracle(t *testing.T) {
 					got, stallRounds, tc.fingerprint, tc.stallRounds)
 			}
 		})
+	}
+}
+
+// checkRoundOracle holds round r's result to the paper's statement: Matched
+// is the maximum flow of the request graph enumerated from first
+// principles, Unmatched is what that flow leaves over, every matched
+// request advanced by one chunk and no other moved, and an obstruction is
+// a Hall violator whose deficiency is the round's. before is
+// progressTable(sys) taken before the Step.
+func checkRoundOracle(t *testing.T, sys *System, r int, res StepResult, before []int32) {
+	t.Helper()
+	// The progress this round was matched under, at the clock before the
+	// round's tick: a request issued this round had none, an older one had
+	// what it entered the round with (its slot cannot have been retired and
+	// reissued, or it would carry this round as its start).
+	matchedUnder := progressView{clock: sys.clock - 1, base: slices.Clone(sys.reqBase)}
+	if sys.Failed() {
+		matchedUnder.clock++ // a halted round does not tick
+	}
+	advanced := 0
+	for _, slot := range sys.activeList {
+		p := int32(0)
+		if int(sys.reqStart[slot]) != r {
+			p = before[slot]
+		}
+		now := sys.encodedProgress(int(slot))
+		if step := now - p; step == 1 {
+			advanced++
+		} else if step != 0 {
+			t.Fatalf("round %d: slot %d went from progress %d to %d", r, slot, p, now)
+		}
+		matchedUnder.base[slot] = matchedUnder.clock - p
+	}
+	live := len(sys.activeList)
+	flow := int(oracleMaxFlow(sys, matchedUnder))
+	if res.Matched != flow || res.Unmatched != live-flow {
+		t.Fatalf("round %d: matched %d, unmatched %d; the max flow over %d live requests is %d",
+			r, res.Matched, res.Unmatched, live, flow)
+	}
+	if !sys.Failed() && advanced != res.Matched {
+		t.Fatalf("round %d: %d requests advanced, %d were matched", r, advanced, res.Matched)
+	}
+	if (res.Obstruction != nil) != (res.Unmatched > 0) {
+		t.Fatalf("round %d: %d unmatched, obstruction %+v", r, res.Unmatched, res.Obstruction)
+	}
+	if ob := res.Obstruction; ob != nil {
+		if int64(ob.Requests) <= ob.Slots {
+			t.Fatalf("round %d: certificate %+v is no Hall violator: %d requests fit %d slots",
+				r, *ob, ob.Requests, ob.Slots)
+		}
+		// The violator's own deficiency is the whole deficiency: its
+		// requests can reach no slot outside it.
+		if ob.Requests-int(ob.Slots) != res.Unmatched {
+			t.Fatalf("round %d: certificate %+v is short by %d, the round by %d",
+				r, *ob, ob.Requests-int(ob.Slots), res.Unmatched)
+		}
 	}
 }
