@@ -6,6 +6,7 @@ import (
 
 	vod "repro"
 	"repro/internal/stats"
+	"repro/internal/swarm"
 	"repro/internal/trace"
 	"repro/internal/video"
 )
@@ -104,14 +105,13 @@ func Expand(s *Spec, seed uint64) (*Expanded, error) {
 }
 
 // gen is the population model: who is idle, which region they sit in,
-// and a mirror of the engine's swarm growth-bound state. The mirror
-// re-implements swarm.Tracker's admission arithmetic (membership lasts
-// exactly T rounds from entry; allowance = ceil(max(prevSize,1)·µ) −
-// size) so the generator emits demands the engine will admit. It is a
-// model, not the engine: startup postponement can keep an engine box busy
-// past T rounds, which BusySlack absorbs conservatively; any residual
-// rejections are deterministic and show up pinned in the golden
-// summaries.
+// and the swarm growth-bound state, kept by a swarm.Tracker of its own
+// (membership lasts exactly T rounds from entry; allowance =
+// ceil(max(prevSize,1)·µ) − size) so the generator emits demands the
+// engine will admit. It is a model, not the engine: startup postponement
+// can keep an engine box busy past T rounds, which BusySlack absorbs
+// conservatively; any residual rejections are deterministic and show up
+// pinned in the golden summaries.
 type gen struct {
 	spec *Spec
 	vs   vod.Spec
@@ -126,13 +126,7 @@ type gen struct {
 	idle    [][]int
 	returns [][]int // returns[r] = boxes becoming eligible again at round r
 
-	// Swarm growth-bound mirror (see swarm.Tracker).
-	sizes    []int
-	prev     []int
-	expiry   [][]int // per video, entry rounds of current members
-	exHead   []int
-	active   []video.ID
-	inActive []bool
+	swarms *swarm.Tracker // growth-bound model of the engine's swarms
 
 	// Per-(window,exponent) Zipf samplers, reused across rounds.
 	zipfs map[zipfKey]*stats.Zipf
@@ -156,16 +150,12 @@ func newGen(s *Spec, vs vod.Spec, cat video.Catalog, seed uint64) *gen {
 		cat:  cat,
 		// Decorrelate the workload stream from the allocation stream,
 		// which consumes NewRNG(seed) directly.
-		rng:      stats.NewRNG(seed ^ 0xd1b54a32d192ed03),
-		total:    s.TotalRounds(),
-		busy:     cat.T + s.BusySlack,
-		idle:     make([][]int, s.Regions),
-		sizes:    make([]int, cat.M),
-		prev:     make([]int, cat.M),
-		expiry:   make([][]int, cat.M),
-		exHead:   make([]int, cat.M),
-		inActive: make([]bool, cat.M),
-		zipfs:    map[zipfKey]*stats.Zipf{},
+		rng:    stats.NewRNG(seed ^ 0xd1b54a32d192ed03),
+		total:  s.TotalRounds(),
+		busy:   cat.T + s.BusySlack,
+		idle:   make([][]int, s.Regions),
+		swarms: swarm.NewTracker(cat.M, cat.T, vs.Growth),
+		zipfs:  map[zipfKey]*stats.Zipf{},
 	}
 	g.returns = make([][]int, g.total+2)
 	for b := 0; b < n; b++ {
@@ -185,52 +175,12 @@ func (g *gen) zipf(window int, exp float64) *stats.Zipf {
 	return z
 }
 
-// beginRound mirrors swarm.Tracker.BeginRound: snapshot prev sizes, then
-// expire members whose T rounds have elapsed.
-func (g *gen) beginRound(round int) {
-	for i := 0; i < len(g.active); {
-		v := g.active[i]
-		g.prev[v] = g.sizes[v]
-		q := g.expiry[v]
-		for g.exHead[v] < len(q) && q[g.exHead[v]]+g.cat.T <= round {
-			g.exHead[v]++
-			g.sizes[v]--
-		}
-		if g.exHead[v] >= len(q) {
-			g.expiry[v] = q[:0]
-			g.exHead[v] = 0
-		}
-		if g.sizes[v] == 0 && g.prev[v] == 0 && g.exHead[v] >= len(g.expiry[v]) {
-			last := len(g.active) - 1
-			g.active[i] = g.active[last]
-			g.active = g.active[:last]
-			g.inActive[v] = false
-		} else {
-			i++
-		}
-	}
-}
-
-func (g *gen) allowance(v video.ID) int {
-	base := g.prev[v]
-	if base < 1 {
-		base = 1
-	}
-	room := int(math.Ceil(float64(base)*g.vs.Growth)) - g.sizes[v]
-	if room < 0 {
-		return 0
-	}
-	return room
-}
-
-// emit records one demand and updates both models.
+// emit records one demand and updates both models. Every caller stays
+// within v's allowance, so the entry cannot fail.
 func (g *gen) emit(round, box int, v video.ID) {
 	g.out = append(g.out, trace.Event{Round: round, Box: box, Video: v})
-	g.sizes[v]++
-	g.expiry[v] = append(g.expiry[v], round)
-	if !g.inActive[v] {
-		g.inActive[v] = true
-		g.active = append(g.active, v)
+	if _, err := g.swarms.Enter(v, g.cat.C); err != nil {
+		panic(err)
 	}
 	back := round + g.busy
 	if back >= len(g.returns) {
@@ -324,7 +274,7 @@ func (g *gen) sampleVideo(p *Phase, t int) video.ID {
 			rank = g.zipf(w, pop.S).Sample(g.rng)
 		}
 		v := rankVideo(pop, rank, w, t)
-		if g.allowance(v) > 0 {
+		if g.swarms.Allowance(v) > 0 {
 			return v
 		}
 	}
@@ -367,7 +317,7 @@ func (g *gen) run() *trace.Trace {
 	flashTarget := video.ID(0)
 	lastPhase := -1
 	for round := 1; round <= g.total; round++ {
-		g.beginRound(round)
+		g.swarms.BeginRound(round)
 		for _, b := range g.returns[round] {
 			r := b * g.spec.Regions / g.vs.Boxes
 			g.idle[r] = append(g.idle[r], b)
@@ -427,7 +377,7 @@ func (g *gen) churnWave(round, wave, dark int) {
 	skips := 0
 	for emitted := 0; emitted < wave; {
 		v := video.ID(g.cat.M - 1 - (g.churnCursor % g.cat.M))
-		if g.allowance(v) == 0 {
+		if g.swarms.Allowance(v) == 0 {
 			g.churnCursor++
 			skips++
 			if skips >= g.cat.M {
@@ -456,7 +406,7 @@ func (g *gen) flashFlood(round int, p *Phase, t, dark, left int, target video.ID
 	if p.Arrival.Size > 0 && left <= 0 {
 		return left
 	}
-	n := g.allowance(target)
+	n := g.swarms.Allowance(target)
 	if p.Arrival.Size > 0 && n > left {
 		n = left
 	}

@@ -1,14 +1,16 @@
 package swarm
 
-// Checkpoint serialization. Sizes, entry counters, and the per-video
-// expiry queues are written exactly (queues compacted to their live
-// suffix — the head offset is memory layout, not behavior); the aggregate
-// counters are re-derived on decode. The active-video list is written in
-// its exact order: swap-removal makes the order history-dependent, and a
-// bit-identical resume must walk BeginRound in the same sequence.
+// Checkpoint serialization. The file carries each video's size, its f(t)
+// snapshot and this round's entries (as the lazy records read them), the
+// entry counters, and per video the entry rounds of its current members in
+// ascending order: the ring regrouped by video. The aggregate counters,
+// the ring and the drained list are rebuilt on decode. The active-video
+// list is written in its exact order: swap-removal makes the order
+// history-dependent, and later removals reshuffle it from there.
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 	"repro/internal/video"
@@ -20,13 +22,29 @@ import (
 func (tr *Tracker) EncodeState(w *ckpt.Writer) {
 	w.Int(tr.round)
 	w.Int(tr.maxEver)
-	w.Ints(tr.sizes)
-	w.Ints(tr.prev)
-	w.Ints(tr.entered)
+	// Three columns in the layout of ckpt.Writer.Ints: size, prev, entered.
+	w.U64(uint64(len(tr.recs)))
+	for v := range tr.recs {
+		w.I32(tr.recs[v].size)
+	}
+	w.U64(uint64(len(tr.recs)))
+	for v := range tr.recs {
+		prev, _ := tr.recs[v].lazy(tr.epoch)
+		w.I32(prev)
+	}
+	w.U64(uint64(len(tr.recs)))
+	for v := range tr.recs {
+		_, entered := tr.recs[v].lazy(tr.epoch)
+		w.I32(entered)
+	}
 	w.I64s(tr.counter)
-	for v := range tr.expiry {
-		q := &tr.expiry[v]
-		w.Ints(q.rounds[q.head:])
+	rounds, off := tr.memberRounds()
+	for v := range tr.recs {
+		if p := tr.recs[v].pos; p >= 0 {
+			w.Ints(rounds[off[p]:off[p+1]])
+		} else {
+			w.Ints(nil)
+		}
 	}
 	w.Int(len(tr.activeVids))
 	for _, v := range tr.activeVids {
@@ -34,59 +52,88 @@ func (tr *Tracker) EncodeState(w *ckpt.Writer) {
 	}
 }
 
+// memberRounds regroups the ring by video: the members of activeVids[p]
+// entered at rounds[off[p]:off[p+1]], in ascending order.
+func (tr *Tracker) memberRounds() (rounds, off []int) {
+	off = make([]int, len(tr.activeVids)+1)
+	for p, v := range tr.activeVids {
+		off[p+1] = off[p] + int(tr.recs[v].size)
+	}
+	rounds = make([]int, tr.totalViewers)
+	next := append([]int(nil), off...)
+	for r := max(tr.round-tr.t+1, 0); r <= tr.round; r++ {
+		for _, v := range tr.ring[r%(tr.t+1)] {
+			rounds[next[tr.recs[v].pos]] = r
+			next[tr.recs[v].pos]++
+		}
+	}
+	return rounds, off
+}
+
 // DecodeState restores state written by EncodeState into a freshly
-// constructed tracker for the same catalog.
+// constructed tracker for the same catalog. It refuses a stream the ring
+// and the lazy records could not have produced: entry rounds out of order
+// or outside the live window (round−T, round], more entries this round
+// than members, or an active list other than the videos carrying state.
 func (tr *Tracker) DecodeState(r *ckpt.Reader) error {
-	tr.round = r.Int()
-	tr.maxEver = r.Int()
-	sizes := r.Ints()
-	prev := r.Ints()
-	entered := r.Ints()
-	counter := r.I64s()
+	tr.round, tr.maxEver = r.Int(), r.Int()
+	sizes, prev, entered, counter := r.Ints(), r.Ints(), r.Ints(), r.I64s()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if len(sizes) != tr.m || len(prev) != tr.m || len(entered) != tr.m || len(counter) != tr.m {
-		return fmt.Errorf("swarm: checkpoint sized for %d/%d/%d/%d videos, tracker has %d",
-			len(sizes), len(prev), len(entered), len(counter), tr.m)
+	m := len(tr.recs)
+	if tr.round < 0 || len(sizes) != m || len(prev) != m || len(entered) != m || len(counter) != m {
+		return fmt.Errorf("swarm: checkpoint at round %d sized for %d/%d/%d/%d videos, tracker has %d",
+			tr.round, len(sizes), len(prev), len(entered), len(counter), m)
 	}
-	tr.sizes, tr.prev, tr.entered, tr.counter = sizes, prev, entered, counter
-	tr.totalViewers = 0
-	tr.activeSwarms = 0
-	for _, sz := range sizes {
+	tr.counter = counter
+	tr.totalViewers, tr.activeSwarms = 0, 0
+	live := 0
+	for v := range tr.recs {
+		sz, p, e := sizes[v], prev[v], entered[v]
+		if p < 0 || e < 0 || e > sz || sz > math.MaxInt32 || p > math.MaxInt32 {
+			return fmt.Errorf("swarm: video %d size/prev/entered %d/%d/%d out of range", v, sz, p, e)
+		}
+		tr.recs[v] = record{size: int32(sz), prev: int32(p), entered: int32(e), stamp: tr.epoch, pos: -1}
 		tr.totalViewers += sz
-		if sz > 0 {
-			tr.activeSwarms++
+		tr.activeSwarms += min(sz, 1)
+		if sz > 0 || p > 0 {
+			live++
 		}
 	}
-	for v := range tr.expiry {
-		tr.expiry[v] = memberQueue{rounds: r.Ints()}
-		if len(tr.expiry[v].rounds) != sizes[v] {
-			return fmt.Errorf("swarm: video %d expiry queue has %d members, size says %d",
-				v, len(tr.expiry[v].rounds), sizes[v])
+	lo := max(tr.round-tr.t+1, 0)
+	for v := range tr.recs {
+		rounds := r.Ints()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if len(rounds) != sizes[v] {
+			return fmt.Errorf("swarm: video %d holds %d member rounds, size says %d", v, len(rounds), sizes[v])
+		}
+		for i, e := range rounds {
+			if e < lo || e > tr.round || i > 0 && e < rounds[i-1] {
+				return fmt.Errorf("swarm: video %d entry rounds %v not ascending within [%d, %d]", v, rounds, lo, tr.round)
+			}
+			tr.ring[e%(tr.t+1)] = append(tr.ring[e%(tr.t+1)], video.ID(v))
 		}
 	}
-	nActive := r.Int()
-	if err := r.Err(); err != nil {
-		return err
+	if n := r.Int(); r.Err() == nil && n != live {
+		return fmt.Errorf("swarm: checkpoint active list length %d, %d videos carry swarm state", n, live)
 	}
-	if nActive < 0 || nActive > tr.m {
-		return fmt.Errorf("swarm: checkpoint active list length %d out of range", nActive)
-	}
-	tr.activeVids = make([]video.ID, nActive) // at most the catalog, whatever the stream says
-	for i := range tr.pos {
-		tr.pos[i] = -1
-	}
+	tr.activeVids = make([]video.ID, live)
 	for i := range tr.activeVids {
 		v := r.Int()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if v < 0 || v >= tr.m || tr.pos[v] >= 0 {
+		if v < 0 || v >= m || tr.recs[v].pos >= 0 || sizes[v] == 0 && prev[v] == 0 {
 			return fmt.Errorf("swarm: checkpoint active list holds invalid video %d", v)
 		}
 		tr.activeVids[i] = video.ID(v)
-		tr.pos[v] = int32(i)
+		tr.recs[v].pos = int32(i)
+		if sizes[v] == 0 {
+			tr.drained = append(tr.drained, video.ID(v))
+		}
 	}
 	return r.Err()
 }

@@ -3,42 +3,36 @@
 // maintains the per-video round-robin counters that balance preloading
 // requests over stripes (Section 3).
 //
-// The tracker is output-sensitive: per-round cost scales with the number
-// of videos that currently carry swarm state, not with the catalog size,
-// and the aggregate counters (viewers, active swarms, peak size) are
-// maintained incrementally.
+// The tracker is event-driven: a round costs O(entries + expiries), not
+// O(videos with swarm state). Members live in a ring of T+1 buckets
+// indexed by entry round, so BeginRound visits only the members whose T
+// rounds are up. The f(t) snapshot is read lazily: a video's record is
+// brought up to date the first time an entry or an expiry touches it in
+// a round, and until then its previous size is its current size. The
+// aggregate counters (viewers, active swarms, peak size) are maintained
+// incrementally.
 package swarm
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/video"
 )
 
-// memberQueue is a FIFO of entry rounds with an explicit head so dequeues
-// never reallocate; the backing array is recycled once fully drained.
-type memberQueue struct {
-	rounds []int
-	head   int
-}
-
-func (q *memberQueue) push(round int) { q.rounds = append(q.rounds, round) }
-func (q *memberQueue) empty() bool    { return q.head >= len(q.rounds) }
-func (q *memberQueue) front() int     { return q.rounds[q.head] }
-func (q *memberQueue) pop() {
-	q.head++
-	if q.head >= len(q.rounds) {
-		q.rounds = q.rounds[:0]
-		q.head = 0
-	} else if q.head > 32 && q.head > len(q.rounds)/2 {
-		// Compact so a never-draining queue (a perpetually hot video)
-		// stays O(live members); each copy moves at most as many
-		// elements as the pops that paid for it.
-		n := copy(q.rounds, q.rounds[q.head:])
-		q.rounds = q.rounds[:n]
-		q.head = 0
-	}
+// record is one video's swarm state. prev and entered are current only
+// when stamp equals the tracker's epoch; an older stamp means the video
+// has not been touched since the last BeginRound, so its previous size is
+// its size and nothing has entered yet. The epoch wraps, but no stale
+// stamp comes round again: a live video is touched by an expiry at least
+// every T rounds, and a video that leaves the live list is reset to zeros.
+type record struct {
+	size    int32 // current swarm size
+	prev    int32 // swarm size at the end of the previous round
+	entered int32 // entries already admitted this round
+	stamp   uint32
+	pos     int32 // index in activeVids, or -1
 }
 
 // Tracker follows swarm sizes across rounds. A box is a member of video
@@ -46,30 +40,22 @@ func (q *memberQueue) pop() {
 type Tracker struct {
 	mu    float64
 	t     int // duration of membership (the video length T)
-	m     int
 	round int
+	epoch uint32 // BeginRound calls so far (mod 2³²): the records' clock
 
-	sizes   []int         // current swarm size per video
-	prev    []int         // swarm size at the end of the previous round
-	entered []int         // entries already admitted this round
-	counter []int64       // preload round-robin counter per video
-	expiry  []memberQueue // per video, entry rounds of current members
-
-	// Dense list of videos carrying swarm state; BeginRound touches only
-	// these. pos[v] is v's index in activeVids, or -1.
+	recs    []record
+	counter []int64 // preload round-robin counter per video
+	// ring[r mod (T+1)] holds one video per member that entered at round
+	// r, for the live rounds (round−T, round].
+	ring [][]video.ID
+	// drained holds the videos whose last member expired at the latest
+	// BeginRound; those still empty at the next one leave activeVids.
+	drained []video.ID
+	// activeVids lists the videos carrying state (size > 0 or prev > 0).
+	// Its order is history-dependent and part of the checkpoint.
 	activeVids []video.ID
-	pos        []int32
 
-	// spare recycles drained expiry-queue backing arrays across videos:
-	// a deactivating video surrenders its backing here and the next video
-	// to activate grabs one, so steady-state churn over fresh videos stops
-	// paying a first-push allocation per activation (and retained memory
-	// scales with concurrently-active videos, not videos ever touched).
-	spare [][]int
-
-	totalViewers int
-	activeSwarms int
-	maxEver      int
+	totalViewers, activeSwarms, maxEver int
 }
 
 // NewTracker creates a tracker for m videos of duration t rounds with
@@ -81,97 +67,107 @@ func NewTracker(m, t int, mu float64) *Tracker {
 	tr := &Tracker{
 		mu:      mu,
 		t:       t,
-		m:       m,
-		sizes:   make([]int, m),
-		prev:    make([]int, m),
-		entered: make([]int, m),
+		recs:    make([]record, m),
 		counter: make([]int64, m),
-		expiry:  make([]memberQueue, m),
-		pos:     make([]int32, m),
+		ring:    make([][]video.ID, t+1),
 	}
-	for v := range tr.pos {
-		tr.pos[v] = -1
+	for v := range tr.recs {
+		tr.recs[v].pos = -1
 	}
 	return tr
 }
 
-// activate puts v on the live list, seeding its expiry queue from the
-// spare pool if it has no backing yet.
-func (tr *Tracker) activate(v video.ID) {
-	if tr.pos[v] < 0 {
-		tr.pos[v] = int32(len(tr.activeVids))
-		tr.activeVids = append(tr.activeVids, v)
-		if q := &tr.expiry[v]; q.rounds == nil && len(tr.spare) > 0 {
-			q.rounds = tr.spare[len(tr.spare)-1]
-			tr.spare = tr.spare[:len(tr.spare)-1]
-		}
+// lazy returns the record's previous size and this round's entries as of
+// the tracker epoch.
+func (rec *record) lazy(epoch uint32) (prev, entered int32) {
+	prev = rec.size
+	if rec.stamp == epoch {
+		prev, entered = rec.prev, rec.entered
 	}
+	return prev, entered
 }
 
-// deactivateAt swap-removes the video at index i of the live list and
-// returns its (drained) expiry backing to the spare pool.
-func (tr *Tracker) deactivateAt(i int) {
+// touch brings v's record up to the current round and returns it.
+func (tr *Tracker) touch(v video.ID) *record {
+	rec := &tr.recs[v]
+	rec.prev, rec.entered = rec.lazy(tr.epoch)
+	rec.stamp = tr.epoch
+	return rec
+}
+
+// removeAt swap-removes the video at index i of the live list.
+func (tr *Tracker) removeAt(i int) {
 	v := tr.activeVids[i]
 	last := tr.activeVids[len(tr.activeVids)-1]
 	tr.activeVids[i] = last
-	tr.pos[last] = int32(i)
+	tr.recs[last].pos = int32(i)
 	tr.activeVids = tr.activeVids[:len(tr.activeVids)-1]
-	tr.pos[v] = -1
-	if q := &tr.expiry[v]; cap(q.rounds) > 0 {
-		tr.spare = append(tr.spare, q.rounds[:0])
-		q.rounds = nil
-		q.head = 0
-	}
+	// size = prev = entered = 0 reads the same at any epoch, so the
+	// record of a video that left never goes stale.
+	rec := &tr.recs[v]
+	rec.prev, rec.entered, rec.pos = 0, 0, -1
 }
 
-// BeginRound advances the tracker to the given round: it snapshots the
-// previous sizes (the f(t) of the growth bound) and expires members whose
-// T rounds have elapsed. Rounds must be strictly increasing. Only videos
-// with live swarm state are touched; a video leaves the live list one
-// round after its swarm fully drains (so its f(t) snapshot reaches zero).
+// deactivate removes the videos that drained at the previous BeginRound
+// and stayed empty — exactly the live videos of size 0. They leave in the
+// order a walk over the live list with swap-removal would remove them: by
+// position, and a due video pulled into a vacated index leaves from that
+// same index at once.
+func (tr *Tracker) deactivate() {
+	slices.SortFunc(tr.drained, func(a, b video.ID) int { return int(tr.recs[a].pos - tr.recs[b].pos) })
+	for _, v := range tr.drained {
+		i := int(tr.recs[v].pos)
+		if i < 0 || tr.recs[v].size > 0 {
+			continue // pulled into an earlier index and removed there, or re-entered
+		}
+		tr.removeAt(i)
+		for i < len(tr.activeVids) && tr.recs[tr.activeVids[i]].size == 0 {
+			tr.removeAt(i)
+		}
+	}
+	tr.drained = tr.drained[:0]
+}
+
+// BeginRound advances the tracker to the given round: it expires members
+// whose T rounds have elapsed and starts the f(t) snapshot of the growth
+// bound (every video's previous size becomes its size as it stands).
+// Rounds must be strictly increasing; round 0 may be begun more than once
+// before any later round. A video leaves the live list one round after its
+// swarm fully drains (so its f(t) snapshot reaches zero).
 func (tr *Tracker) BeginRound(round int) {
-	if round <= tr.round && round != 0 {
+	if round < tr.round || round == tr.round && round != 0 {
 		panic(fmt.Sprintf("swarm: BeginRound(%d) after round %d", round, tr.round))
 	}
+	tr.deactivate()
+	last := tr.round
 	tr.round = round
-	for i := 0; i < len(tr.activeVids); {
-		v := tr.activeVids[i]
-		tr.prev[v] = tr.sizes[v]
-		tr.entered[v] = 0
-		q := &tr.expiry[v]
-		for !q.empty() && q.front()+tr.t <= round {
-			q.pop()
-			tr.sizes[v]--
+	tr.epoch++
+	// Members that entered at r expire once r+T ≤ round; the live rounds
+	// were (last−T, last].
+	for r := max(last-tr.t+1, 0); r <= min(last, round-tr.t); r++ {
+		b := r % (tr.t + 1)
+		for _, v := range tr.ring[b] {
+			rec := tr.touch(v)
+			rec.size--
 			tr.totalViewers--
-			if tr.sizes[v] == 0 {
+			if rec.size == 0 {
 				tr.activeSwarms--
+				tr.drained = append(tr.drained, v)
 			}
 		}
-		if tr.sizes[v] == 0 && tr.prev[v] == 0 && q.empty() {
-			tr.deactivateAt(i) // swap-remove: revisit index i
-		} else {
-			i++
-		}
+		tr.ring[b] = tr.ring[b][:0]
 	}
 }
 
 // Size returns the current swarm size of video v.
-func (tr *Tracker) Size(v video.ID) int { return tr.sizes[v] }
+func (tr *Tracker) Size(v video.ID) int { return int(tr.recs[v].size) }
 
 // Allowance returns how many more boxes may enter v's swarm this round
 // without violating the growth bound.
 func (tr *Tracker) Allowance(v video.ID) int {
-	f := tr.prev[v]
-	base := f
-	if base < 1 {
-		base = 1
-	}
-	limit := int(math.Ceil(float64(base) * tr.mu))
-	room := limit - tr.sizes[v]
-	if room < 0 {
-		return 0
-	}
-	return room
+	prev, _ := tr.recs[v].lazy(tr.epoch)
+	limit := int(math.Ceil(float64(max(prev, 1)) * tr.mu))
+	return max(limit-int(tr.recs[v].size), 0)
 }
 
 // Enter admits one box into v's swarm and returns the preload stripe index
@@ -181,26 +177,32 @@ func (tr *Tracker) Allowance(v video.ID) int {
 func (tr *Tracker) Enter(v video.ID, c int) (int, error) {
 	if tr.Allowance(v) <= 0 {
 		return 0, fmt.Errorf("swarm: growth bound µ=%v reached for video %d at round %d (size %d)",
-			tr.mu, v, tr.round, tr.sizes[v])
+			tr.mu, v, tr.round, tr.recs[v].size)
 	}
 	idx := int(tr.counter[v] % int64(c))
 	tr.counter[v]++
-	if tr.sizes[v] == 0 {
+	rec := tr.touch(v)
+	if rec.size == 0 {
 		tr.activeSwarms++
 	}
-	tr.sizes[v]++
+	rec.size++
+	rec.entered++
 	tr.totalViewers++
-	if tr.sizes[v] > tr.maxEver {
-		tr.maxEver = tr.sizes[v]
+	tr.maxEver = max(tr.maxEver, int(rec.size))
+	if rec.pos < 0 {
+		rec.pos = int32(len(tr.activeVids))
+		tr.activeVids = append(tr.activeVids, v)
 	}
-	tr.entered[v]++
-	tr.activate(v)
-	tr.expiry[v].push(tr.round)
+	b := tr.round % (tr.t + 1)
+	tr.ring[b] = append(tr.ring[b], v)
 	return idx, nil
 }
 
 // EnteredThisRound returns how many boxes entered v's swarm this round.
-func (tr *Tracker) EnteredThisRound(v video.ID) int { return tr.entered[v] }
+func (tr *Tracker) EnteredThisRound(v video.ID) int {
+	_, entered := tr.recs[v].lazy(tr.epoch)
+	return int(entered)
+}
 
 // Counter returns the total number of entries ever admitted to v's swarm.
 func (tr *Tracker) Counter(v video.ID) int64 { return tr.counter[v] }
@@ -215,9 +217,7 @@ func (tr *Tracker) TotalViewers() int { return tr.totalViewers }
 func (tr *Tracker) MaxSize() int {
 	best := 0
 	for _, v := range tr.activeVids {
-		if tr.sizes[v] > best {
-			best = tr.sizes[v]
-		}
+		best = max(best, int(tr.recs[v].size))
 	}
 	return best
 }

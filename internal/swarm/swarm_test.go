@@ -160,6 +160,11 @@ func TestPanics(t *testing.T) {
 			tr.BeginRound(5)
 			tr.BeginRound(3)
 		},
+		func() {
+			tr := NewTracker(1, 10, 2)
+			tr.BeginRound(5)
+			tr.BeginRound(0) // round 0 repeats only before any later round
+		},
 	} {
 		func() {
 			defer func() {
@@ -226,9 +231,10 @@ func TestQuickAllowanceConsistent(t *testing.T) {
 	}
 }
 
-// TestHotVideoQueueBounded pins the memberQueue compaction: a video with
-// arrivals every round for many membership windows must keep its expiry
-// queue proportional to live members, not to total entries ever admitted.
+// TestHotVideoQueueBounded pins the member ring's footprint: a video with
+// arrivals every round for many membership windows keeps one ring slot
+// per live member, and the buckets' backing arrays stay at one round's
+// arrivals, not total entries ever admitted.
 func TestHotVideoQueueBounded(t *testing.T) {
 	const T = 10
 	tr := NewTracker(2, T, 4.0)
@@ -240,14 +246,18 @@ func TestHotVideoQueueBounded(t *testing.T) {
 			}
 		}
 	}
-	q := &tr.expiry[0]
-	if live := len(q.rounds) - q.head; live != tr.Size(0) {
-		t.Fatalf("queue live length %d != swarm size %d", live, tr.Size(0))
+	live, backing := 0, 0
+	for _, b := range tr.ring {
+		live += len(b)
+		backing += cap(b)
 	}
-	// 3 entries/round for T rounds live at once; the backing array must be
-	// within a small constant of that, not ~15000.
-	if cap(q.rounds) > 16*3*T {
-		t.Fatalf("queue backing array grew to %d for %d live members", cap(q.rounds), tr.Size(0))
+	if live != tr.Size(0) {
+		t.Fatalf("ring holds %d members, swarm size %d", live, tr.Size(0))
+	}
+	// 3 entries/round in each of T+1 buckets; append's rounding aside, the
+	// backing must be within a small constant of that, not ~15000.
+	if backing > 4*3*(T+1) {
+		t.Fatalf("ring backing arrays grew to %d for %d live members", backing, tr.Size(0))
 	}
 }
 
@@ -297,5 +307,78 @@ func TestDecodeRejectsRepeatedActiveVideo(t *testing.T) {
 	err := NewTracker(3, 10, 2).DecodeState(ckpt.NewReader(bytes.NewReader(b)))
 	if err == nil || !strings.Contains(err.Error(), "invalid video") {
 		t.Fatalf("active list naming one video twice: %v", err)
+	}
+}
+
+// rawState is a tracker checkpoint spelled out field by field, so a test
+// can write states the tracker itself never would.
+type rawState struct {
+	round, maxEver       int
+	sizes, prev, entered []int
+	members              [][]int // per video, entry rounds
+	active               []int
+}
+
+func (st rawState) bytes(t *testing.T) []byte {
+	return stateBytes(t, func(w *ckpt.Writer) {
+		w.Int(st.round)
+		w.Int(st.maxEver)
+		w.Ints(st.sizes)
+		w.Ints(st.prev)
+		w.Ints(st.entered)
+		w.I64s(make([]int64, len(st.sizes)))
+		for _, q := range st.members {
+			w.Ints(q)
+		}
+		w.Int(len(st.active))
+		for _, v := range st.active {
+			w.Int(v)
+		}
+	})
+}
+
+// TestDecodeRefusesHostileState: the ring is rebuilt from the per-video
+// entry rounds and the drained list from the active list, so decoding
+// refuses rounds out of order or outside the live window, an active list
+// other than the videos carrying state, and more entries this round than
+// members. Each row changes one field of an honest state (T = 5, round
+// 10: the live window is rounds 6..10).
+func TestDecodeRefusesHostileState(t *testing.T) {
+	honest := func() rawState {
+		return rawState{
+			round: 10, maxEver: 3,
+			sizes:   []int{3, 0, 1, 0},
+			prev:    []int{2, 1, 1, 0},
+			entered: []int{1, 0, 0, 0},
+			members: [][]int{{7, 9, 10}, nil, {6}, nil},
+			active:  []int{2, 0, 1},
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*rawState)
+	}{
+		{"honest", "", func(*rawState) {}},
+		{"rounds not ascending", "not ascending", func(st *rawState) { st.members[0] = []int{9, 7, 10} }},
+		{"round expired", "not ascending within", func(st *rawState) { st.members[2] = []int{5} }},
+		{"round in the future", "not ascending within", func(st *rawState) { st.members[0] = []int{7, 9, 11} }},
+		{"member count", "member rounds", func(st *rawState) { st.members[2] = nil }},
+		{"active list misses a live video", "active list length", func(st *rawState) { st.active = []int{2, 0} }},
+		{"active list names a stateless video", "invalid video", func(st *rawState) { st.active = []int{2, 0, 3} }},
+		{"active list too long", "active list length", func(st *rawState) { st.active = []int{2, 0, 1, 3} }},
+		{"entered over size", "1/1/2 out of range", func(st *rawState) { st.entered[2] = 2 }},
+		{"negative prev", "out of range", func(st *rawState) { st.prev[3] = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := honest()
+			tc.edit(&st)
+			err := NewTracker(4, 5, 2).DecodeState(ckpt.NewReader(bytes.NewReader(st.bytes(t))))
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("honest state refused: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
