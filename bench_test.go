@@ -9,6 +9,8 @@ package vod
 // One experiment:   go test -bench=BenchmarkE5 -v   (-v prints the tables)
 
 import (
+	"bytes"
+	"io"
 	"strconv"
 	"testing"
 
@@ -389,6 +391,13 @@ func BenchmarkStepBelowThreshold(b *testing.B) {
 // retire, issue, expire, cache-entry adds — over population-sized arrays,
 // and its cost is cache misses per operation, not search.
 func BenchmarkStepContended(b *testing.B) {
+	sys, gen := contendedSystem(b)
+	benchSteps(b, sys, gen, 0)
+}
+
+// contendedSystem is the contended-serial system 100 rounds in, with its
+// demand generator.
+func contendedSystem(b *testing.B) (*System, Generator) {
 	sys, err := New(Spec{
 		Boxes: 250_000, Upload: 2.0, Storage: 2, Stripes: 4, Replicas: 4,
 		Duration: 50, Growth: 1.2, Seed: 1,
@@ -396,7 +405,54 @@ func BenchmarkStepContended(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSteps(b, sys, &sweepArrivals{perRound: 250, nextBox: 1}, 100)
+	gen := &sweepArrivals{perRound: 250, nextBox: 1}
+	for r := 0; r < 100; r++ {
+		if _, err := sys.Step(gen); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return sys, gen
+}
+
+// BenchmarkCheckpoint saves and loads the contended-serial system (250 000
+// boxes, a 125 000-video catalog, 100 rounds in), reporting MB/s of
+// checkpoint. first is a fresh system's first save, which hashes the
+// configuration for its fingerprint; warm is every later save, which
+// reads the cached one; load rebuilds the system from its spec and
+// decodes the state.
+func BenchmarkCheckpoint(b *testing.B) {
+	sys, _ := contendedSystem(b)
+	var saved bytes.Buffer
+	if err := sys.SaveCheckpoint(&saved); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save/first", func(b *testing.B) {
+		b.SetBytes(int64(saved.Len()))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			sys, _ := contendedSystem(b)
+			b.StartTimer()
+			if err := sys.SaveCheckpoint(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("save/warm", func(b *testing.B) { // the save above cached the fingerprint
+		b.SetBytes(int64(saved.Len()))
+		for i := 0; i < b.N; i++ {
+			if err := sys.SaveCheckpoint(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.SetBytes(int64(saved.Len()))
+		for i := 0; i < b.N; i++ {
+			if _, err := LoadCheckpoint(bytes.NewReader(saved.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- Expander audit ---

@@ -423,3 +423,32 @@ func TestTablesMatchAppendReference(t *testing.T) {
 		}
 	}
 }
+
+// Permutation's holders are its owner table read through Perm: box b owns
+// the slotsPerBox[b] slots after the boxes before it, and replica j of the
+// table (stripe j/k) lands in slot Perm(k·m·c)[j]. So the allocation draws
+// exactly the permutation stats.Perm pins to ShuffleInts.
+func TestPermutationHoldersFollowPerm(t *testing.T) {
+	for _, tc := range []struct{ n, d, c, k int }{{1, 2, 3, 2}, {20, 4, 3, 5}, {300, 2, 4, 4}, {1000, 3, 8, 6}} {
+		for _, seed := range []uint64{1, 7, 99} {
+			a, cat, err := HomogeneousPermutation(stats.NewRNG(seed), tc.n, tc.d, tc.c, 10, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var owner []int32
+			for b := range tc.n {
+				for range tc.d * tc.c {
+					owner = append(owner, int32(b))
+				}
+			}
+			perm := stats.NewRNG(seed).Perm(len(owner))
+			for s := range cat.NumStripes() {
+				for i, b := range a.Holders(video.StripeID(s)) {
+					if want := owner[perm[s*tc.k+i]]; b != want {
+						t.Fatalf("n=%d seed %d: stripe %d holder %d is box %d, the owner table gives %d", tc.n, seed, s, i, b, want)
+					}
+				}
+			}
+		}
+	}
+}

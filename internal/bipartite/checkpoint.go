@@ -84,14 +84,19 @@ func (m *Matcher) DecodeState(r *ckpt.Reader) error {
 
 	m.activeLefts = r.I32s()
 	for pos, l := range m.activeLefts {
-		if l < 0 || int(l) >= nl || !m.active[l] {
+		if l < 0 || int(l) >= nl || !m.active[l] || m.posActive[l] >= 0 {
 			return fmt.Errorf("bipartite: checkpoint active list holds invalid left %d", l)
 		}
 		m.posActive[l] = int32(pos)
 	}
+	if live := countTrue(m.active); r.Err() == nil && live != len(m.activeLefts) {
+		return fmt.Errorf("bipartite: checkpoint active list holds %d lefts, %d are active", len(m.activeLefts), live)
+	}
 	m.matchedCount = 0
+	var list []int32 // one buffer for every right's list
 	for rt := 0; rt < nr; rt++ {
-		for _, l := range r.I32s() {
+		list = r.AppendI32s(list[:0])
+		for _, l := range list {
 			if l < 0 || int(l) >= nl || !m.active[l] || m.assigned[l] != Unassigned {
 				return fmt.Errorf("bipartite: checkpoint assignment list of right %d holds invalid left %d", rt, l)
 			}
@@ -111,4 +116,15 @@ func (m *Matcher) DecodeState(r *ckpt.Reader) error {
 	}
 	m.assignLog = r.I32s()
 	return r.Err()
+}
+
+// countTrue counts the set flags.
+func countTrue(flags []bool) int {
+	n := 0
+	for _, f := range flags {
+		if f {
+			n++
+		}
+	}
+	return n
 }

@@ -12,15 +12,17 @@ import (
 )
 
 // matcherStream writes a Matcher checkpoint by hand, field for field as
-// EncodeState does, so a test can put any value in any field.
+// EncodeState does, so a test can put any value in any field. The int32
+// lists are held as int64s, which I64s writes in I32s' layout, so that a
+// test can also put a value outside int32 there.
 type matcherStream struct {
 	numRights   int // the count field; the honest stream's is len(caps)
 	caps        []int64
 	active      []bool
-	activeLefts []int32
-	lists       [][]int32 // one per right
-	dirty       []int32
-	assignLog   []int32
+	activeLefts []int64
+	lists       [][]int64 // one per right
+	dirty       []int64
+	assignLog   []int64
 }
 
 func (ms matcherStream) bytes() []byte {
@@ -31,12 +33,12 @@ func (ms matcherStream) bytes() []byte {
 		w.I64(c)
 	}
 	w.Bools(ms.active)
-	w.I32s(ms.activeLefts)
+	w.I64s(ms.activeLefts)
 	for _, list := range ms.lists {
-		w.I32s(list)
+		w.I64s(list)
 	}
-	w.I32s(ms.dirty)
-	w.I32s(ms.assignLog)
+	w.I64s(ms.dirty)
+	w.I64s(ms.assignLog)
 	if err := w.Flush(); err != nil {
 		panic(err)
 	}
@@ -52,10 +54,19 @@ func honestStream() matcherStream {
 		numRights:   2,
 		caps:        []int64{2, 1},
 		active:      []bool{true, true, true, false},
-		activeLefts: []int32{2, 0, 1},
-		lists:       [][]int32{{2, 0}, {1}},
-		assignLog:   []int32{1, 1, 0},
+		activeLefts: []int64{2, 0, 1},
+		lists:       [][]int64{{2, 0}, {1}},
+		assignLog:   []int64{1, 1, 0},
 	}
+}
+
+// narrow is an honest stream's int32 list.
+func narrow(s []int64) []int32 {
+	out := make([]int32, len(s))
+	for i, v := range s {
+		out[i] = int32(v)
+	}
+	return out
 }
 
 func TestDecodeStateRebuildsLists(t *testing.T) {
@@ -69,7 +80,7 @@ func TestDecodeStateRebuildsLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r, want := range ms.lists {
-		if got := m.AssignedLefts(r); !slices.Equal(got, want) {
+		if got := m.AssignedLefts(r); !slices.Equal(got, narrow(want)) {
 			t.Fatalf("right %d restored as %v, written %v", r, got, want)
 		}
 	}
@@ -85,7 +96,7 @@ func TestDecodeStateRebuildsLists(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), ms.bytes()) {
 		t.Fatal("decode → encode does not reproduce the stream")
 	}
-	if got := m.DrainAssigned(nil); !slices.Equal(got, ms.assignLog) {
+	if got := m.DrainAssigned(nil); !slices.Equal(got, narrow(ms.assignLog)) {
 		t.Fatalf("assignment log restored as %v, written %v", got, ms.assignLog)
 	}
 }
@@ -100,10 +111,19 @@ func TestDecodeStateRejectsCorruptStreams(t *testing.T) {
 		{"capacity past int32", func(ms *matcherStream) { ms.caps[0] = math.MaxInt32 + 1 }, "capacity 2147483648"},
 		{"capacity that truncates to a valid one", func(ms *matcherStream) { ms.caps[0] = 1<<32 + 2 }, "capacity 4294967298"},
 		{"list over capacity", func(ms *matcherStream) { ms.caps[0] = 1 }, "over capacity"},
-		{"inactive left in a list", func(ms *matcherStream) { ms.lists[1] = []int32{3} }, "invalid left 3"},
-		{"left in two lists", func(ms *matcherStream) { ms.lists[1] = []int32{0} }, "invalid left 0"},
-		{"left out of range", func(ms *matcherStream) { ms.lists[1] = []int32{9} }, "invalid left 9"},
-		{"negative left", func(ms *matcherStream) { ms.lists[1] = []int32{-1} }, "invalid left -1"},
+		{"inactive left in a list", func(ms *matcherStream) { ms.lists[1] = []int64{3} }, "invalid left 3"},
+		{"left in two lists", func(ms *matcherStream) { ms.lists[1] = []int64{0} }, "invalid left 0"},
+		{"left out of range", func(ms *matcherStream) { ms.lists[1] = []int64{9} }, "invalid left 9"},
+		{"negative left", func(ms *matcherStream) { ms.lists[1] = []int64{-1} }, "invalid left -1"},
+		{"left listed active twice", func(ms *matcherStream) { ms.activeLefts = []int64{2, 0, 2} }, "invalid left 2"},
+		{"active left missing from the list", func(ms *matcherStream) { ms.activeLefts = []int64{2, 0} }, "2 lefts, 3 are active"},
+		// A value outside int32 is refused by the reader, not read back
+		// wrapped: 2^32+1 would be left 1, which each of these fields
+		// accepts (the dirty queue and the log are checked no further).
+		{"list entry past int32", func(ms *matcherStream) { ms.lists[1] = []int64{1<<32 + 1} }, "4294967297 out of int32 range"},
+		{"active left past int32", func(ms *matcherStream) { ms.activeLefts[2] = 1<<32 + 1 }, "4294967297 out of int32 range"},
+		{"dirty left past int32", func(ms *matcherStream) { ms.dirty = []int64{1<<32 + 1} }, "4294967297 out of int32 range"},
+		{"logged left past int32", func(ms *matcherStream) { ms.assignLog[0] = 1<<32 + 5 }, "4294967301 out of int32 range"},
 		// The spec travels in the same file as the state, so the
 		// fingerprint does not vouch for this count: it must be checked
 		// against the matcher before anything is sized from it.

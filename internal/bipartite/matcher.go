@@ -303,6 +303,9 @@ func (m *Matcher) RemoveLeft(l int) {
 // Active reports whether left l is active.
 func (m *Matcher) Active(l int) bool { return l < len(m.active) && m.active[l] }
 
+// ActiveCount returns the number of active lefts.
+func (m *Matcher) ActiveCount() int { return len(m.activeLefts) }
+
 // Server returns the right node assigned to left l, or Unassigned.
 func (m *Matcher) Server(l int) int {
 	if l >= len(m.assigned) {

@@ -224,3 +224,90 @@ func TestWritersDoNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInt32ReadersRefuseWideValues stores values just outside int32, and
+// 2^32+5, which a wrapping reader would read back as 5. I32 and I32s must
+// refuse each, and I64 must read it whole.
+func TestInt32ReadersRefuseWideValues(t *testing.T) {
+	for _, v := range []int64{1<<32 + 5, math.MaxInt32 + 1, math.MinInt32 - 1, -1 << 40} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.I64(v)
+		w.I64s([]int64{0, v})
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(bytes.NewReader(buf.Bytes()))
+		if got := r.I32(); got != 0 || r.Err() == nil {
+			t.Errorf("I32 read %d as %d, err %v", v, got, r.Err())
+		}
+		r = NewReader(bytes.NewReader(buf.Bytes()))
+		if got := r.I64(); got != v {
+			t.Errorf("I64 read %d as %d", v, got)
+		}
+		if got := r.I32s(); got != nil || r.Err() == nil {
+			t.Errorf("I32s read [0 %d] as %v, err %v", v, got, r.Err())
+		}
+	}
+}
+
+// chunkRecorder records the size of every write it is handed.
+type chunkRecorder struct{ writes []int }
+
+func (c *chunkRecorder) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, len(p))
+	return len(p), nil
+}
+
+// The writer never holds more than its 64 KiB buffer: a checkpoint many
+// times that size reaches the stream in writes of at most 64 KiB, before
+// Flush is called, and so is never held whole.
+func TestWriterHoldsAtMostItsBuffer(t *testing.T) {
+	rec := &chunkRecorder{}
+	w := NewWriter(rec)
+	big := make([]int64, 100_000)
+	for i := range big {
+		big[i] = -int64(i) << (i % 50)
+	}
+	w.I64s(big)
+	w.Bytes(make([]byte, 300_000))
+	for i := range 100_000 {
+		w.U64(uint64(i) << (i % 60))
+	}
+	if len(rec.writes) < 10 {
+		t.Fatalf("%d writes before Flush, want the buffer handed on as it fills", len(rec.writes))
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range rec.writes {
+		if n > 1<<16 || n == 0 {
+			t.Fatalf("write %d was %d bytes, want 1 to %d", i, n, 1<<16)
+		}
+	}
+}
+
+// A failed write is sticky: the error surfaces from Flush, and nothing
+// further reaches the stream.
+func TestWriterStickyError(t *testing.T) {
+	fw := &failingWriter{after: 1}
+	w := NewWriter(fw)
+	w.Bytes(make([]byte, 3<<16))
+	w.U64(7)
+	if err := w.Flush(); err != io.ErrClosedPipe {
+		t.Fatalf("Flush returned %v, want the stream's error", err)
+	}
+	if fw.calls != 2 {
+		t.Fatalf("%d writes reached the stream, want 2 (one good, one failed)", fw.calls)
+	}
+}
+
+type failingWriter struct{ calls, after int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	f.calls++
+	if f.calls > f.after {
+		return 0, io.ErrClosedPipe
+	}
+	return len(p), nil
+}

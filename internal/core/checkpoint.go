@@ -25,11 +25,9 @@ package core
 // scripted schedule) alongside the restored system.
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
-
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/ckpt"
 	"repro/internal/video"
@@ -43,19 +41,67 @@ const coreStateVersion = 3
 // only meaningful under: population, catalog, allocation contents, engine
 // mode flags, and the capacity-shaping parameters. Restoring under a
 // different fingerprint is refused — the state would silently diverge.
+// The configuration does not change after NewSystem (see Config), so the
+// hash is computed on the first call and cached.
 func (s *System) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	if !s.fingerprinted {
+		s.fingerprint, s.fingerprinted = s.hashConfig(), true
 	}
-	put(uint64(s.n))
-	put(uint64(s.cat.M))
-	put(uint64(s.cat.C))
-	put(uint64(s.cat.T))
-	put(uint64(s.cfg.Strategy))
-	put(uint64(s.cfg.Failure))
+	return s.fingerprint
+}
+
+// FNV-1a, 64-bit: the parameters of hash/fnv's New64a.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvPow[z] is fnvPrime64^z mod 2⁶⁴. A zero byte XORs nothing in, so
+// hashing z of them in a row is one multiply by fnvPow[z].
+var fnvPow = func() (pow [9]uint64) {
+	pow[0] = 1
+	for z := 1; z < len(pow); z++ {
+		pow[z] = pow[z-1] * fnvPrime64
+	}
+	return pow
+}()
+
+// fnvWord hashes v's eight little-endian bytes into h: the zero bytes
+// below its lowest nonzero byte in one multiply, the bytes up to its
+// highest nonzero byte one at a time, and the zero bytes above in one
+// multiply (an upload of 2.0 is seven zero bytes and 0x40).
+func fnvWord(h, v uint64) uint64 {
+	hi := (bits.Len64(v) + 7) / 8
+	lo := min(bits.TrailingZeros64(v)/8, hi)
+	h *= fnvPow[lo]
+	for v >>= 8 * lo; lo < hi; lo++ {
+		h = (h ^ v&0xff) * fnvPrime64
+		v >>= 8
+	}
+	return h * fnvPow[8-hi]
+}
+
+// fnvHolder hashes a holder's word, uint64(uint32(b)), into h: its three
+// low bytes one at a time, then its fourth byte with the four zero bytes
+// above it, whose five multiplies are one by fnvPrime64⁵. It is fnvWord
+// without the branch on b's length, which varies from holder to holder.
+func fnvHolder(h uint64, b uint32) uint64 {
+	h = (h ^ uint64(b&0xff)) * fnvPrime64
+	h = (h ^ uint64(b>>8&0xff)) * fnvPrime64
+	h = (h ^ uint64(b>>16&0xff)) * fnvPrime64
+	return (h ^ uint64(b>>24)) * fnvPow[5]
+}
+
+// hashConfig is the FNV-1a-64 hash of the configuration words, each
+// written as eight little-endian bytes, in the order below.
+func (s *System) hashConfig() uint64 {
+	h := uint64(fnvOffset64)
+	h = fnvWord(h, uint64(s.n))
+	h = fnvWord(h, uint64(s.cat.M))
+	h = fnvWord(h, uint64(s.cat.C))
+	h = fnvWord(h, uint64(s.cat.T))
+	h = fnvWord(h, uint64(s.cfg.Strategy))
+	h = fnvWord(h, uint64(s.cfg.Failure))
 	// Bit 0 (event-driven invalidation) is always set and bits 1 and 3
 	// named reference engines that are no longer configurable; the word
 	// keeps that layout so every configuration hashes as it always has.
@@ -63,23 +109,23 @@ func (s *System) Fingerprint() uint64 {
 	if s.cfg.DisableCacheServing {
 		flags |= 4
 	}
-	put(flags)
-	put(math.Float64bits(s.cfg.Mu))
-	put(math.Float64bits(s.cfg.UStar))
+	h = fnvWord(h, flags)
+	h = fnvWord(h, math.Float64bits(s.cfg.Mu))
+	h = fnvWord(h, math.Float64bits(s.cfg.UStar))
 	for _, u := range s.cfg.Uploads {
-		put(math.Float64bits(u))
+		h = fnvWord(h, math.Float64bits(u))
 	}
 	for _, r := range s.cfg.Relays {
-		put(uint64(int64(r)))
+		h = fnvWord(h, uint64(int64(r)))
 	}
 	for st := range s.cfg.Alloc.NumStripes() {
 		holders := s.cfg.Alloc.Holders(video.StripeID(st))
-		put(uint64(len(holders)))
+		h = fnvWord(h, uint64(len(holders)))
 		for _, b := range holders {
-			put(uint64(uint32(b)))
+			h = fnvHolder(h, uint32(b))
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // EncodeState serializes the complete engine state. Checkpoints must be
@@ -261,6 +307,9 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	if err := s.matcher.DecodeState(r); err != nil {
 		return err
 	}
+	if err := s.checkMatcher(); err != nil {
+		return err
+	}
 	if err := s.avail.decodeState(r, int32(s.round)); err != nil {
 		return err
 	}
@@ -274,6 +323,29 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 		return err
 	}
 	return r.Err()
+}
+
+// checkMatcher checks the decoded matcher against the decoded boxes and
+// slots, which each decoder has checked on its own: every box's right must
+// carry the box's slot capacity (SetCapacity changes both), and the
+// matcher's active lefts must be exactly the live slots (a request is a
+// left from issue to retirement). Both sides hold their lists without
+// repeats, so equal sizes and one inclusion make the sets equal.
+func (s *System) checkMatcher() error {
+	for b := range s.boxes {
+		if c := s.matcher.Capacity(b); c != int64(s.boxes[b].capSlots) {
+			return fmt.Errorf("core: checkpoint matcher capacity %d of box %d differs from its %d slots", c, b, s.boxes[b].capSlots)
+		}
+	}
+	if n := s.matcher.ActiveCount(); n != len(s.activeList) {
+		return fmt.Errorf("core: checkpoint matcher holds %d active requests, the live list %d", n, len(s.activeList))
+	}
+	for _, slot := range s.activeList {
+		if !s.matcher.Active(int(slot)) {
+			return fmt.Errorf("core: checkpoint live slot %d is no active request of the matcher", slot)
+		}
+	}
+	return nil
 }
 
 // encodeRing writes a recheck ring (bucket count, then each bucket in

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
@@ -802,5 +805,230 @@ func TestDecodeRefusesEntriesOfNoLiveSlot(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("%s: decode allocated %d bytes on a %d-byte stream", tc.name, grew, len(stream))
 		}
+	}
+}
+
+// refFingerprint is Fingerprint as hash/fnv computes it: every
+// configuration word as eight little-endian bytes through New64a.
+func refFingerprint(s *System) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	put(uint64(s.n))
+	put(uint64(s.cat.M))
+	put(uint64(s.cat.C))
+	put(uint64(s.cat.T))
+	put(uint64(s.cfg.Strategy))
+	put(uint64(s.cfg.Failure))
+	flags := uint64(1)
+	if s.cfg.DisableCacheServing {
+		flags |= 4
+	}
+	put(flags)
+	put(math.Float64bits(s.cfg.Mu))
+	put(math.Float64bits(s.cfg.UStar))
+	for _, u := range s.cfg.Uploads {
+		put(math.Float64bits(u))
+	}
+	for _, r := range s.cfg.Relays {
+		put(uint64(int64(r)))
+	}
+	for st := range s.cfg.Alloc.NumStripes() {
+		holders := s.cfg.Alloc.Holders(video.StripeID(st))
+		put(uint64(len(holders)))
+		for _, b := range holders {
+			put(uint64(uint32(b)))
+		}
+	}
+	return h.Sum64()
+}
+
+// fnvWord and fnvHolder fold runs of zero bytes into one multiply. Over
+// words whose bytes are each zero half the time, and holders of every
+// byte length, both must hash as hash/fnv does.
+func TestFNVWordsMatchHashFNV(t *testing.T) {
+	rng := stats.NewRNG(5)
+	var buf [8]byte
+	for i := 0; i < 20_000; i++ {
+		v := rng.Uint64()
+		for k := 0; k < 8; k++ {
+			if rng.Intn(2) == 0 {
+				v &^= 0xff << (8 * k)
+			}
+		}
+		seed := rng.Uint64()
+		ref := fnv.New64a()
+		binary.LittleEndian.PutUint64(buf[:], seed)
+		ref.Write(buf[:]) // start from an arbitrary state
+		h := ref.Sum64()
+		binary.LittleEndian.PutUint64(buf[:], v)
+		ref.Write(buf[:])
+		if got, want := fnvWord(h, v), ref.Sum64(); got != want {
+			t.Fatalf("fnvWord(%016x, %016x) = %016x, hash/fnv %016x", h, v, got, want)
+		}
+		b := uint32(v) >> (8 * (i % 4))
+		binary.LittleEndian.PutUint64(buf[:], uint64(b))
+		ref.Write(buf[:])
+		if got, want := fnvHolder(fnvWord(h, v), b), ref.Sum64(); got != want {
+			t.Fatalf("fnvHolder(%08x) = %016x, hash/fnv %016x", b, got, want)
+		}
+	}
+}
+
+// TestFingerprintMatchesFNV holds the inline, cached fingerprint to
+// hash/fnv on a preload system, a relayed one (uploads and relays hashed),
+// a sourcing-only one and a FailStall one, before any Step and after Steps
+// and capacity changes, which change no hashed facet: the cached value,
+// a fresh hash and the reference must agree throughout.
+func TestFingerprintMatchesFNV(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sys  *System
+	}{
+		{"preload", buildHomogeneous(t, 3, 40, 4, 6, 20, 4, 1.5, 1.2, nil)},
+		{"relayed", buildRelayedSmall(t, 0.5)},
+		{"sourcing only", buildHomogeneous(t, 5, 30, 4, 6, 20, 4, 2.0, 1.2, func(cfg *Config) { cfg.DisableCacheServing = true })},
+		{"stall", buildHomogeneous(t, 7, 30, 4, 6, 20, 4, 0.8, 1.2, func(cfg *Config) { cfg.Failure = FailStall })},
+	} {
+		s := tc.sys
+		want := refFingerprint(s)
+		if got := s.Fingerprint(); got != want {
+			t.Fatalf("%s: Fingerprint %016x, hash/fnv %016x", tc.name, got, want)
+		}
+		gen := &uniformGen{rng: stats.NewRNG(17), p: 0.5}
+		for r := 1; r <= 30; r++ {
+			if _, err := s.Step(gen); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if err := s.SetCapacity(r%s.n, int64(s.boxes[r%s.n].capSlots)+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, fresh := s.Fingerprint(), s.hashConfig(); got != want || fresh != want || refFingerprint(s) != want {
+			t.Fatalf("%s after 30 rounds: cached %016x, fresh %016x, hash/fnv %016x, first %016x",
+				tc.name, got, fresh, refFingerprint(s), want)
+		}
+	}
+}
+
+// liveCheckpoint is TestDecodeBoundsHostileCounts' honest system, 40
+// rounds in, with its builder.
+func liveCheckpoint(t *testing.T) (live *System, build func() *System) {
+	build = func() *System {
+		return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) { cfg.Failure = FailStall })
+	}
+	live = build()
+	gen := &uniformGen{rng: stats.NewRNG(1213), p: 0.8}
+	for r := 0; r < 40; r++ {
+		if _, err := live.Step(gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return live, build
+}
+
+// decodeRefused decodes stream into a fresh system and requires an error
+// naming want — not a panic, and not a silent load.
+func decodeRefused(t *testing.T, name string, build func() *System, stream []byte, want string) {
+	t.Helper()
+	err := build().DecodeState(ckpt.NewReader(bytes.NewReader(stream)))
+	t.Logf("%s: %v", name, err)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: decode returned %v, want an error naming %q", name, err, want)
+	}
+}
+
+// TestDecodeRefusesWrappedSlotValues stores one value of each int32 slot
+// column 2^32 above its honest value. A reader that wrapped it would read
+// the honest value back and load the checkpoint; it must be refused.
+func TestDecodeRefusesWrappedSlotValues(t *testing.T) {
+	live, build := liveCheckpoint(t)
+	honest := streamOfWrites(func(w *ckpt.Writer) {
+		if err := live.EncodeState(w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	head := streamOfWrites(func(w *ckpt.Writer) { writeSlotHead(w, live) })
+	if !bytes.Equal(honest[:len(head)], head) {
+		t.Fatal("EncodeState's slot head moved")
+	}
+	widen := func(col []int32, wrap bool) []int64 {
+		s := make([]int64, len(col))
+		for i, v := range col {
+			s[i] = int64(v)
+		}
+		if wrap {
+			s[0] += 1 << 32
+		}
+		return s
+	}
+	for field, name := range []string{"stripe", "start", "box", "viewer"} {
+		stream := streamOfWrites(func(w *ckpt.Writer) {
+			w.U64(coreStateVersion)
+			w.U64(live.Fingerprint())
+			w.Int(live.round)
+			w.Bool(live.failed)
+			w.Int(len(live.reqStripe))
+			for i, st := range live.reqStripe {
+				v := int64(st)
+				if field == 0 && i == 0 {
+					v += 1 << 32
+				}
+				w.I64(v) // the I32 layout
+			}
+			for c, col := range [][]int32{live.reqStart, live.reqBox, live.reqViewer} {
+				w.I64s(widen(col, field == c+1)) // the I32s layout
+			}
+		})
+		decodeRefused(t, "slot "+name+" past int32", build, append(stream, honest[len(head):]...), "out of int32 range")
+	}
+}
+
+// TestDecodeRefusesMatcherDisagreeingWithSlots restores an honest
+// checkpoint, moves the matcher away from the boxes or the slots — each
+// structure still consistent on its own — and encodes the result. Decode
+// must refuse a right whose capacity is not its box's slot count, and a
+// matcher whose active lefts are not the live slots.
+func TestDecodeRefusesMatcherDisagreeingWithSlots(t *testing.T) {
+	live, build := liveCheckpoint(t)
+	honest := streamOfWrites(func(w *ckpt.Writer) {
+		if err := live.EncodeState(w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	retired := slices.Index(live.reqActive, false)
+	if retired < 0 {
+		t.Fatal("no retired slot")
+	}
+	for _, tc := range []struct {
+		name  string
+		alter func(s *System)
+		want  string
+	}{
+		{"right capacity above its box's slots", func(s *System) {
+			s.matcher.SetCapacity(3, s.matcher.Capacity(3)+1)
+		}, fmt.Sprintf("matcher capacity %d of box 3 differs from its %d slots", live.boxes[3].capSlots+1, live.boxes[3].capSlots)},
+		{"live slot missing from the matcher", func(s *System) {
+			s.matcher.RemoveLeft(int(s.activeList[0]))
+		}, "active requests, the live list"},
+		{"retired slot active in the matcher instead", func(s *System) {
+			s.matcher.RemoveLeft(int(s.activeList[0]))
+			s.matcher.AddLeft(retired)
+		}, "is no active request of the matcher"},
+	} {
+		s := build()
+		if err := s.DecodeState(ckpt.NewReader(bytes.NewReader(honest))); err != nil {
+			t.Fatalf("honest checkpoint rejected: %v", err)
+		}
+		tc.alter(s)
+		stream := streamOfWrites(func(w *ckpt.Writer) {
+			if err := s.EncodeState(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		decodeRefused(t, tc.name, build, stream, tc.want)
 	}
 }

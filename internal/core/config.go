@@ -77,7 +77,10 @@ func (f FailurePolicy) String() string {
 // NoRelay marks a box without a relay in Config.Relays.
 const NoRelay = -1
 
-// Config assembles a runnable video system.
+// Config assembles a runnable video system. NewSystem keeps the Config,
+// slices and allocation included, without copying them: the caller must
+// not mutate them afterwards. The engine reads them every round, and
+// System.Fingerprint hashes them once and caches the value.
 type Config struct {
 	// Alloc is the static stripe allocation; it defines the catalog and
 	// the number of boxes.

@@ -121,6 +121,10 @@ type System struct {
 	// recordObstruction counts the distinct ones, reused across rounds.
 	stripeScratch []video.StripeID
 
+	// fingerprint caches Fingerprint once fingerprinted is set.
+	fingerprint   uint64
+	fingerprinted bool
+
 	metrics runMetrics
 }
 

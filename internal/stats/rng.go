@@ -42,12 +42,13 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("stats: Intn called with n <= 0")
 	}
-	// Lemire-style rejection sampling to remove modulo bias.
+	// Rejection sampling to remove modulo bias: a draw below -bound % bound
+	// (2⁶⁴ mod bound) is redrawn. That threshold is below bound, so it is
+	// computed only for a draw that is too.
 	bound := uint64(n)
-	threshold := -bound % bound
 	for {
 		v := r.Uint64()
-		if v >= threshold {
+		if v >= bound || v >= -bound%bound {
 			return int(v % bound)
 		}
 	}

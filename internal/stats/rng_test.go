@@ -96,21 +96,52 @@ func TestPermIsPermutation(t *testing.T) {
 // Perm must make ShuffleInts' draws: the allocation's permutation, and so
 // every seeded system, depends on it.
 func TestPermMatchesShuffleInts(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 1000} {
-		want := make([]int, n)
-		for i := range want {
-			want[i] = i
-		}
-		ra, rb := NewRNG(uint64(n)+3), NewRNG(uint64(n)+3)
-		rb.ShuffleInts(want)
-		got := ra.Perm(n)
-		for i := range want {
-			if int(got[i]) != want[i] {
-				t.Fatalf("Perm(%d)[%d] = %d, ShuffleInts gives %d", n, i, got[i], want[i])
+	for _, n := range []int{0, 1, 2, 7, 1000, 40_000} {
+		for _, seed := range []uint64{uint64(n) + 3, 1, 0xdeadbeef} {
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			ra, rb := NewRNG(seed), NewRNG(seed)
+			rb.ShuffleInts(want)
+			got := ra.Perm(n)
+			for i := range want {
+				if int(got[i]) != want[i] {
+					t.Fatalf("Perm(%d), seed %d: [%d] = %d, ShuffleInts gives %d", n, seed, i, got[i], want[i])
+				}
+			}
+			if ra.Uint64() != rb.Uint64() {
+				t.Fatalf("Perm(%d), seed %d: Perm and ShuffleInts leave the generator in different states", n, seed)
 			}
 		}
-		if ra.Uint64() != rb.Uint64() {
-			t.Fatalf("Perm(%d) and ShuffleInts leave the generator in different states", n)
+	}
+}
+
+// refIntn is Intn as it first drew: the rejection threshold computed on
+// every call.
+func refIntn(r *RNG, n int) int {
+	bound := uint64(n)
+	threshold := -bound % bound
+	for {
+		if v := r.Uint64(); v >= threshold {
+			return int(v % bound)
+		}
+	}
+}
+
+// Intn computes its rejection threshold only for a draw below the bound.
+// Every draw must be unchanged, with the generator left in the same state,
+// including bounds near 2^62 where a quarter of the draws are rejected.
+func TestIntnDrawsAsThresholdEveryCall(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 1000, 1<<31 - 1, 1<<62 + 1, 3 << 61, math.MaxInt64} {
+		a, b := NewRNG(uint64(n)), NewRNG(uint64(n))
+		for i := 0; i < 20_000; i++ {
+			if got, want := a.Intn(n), refIntn(b, n); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, the threshold-first draw is %d", n, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("Intn(%d) left the generator in another state", n)
 		}
 	}
 }
