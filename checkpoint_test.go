@@ -2,6 +2,7 @@ package vod
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
@@ -169,34 +170,32 @@ func TestCheckpointSizeDoesNotGrowWithUptime(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointRefusesVersion1 loads the checkpoints earlier state
+// TestLoadCheckpointRefusesOldVersions loads the checkpoints earlier state
 // layouts' daemons wrote (20 boxes, round 3; `vodserve -n 20 -u 2 -seed 7`
-// at the commits before coreStateVersion 2 and 3). The policy is no
+// at the commits before coreStateVersion 2, 3 and 4). The policy is no
 // migration: each file is refused by name of its version, whatever its
 // bytes would decode to under this layout.
-func TestLoadCheckpointRefusesVersion1(t *testing.T) {
-	for _, tc := range []struct{ file, want string }{
-		{"internal/core/testdata/v1.vodckpt", "checkpoint state version 1, this build reads 3"},
-		{"internal/core/testdata/v2.vodckpt", "checkpoint state version 2, this build reads 3"},
-	} {
-		f, err := os.Open(tc.file)
+func TestLoadCheckpointRefusesOldVersions(t *testing.T) {
+	for v := 1; v <= 3; v++ {
+		file := fmt.Sprintf("internal/core/testdata/v%d.vodckpt", v)
+		want := fmt.Sprintf("checkpoint state version %d, this build reads 4", v)
+		f, err := os.Open(file)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = LoadCheckpoint(f)
 		f.Close()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("LoadCheckpoint(%s) returned %v, want %q", tc.file, err, tc.want)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadCheckpoint(%s) returned %v, want %q", file, err, want)
 		}
 	}
 }
 
-// TestLoadCheckpointVersion3 restores the checkpoint the last daemon
-// before the reference engines stopped being configurable wrote
-// (`vodserve -n 20 -u 2 -seed 7`, round 3) and re-encodes it: the bytes
-// must come back identical, so state version 3 needed no bump.
-func TestLoadCheckpointVersion3(t *testing.T) {
-	want, err := os.ReadFile("internal/core/testdata/v3.vodckpt")
+// TestLoadCheckpointVersion4 restores a checkpoint of the current layout
+// (`vodserve -n 20 -u 2 -seed 7`, four demands, round 3) and re-encodes
+// it: the bytes must come back identical.
+func TestLoadCheckpointVersion4(t *testing.T) {
+	want, err := os.ReadFile("internal/core/testdata/v4.vodckpt")
 	if err != nil {
 		t.Fatal(err)
 	}

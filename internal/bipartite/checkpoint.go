@@ -8,7 +8,8 @@ package bipartite
 //     (eviction is tail-first), the active-left list (sweep order), the
 //     dirty queue (augmentation order), capacities (SetCapacity changes
 //     them mid-run), and the pending assignment log.
-//   - Redundant state is re-derived: loads, back-pointer arrays, and the
+//   - Redundant state is re-derived: the liveness flags (a left is active
+//     exactly when the list holds it), loads, back-pointer arrays, and the
 //     matched count — decoding revalidates the invariants instead of
 //     trusting two copies to agree.
 //   - Pure caches reset: epoch stamps restart at zero (stamps only ever
@@ -30,7 +31,6 @@ func (m *Matcher) EncodeState(w *ckpt.Writer) {
 	for i := range m.rights {
 		w.I64(int64(m.rights[i].cap))
 	}
-	w.Bools(m.active)
 	w.I32s(m.activeLefts)
 	for r := range m.rights {
 		w.I32s(m.AssignedLefts(r))
@@ -41,11 +41,12 @@ func (m *Matcher) EncodeState(w *ckpt.Writer) {
 
 // DecodeState restores state written by EncodeState into a matcher freshly
 // constructed over the same right space, rebuilding every derived
-// structure (loads, back-pointers, matched count) and resetting search
-// scratch. The right count is the matcher's, not the stream's: nothing is
-// sized from a number the checkpoint supplies before the bytes backing it
-// have been read.
-func (m *Matcher) DecodeState(r *ckpt.Reader) error {
+// structure (liveness, loads, back-pointers, matched count) and resetting
+// search scratch. The left ids are 0..lefts−1, a count the caller has
+// already read the backing of (core's slot arrays); the right count is the
+// matcher's, not the stream's. Nothing is sized from a number the
+// checkpoint supplies before the bytes backing it have been read.
+func (m *Matcher) DecodeState(r *ckpt.Reader, lefts int) error {
 	nr := r.Int()
 	if err := r.Err(); err != nil {
 		return err
@@ -64,8 +65,8 @@ func (m *Matcher) DecodeState(r *ckpt.Reader) error {
 		}
 		m.rights[i] = rightRec{cap: int32(c), parentLeft: -1}
 	}
-	m.active = r.Bools()
-	nl := len(m.active)
+	nl := lefts
+	m.active = make([]bool, nl)
 	m.assigned = make([]int32, nl)
 	m.posInRight = make([]int32, nl)
 	m.posActive = make([]int32, nl)
@@ -84,13 +85,11 @@ func (m *Matcher) DecodeState(r *ckpt.Reader) error {
 
 	m.activeLefts = r.I32s()
 	for pos, l := range m.activeLefts {
-		if l < 0 || int(l) >= nl || !m.active[l] || m.posActive[l] >= 0 {
+		if l < 0 || int(l) >= nl || m.active[l] {
 			return fmt.Errorf("bipartite: checkpoint active list holds invalid left %d", l)
 		}
+		m.active[l] = true
 		m.posActive[l] = int32(pos)
-	}
-	if live := countTrue(m.active); r.Err() == nil && live != len(m.activeLefts) {
-		return fmt.Errorf("bipartite: checkpoint active list holds %d lefts, %d are active", len(m.activeLefts), live)
 	}
 	m.matchedCount = 0
 	var list []int32 // one buffer for every right's list
@@ -116,15 +115,4 @@ func (m *Matcher) DecodeState(r *ckpt.Reader) error {
 	}
 	m.assignLog = r.I32s()
 	return r.Err()
-}
-
-// countTrue counts the set flags.
-func countTrue(flags []bool) int {
-	n := 0
-	for _, f := range flags {
-		if f {
-			n++
-		}
-	}
-	return n
 }

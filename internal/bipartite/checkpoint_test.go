@@ -14,11 +14,12 @@ import (
 // matcherStream writes a Matcher checkpoint by hand, field for field as
 // EncodeState does, so a test can put any value in any field. The int32
 // lists are held as int64s, which I64s writes in I32s' layout, so that a
-// test can also put a value outside int32 there.
+// test can also put a value outside int32 there. lefts is not written: it
+// is the left space DecodeState is handed.
 type matcherStream struct {
 	numRights   int // the count field; the honest stream's is len(caps)
 	caps        []int64
-	active      []bool
+	lefts       int
 	activeLefts []int64
 	lists       [][]int64 // one per right
 	dirty       []int64
@@ -32,7 +33,6 @@ func (ms matcherStream) bytes() []byte {
 	for _, c := range ms.caps {
 		w.I64(c)
 	}
-	w.Bools(ms.active)
 	w.I64s(ms.activeLefts)
 	for _, list := range ms.lists {
 		w.I64s(list)
@@ -53,7 +53,7 @@ func honestStream() matcherStream {
 	return matcherStream{
 		numRights:   2,
 		caps:        []int64{2, 1},
-		active:      []bool{true, true, true, false},
+		lefts:       4,
 		activeLefts: []int64{2, 0, 1},
 		lists:       [][]int64{{2, 0}, {1}},
 		assignLog:   []int64{1, 1, 0},
@@ -73,7 +73,7 @@ func TestDecodeStateRebuildsLists(t *testing.T) {
 	ms := honestStream()
 	m := NewMatcher(ms.caps)
 	m.LogAssignments(true)
-	if err := m.DecodeState(ms.reader()); err != nil {
+	if err := m.DecodeState(ms.reader(), ms.lefts); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Verify(completeAdj{}); err != nil {
@@ -116,7 +116,7 @@ func TestDecodeStateRejectsCorruptStreams(t *testing.T) {
 		{"left out of range", func(ms *matcherStream) { ms.lists[1] = []int64{9} }, "invalid left 9"},
 		{"negative left", func(ms *matcherStream) { ms.lists[1] = []int64{-1} }, "invalid left -1"},
 		{"left listed active twice", func(ms *matcherStream) { ms.activeLefts = []int64{2, 0, 2} }, "invalid left 2"},
-		{"active left missing from the list", func(ms *matcherStream) { ms.activeLefts = []int64{2, 0} }, "2 lefts, 3 are active"},
+		{"active left outside the left space", func(ms *matcherStream) { ms.activeLefts[0] = 4 }, "invalid left 4"},
 		// A value outside int32 is refused by the reader, not read back
 		// wrapped: 2^32+1 would be left 1, which each of these fields
 		// accepts (the dirty queue and the log are checked no further).
@@ -136,7 +136,7 @@ func TestDecodeStateRejectsCorruptStreams(t *testing.T) {
 		m := NewMatcher(honestStream().caps)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := m.DecodeState(ms.reader())
+		err := m.DecodeState(ms.reader(), ms.lefts)
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: DecodeState returned %v, want an error naming %q", tc.name, err, tc.want)

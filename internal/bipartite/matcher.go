@@ -306,6 +306,14 @@ func (m *Matcher) Active(l int) bool { return l < len(m.active) && m.active[l] }
 // ActiveCount returns the number of active lefts.
 func (m *Matcher) ActiveCount() int { return len(m.activeLefts) }
 
+// ActiveLefts returns the active lefts in list order: AddLeft appends and
+// RemoveLeft swap-removes. The slice is the matcher's own; it is valid
+// until the next AddLeft or RemoveLeft and must not be modified.
+func (m *Matcher) ActiveLefts() []int32 { return m.activeLefts }
+
+// ActivePos returns active left l's position in ActiveLefts.
+func (m *Matcher) ActivePos(l int) int { return int(m.posActive[l]) }
+
 // Server returns the right node assigned to left l, or Unassigned.
 func (m *Matcher) Server(l int) int {
 	if l >= len(m.assigned) {

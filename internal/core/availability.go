@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/ckpt"
 	"repro/internal/video"
@@ -114,15 +115,15 @@ type availabilityStore interface {
 	// drainEvents appends the (stripe, box) freeze/expiry events recorded
 	// since the last drain and clears the log. Keys may repeat.
 	drainEvents(dst []availEvent) []availEvent
-	// encodeState / decodeState serialize the store's full mutable state
-	// for checkpointing (see checkpoint.go). decodeState targets a freshly
-	// constructed store with the same shape (stripes, T); round is the
-	// checkpoint's round, which no entry's issue round may exceed.
+	// all yields every entry with its stripe, stripe by stripe, each
+	// stripe's in the store's own order (the audit reads them).
+	all() iter.Seq2[video.StripeID, *entry]
+	// encodeState / decodeState serialize the store's entry lists for
+	// checkpointing (see checkpoint.go). decodeState targets a freshly
+	// constructed store with the same shape (stripes, T); slots is the
+	// checkpoint's slot count, which every backing slot id is below.
 	encodeState(w *ckpt.Writer)
-	decodeState(r *ckpt.Reader, round int32) error
-	// checkBacking, after decodeState, refuses a request-backed entry
-	// whose slot is not a live request of the entry's stripe.
-	checkBacking(reqStripe []video.StripeID, reqActive []bool) error
+	decodeState(r *ckpt.Reader, slots int) error
 }
 
 // indexedAvailability is the production store: intrusive per-stripe lists
@@ -131,7 +132,10 @@ type availabilityStore interface {
 // lookups, and a round-bucketed expiry ring so each round touches only the
 // entries whose window actually closes — never the full catalog. All
 // linkage runs through one slab, so steady-state operation allocates
-// nothing per stripe.
+// nothing per stripe. Only the lists' contents and order are state; the
+// slab ids, the free list, the key chains, the expiry buckets and the
+// request links are indexes over them that add rebuilds from the lists
+// alone (a checkpoint carries the lists, see checkpoint.go).
 type indexedAvailability struct {
 	T    int
 	slab []idxEntry
@@ -157,8 +161,7 @@ type idxEntry struct {
 	next, prev int32 // intrusive per-stripe live list
 	nextKey    int32 // next entry id with the same (stripe, box), or −1
 	// jump is the first later entry of the stripe list issued at a
-	// strictly earlier round, or −1: the end of this entry's run. It is
-	// derived state, rebuilt on decode and never checkpointed.
+	// strictly earlier round, or −1: the end of this entry's run.
 	jump int32
 }
 
@@ -381,6 +384,18 @@ func (ix *indexedAvailability) margin(st video.StripeID, box int32, need int32, 
 		}
 	}
 	return hasLive, bestFrozen, ok
+}
+
+func (ix *indexedAvailability) all() iter.Seq2[video.StripeID, *entry] {
+	return func(yield func(video.StripeID, *entry) bool) {
+		for st, head := range ix.byStripe {
+			for id := head; id >= 0; id = ix.slab[id].next {
+				if !yield(video.StripeID(st), &ix.slab[id].entry) {
+					return
+				}
+			}
+		}
+	}
 }
 
 func (ix *indexedAvailability) drainEvents(dst []availEvent) []availEvent {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"iter"
+
 	"repro/internal/ckpt"
 	"repro/internal/video"
 )
@@ -113,11 +115,20 @@ func (na *naiveAvailability) margin(st video.StripeID, box int32, need int32, pv
 // sweep, which needs no targeted notifications.
 func (na *naiveAvailability) drainEvents(dst []availEvent) []availEvent { return dst }
 
+func (na *naiveAvailability) all() iter.Seq2[video.StripeID, *entry] {
+	return func(yield func(video.StripeID, *entry) bool) {
+		for st, list := range na.entries {
+			for i := range list {
+				if !yield(video.StripeID(st), &list[i]) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // The reference store is never checkpointed.
 func (na *naiveAvailability) encodeState(*ckpt.Writer) { panic("core: naive store has no codec") }
-func (na *naiveAvailability) decodeState(*ckpt.Reader, int32) error {
-	panic("core: naive store has no codec")
-}
-func (na *naiveAvailability) checkBacking([]video.StripeID, []bool) error {
+func (na *naiveAvailability) decodeState(*ckpt.Reader, int) error {
 	panic("core: naive store has no codec")
 }

@@ -5,20 +5,35 @@ package core
 // resumption: a System restored from a checkpoint must produce exactly the
 // StepResults, obstruction certificates, and failure rounds of the
 // uncheckpointed run (enforced by the round-trip differential in
-// checkpoint_test.go). That dictates the same discipline used in the
-// bipartite and swarm encoders:
+// checkpoint_test.go). The stream carries each fact the engine observes
+// once:
 //
 //   - Everything whose *order* the engine observes is written verbatim:
-//     the live-request list (sweep order), slot free list (pop order
-//     drives id reuse, which drives availability-list order, which drives
-//     matcher visit order), the idle-box list (VisitIdle order), pending
-//     and recheck ring buckets, and the availability slab with its
-//     intrusive links (entry ids and chain order are behavior).
-//   - Derived state is rebuilt on decode (back-pointers, counts, total
-//     slots), re-validating invariants instead of trusting two copies.
-//   - Volatile round scratch (event logs, assignment logs, candidate
-//     buffers) is drained within every Step, so between rounds — the only
-//     place a checkpoint may be taken — it is empty and not written.
+//     the live-request list (the matcher's active lefts: retirement and
+//     sweep order), the slot free list (its pop order decides which slot,
+//     and so which matcher left, a request gets), the idle-box list
+//     (VisitIdle order), the pending and recheck ring buckets, the
+//     matcher's assignment lists and dirty queue, and each stripe's cache
+//     entry list (walk order, and so matcher visit order).
+//   - Everything else is rebuilt on decode through the paths a running
+//     engine builds it with: the store's slab, key index, expiry ring and
+//     request links by replaying the entry lists through add; the
+//     matcher's liveness flags, loads and back-pointers; the retire ring
+//     from progress; the idle positions and bitmap; the slot total from
+//     the matcher's capacities. A box's record carries only its
+//     outstanding count: it is busy exactly while that is positive, and
+//     its capacity is its matcher right's. Slab ids, the slab
+//     free list, key chain order and expiry bucket order decide no result,
+//     so they are not written, and two checkpoints of one state are the
+//     same bytes.
+//   - Volatile round scratch (event logs, candidate buffers) is drained
+//     within every Step, so between rounds — the only place a checkpoint
+//     may be taken — it is empty and not written.
+//
+// Each decoder checks what it reads as far as its own section can tell;
+// DecodeState then runs audit (audit.go), which checks the sections
+// against each other, so a stream no engine writes is refused with an
+// error instead of loading or panicking a later Step.
 //
 // Generators are external inputs and are NOT part of the checkpoint: the
 // caller restarts the demand feed (a daemon's HTTP stream, a test's
@@ -35,7 +50,7 @@ import (
 
 // coreStateVersion stamps the engine-state layout. Bump on any change to
 // the field order or meaning below; restore refuses other versions.
-const coreStateVersion = 3
+const coreStateVersion = 4
 
 // Fingerprint hashes the configuration facets the serialized state is
 // only meaningful under: population, catalog, allocation contents, engine
@@ -148,14 +163,10 @@ func (s *System) EncodeState(w *ckpt.Writer) error {
 	for slot := range s.reqBase {
 		w.I32(s.encodedProgress(slot))
 	}
-	w.Bools(s.reqActive)
 	w.I32s(s.freeSlots)
-	w.I32s(s.activeList)
 
 	for b := range s.boxes {
 		w.I32(s.boxes[b].outstanding)
-		w.I32(s.boxes[b].capSlots)
-		w.Bool(s.boxes[b].busy)
 	}
 	w.I32s(s.idleList)
 
@@ -171,7 +182,9 @@ func (s *System) EncodeState(w *ckpt.Writer) error {
 	}
 
 	w.Bool(s.needSweep)
-	encodeRing(w, s.recheckRing)
+	for _, bucket := range s.recheckRing {
+		w.I32s(bucket)
+	}
 
 	s.matcher.EncodeState(w)
 	s.avail.encodeState(w)
@@ -180,19 +193,24 @@ func (s *System) EncodeState(w *ckpt.Writer) error {
 	return w.Err()
 }
 
-// encodedProgress is slot's progress as the checkpoint has always carried
-// it: clock − base for a live slot and T for a retired one, which retired
-// the round its progress reached T.
+// encodedProgress is slot's progress as the checkpoint carries it: clock −
+// base for a live slot and T for a retired one, which retired the round its
+// progress reached T.
 func (s *System) encodedProgress(slot int) int32 {
-	if s.reqActive[slot] {
+	if s.matcher.Active(slot) {
 		return s.clock - s.reqBase[slot]
 	}
 	return int32(s.cat.T)
 }
 
+// maxRound bounds a checkpoint's round so that every round-derived int32
+// (the clock, entry starts, issuance rounds) stays in range.
+const maxRound = math.MaxInt32 / 2
+
 // DecodeState restores state written by EncodeState into a freshly
 // constructed System built from the identical Config (same allocation,
-// uploads, mode flags — enforced by the fingerprint).
+// uploads, mode flags — enforced by the fingerprint), and audits the
+// result.
 func (s *System) DecodeState(r *ckpt.Reader) error {
 	if v := r.U64(); v != coreStateVersion {
 		if r.Err() != nil {
@@ -214,6 +232,9 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	if s.round < 0 || s.round > maxRound {
+		return fmt.Errorf("core: checkpoint round %d out of range", s.round)
+	}
 	if nSlots < 0 || nSlots > math.MaxInt32 {
 		return fmt.Errorf("core: checkpoint slot count %d out of range", nSlots)
 	}
@@ -222,59 +243,30 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	s.reqBox = r.I32s()
 	s.reqViewer = r.I32s()
 	progress := r.I32s()
-	s.reqActive = r.Bools()
 	s.freeSlots = r.I32s()
-	s.activeList = r.I32s()
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if len(s.reqStart) != nSlots || len(s.reqBox) != nSlots || len(s.reqViewer) != nSlots ||
-		len(progress) != nSlots || len(s.reqActive) != nSlots {
+		len(progress) != nSlots {
 		return fmt.Errorf("core: checkpoint slot arrays disagree on length")
 	}
 	s.clock = int32(s.round) + 1
 	if s.failed {
 		s.clock--
 	}
-	T := int32(s.cat.T)
-	for slot, p := range progress {
-		if live := s.reqActive[slot]; live && (p < 0 || p > T) || !live && p != T {
-			return fmt.Errorf("core: checkpoint slot %d (live %v) has progress %d, T is %d", slot, live, p, T)
-		}
-		progress[slot] = s.clock - p
-	}
-	s.reqBase = progress
-	s.posInActive = make([]int32, nSlots)
-	for i := range s.posInActive {
-		s.posInActive[i] = -1
-	}
-	for b := range s.retireRing {
-		s.retireRing[b] = nil
-	}
-	for pos, slot := range s.activeList {
-		if slot < 0 || int(slot) >= nSlots || !s.reqActive[slot] || s.posInActive[slot] >= 0 {
-			return fmt.Errorf("core: checkpoint live list holds invalid slot %d", slot)
-		}
-		s.posInActive[slot] = int32(pos)
-		s.bucketRetire(slot)
-	}
-	s.activeReqs = len(s.activeList)
 
-	s.totalSlots = 0
 	awaited := int64(0) // every pending issuance is outstanding work of its viewer
 	for b := range s.boxes {
 		s.boxes[b].outstanding = r.I32()
-		s.boxes[b].capSlots = r.I32()
-		s.boxes[b].busy = r.Bool()
 		s.boxes[b].idlePos = -1
-		s.totalSlots += int64(s.boxes[b].capSlots)
 		awaited += max(int64(s.boxes[b].outstanding), 0)
 	}
 	s.idleList = r.I32s()
 	s.idleBits.initEmpty(s.n)
 	for pos, b := range s.idleList {
-		if b < 0 || int(b) >= s.n || s.boxes[b].busy {
-			return fmt.Errorf("core: checkpoint idle list holds invalid box %d", b)
+		if b < 0 || int(b) >= s.n {
+			return fmt.Errorf("core: checkpoint idle list holds box %d, the system has %d", b, s.n)
 		}
 		s.boxes[b].idlePos = int32(pos)
 		s.idleBits.set(b)
@@ -301,19 +293,29 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	}
 
 	s.needSweep = r.Bool()
-	if err := decodeRing(r, s.recheckRing); err != nil {
+	for i := range s.recheckRing {
+		s.recheckRing[i] = r.I32s()
+	}
+	if err := s.matcher.DecodeState(r, nSlots); err != nil {
 		return err
 	}
-	if err := s.matcher.DecodeState(r); err != nil {
-		return err
+	s.totalSlots = 0
+	for b := range s.boxes {
+		s.totalSlots += s.matcher.Capacity(b)
 	}
-	if err := s.checkMatcher(); err != nil {
-		return err
+	T := int32(s.cat.T)
+	for slot, p := range progress {
+		if live := s.matcher.Active(slot); live && (p < 0 || p > T) || !live && p != T {
+			return fmt.Errorf("core: checkpoint slot %d (live %v) has progress %d, T is %d", slot, live, p, T)
+		}
+		progress[slot] = s.clock - p
 	}
-	if err := s.avail.decodeState(r, int32(s.round)); err != nil {
-		return err
+	s.reqBase = progress
+	for _, slot := range s.matcher.ActiveLefts() {
+		s.bucketRetire(slot)
 	}
-	if err := s.avail.checkBacking(s.reqStripe, s.reqActive); err != nil {
+
+	if err := s.avail.decodeState(r, nSlots); err != nil {
 		return err
 	}
 	if err := s.tracker.DecodeState(r); err != nil {
@@ -322,350 +324,95 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	if err := s.metrics.decode(r, s.round); err != nil {
 		return err
 	}
-	return r.Err()
-}
-
-// checkMatcher checks the decoded matcher against the decoded boxes and
-// slots, which each decoder has checked on its own: every box's right must
-// carry the box's slot capacity (SetCapacity changes both), and the
-// matcher's active lefts must be exactly the live slots (a request is a
-// left from issue to retirement). Both sides hold their lists without
-// repeats, so equal sizes and one inclusion make the sets equal.
-func (s *System) checkMatcher() error {
-	for b := range s.boxes {
-		if c := s.matcher.Capacity(b); c != int64(s.boxes[b].capSlots) {
-			return fmt.Errorf("core: checkpoint matcher capacity %d of box %d differs from its %d slots", c, b, s.boxes[b].capSlots)
-		}
-	}
-	if n := s.matcher.ActiveCount(); n != len(s.activeList) {
-		return fmt.Errorf("core: checkpoint matcher holds %d active requests, the live list %d", n, len(s.activeList))
-	}
-	for _, slot := range s.activeList {
-		if !s.matcher.Active(int(slot)) {
-			return fmt.Errorf("core: checkpoint live slot %d is no active request of the matcher", slot)
-		}
-	}
-	return nil
-}
-
-// encodeRing writes a recheck ring (bucket count, then each bucket in
-// order).
-func encodeRing(w *ckpt.Writer, ring [][]int32) {
-	w.Int(len(ring))
-	for _, bucket := range ring {
-		w.I32s(bucket)
-	}
-}
-
-// decodeRing restores a ring written by encodeRing in place; the bucket
-// count is fixed at construction and must match.
-func decodeRing(r *ckpt.Reader, ring [][]int32) error {
-	n := r.Int()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if n != len(ring) {
-		return fmt.Errorf("core: checkpoint recheck ring has %d buckets, engine has %d", n, len(ring))
-	}
-	for i := range ring {
-		ring[i] = r.I32s()
+	if err := s.audit(); err != nil {
+		return fmt.Errorf("core: checkpoint refused: %w", err)
 	}
 	return nil
 }
 
-// encodeEntry / decodeEntry serialize one playback-cache record.
-func encodeEntry(w *ckpt.Writer, e *entry) {
-	w.I32(e.box)
-	w.I32(e.start)
-	w.I32(e.req)
-	w.I32(e.lag)
-	w.I32(e.frozen)
-}
-
-func decodeEntry(r *ckpt.Reader) entry {
-	return entry{box: r.I32(), start: r.I32(), req: r.I32(), lag: r.I32(), frozen: r.I32()}
-}
-
-// encodeState writes the indexed store raw: the slab with its intrusive
-// links (freed slots included — slab ids are behavior: the free-list pop
-// order decides id reuse, id order decides list positions, list positions
-// decide matcher visit order), the per-stripe heads, the free list and the
-// expiry ring buckets in order, and the key index as (key, head id)
-// pairs in ascending id order. That order depends on the entries alone —
-// not on the index's capacity or the order keys entered it — so two
-// checkpoints of one state are the same bytes. The heads are read off the
-// slab, not the index: a live entry heads its chain exactly when no live
-// entry's nextKey names it.
+// encodeState writes the store as its per-stripe entry lists: for each
+// stripe its entry count, then its entries oldest first, each as box,
+// start, lag and the backing slot, or −1 and the frozen progress. The
+// order of a list is behaviour (visitStep walks it newest first); the rest
+// of the store is bookkeeping decodeState rebuilds.
 func (ix *indexedAvailability) encodeState(w *ckpt.Writer) {
-	const freed, chained = 1, 2
-	flags := make([]uint8, len(ix.slab))
-	for _, id := range ix.free {
-		flags[id] = freed
-	}
-	w.Int(len(ix.slab))
-	for i := range ix.slab {
-		e := &ix.slab[i]
-		encodeEntry(w, &e.entry)
-		w.I32(int32(e.stripe))
-		w.I32(e.next)
-		w.I32(e.prev)
-		w.I32(e.nextKey)
-		if flags[i]&freed == 0 && e.nextKey >= 0 {
-			flags[e.nextKey] |= chained
+	for st, head := range ix.byStripe {
+		w.I32(ix.liveCount[st])
+		oldest := head
+		for id := head; id >= 0; id = ix.slab[id].next {
+			oldest = id
 		}
-	}
-	w.I32s(ix.byStripe)
-	w.I32s(ix.liveCount)
-	w.Int(len(ix.reqLinks))
-	for i := range ix.reqLinks {
-		w.I32(ix.reqLinks[i][0])
-		w.I32(ix.reqLinks[i][1])
-	}
-	w.I32s(ix.free)
-	w.Int(ix.byKey.live)
-	for id := range ix.slab {
-		if e := &ix.slab[id]; flags[id] == 0 {
-			w.U64(availKey(e.stripe, e.box))
-			w.I32(int32(id))
+		for id := oldest; id >= 0; id = ix.slab[id].prev {
+			e := &ix.slab[id]
+			w.I32(e.box)
+			w.I32(e.start)
+			w.I32(e.lag)
+			w.I32(e.req)
+			if e.req < 0 {
+				w.I32(e.frozen)
+			}
 		}
-	}
-	w.Int(len(ix.ring))
-	for _, bucket := range ix.ring {
-		w.I32s(bucket)
-	}
-	w.Int(len(ix.eventLog))
-	for _, ev := range ix.eventLog {
-		w.I32(int32(ev.stripe))
-		w.I32(ev.box)
 	}
 }
 
-func (ix *indexedAvailability) decodeState(r *ckpt.Reader, round int32) error {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
+// decodeState replays the lists encodeState wrote into a freshly built
+// store through add, oldest first, so the slab, key index, expiry ring and
+// request links are the ones add builds; the slab, the index and the links
+// are sized first from the entries read. add trusts its caller that a
+// start is not negative (it files the entry under start mod the ring
+// length), that a list's issue rounds never decrease from oldest to newest
+// and that no slot backs more than two entries; all three are checked
+// here, and a backing slot must be one of the checkpoint's slots ids.
+// Whether the entries agree with those slots and the clock is the audit's
+// to check.
+func (ix *indexedAvailability) decodeState(r *ckpt.Reader, slots int) error {
+	type listed struct {
+		st video.StripeID
+		e  entry
 	}
-	if n < 0 || n > math.MaxInt32 {
-		return fmt.Errorf("core: checkpoint slab size %d out of range", n)
-	}
-	ix.slab = ckpt.Records(r, n, func() idxEntry {
-		return idxEntry{
-			entry:   decodeEntry(r),
-			stripe:  video.StripeID(r.I32()),
-			next:    r.I32(),
-			prev:    r.I32(),
-			nextKey: r.I32(),
-		}
-	})
-	byStripe := r.I32s()
-	liveCount := r.I32s()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(byStripe) != len(ix.byStripe) || len(liveCount) != len(ix.liveCount) {
-		return fmt.Errorf("core: checkpoint has %d stripes, store has %d", len(byStripe), len(ix.byStripe))
-	}
-	ix.byStripe = byStripe
-	ix.liveCount = liveCount
-	nLinks := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nLinks < 0 || nLinks > math.MaxInt32 {
-		return fmt.Errorf("core: checkpoint request-link count %d out of range", nLinks)
-	}
-	ix.reqLinks = ckpt.Records(r, nLinks, func() [2]int32 { return [2]int32{r.I32(), r.I32()} })
-	ix.free = r.I32s()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	mark, listed, err := ix.relinkStripes(round)
-	if err != nil {
-		return err
-	}
-	nKeys := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	// Every key heads a chain of at least one slab entry, so the slab
-	// bounds the count before anything is sized from it.
-	if nKeys < 0 || nKeys > len(ix.slab) {
-		return fmt.Errorf("core: checkpoint key count %d out of range for %d entries", nKeys, len(ix.slab))
-	}
-	byKey := newKeyIndex(nKeys)
-	for i := 0; i < nKeys; i++ {
-		key, id := r.U64(), r.I32()
+	var read []listed
+	for st := range ix.byStripe {
+		n := r.Int()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if id < 0 || int(id) >= len(ix.slab) {
-			return fmt.Errorf("core: checkpoint key index holds entry id %d outside the slab", id)
+		if n < 0 {
+			return fmt.Errorf("core: checkpoint stripe %d entry count %d out of range", st, n)
 		}
-		if mark[id] != slabListed {
-			return fmt.Errorf("core: checkpoint key index holds entry %d, which is free", id)
-		}
-		if e := &ix.slab[id]; availKey(e.stripe, e.box) != key {
-			return fmt.Errorf("core: checkpoint key %#x points at entry %d of stripe %d, box %d",
-				key, id, e.stripe, e.box)
-		}
-		if byKey.swap(key, id) >= 0 {
-			return fmt.Errorf("core: checkpoint key index repeats key %#x", key)
-		}
-	}
-	ix.byKey = byKey
-	nBuckets := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nBuckets != len(ix.ring) {
-		return fmt.Errorf("core: checkpoint expiry ring has %d buckets, store has %d", nBuckets, len(ix.ring))
-	}
-	for b := range ix.ring {
-		ix.ring[b] = r.I32s()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := ix.checkFiling(mark, listed); err != nil {
-		return err
-	}
-	nEvents := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nEvents < 0 || nEvents > math.MaxInt32 {
-		return fmt.Errorf("core: checkpoint event count %d out of range", nEvents)
-	}
-	ix.eventLog = ckpt.Records(r, nEvents, func() availEvent {
-		return availEvent{stripe: video.StripeID(r.I32()), box: r.I32()}
-	})
-	return r.Err()
-}
-
-// Marks of decodeState's pass over the slab.
-const (
-	slabFreed = 1 + iota
-	slabListed
-	slabFiled
-)
-
-// relinkStripes checks the decoded stripe lists, which every walk and
-// every remove trusts, and rebuilds the run links, which the checkpoint
-// does not carry. The free list must name distinct slab ids. Each stripe
-// list must hold exactly liveCount[st] entries of st, linked both ways, in
-// non-increasing issue round no later than the checkpoint's round (add
-// refuses an entry issued before the head); and every slab entry must be
-// either free or listed. Each entry is marked as the walk reaches it, so a
-// cyclic list ends at its first repeat and a hostile list costs O(slab).
-// It returns the marks and the number of listed entries for checkFiling.
-func (ix *indexedAvailability) relinkStripes(round int32) (mark []uint8, listed int, err error) {
-	mark = make([]uint8, len(ix.slab))
-	for _, id := range ix.free {
-		if id < 0 || int(id) >= len(ix.slab) || mark[id] != 0 {
-			return nil, 0, fmt.Errorf("core: checkpoint free list holds entry id %d twice or outside the slab", id)
-		}
-		mark[id] = slabFreed
-	}
-	for st, head := range ix.byStripe {
-		prev, n := int32(-1), int32(0)
-		for id := head; id >= 0; prev, id = id, ix.slab[id].next {
-			if int(id) >= len(ix.slab) {
-				return nil, 0, fmt.Errorf("core: checkpoint stripe %d list holds entry id %d outside the slab", st, id)
+		for i := 0; i < n; i++ {
+			e := entry{box: r.I32(), start: r.I32(), lag: r.I32(), req: r.I32()}
+			if e.req < 0 {
+				e.frozen = r.I32()
 			}
-			e := &ix.slab[id]
-			switch {
-			case mark[id] == slabFreed:
-				return nil, 0, fmt.Errorf("core: checkpoint stripe %d list holds entry %d, which is free", st, id)
-			case mark[id] == slabListed:
-				return nil, 0, fmt.Errorf("core: checkpoint stripe %d list reaches entry %d twice", st, id)
-			case int(e.stripe) != st:
-				return nil, 0, fmt.Errorf("core: checkpoint stripe %d list holds entry %d of stripe %d", st, id, e.stripe)
-			case e.prev != prev:
-				return nil, 0, fmt.Errorf("core: checkpoint stripe %d entry %d links back to %d, not %d", st, id, e.prev, prev)
-			case e.issued() > round:
-				return nil, 0, fmt.Errorf("core: checkpoint stripe %d entry %d issued at round %d, after round %d", st, id, e.issued(), round)
-			case prev >= 0 && e.issued() > ix.slab[prev].issued():
-				return nil, 0, fmt.Errorf("core: checkpoint stripe %d entry %d issued at round %d follows one issued at %d",
-					st, id, e.issued(), ix.slab[prev].issued())
+			if err := r.Err(); err != nil {
+				return err
 			}
-			mark[id] = slabListed
-			n++
-		}
-		if n != ix.liveCount[st] {
-			return nil, 0, fmt.Errorf("core: checkpoint stripe %d list holds %d entries, its count says %d", st, n, ix.liveCount[st])
-		}
-		for id := prev; id >= 0; id = ix.slab[id].prev {
-			e := &ix.slab[id]
-			e.jump = e.next
-			if e.next >= 0 && ix.slab[e.next].issued() == e.issued() {
-				e.jump = ix.slab[e.next].jump
+			switch prev := len(read) - 1; {
+			case e.start < 0:
+				return fmt.Errorf("core: checkpoint stripe %d entry starts at round %d", st, e.start)
+			case e.req < -1 || int(e.req) >= slots:
+				return fmt.Errorf("core: checkpoint stripe %d entry names slot %d, the checkpoint has %d", st, e.req, slots)
+			case i > 0 && e.issued() < read[prev].e.issued():
+				return fmt.Errorf("core: checkpoint stripe %d entry issued at round %d follows one issued at %d",
+					st, e.issued(), read[prev].e.issued())
 			}
-		}
-		listed += int(n)
-	}
-	if listed+len(ix.free) != len(ix.slab) {
-		return nil, 0, fmt.Errorf("core: checkpoint slab has %d entries, %d listed and %d free", len(ix.slab), listed, len(ix.free))
-	}
-	return mark, listed, nil
-}
-
-// checkFiling checks the two indexes that remove and retire trust: every
-// listed entry is filed once, in the expiry bucket of its start, and the
-// request links name listed entries backed by their slot, one link per
-// request-backed entry.
-func (ix *indexedAvailability) checkFiling(mark []uint8, listed int) error {
-	filed := 0
-	for b, bucket := range ix.ring {
-		for _, id := range bucket {
-			if id < 0 || int(id) >= len(ix.slab) || mark[id] != slabListed || int(ix.slab[id].start)%len(ix.ring) != b {
-				return fmt.Errorf("core: checkpoint expiry bucket %d holds entry %d, which is not a live entry due there", b, id)
-			}
-			mark[id] = slabFiled
-			filed++
+			read = append(read, listed{video.StripeID(st), e})
 		}
 	}
-	if filed != listed {
-		return fmt.Errorf("core: checkpoint files %d of %d live entries for expiry", filed, listed)
+	ix.slab = make([]idxEntry, 0, len(read))
+	ix.byKey = newKeyIndex(len(read))
+	ix.reqLinks = make([][2]int32, slots)
+	for i := range ix.reqLinks {
+		ix.reqLinks[i] = [2]int32{-1, -1}
 	}
-	backed, linked := 0, 0
-	for id := range ix.slab {
-		if mark[id] == slabFiled && ix.slab[id].req >= 0 {
-			backed++
+	for _, l := range read {
+		if l.e.req >= 0 && ix.reqLinks[l.e.req][1] >= 0 {
+			return fmt.Errorf("core: checkpoint slot %d backs more than two cache entries", l.e.req)
 		}
-	}
-	for slot, links := range ix.reqLinks {
-		for _, id := range links {
-			if id < 0 {
-				continue
-			}
-			if int(id) >= len(ix.slab) || mark[id] != slabFiled || int(ix.slab[id].req) != slot || links[0] == links[1] {
-				return fmt.Errorf("core: checkpoint request %d links entry %d, which it does not back", slot, id)
-			}
-			linked++
-		}
-	}
-	if linked != backed {
-		return fmt.Errorf("core: checkpoint links %d of %d request-backed entries", linked, backed)
-	}
-	return nil
-}
-
-// checkBacking checks the decoded store against the decoded slots: every
-// request-backed entry must name a live slot of its own stripe, which
-// entryChunks reads the progress of and retire freezes it through. By
-// checkFiling every such entry is linked from its slot, so the links are
-// what is walked.
-func (ix *indexedAvailability) checkBacking(reqStripe []video.StripeID, reqActive []bool) error {
-	for slot, links := range ix.reqLinks {
-		for _, id := range links {
-			if id < 0 {
-				continue
-			}
-			if st := ix.slab[id].stripe; slot >= len(reqStripe) || !reqActive[slot] || reqStripe[slot] != st {
-				return fmt.Errorf("core: checkpoint entry %d of stripe %d is backed by slot %d, which is no live request of that stripe",
-					id, st, slot)
-			}
-		}
+		ix.add(l.st, l.e)
 	}
 	return nil
 }

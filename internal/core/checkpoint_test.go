@@ -117,7 +117,7 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 			wantProgress = append(wantProgress, progressTable(live))
 			busy := make([]bool, live.NumBoxes())
 			for b := range busy {
-				busy[b] = live.boxes[b].busy
+				busy[b] = live.boxes[b].busy()
 			}
 			wantBusy = append(wantBusy, busy)
 			if res.Unmatched > 0 {
@@ -159,7 +159,7 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 				}
 			}
 			for b, want := range wantBusy[i] {
-				if restored.boxes[b].busy != want {
+				if restored.boxes[b].busy() != want {
 					t.Fatalf("round %d: busy state of box %d diverges", r, b)
 				}
 			}
@@ -234,165 +234,41 @@ func TestCheckpointFreshSystem(t *testing.T) {
 	}
 }
 
-// storeStream is an indexed-store checkpoint held field by field, so a
-// test can put any count or pair in the key-index section. bytes writes
-// encodeState's layout by hand; TestStoreDecodeRejectsCorruptKeyIndex holds
-// the two against each other on the honest stream.
-type storeStream struct {
-	ix     *indexedAvailability // everything but the key index is written from here
-	nKeys  int                  // the count field
-	keys   []uint64             // the key of each pair
-	keyIDs []int32              // the id of each pair
+// listedEntry is an entry as a walk meets it, with the list position its
+// run link points at (−1 for none).
+type listedEntry struct {
+	entry
+	jump int
 }
 
-// streamOf reads a store's key index the way encodeState defines it: the
-// heads of all chains in ascending entry id.
-func streamOf(ix *indexedAvailability) storeStream {
-	ss := storeStream{ix: ix}
-	isHead := make([]bool, len(ix.slab))
-	for _, id := range ix.byStripe {
-		for ; id >= 0; id = ix.slab[id].next {
-			isHead[id] = true
+// storeLists is a store's stripe lists newest first, with their run links:
+// what a store holds apart from slab ids and the indexes over them.
+func storeLists(ix *indexedAvailability) [][]listedEntry {
+	lists := make([][]listedEntry, len(ix.byStripe))
+	for st, head := range ix.byStripe {
+		pos := map[int32]int{-1: -1}
+		for id := head; id >= 0; id = ix.slab[id].next {
+			pos[id] = len(pos) - 1
+		}
+		for id := head; id >= 0; id = ix.slab[id].next {
+			lists[st] = append(lists[st], listedEntry{ix.slab[id].entry, pos[ix.slab[id].jump]})
 		}
 	}
-	for id := range ix.slab {
-		if next := ix.slab[id].nextKey; next >= 0 {
-			isHead[next] = false
-		}
-	}
-	for id, head := range isHead {
-		if head {
-			e := &ix.slab[id]
-			ss.keys = append(ss.keys, availKey(e.stripe, e.box))
-			ss.keyIDs = append(ss.keyIDs, int32(id))
-			ss.nKeys++
-		}
-	}
-	return ss
+	return lists
 }
 
-func (ss storeStream) bytes() []byte {
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	ix := ss.ix
-	w.Int(len(ix.slab))
-	for i := range ix.slab {
-		e := &ix.slab[i]
-		encodeEntry(w, &e.entry)
-		w.I32(int32(e.stripe))
-		w.I32(e.next)
-		w.I32(e.prev)
-		w.I32(e.nextKey)
-	}
-	w.I32s(ix.byStripe)
-	w.I32s(ix.liveCount)
-	w.Int(len(ix.reqLinks))
-	for _, links := range ix.reqLinks {
-		w.I32(links[0])
-		w.I32(links[1])
-	}
-	w.I32s(ix.free)
-	w.Int(ss.nKeys)
-	for i, key := range ss.keys {
-		w.U64(key)
-		w.I32(ss.keyIDs[i])
-	}
-	w.Int(len(ix.ring))
-	for _, bucket := range ix.ring {
-		w.I32s(bucket)
-	}
-	w.Int(len(ix.eventLog))
-	for _, ev := range ix.eventLog {
-		w.I32(int32(ev.stripe))
-		w.I32(ev.box)
-	}
-	if err := w.Flush(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// TestStoreDecodeRejectsCorruptKeyIndex feeds decodeState key-index
-// sections no encoder writes. Each must come back as an error — not a
-// panic, not a table sized from the stream's own count — because the index
-// is trusted afterwards: add, remove and every lookup walk from it.
-func TestStoreDecodeRejectsCorruptKeyIndex(t *testing.T) {
-	const numStripes, T = 6, 5
-	build := func() *indexedAvailability {
-		ix := newIndexedAvailability(numStripes, T)
-		rng := stats.NewRNG(77)
-		for round := 1; round <= 12; round++ {
-			ix.expire(round)
-			for i := 0; i < 5; i++ {
-				st := video.StripeID(rng.Intn(numStripes))
-				ix.add(st, entry{box: int32(rng.Intn(4)), start: int32(round), req: -1, frozen: int32(T)})
-			}
-		}
-		ix.expire(13) // nothing added after it: the slots it frees stay free
-		return ix
-	}
-	honest := streamOf(build())
-	var production bytes.Buffer
-	w := ckpt.NewWriter(&production)
-	honest.ix.encodeState(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(production.Bytes(), honest.bytes()) {
-		t.Fatal("encodeState does not write the key index as chain heads in ascending id (or the layout moved)")
-	}
-	fresh := func() *indexedAvailability { return newIndexedAvailability(numStripes, T) }
-	if err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(honest.bytes())), 13); err != nil {
-		t.Fatalf("honest stream rejected: %v", err)
-	}
-	if len(honest.keys) < 2 || len(honest.ix.free) == 0 {
-		t.Fatal("scenario too small: need two keys and a freed slab slot")
-	}
-
-	for _, tc := range []struct {
-		name    string
-		corrupt func(ss *storeStream)
-		want    string
-	}{
-		{"count asks for 2^31 slots", func(ss *storeStream) { ss.nKeys = math.MaxInt32 }, "key count 2147483647 out of range"},
-		{"count one past the slab", func(ss *storeStream) { ss.nKeys = len(ss.ix.slab) + 1 }, "out of range"},
-		{"negative count", func(ss *storeStream) { ss.nKeys = -1 }, "out of range"},
-		{"negative id", func(ss *storeStream) { ss.keyIDs[0] = -1 }, "outside the slab"},
-		{"id past the slab", func(ss *storeStream) { ss.keyIDs[1] = int32(len(ss.ix.slab)) }, "outside the slab"},
-		{"id of another key's entry", func(ss *storeStream) { ss.keyIDs[0] = ss.keyIDs[1] }, "points at entry"},
-		{"key twice", func(ss *storeStream) {
-			ss.keys[1], ss.keyIDs[1] = ss.keys[0], ss.keyIDs[0]
-		}, "repeats key"},
-		{"id of a free entry", func(ss *storeStream) {
-			id := ss.ix.free[0]
-			ss.keys[0], ss.keyIDs[0] = availKey(ss.ix.slab[id].stripe, ss.ix.slab[id].box), id
-		}, "which is free"},
-	} {
-		ss := streamOf(build())
-		tc.corrupt(&ss)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(ss.bytes())), 13)
-		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: decodeState returned %v, want an error naming %q", tc.name, err, tc.want)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("%s: decodeState allocated %d bytes on a %d-byte stream", tc.name, grew, len(ss.bytes()))
-		}
-	}
-}
-
-// TestStoreDecodeRejectsMalformedLists feeds decodeState stripe lists,
-// expiry buckets and request links no encoder writes. Walks, remove and
-// retire trust all three, and a cyclic list used to decode and then hang
-// the next Step, so each must come back as an error — not a hang, not a
-// panic — having allocated less than 1 MB. The honest stream decodes to
-// the same slab, run links included.
+// TestStoreDecodeRejectsMalformedLists round-trips a store with live,
+// mirrored, frozen and expired entries: the decoded store must hold the
+// same lists with the same run links and encode the same bytes. Then it
+// edits the honest store into lists add cannot take — it panics on a
+// negative start, an entry issued before the list's newest or a third
+// entry of one slot, and grows its request links to any slot id — and
+// encodes them: each must come back as an error, having allocated less
+// than 1 MB.
 func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
 	const numStripes, T = 3, 5
-	build := func() *indexedAvailability {
-		ix := newIndexedAvailability(numStripes, T)
+	build := func() (ix *indexedAvailability, slots int) {
+		ix = newIndexedAvailability(numStripes, T)
 		rng := stats.NewRNG(78)
 		var live []diffReq
 		slot := int32(0)
@@ -414,87 +290,87 @@ func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
 				}
 			}
 		}
-		ix.expire(13) // nothing added after it: the slots it frees stay free
-		return ix
+		ix.expire(13)
+		return ix, int(slot)
 	}
-	honest := build()
+	encode := func(ix *indexedAvailability) []byte { return streamOfWrites(ix.encodeState) }
 	fresh := func() *indexedAvailability { return newIndexedAvailability(numStripes, T) }
+	honest, slots := build()
 	decoded := fresh()
-	if err := decoded.decodeState(ckpt.NewReader(bytes.NewReader(streamOf(honest).bytes())), 13); err != nil {
+	if err := decoded.decodeState(ckpt.NewReader(bytes.NewReader(encode(honest))), slots); err != nil {
 		t.Fatalf("honest stream rejected: %v", err)
 	}
-	if !reflect.DeepEqual(decoded.slab, honest.slab) {
-		t.Fatal("decoded slab differs from the encoded one: the run links were not rebuilt as add and remove keep them")
+	if !reflect.DeepEqual(storeLists(decoded), storeLists(honest)) {
+		t.Fatal("decoded lists differ from the encoded ones: entries, order or run links")
 	}
-	// st0's list has two runs; its second entry opens neither.
-	st0, backed, frozen := video.StripeID(-1), int32(-1), int32(-1)
+	if !bytes.Equal(encode(decoded), encode(honest)) {
+		t.Fatal("decode → encode does not reproduce the stream")
+	}
+	// st0's newest entry was issued after its second; twice is a slot that
+	// backs two entries, frozen a frozen entry.
+	st0, twice, frozen := -1, int32(-1), int32(-1)
 	for st, head := range honest.byStripe {
-		if head >= 0 && honest.slab[head].jump >= 0 && honest.slab[head].next != honest.slab[head].jump {
-			st0 = video.StripeID(st)
+		if head < 0 {
+			continue
+		}
+		if e := &honest.slab[head]; e.next >= 0 && honest.slab[e.next].issued() < e.issued() {
+			st0 = st
 		}
 	}
-	for id := range honest.slab {
-		switch e := &honest.slab[id]; {
-		case slices.Contains(honest.free, int32(id)):
-		case e.req >= 0:
-			backed = int32(id)
-		case e.lag == 0:
-			frozen = int32(id)
+	for _, links := range honest.reqLinks {
+		if links[0] >= 0 && links[1] >= 0 {
+			twice = honest.slab[links[0]].req
 		}
 	}
-	if st0 < 0 || backed < 0 || frozen < 0 || len(honest.free) == 0 {
-		t.Fatal("scenario too small: need a list with two runs, a backed and a frozen entry, and a free slot")
-	}
-	tail := func(ix *indexedAvailability) int32 {
-		id := ix.byStripe[st0]
-		for ix.slab[id].next >= 0 {
-			id = ix.slab[id].next
+	for st := range numStripes {
+		for id := honest.byStripe[st]; id >= 0; id = honest.slab[id].next {
+			if honest.slab[id].req < 0 {
+				frozen = id
+			}
 		}
-		return id
 	}
-	second := func(ix *indexedAvailability) *idxEntry { return &ix.slab[ix.slab[ix.byStripe[st0]].next] }
+	if st0 < 0 || twice < 0 || frozen < 0 {
+		t.Fatal("scenario too small: need a list of two rounds, a slot backing two entries and a frozen entry")
+	}
+	backed := func(ix *indexedAvailability) *idxEntry { return &ix.slab[ix.reqLinks[twice][0]] }
 
 	for _, tc := range []struct {
-		name    string
-		corrupt func(ix *indexedAvailability)
-		want    string
+		name   string
+		stream func() []byte
+		want   string
 	}{
-		{"cyclic list", func(ix *indexedAvailability) { ix.slab[tail(ix)].next = ix.byStripe[st0] }, "twice"},
-		{"wrong prev", func(ix *indexedAvailability) { second(ix).prev = -1 }, "links back"},
-		{"freed id in a list", func(ix *indexedAvailability) { ix.slab[tail(ix)].next = ix.free[0] }, "which is free"},
-		{"id past the slab", func(ix *indexedAvailability) { ix.slab[tail(ix)].next = int32(len(ix.slab)) }, "outside the slab"},
-		{"entry of another stripe", func(ix *indexedAvailability) { second(ix).stripe = (st0 + 1) % numStripes }, "of stripe"},
-		{"out of order", func(ix *indexedAvailability) {
+		{"out of order", func() []byte {
+			ix, _ := build()
 			head := &ix.slab[ix.byStripe[st0]]
-			head.start = second(ix).issued() - 1 + head.lag
+			head.start = ix.slab[head.next].issued() - 1 + head.lag
+			return encode(ix)
 		}, "follows one issued"},
-		{"issued after the checkpoint's round", func(ix *indexedAvailability) { ix.slab[ix.byStripe[st0]].start = 14 }, "after round 13"},
-		{"short count", func(ix *indexedAvailability) { ix.liveCount[st0]-- }, "its count says"},
-		{"entry neither listed nor free", func(ix *indexedAvailability) { ix.free = ix.free[1:] }, "listed and"},
-		{"free list naming an id twice", func(ix *indexedAvailability) { ix.free = append(ix.free, ix.free[0]) }, "free list holds"},
-		{"freed id in an expiry bucket", func(ix *indexedAvailability) { ix.ring[0] = append(ix.ring[0], ix.free[0]) }, "not a live entry due there"},
-		{"entry filed under another start", func(ix *indexedAvailability) {
-			b := int(ix.slab[frozen].start) % len(ix.ring)
-			ix.ring[b] = slices.DeleteFunc(ix.ring[b], func(id int32) bool { return id == frozen })
-			ix.ring[(b+1)%len(ix.ring)] = append(ix.ring[(b+1)%len(ix.ring)], frozen)
-		}, "not a live entry due there"},
-		{"live entry filed nowhere", func(ix *indexedAvailability) {
-			b := int(ix.slab[frozen].start) % len(ix.ring)
-			ix.ring[b] = slices.DeleteFunc(ix.ring[b], func(id int32) bool { return id == frozen })
-		}, "for expiry"},
-		{"request link to an entry it does not back", func(ix *indexedAvailability) {
-			ix.reqLinks[ix.slab[backed].req] = [2]int32{frozen, -1}
-		}, "does not back"},
-		{"backed entry its request does not link", func(ix *indexedAvailability) {
-			ix.reqLinks[ix.slab[backed].req] = [2]int32{-1, -1}
-		}, "request-backed entries"},
+		{"negative start", func() []byte {
+			ix, _ := build()
+			ix.slab[frozen].start = -1
+			return encode(ix)
+		}, "starts at round -1"},
+		{"slot past the slots", func() []byte {
+			ix, _ := build()
+			backed(ix).req = int32(slots)
+			return encode(ix)
+		}, fmt.Sprintf("names slot %d, the checkpoint has %d", slots, slots)},
+		{"slot below -1", func() []byte {
+			ix, _ := build()
+			backed(ix).req = -2
+			return encode(ix)
+		}, "names slot -2"},
+		{"third entry of one slot", func() []byte {
+			ix, _ := build()
+			ix.slab[frozen].req = twice
+			return encode(ix)
+		}, fmt.Sprintf("slot %d backs more than two", twice)},
+		{"negative entry count", func() []byte { return streamOfWrites(func(w *ckpt.Writer) { w.Int(-1) }) }, "count -1 out of range"},
 	} {
-		ss := streamOf(build()) // keys from the honest lists; corrupt after
-		tc.corrupt(ss.ix)
-		stream := ss.bytes()
+		stream := tc.stream()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(stream)), 13)
+		err := fresh().decodeState(ckpt.NewReader(bytes.NewReader(stream)), slots)
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: decodeState returned %v, want an error naming %q", tc.name, err, tc.want)
@@ -537,17 +413,15 @@ func writeSlotHead(w *ckpt.Writer, s *System) {
 // reaches it. Where decoded state bounds the count, a count past the bound
 // is an error naming it; otherwise decoding fails on the missing bytes.
 // Either way it must have allocated less than 1 MB. The last rows are an
-// honest checkpoint with one progress value no engine writes, or with its
-// live list naming a slot twice (which would file it in the retire ring
-// twice).
+// honest checkpoint with one progress value no engine writes.
 func TestDecodeBoundsHostileCounts(t *testing.T) {
 	const huge = 1 << 30
 	mk := func() *System { return buildHomogeneous(t, 5, 4, 1, 2, 6, 2, 1.5, 1.2, nil) }
 	fresh := mk()
 	numStripes, T := fresh.cat.NumStripes(), fresh.cat.T
 	boxes := func(w *ckpt.Writer, outstanding int32) {
-		w.Int(0) // no slots: seven empty slot arrays follow
-		for i := 0; i < 7; i++ {
+		w.Int(0) // no slots: five empty slot arrays follow
+		for i := 0; i < 5; i++ {
 			w.U64(0)
 		}
 		for b := 0; b < fresh.n; b++ {
@@ -563,15 +437,6 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 		w.U64(fresh.Fingerprint())
 		w.Int(0)
 		w.Bool(false)
-	}
-	storeHead := func(w *ckpt.Writer) {
-		w.Int(0) // slab
-		heads := make([]int32, numStripes)
-		for st := range heads {
-			heads[st] = -1 // empty lists
-		}
-		w.I32s(heads)
-		w.I32s(make([]int32, numStripes))
 	}
 	metricsHead := func(w *ckpt.Writer) {
 		for i := 0; i < 6; i++ {
@@ -595,7 +460,7 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 	}
 
 	// An honest checkpoint with stalled, live and retired slots, and the
-	// stream with its progress column or its live list replaced.
+	// stream with its progress column replaced.
 	live := buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) { cfg.Failure = FailStall })
 	gen := &uniformGen{rng: stats.NewRNG(1213), p: 0.8}
 	for r := 0; r < 40; r++ {
@@ -608,16 +473,14 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	slotSection := func(progress, list []int32) []byte {
+	slotSection := func(progress []int32) []byte {
 		return streamOfWrites(func(w *ckpt.Writer) {
 			writeSlotHead(w, live)
 			w.I32s(progress)
-			w.Bools(live.reqActive)
 			w.I32s(live.freeSlots)
-			w.I32s(list)
 		})
 	}
-	section := slotSection(progressTable(live), live.activeList)
+	section := slotSection(progressTable(live))
 	if !bytes.Equal(honest[:len(section)], section) {
 		t.Fatal("EncodeState's slot section moved")
 	}
@@ -625,27 +488,19 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 	withProgress := func(slot int, p int32) []byte {
 		table := progressTable(live)
 		table[slot] = p
-		return append(slotSection(table, live.activeList), rest...)
+		return append(slotSection(table), rest...)
 	}
-	listing := func(list []int32) []byte { return append(slotSection(progressTable(live), list), rest...) }
 	liveT := int32(live.cat.T)
-	liveSlot, retiredSlot := int(live.activeList[0]), -1
-	for slot, active := range live.reqActive {
-		if !active {
-			retiredSlot = slot
-		}
-	}
+	liveSlot, retiredSlot := int(live.matcher.ActiveLefts()[0]), slices.Index(liveSlots(live), false)
 	if retiredSlot < 0 {
 		t.Fatal("no retired slot to corrupt")
 	}
 	decodeLive := func() func(*ckpt.Reader) error {
 		return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) { cfg.Failure = FailStall }).DecodeState
 	}
-	if err := decodeLive()(ckpt.NewReader(bytes.NewReader(listing(live.activeList)))); err != nil {
+	if err := decodeLive()(ckpt.NewReader(bytes.NewReader(withProgress(liveSlot, progressTable(live)[liveSlot])))); err != nil {
 		t.Fatalf("honest stream rebuilt by hand rejected: %v", err)
 	}
-	twice := slices.Clone(live.activeList)
-	twice[len(twice)-1] = twice[0]
 
 	for _, tc := range []struct {
 		name   string
@@ -664,17 +519,9 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 			boxes(w, 2)
 			w.Int(3)
 		}), decodeSystem, "exceeds the 2 requests"},
-		{"slab", streamOfWrites(func(w *ckpt.Writer) { w.Int(huge) }), decodeStore, ""},
-		{"request links", streamOfWrites(func(w *ckpt.Writer) { storeHead(w); w.Int(huge) }), decodeStore, ""},
-		{"events", streamOfWrites(func(w *ckpt.Writer) {
-			storeHead(w)
-			w.Int(0)     // request links
-			w.U64(0)     // free list
-			w.Int(0)     // keys
-			w.Int(T + 4) // expiry ring
-			for i := 0; i < T+4; i++ {
-				w.U64(0)
-			}
+		{"entry count", streamOfWrites(func(w *ckpt.Writer) { w.Int(huge) }), decodeStore, ""},
+		{"entry count of a later stripe", streamOfWrites(func(w *ckpt.Writer) {
+			w.Int(0)
 			w.Int(huge)
 		}), decodeStore, ""},
 		{"obstructions", streamOfWrites(func(w *ckpt.Writer) { metricsHead(w); w.Int(huge) }), decodeMetrics(1 << 40), ""},
@@ -701,7 +548,6 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 		{"live slot behind its start", withProgress(liveSlot, -1), decodeLive, "has progress -1"},
 		{"live slot past T", withProgress(liveSlot, liveT+1), decodeLive, "has progress 10"},
 		{"retired slot short of T", withProgress(retiredSlot, liveT-1), decodeLive, "(live false) has progress 8"},
-		{"live list naming a slot twice", listing(twice), decodeLive, "live list holds invalid slot"},
 	} {
 		decode, r := tc.decode(), ckpt.NewReader(bytes.NewReader(tc.stream))
 		var before, after runtime.MemStats
@@ -719,89 +565,63 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 }
 
 // TestDecodeRefusesEntriesOfNoLiveSlot re-points one request-backed cache
-// entry of an honest checkpoint, link included, at a slot that is not a
-// live request of its stripe. Each structure is consistent on its own, so
-// only the check of the store against the slots can refuse it. Without
-// it, an entry naming a slot past the slot arrays decodes, and the first
-// walk of its stripe that reaches it (entryChunks) indexes past the
-// progress array and panics.
+// entry of an honest checkpoint at a slot that is not a live request of
+// its stripe. Each section is consistent on its own, so only the audit of
+// the store against the slots can refuse it (or, for a slot past the
+// slot arrays, the store's decoder, before add grows the request links to
+// it). Without it, the first walk of the stripe that reaches the entry
+// (entryChunks) reads the progress of a slot that has none.
 func TestDecodeRefusesEntriesOfNoLiveSlot(t *testing.T) {
-	build := func() *System {
-		return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) { cfg.Failure = FailStall })
-	}
-	live := build()
-	gen := &uniformGen{rng: stats.NewRNG(1213), p: 0.8}
-	for r := 0; r < 40; r++ {
-		if _, err := live.Step(gen); err != nil {
-			t.Fatal(err)
-		}
-	}
-	encode := func(s *System) []byte {
-		return streamOfWrites(func(w *ckpt.Writer) {
-			if err := s.EncodeState(w); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	honest := encode(live)
-	// rebacked restores the honest checkpoint, moves the first linked
-	// entry (and its link) to the slot target picks, and encodes the result.
-	rebacked := func(target func(s *System, st video.StripeID) int) []byte {
-		s := build()
-		if err := s.DecodeState(ckpt.NewReader(bytes.NewReader(honest))); err != nil {
-			t.Fatalf("honest checkpoint rejected: %v", err)
-		}
-		ix := s.avail.(*indexedAvailability)
-		for slot := range ix.reqLinks {
-			if id := ix.reqLinks[slot][0]; id >= 0 {
-				to := target(s, ix.slab[id].stripe)
-				for len(ix.reqLinks) <= to {
-					ix.reqLinks = append(ix.reqLinks, [2]int32{-1, -1})
-				}
-				free := slices.Index(ix.reqLinks[to][:], -1)
-				if free < 0 {
-					t.Fatalf("slot %d backs two entries already", to)
-				}
-				ix.reqLinks[slot][0], ix.reqLinks[slot][1] = ix.reqLinks[slot][1], -1
-				ix.reqLinks[to][free] = id
-				ix.slab[id].req = int32(to)
-				return encode(s)
+	live, build := liveCheckpoint(t)
+	honest := encodeSystem(t, live)
+	// backs counts the entries each slot backs.
+	backs := func(s *System) map[int32]int {
+		n := map[int32]int{}
+		for _, e := range s.avail.all() {
+			if e.req >= 0 {
+				n[e.req]++
 			}
 		}
-		t.Fatal("no request-backed entry to move")
-		return nil
+		return n
 	}
-	retired := func(s *System, _ video.StripeID) int {
-		return slices.Index(s.reqActive, false)
-	}
-	otherStripe := func(s *System, st video.StripeID) int {
-		links := s.avail.(*indexedAvailability).reqLinks
-		for _, slot := range s.activeList {
-			if s.reqStripe[slot] != st && (int(slot) >= len(links) || slices.Contains(links[slot][:], -1)) {
-				return int(slot)
+	otherStripe := func(s *System, st video.StripeID) int32 {
+		n := backs(s)
+		for _, slot := range s.matcher.ActiveLefts() {
+			if s.reqStripe[slot] != st && n[slot] < 2 {
+				return slot
 			}
 		}
-		t.Fatal("no live slot of another stripe with a free link")
+		t.Fatal("no live slot of another stripe backing fewer than two entries")
 		return -1
 	}
 	for _, tc := range []struct {
 		name   string
-		target func(s *System, st video.StripeID) int
+		target func(s *System, st video.StripeID, e *entry) int32
+		want   string
 	}{
-		{"slot past the slot arrays", func(s *System, _ video.StripeID) int { return len(s.reqStripe) + 3 }},
-		{"retired slot", retired},
-		{"live slot of another stripe", otherStripe},
+		{"slot past the slot arrays", func(s *System, _ video.StripeID, _ *entry) int32 { return int32(len(s.reqStripe)) + 3 },
+			fmt.Sprintf("entry names slot %d, the checkpoint has %d", len(live.reqStripe)+3, len(live.reqStripe))},
+		{"retired slot", func(s *System, st video.StripeID, e *entry) int32 {
+			// Its stale fields agree with the entry: only its liveness does not.
+			slot := int32(slices.Index(liveSlots(s), false))
+			s.reqStripe[slot], s.reqStart[slot], s.reqBox[slot], s.reqViewer[slot] = st, e.issued(), e.box, e.box
+			return slot
+		}, "no live request of that stripe"},
+		{"live slot of another stripe", func(s *System, st video.StripeID, _ *entry) int32 { return otherStripe(s, st) },
+			"no live request of that stripe"},
 	} {
-		stream := rebacked(tc.target)
-		s := build()
+		s := restore(t, build, honest)
+		for st, e := range s.avail.all() {
+			if e.req >= 0 {
+				e.req = tc.target(s, st, e)
+				break
+			}
+		}
+		stream := encodeSystem(t, s)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := s.DecodeState(ckpt.NewReader(bytes.NewReader(stream)))
+		decodeRefused(t, tc.name, build, stream, tc.want)
 		runtime.ReadMemStats(&after)
-		t.Logf("%s: %v", tc.name, err)
-		if err == nil || !strings.Contains(err.Error(), "no live request of that stripe") {
-			t.Errorf("%s: decode returned %v, want the backing refused", tc.name, err)
-		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("%s: decode allocated %d bytes on a %d-byte stream", tc.name, grew, len(stream))
 		}
@@ -903,7 +723,7 @@ func TestFingerprintMatchesFNV(t *testing.T) {
 			if _, err := s.Step(gen); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if err := s.SetCapacity(r%s.n, int64(s.boxes[r%s.n].capSlots)+1); err != nil {
+			if err := s.SetCapacity(r%s.n, s.matcher.Capacity(r%s.n)+1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -917,17 +737,42 @@ func TestFingerprintMatchesFNV(t *testing.T) {
 // liveCheckpoint is TestDecodeBoundsHostileCounts' honest system, 40
 // rounds in, with its builder.
 func liveCheckpoint(t *testing.T) (live *System, build func() *System) {
+	return checkpointUnder(t, 0.8)
+}
+
+// checkpointUnder is liveCheckpoint's system under demand probability p.
+func checkpointUnder(t *testing.T, p float64) (live *System, build func() *System) {
 	build = func() *System {
 		return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) { cfg.Failure = FailStall })
 	}
 	live = build()
-	gen := &uniformGen{rng: stats.NewRNG(1213), p: 0.8}
+	gen := &uniformGen{rng: stats.NewRNG(1213), p: p}
 	for r := 0; r < 40; r++ {
 		if _, err := live.Step(gen); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return live, build
+}
+
+// encodeSystem returns s's checkpoint.
+func encodeSystem(t *testing.T, s *System) []byte {
+	t.Helper()
+	return streamOfWrites(func(w *ckpt.Writer) {
+		if err := s.EncodeState(w); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// restore decodes an honest checkpoint into a fresh system.
+func restore(t *testing.T, build func() *System, stream []byte) *System {
+	t.Helper()
+	s := build()
+	if err := s.DecodeState(ckpt.NewReader(bytes.NewReader(stream))); err != nil {
+		t.Fatalf("honest checkpoint rejected: %v", err)
+	}
+	return s
 }
 
 // decodeRefused decodes stream into a fresh system and requires an error
@@ -988,18 +833,14 @@ func TestDecodeRefusesWrappedSlotValues(t *testing.T) {
 }
 
 // TestDecodeRefusesMatcherDisagreeingWithSlots restores an honest
-// checkpoint, moves the matcher away from the boxes or the slots — each
-// structure still consistent on its own — and encodes the result. Decode
-// must refuse a right whose capacity is not its box's slot count, and a
-// matcher whose active lefts are not the live slots.
+// checkpoint, moves the matcher away from the slots — each structure still
+// consistent on its own — and encodes the result. Decode must refuse a live
+// list (the matcher's active lefts) that does not partition the slots with
+// the free list.
 func TestDecodeRefusesMatcherDisagreeingWithSlots(t *testing.T) {
 	live, build := liveCheckpoint(t)
-	honest := streamOfWrites(func(w *ckpt.Writer) {
-		if err := live.EncodeState(w); err != nil {
-			t.Fatal(err)
-		}
-	})
-	retired := slices.Index(live.reqActive, false)
+	honest := encodeSystem(t, live)
+	retired := slices.Index(liveSlots(live), false)
 	if retired < 0 {
 		t.Fatal("no retired slot")
 	}
@@ -1008,27 +849,192 @@ func TestDecodeRefusesMatcherDisagreeingWithSlots(t *testing.T) {
 		alter func(s *System)
 		want  string
 	}{
-		{"right capacity above its box's slots", func(s *System) {
-			s.matcher.SetCapacity(3, s.matcher.Capacity(3)+1)
-		}, fmt.Sprintf("matcher capacity %d of box 3 differs from its %d slots", live.boxes[3].capSlots+1, live.boxes[3].capSlots)},
 		{"live slot missing from the matcher", func(s *System) {
-			s.matcher.RemoveLeft(int(s.activeList[0]))
-		}, "active requests, the live list"},
+			s.matcher.RemoveLeft(int(s.matcher.ActiveLefts()[0]))
+		}, "1 slots are neither live nor free"},
 		{"retired slot active in the matcher instead", func(s *System) {
-			s.matcher.RemoveLeft(int(s.activeList[0]))
+			s.matcher.RemoveLeft(int(s.matcher.ActiveLefts()[0]))
 			s.matcher.AddLeft(retired)
-		}, "is no active request of the matcher"},
+		}, fmt.Sprintf("free list names slot %d", retired)},
 	} {
-		s := build()
-		if err := s.DecodeState(ckpt.NewReader(bytes.NewReader(honest))); err != nil {
-			t.Fatalf("honest checkpoint rejected: %v", err)
-		}
+		s := restore(t, build, honest)
 		tc.alter(s)
-		stream := streamOfWrites(func(w *ckpt.Writer) {
-			if err := s.EncodeState(w); err != nil {
-				t.Fatal(err)
+		decodeRefused(t, tc.name, build, encodeSystem(t, s), tc.want)
+	}
+}
+
+// TestDecodeRefusesInconsistentState restores an honest checkpoint, edits
+// one fact into a state no engine reaches, and encodes the result; decode
+// must refuse each with an error. Of the first seven, the first four
+// decoded and then panicked the next Step at state version 3, the last
+// three decoded and ran on silently. The rest hold each remaining check of
+// the audit, down to each disjunct of its condition, to a row. Demand is
+// light enough that some boxes are idle.
+func TestDecodeRefusesInconsistentState(t *testing.T) {
+	live, build := checkpointUnder(t, 0.3)
+	honest := encodeSystem(t, live)
+	// young is a live slot issued this round (progress at most 1), idle a
+	// box that is not busy, busy one that is, and pending the bucket of a
+	// scheduled issuance.
+	young, idle, busy, pending := int32(-1), int32(-1), -1, -1
+	for _, slot := range live.matcher.ActiveLefts() {
+		if int(live.reqStart[slot]) == live.round {
+			young = slot
+		}
+	}
+	if len(live.idleList) > 0 {
+		idle = live.idleList[0]
+	}
+	for b := range live.boxes {
+		if live.boxes[b].busy() {
+			busy = b
+		}
+	}
+	for i, bucket := range live.pendingRing {
+		if len(bucket) > 0 {
+			pending = i
+		}
+	}
+	if young < 0 || len(live.idleList) < 2 || busy < 0 || pending < 0 || len(live.freeSlots) == 0 {
+		t.Fatal("scenario too small: need a slot issued in the last round, two idle boxes and a busy one, an issuance and a free slot")
+	}
+	n, T := int32(live.n), int32(live.cat.T)
+	// oldest returns the oldest entry of the first list whose oldest entry
+	// is frozen; newest the newest entry of the first list whose newest is
+	// a request's own (lag 0). Lowering an oldest start or raising a newest
+	// one keeps each list's issue rounds in order.
+	oldest := func(s *System) *entry {
+		ix := s.avail.(*indexedAvailability)
+		for _, head := range ix.byStripe {
+			id := head
+			for id >= 0 && ix.slab[id].next >= 0 {
+				id = ix.slab[id].next
 			}
-		})
-		decodeRefused(t, tc.name, build, stream, tc.want)
+			if id >= 0 && ix.slab[id].req < 0 {
+				return &ix.slab[id].entry
+			}
+		}
+		t.Fatal("no list ends in a frozen entry")
+		return nil
+	}
+	newest := func(s *System) *entry {
+		ix := s.avail.(*indexedAvailability)
+		for _, head := range ix.byStripe {
+			if head >= 0 && ix.slab[head].req >= 0 && ix.slab[head].lag == 0 {
+				return &ix.slab[head].entry
+			}
+		}
+		t.Fatal("no list starts with a request's own entry")
+		return nil
+	}
+	for _, tc := range []struct {
+		name  string
+		alter func(s *System)
+		want  string
+	}{
+		{"free list naming a live slot", func(s *System) {
+			s.freeSlots = append(s.freeSlots, young)
+		}, fmt.Sprintf("free list names slot %d", young)},
+		{"free list naming a slot past the arrays", func(s *System) {
+			s.freeSlots = append(s.freeSlots, int32(len(s.reqStripe))+2)
+		}, fmt.Sprintf("free list names slot %d", len(live.reqStripe)+2)},
+		{"non-busy box missing from the idle list", func(s *System) {
+			s.idleList = slices.DeleteFunc(s.idleList, func(b int32) bool { return b == idle })
+		}, fmt.Sprintf("boxes are idle, the idle list holds %d", len(live.idleList)-1)},
+		{"live slot's viewer out of range", func(s *System) {
+			s.reqViewer[young] = n
+		}, fmt.Sprintf("live slot %d names box %d and viewer %d", young, live.reqBox[young], n)},
+		{"base before the slot's start", func(s *System) {
+			s.reqBase[young] = s.reqStart[young] - 1
+		}, fmt.Sprintf("live slot %d started at round %d has base %d", young, live.round, live.round-1)},
+		{"live slot's box out of range", func(s *System) {
+			s.reqBox[young] = n
+		}, fmt.Sprintf("live slot %d names box %d", young, n)},
+		{"start after the round", func(s *System) {
+			s.reqStart[young] = int32(s.round) + 1
+		}, fmt.Sprintf("live slot %d starts at round %d, after round %d", young, live.round+1, live.round)},
+
+		{"tracker a round ahead", func(s *System) {
+			s.tracker.BeginRound(s.round + 1)
+		}, fmt.Sprintf("tracker is at round %d, the system at %d", live.round+1, live.round)},
+		{"live slot's stripe out of range", func(s *System) {
+			s.reqStripe[young] = video.StripeID(s.cat.NumStripes())
+		}, fmt.Sprintf("live slot %d names stripe %d", young, live.cat.NumStripes())},
+		{"live slot's stripe negative", func(s *System) {
+			s.reqStripe[young] = -1
+		}, fmt.Sprintf("live slot %d names stripe -1", young)},
+		{"free list naming a negative slot", func(s *System) {
+			s.freeSlots = append(s.freeSlots, -1)
+		}, "free list names slot -1"},
+		{"idle box listed twice", func(s *System) {
+			s.idleList[1] = s.idleList[0]
+		}, fmt.Sprintf("idle list position 0 holds box %d, which is busy or listed twice", idle)},
+		{"idle list naming a box out of range", func(s *System) {
+			s.idleList = append(s.idleList, n)
+		}, fmt.Sprintf("idle list holds box %d, the system has %d", n, n)},
+		{"busy box in the idle list", func(s *System) {
+			s.idleList = append(s.idleList, int32(busy))
+		}, fmt.Sprintf("holds box %d, which is busy", busy)},
+		{"outstanding one more than viewed", func(s *System) {
+			s.boxes[busy].outstanding++
+		}, fmt.Sprintf("box %d has %d outstanding", busy, live.boxes[busy].outstanding+1)},
+		{"issuance filed under another round", func(s *System) {
+			s.pendingRing[pending][0].round++
+		}, fmt.Sprintf("pending bucket %d holds an issuance for round %d", pending, live.pendingRing[pending][0].round+1)},
+		{"issuance due before the round", func(s *System) {
+			s.pendingRing[pending][0].round -= len(s.pendingRing)
+		}, fmt.Sprintf("holds an issuance for round %d", live.pendingRing[pending][0].round-len(live.pendingRing))},
+		{"issuance due past the horizon", func(s *System) {
+			s.pendingRing[pending][0].round += len(s.pendingRing)
+		}, fmt.Sprintf("holds an issuance for round %d", live.pendingRing[pending][0].round+len(live.pendingRing))},
+		{"issuance of a stripe out of range", func(s *System) {
+			s.pendingRing[pending][0].stripe = video.StripeID(s.cat.NumStripes())
+		}, fmt.Sprintf("issuance names stripe %d", live.cat.NumStripes())},
+		{"issuance of a negative stripe", func(s *System) {
+			s.pendingRing[pending][0].stripe = -1
+		}, "issuance names stripe -1"},
+		{"issuance of a box out of range", func(s *System) {
+			s.pendingRing[pending][0].requester = n
+		}, fmt.Sprintf("requester %d", n)},
+		{"issuance viewed by a box out of range", func(s *System) {
+			iss := &s.pendingRing[pending][0]
+			iss.viewer, iss.mirror = n, -1
+		}, fmt.Sprintf("viewer %d", n)},
+		{"issuance mirrored to a box other than its viewer", func(s *System) {
+			iss := &s.pendingRing[pending][0]
+			iss.mirror = (iss.viewer + 1) % n
+		}, "and mirror"},
+		{"recheck of a slot past the arrays", func(s *System) {
+			s.recheckRing[0] = append(s.recheckRing[0], int32(len(s.reqStripe)))
+		}, fmt.Sprintf("recheck ring names slot %d", len(live.reqStripe))},
+		{"recheck of a negative slot", func(s *System) {
+			s.recheckRing[0] = append(s.recheckRing[0], -1)
+		}, "recheck ring names slot -1"},
+		{"entry of a box out of range", func(s *System) { oldest(s).box = n }, fmt.Sprintf("entry names box %d", n)},
+		{"entry of lag 2", func(s *System) { oldest(s).lag = 2 }, "with lag 2"},
+		{"entry of lag -1", func(s *System) {
+			// Frozen, so that the lag indexes no holder first.
+			e := newest(s)
+			e.req, e.frozen, e.lag = -1, 0, -1
+		}, "with lag -1"},
+		{"entry past its window", func(s *System) {
+			oldest(s).start = int32(s.round) - T - 1
+		}, fmt.Sprintf("starts at round %d, outside", int32(live.round)-T-1)},
+		{"entry issued after the next round", func(s *System) {
+			// Frozen, so that no check of a backing slot refuses it first.
+			e := newest(s)
+			e.req, e.frozen, e.start = -1, 0, int32(s.round)+2
+		}, fmt.Sprintf("starts at round %d, outside [", live.round+2)},
+		{"frozen past T", func(s *System) { oldest(s).frozen = T + 1 }, fmt.Sprintf("froze at progress %d", T+1)},
+		{"frozen below 0", func(s *System) { oldest(s).frozen = -1 }, "froze at progress -1"},
+		{"entry issued after its slot", func(s *System) { newest(s).start++ }, "which started at"},
+		{"entry held by a box that did not request it", func(s *System) {
+			e := newest(s)
+			e.box = (e.box + 1) % n
+		}, "whose requester is"},
+	} {
+		s := restore(t, build, honest)
+		tc.alter(s)
+		decodeRefused(t, tc.name, build, encodeSystem(t, s), tc.want)
 	}
 }

@@ -83,10 +83,10 @@ func TestClassMemoRelayedLockstep(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: step results diverge\nmemo      %+v\nclassless %+v", round, got, want)
 		}
-		if !reflect.DeepEqual(memo.activeList, ref.activeList) {
+		if !reflect.DeepEqual(memo.matcher.ActiveLefts(), ref.matcher.ActiveLefts()) {
 			t.Fatalf("round %d: live request lists diverge", round)
 		}
-		for _, slot := range memo.activeList {
+		for _, slot := range memo.matcher.ActiveLefts() {
 			l := int(slot)
 			if memo.encodedProgress(int(slot)) != ref.encodedProgress(int(slot)) || memo.matcher.Server(l) != ref.matcher.Server(l) {
 				t.Fatalf("round %d slot %d: progress %d server %d, classless progress %d server %d",

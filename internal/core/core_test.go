@@ -39,7 +39,7 @@ func (g *uniformGen) Next(v *View, _ int) []Demand {
 }
 
 // buildHomogeneous builds a homogeneous test system.
-func buildHomogeneous(t *testing.T, seed uint64, n, d, c, T, k int, u, mu float64, tweak func(*Config)) *System {
+func buildHomogeneous(t testing.TB, seed uint64, n, d, c, T, k int, u, mu float64, tweak func(*Config)) *System {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	alloc, _, err := allocation.HomogeneousPermutation(rng, n, d, c, T, k)
@@ -74,6 +74,7 @@ func TestConfigValidation(t *testing.T) {
 		{Alloc: alloc, Uploads: ups}, // µ < 1
 		{Alloc: alloc, Uploads: ups[:2], Mu: 1.2},                                    // wrong upload count
 		{Alloc: alloc, Uploads: []float64{-1, 1, 1, 1}, Mu: 1.2},                     // negative upload
+		{Alloc: alloc, Uploads: []float64{1e10, 1, 1, 1}, Mu: 1.2},                   // capacity past int32 slots
 		{Alloc: alloc, Uploads: ups, Mu: 1.2, Relays: []int{-1, -1, -1, -1}},         // relays without strategy
 		{Alloc: alloc, Uploads: ups, Mu: 1.2, Strategy: StrategyRelayed},             // relayed without u*
 		{Alloc: alloc, Uploads: ups, Mu: 1.2, Strategy: StrategyRelayed, UStar: 1.2}, // relayed without relays

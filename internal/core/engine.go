@@ -29,12 +29,32 @@ type StepResult struct {
 // otherwise runs to its end — the system stays consistent and can be
 // stepped again — and Step returns the round's result with an error naming
 // the first such demand.
+//
+// Under Config.Paranoid the matching is verified mid-round and the whole
+// state is audited (see audit) after it, a round whose batch was refused
+// included.
 func (s *System) Step(gen Generator) (StepResult, error) {
+	res, batchErr, err := s.step(gen)
+	if err != nil {
+		return res, err
+	}
+	if s.cfg.Paranoid {
+		if aerr := s.audit(); aerr != nil {
+			return res, fmt.Errorf("core: round %d state corrupt: %w", s.round, aerr)
+		}
+	}
+	return res, batchErr
+}
+
+// step runs one round. batchErr refuses the generator's batch (the round
+// still ran); err ends the round where it stands: the system had already
+// failed, or a Paranoid check found the matching corrupt.
+func (s *System) step(gen Generator) (res StepResult, batchErr, err error) {
 	if s.failed {
-		return StepResult{}, fmt.Errorf("core: system already failed at round %d", s.metrics.failRound)
+		return res, nil, fmt.Errorf("core: system already failed at round %d", s.metrics.failRound)
 	}
 	s.round++
-	res := StepResult{Round: s.round}
+	res.Round = s.round
 	s.tracker.BeginRound(s.round)
 	s.avail.expire(s.round)
 
@@ -51,7 +71,6 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	}
 
 	// Admission.
-	var batchErr error
 	if gen != nil {
 		batch := gen.Next(s.View(), s.round)
 		if batchErr = s.checkDemands(batch); batchErr != nil {
@@ -95,7 +114,7 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 		if s.cfg.Failure == FailStop {
 			s.failed = true
 			s.metrics.failRound = s.round
-			return res, batchErr
+			return res, batchErr, nil
 		}
 		s.metrics.stalls += int64(len(unmatched))
 		// Rewrite the deficient maximum matching to the canonical covered
@@ -112,12 +131,12 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	// (Revalidate repairs them at the top of the next Step).
 	if s.cfg.Paranoid {
 		if err := s.matcher.Verify(adj); err != nil {
-			return res, fmt.Errorf("core: round %d matcher corrupt: %w", s.round, err)
+			return res, batchErr, fmt.Errorf("core: round %d matcher corrupt: %w", s.round, err)
 		}
 		// The advance below trusts the stall list to name every unmatched
 		// request: one missing from it would advance silently.
-		if want := s.activeReqs - s.matcher.MatchedCount(); len(stalled) != want {
-			return res, fmt.Errorf("core: round %d stall list names %d requests, %d are unmatched",
+		if want := s.matcher.ActiveCount() - s.matcher.MatchedCount(); len(stalled) != want {
+			return res, batchErr, fmt.Errorf("core: round %d stall list names %d requests, %d are unmatched",
 				s.round, len(stalled), want)
 		}
 	}
@@ -131,17 +150,17 @@ func (s *System) Step(gen Generator) (StepResult, error) {
 	s.refreshAssignmentCertificates(res.Unmatched)
 
 	s.metrics.observeRound(s, res)
-	return res, batchErr
+	return res, batchErr, nil
 }
 
 // retireDue retires the requests whose progress reaches T at this clock:
 // the slots of its retire bucket, less those that stalled since they were
 // filed, which move to the bucket of their new due clock (a base only
 // grows, so a lazy move is never late). The due slots retire in the order
-// a scan of activeList would retire them: by position, and at each
+// a scan of the live list would retire them: by position, and at each
 // position again while the slot retireRequest swapped in from the tail is
-// due too. That keeps freeSlots, activeList and the matcher's left order —
-// and so every later round — what a scan makes them.
+// due too. That keeps freeSlots and the live list's order — and so every
+// later round — what a scan makes them.
 func (s *System) retireDue() {
 	T := int32(s.cat.T)
 	b := int(s.clock) % len(s.retireRing)
@@ -152,19 +171,19 @@ func (s *System) retireDue() {
 			s.bucketRetire(slot)
 			continue
 		}
-		keys = append(keys, uint64(s.posInActive[slot])<<32|uint64(slot))
+		keys = append(keys, uint64(s.matcher.ActivePos(int(slot)))<<32|uint64(slot))
 	}
 	s.retireRing[b] = bucket[:0]
 	slices.Sort(keys)
 	for _, k := range keys {
 		slot := int32(uint32(k))
-		if !s.reqActive[slot] {
+		if !s.matcher.Active(int(slot)) {
 			continue // an earlier position's chain retired it
 		}
-		pos := int(s.posInActive[slot])
+		pos := s.matcher.ActivePos(int(slot))
 		s.retireRequest(slot)
-		for pos < len(s.activeList) && s.reqBase[s.activeList[pos]]+T == s.clock {
-			s.retireRequest(s.activeList[pos])
+		for pos < s.matcher.ActiveCount() && s.reqBase[s.matcher.ActiveLefts()[pos]]+T == s.clock {
+			s.retireRequest(s.matcher.ActiveLefts()[pos])
 		}
 	}
 	s.retireScratch = keys
@@ -203,7 +222,7 @@ const (
 // preload stripe selection, and strategy-specific request scheduling. The
 // demand's box and video are in range (checkDemands).
 func (s *System) admit(d Demand) admitCode {
-	if box := &s.boxes[d.Box]; box.busy || box.outstanding > 0 {
+	if s.boxes[d.Box].busy() {
 		return admitBusy
 	}
 	if s.tracker.Allowance(d.Video) <= 0 {
@@ -239,7 +258,6 @@ func (s *System) admit(d Demand) admitCode {
 
 	s.boxes[d.Box].outstanding = int32(planned)
 	if planned > 0 {
-		s.boxes[d.Box].busy = true
 		s.markBusy(b)
 	} else {
 		// Everything available locally: an instant viewing.

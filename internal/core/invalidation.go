@@ -116,7 +116,7 @@ func (s *System) refreshAssignmentCertificates(unmatched int) {
 	}
 	if s.needSweep {
 		s.needSweep = false
-		for _, slot := range s.activeList {
+		for _, slot := range s.matcher.ActiveLefts() {
 			s.scheduleCertificate(int(slot))
 		}
 		return

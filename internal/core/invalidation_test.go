@@ -34,11 +34,11 @@ func TestEventInvalidationMatchesSweepRandomized(t *testing.T) {
 			t.Fatalf("round %d step results diverge:\nevent: %+v\nsweep: %+v", r, resE, resS)
 		}
 		for b := 0; b < event.n; b++ {
-			if event.boxes[b].busy != sweep.boxes[b].busy {
+			if event.boxes[b].busy() != sweep.boxes[b].busy() {
 				t.Fatalf("round %d: busy[%d] diverges", r, b)
 			}
 		}
-		for _, slot := range event.activeList {
+		for _, slot := range event.matcher.ActiveLefts() {
 			if event.encodedProgress(int(slot)) != sweep.encodedProgress(int(slot)) {
 				t.Fatalf("round %d: progress of slot %d diverges: %d vs %d",
 					r, slot, event.encodedProgress(int(slot)), sweep.encodedProgress(int(slot)))

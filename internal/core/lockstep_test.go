@@ -50,14 +50,14 @@ func driveLockstep(t *testing.T, prod, ref *System, seed uint64, p float64, roun
 		if !reflect.DeepEqual(resP, resR) {
 			t.Fatalf("round %d: step results diverge\nproduction: %+v\nreference:  %+v", r, resP, resR)
 		}
-		for _, slot := range prod.activeList {
+		for _, slot := range prod.matcher.ActiveLefts() {
 			if prod.encodedProgress(int(slot)) != ref.encodedProgress(int(slot)) {
 				t.Fatalf("round %d: progress of slot %d diverges: %d vs %d",
 					r, slot, prod.encodedProgress(int(slot)), ref.encodedProgress(int(slot)))
 			}
 		}
 		for b := 0; b < n; b++ {
-			if prod.boxes[b].busy != ref.boxes[b].busy {
+			if prod.boxes[b].busy() != ref.boxes[b].busy() {
 				t.Fatalf("round %d: busy state of box %d diverges", r, b)
 			}
 		}

@@ -82,7 +82,7 @@ func (m *runMetrics) observeRound(s *System, res StepResult) {
 	if s.cfg.TraceRounds {
 		m.trace = append(m.trace, RoundStats{
 			Round:       res.Round,
-			ActiveReqs:  s.activeReqs,
+			ActiveReqs:  s.matcher.ActiveCount(),
 			Matched:     res.Matched,
 			Unmatched:   res.Unmatched,
 			Viewers:     s.tracker.TotalViewers(),

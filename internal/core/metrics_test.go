@@ -206,7 +206,7 @@ func TestDecodeRejectsCorruptStartupHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := sys.DecodeState(ckpt.NewReader(&v1))
-	if err == nil || !strings.Contains(err.Error(), "checkpoint state version 1, this build reads 3") {
+	if err == nil || !strings.Contains(err.Error(), "checkpoint state version 1, this build reads 4") {
 		t.Fatalf("version-1 state: DecodeState returned %v, want the version error", err)
 	}
 	if sys.Round() != 0 {

@@ -54,9 +54,9 @@ func TestNearThresholdMatchingPinned(t *testing.T) {
 		seed                   uint64
 		matching, checkpointed uint64
 	}{
-		{1, 0xcbc2900782f501cd, 0x3d5591f8ed3ada23},
-		{2, 0x23aea2da9ca5419f, 0x04ac96496b9d9a05},
-		{3, 0xeaf177025de67499, 0x731ee674f2c1d9c5},
+		{1, 0xcbc2900782f501cd, 0xa149ed2155796dcd},
+		{2, 0x23aea2da9ca5419f, 0xec9b1a3671daa20e},
+		{3, 0xeaf177025de67499, 0xd67e701d731e5e77},
 	} {
 		sys := nearThreshold(t, tc.seed)
 		gen := &adversary.Zipf{RNG: stats.NewRNG(tc.seed), P: 0.5, S: 0.9}

@@ -22,7 +22,7 @@ func oracleMaxFlow(s *System, under progressView) int64 {
 	s.clock, s.reqBase = under.clock, under.base
 	defer func() { s.clock, s.reqBase = now.clock, now.base }()
 
-	live := s.activeList
+	live := s.matcher.ActiveLefts()
 	const src, sink = 0, 1
 	g := maxflow.NewNetwork(2 + len(live) + s.n)
 	for i, slot := range live {
@@ -34,7 +34,7 @@ func oracleMaxFlow(s *System, under progressView) int64 {
 		}
 	}
 	for b := 0; b < s.n; b++ {
-		g.AddEdge(2+len(live)+b, sink, int64(s.boxes[b].capSlots))
+		g.AddEdge(2+len(live)+b, sink, s.matcher.Capacity(b))
 	}
 	return (&maxflow.Dinic{}).MaxFlow(g, src, sink)
 }
@@ -63,14 +63,14 @@ func foldRound(h hash.Hash64, s *System, res StepResult) {
 	} else {
 		put(0)
 	}
-	for slot, active := range s.reqActive {
-		if active {
+	for slot := range s.reqStripe {
+		if s.matcher.Active(slot) {
 			put(int64(slot))
 			put(int64(s.encodedProgress(slot)))
 		}
 	}
 	for b := range s.boxes {
-		if s.boxes[b].busy {
+		if s.boxes[b].busy() {
 			put(int64(b))
 		}
 	}
@@ -176,7 +176,7 @@ func checkRoundOracle(t *testing.T, sys *System, r int, res StepResult, before [
 		matchedUnder.clock++ // a halted round does not tick
 	}
 	advanced := 0
-	for _, slot := range sys.activeList {
+	for _, slot := range sys.matcher.ActiveLefts() {
 		p := int32(0)
 		if int(sys.reqStart[slot]) != r {
 			p = before[slot]
@@ -189,7 +189,7 @@ func checkRoundOracle(t *testing.T, sys *System, r int, res StepResult, before [
 		}
 		matchedUnder.base[slot] = matchedUnder.clock - p
 	}
-	live := len(sys.activeList)
+	live := sys.matcher.ActiveCount()
 	flow := int(oracleMaxFlow(sys, matchedUnder))
 	if res.Matched != flow || res.Unmatched != live-flow {
 		t.Fatalf("round %d: matched %d, unmatched %d; the max flow over %d live requests is %d",

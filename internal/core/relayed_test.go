@@ -237,6 +237,18 @@ func TestStepRejectsOutOfRangeDemand(t *testing.T) {
 	}
 }
 
+// TestParanoidAuditsRefusedBatchRound: a round whose batch is refused
+// still runs to its end, so Paranoid audits it like any other and reports
+// a corrupt state ahead of the refusal.
+func TestParanoidAuditsRefusedBatchRound(t *testing.T) {
+	sys := buildHomogeneous(t, 31, 12, 2, 3, 10, 4, 2.0, 1.5, nil)
+	sys.boxes[5].outstanding++ // work nobody views
+	gen := &scripted{byRound: map[int][]Demand{1: {{Box: -1, Video: 0}}}}
+	if _, err := sys.Step(gen); err == nil || !strings.Contains(err.Error(), "state corrupt") {
+		t.Fatalf("Step error %v, want the audit's", err)
+	}
+}
+
 func TestRunStopsEarlyOnFailure(t *testing.T) {
 	const n, d, c, T, k = 10, 1, 4, 12, 1
 	sys := buildHomogeneous(t, 8, n, d, c, T, k, 0.5, 2.0, nil)

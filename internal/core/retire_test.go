@@ -50,11 +50,15 @@ func TestRetireOrderMatchesScan(t *testing.T) {
 			sys.issueRequest(video.StripeID(rng.Intn(sys.cat.NumStripes())),
 				int32(rng.Intn(sys.n)), int32(rng.Intn(sys.n)), -1)
 		}
-		// Any order: swap-removals leave the live list shuffled.
-		shuffled := slices.Clone(sys.activeList)
-		for i, p := range rng.Perm(k) {
-			sys.activeList[i] = shuffled[p]
-			sys.posInActive[shuffled[p]] = int32(i)
+		// Any order: swap-removals leave the live list shuffled. The
+		// matcher's list is rebuilt in a random order (nothing is matched:
+		// cache serving is off and no round runs).
+		shuffled := slices.Clone(sys.matcher.ActiveLefts())
+		for _, slot := range shuffled {
+			sys.matcher.RemoveLeft(int(slot))
+		}
+		for _, p := range rng.Perm(k) {
+			sys.matcher.AddLeft(int(shuffled[p]))
 		}
 		density := []float64{0.1, 0.5, 0.9}[rng.Intn(3)]
 		tail := 0
@@ -62,7 +66,7 @@ func TestRetireOrderMatchesScan(t *testing.T) {
 			tail = 1 + rng.Intn(k)
 		}
 		due := map[int32]bool{}
-		for pos, slot := range sys.activeList {
+		for pos, slot := range sys.matcher.ActiveLefts() {
 			if pos >= k-tail || rng.Bool(density) {
 				due[slot] = true
 				sys.reqBase[slot] = sys.clock - T
@@ -73,25 +77,34 @@ func TestRetireOrderMatchesScan(t *testing.T) {
 		for b := range sys.retireRing {
 			sys.retireRing[b] = sys.retireRing[b][:0]
 		}
-		for _, slot := range sys.activeList {
+		for _, slot := range sys.matcher.ActiveLefts() {
 			sys.bucketRetire(slot)
 		}
 
-		wantOrder, wantList, chains := scanRetire(sys.activeList, due)
+		wantOrder, wantList, chains := scanRetire(sys.matcher.ActiveLefts(), due)
 		chained += chains
 		freed := len(sys.freeSlots)
 		sys.retireDue()
-		if got := sys.freeSlots[freed:]; !slices.Equal(got, wantOrder) || !slices.Equal(sys.activeList, wantList) {
+		if got := sys.freeSlots[freed:]; !slices.Equal(got, wantOrder) || !slices.Equal(sys.matcher.ActiveLefts(), wantList) {
 			t.Fatalf("instance %d: replay retired %v leaving %v; the scan retires %v leaving %v",
-				inst, got, sys.activeList, wantOrder, wantList)
+				inst, got, sys.matcher.ActiveLefts(), wantOrder, wantList)
 		}
-		for len(sys.activeList) > 0 {
-			sys.retireRequest(sys.activeList[0])
+		for sys.matcher.ActiveCount() > 0 {
+			sys.retireRequest(sys.matcher.ActiveLefts()[0])
 		}
 	}
 	if chained < 1000 {
 		t.Fatalf("only %d retirements swapped in a due slot: the tail chain is barely exercised", chained)
 	}
+}
+
+// liveSlots is every slot's liveness, indexed by slot.
+func liveSlots(s *System) []bool {
+	live := make([]bool, len(s.reqStripe))
+	for slot := range live {
+		live[slot] = s.matcher.Active(slot)
+	}
+	return live
 }
 
 // checkRetireRing holds the retire ring to its invariant between Steps:
@@ -107,8 +120,8 @@ func checkRetireRing(t *testing.T, s *System) (early int) {
 	for b, bucket := range s.retireRing {
 		drains := s.clock + ((int32(b)-s.clock)%n+n)%n
 		for _, slot := range bucket {
-			if !s.reqActive[slot] || seen[slot] {
-				t.Fatalf("round %d: slot %d (live %v) filed twice or after retiring", s.round, slot, s.reqActive[slot])
+			if !s.matcher.Active(int(slot)) || seen[slot] {
+				t.Fatalf("round %d: slot %d (live %v) filed twice or after retiring", s.round, slot, s.matcher.Active(int(slot)))
 			}
 			seen[slot] = true
 			due, stalled := s.reqBase[slot]+T, s.reqBase[slot] != s.reqStart[slot]
@@ -121,8 +134,8 @@ func checkRetireRing(t *testing.T, s *System) (early int) {
 			}
 		}
 	}
-	if len(seen) != s.activeReqs {
-		t.Fatalf("round %d: ring files %d slots, %d are live", s.round, len(seen), s.activeReqs)
+	if len(seen) != s.matcher.ActiveCount() {
+		t.Fatalf("round %d: ring files %d slots, %d are live", s.round, len(seen), s.matcher.ActiveCount())
 	}
 	return early
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/allocation"
@@ -31,7 +30,7 @@ func soakMixed(t *testing.T, u float64) {
 	gen := &mixedGen{rng: rng}
 	early := 0
 	for round := 0; round < 600; round++ {
-		wasLive, before := slices.Clone(sys.reqActive), progressTable(sys)
+		wasLive, before := liveSlots(sys), progressTable(sys)
 		res, err := sys.Step(gen)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -41,12 +40,12 @@ func soakMixed(t *testing.T, u float64) {
 		// what the checkpoint's progress column says of every retired slot.
 		early += checkRetireRing(t, sys)
 		for slot, live := range wasLive {
-			retired := !sys.reqActive[slot] || int(sys.reqStart[slot]) == sys.Round()
+			retired := !sys.matcher.Active(slot) || int(sys.reqStart[slot]) == sys.Round()
 			if live && retired != (before[slot] == int32(T)) {
 				t.Fatalf("round %d: slot %d entered at progress %d, retired %v", round, slot, before[slot], retired)
 			}
 		}
-		for slot, live := range sys.reqActive {
+		for slot, live := range liveSlots(sys) {
 			if !live && sys.encodedProgress(slot) != int32(T) {
 				t.Fatalf("round %d: retired slot %d encodes progress %d", round, slot, sys.encodedProgress(slot))
 			}
@@ -55,18 +54,12 @@ func soakMixed(t *testing.T, u float64) {
 			t.Fatalf("round %d: negative counts %+v", round, res)
 		}
 		// Engine invariants.
-		if sys.activeReqs < 0 {
-			t.Fatalf("round %d: negative active requests", round)
-		}
 		for b := 0; b < n; b++ {
 			if sys.boxes[b].outstanding < 0 {
 				t.Fatalf("round %d: box %d negative outstanding", round, b)
 			}
-			if sys.boxes[b].busy && sys.boxes[b].outstanding == 0 {
-				t.Fatalf("round %d: box %d busy with nothing outstanding", round, b)
-			}
 		}
-		for slot, active := range sys.reqActive {
+		for slot, active := range liveSlots(sys) {
 			if !active {
 				continue
 			}

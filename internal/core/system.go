@@ -24,20 +24,20 @@ type issuance struct {
 const maxIssuanceDelay = 4
 
 // boxRec packs the per-box engine state the hot paths probe — admission's
-// busy/outstanding check, completion's busy→idle transition, the idle
-// index position, and the capacity view — into one 16-byte record (13
-// bytes of fields padded to int32 alignment; four records per 64-byte
-// cache line). These used to live in four parallel population-sized
-// slices; at 10⁵–10⁶ boxes every probe then touched four distinct cache
-// lines, and the matcher's batch BFS sits right next to these probes
-// each round. One record keeps a box's whole engine state on a single
-// line.
+// outstanding check, completion's busy→idle transition and the idle index
+// position — into one 8-byte record. These used to live in parallel
+// population-sized slices; at 10⁵–10⁶ boxes every probe then touched
+// several distinct cache lines, and the matcher's batch BFS sits right
+// next to these probes each round. A box's capacity is its matcher right's
+// (Matcher.Capacity), kept nowhere else.
 type boxRec struct {
 	outstanding int32 // unfinished requests + pending issuances
 	idlePos     int32 // index in idleList, or −1 while busy
-	capSlots    int32 // matcher capacity view (upload slots after reservations)
-	busy        bool
 }
+
+// busy reports whether the box has work outstanding: a viewing's requests
+// or scheduled issuances. A busy box admits no demand and is not idle.
+func (b *boxRec) busy() bool { return b.outstanding > 0 }
 
 // System is a runnable instance of the paper's video system.
 type System struct {
@@ -56,21 +56,16 @@ type System struct {
 	adj bipartite.Hinted
 
 	// Request slot arrays (index = matcher left ID). Progress is implicit
-	// (see progressView): clock − reqBase[slot] for a live slot.
-	reqStripe  []video.StripeID
-	reqStart   []int32
-	reqBox     []int32 // downloader (the relay for relayed requests)
-	reqViewer  []int32 // box whose playback depends on this request
-	reqBase    []int32
-	reqActive  []bool
-	freeSlots  []int32
-	activeReqs int
-
-	// Live request slots, swap-removed on retirement. Its order is
-	// behaviour (retirement order, checkpoint); Step walks it whole only
-	// to rebuild certificates after a stall episode.
-	activeList  []int32
-	posInActive []int32
+	// (see progressView): clock − reqBase[slot] for a live slot. A slot is
+	// live exactly while it is an active left of the matcher, whose list
+	// (ActiveLefts: appended at issue, swap-removed at retirement) is the
+	// one live list; its order is behaviour (retirement order, the sweep).
+	reqStripe []video.StripeID
+	reqStart  []int32
+	reqBox    []int32 // downloader (the relay for relayed requests)
+	reqViewer []int32 // box whose playback depends on this request
+	reqBase   []int32
+	freeSlots []int32
 
 	// clock ticks once per round that ran to its end — round+1 between
 	// Steps, round on a FailStop-halted system — so a matched request
@@ -134,6 +129,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	for b, c := range caps {
+		if c > math.MaxInt32 {
+			return nil, fmt.Errorf("core: box %d capacity %d slots overflows the matcher's capacity record", b, c)
+		}
+	}
 	cat := cfg.Alloc.Catalog()
 	n := cfg.Alloc.NumBoxes()
 	s := &System{
@@ -153,12 +153,8 @@ func NewSystem(cfg Config) (*System, error) {
 	s.matcher.LogAssignments(true)
 	s.idleList = make([]int32, n)
 	for b := range s.idleList {
-		if caps[b] > math.MaxInt32 {
-			return nil, fmt.Errorf("core: box %d capacity %d slots overflows the box record", b, caps[b])
-		}
 		s.idleList[b] = int32(b)
 		s.boxes[b].idlePos = int32(b)
-		s.boxes[b].capSlots = int32(caps[b])
 	}
 	s.idleBits.initFull(n)
 	s.view = View{s}
@@ -217,8 +213,6 @@ func (s *System) allocSlot() int32 {
 	s.reqBox = append(s.reqBox, 0)
 	s.reqViewer = append(s.reqViewer, 0)
 	s.reqBase = append(s.reqBase, 0)
-	s.reqActive = append(s.reqActive, false)
-	s.posInActive = append(s.posInActive, -1)
 	return slot
 }
 
@@ -243,10 +237,6 @@ func (s *System) issueRequest(stripe video.StripeID, requester, viewer, mirror i
 	s.reqViewer[slot] = viewer
 	s.reqBase[slot] = s.clock
 	s.bucketRetire(slot)
-	s.reqActive[slot] = true
-	s.activeReqs++
-	s.posInActive[slot] = int32(len(s.activeList))
-	s.activeList = append(s.activeList, slot)
 	s.matcher.AddLeft(int(slot))
 	if !s.cfg.DisableCacheServing {
 		s.avail.add(stripe, entry{box: requester, start: int32(s.round), req: slot})
@@ -254,8 +244,8 @@ func (s *System) issueRequest(stripe video.StripeID, requester, viewer, mirror i
 			s.avail.add(stripe, entry{box: mirror, start: int32(s.round + 1), req: slot, lag: 1})
 		}
 	}
-	if s.activeReqs > s.metrics.peakRequests {
-		s.metrics.peakRequests = s.activeReqs
+	if live := s.matcher.ActiveCount(); live > s.metrics.peakRequests {
+		s.metrics.peakRequests = live
 	}
 }
 
@@ -274,15 +264,6 @@ func (s *System) progress() progressView { return progressView{s.clock, s.reqBas
 func (s *System) retireRequest(slot int32) {
 	s.avail.retire(s.reqStripe[slot], slot, s.progress().of(slot))
 	s.matcher.RemoveLeft(int(slot))
-	s.reqActive[slot] = false
-	s.activeReqs--
-	// Swap-remove from the live list.
-	pos := s.posInActive[slot]
-	last := s.activeList[len(s.activeList)-1]
-	s.activeList[pos] = last
-	s.posInActive[last] = pos
-	s.activeList = s.activeList[:len(s.activeList)-1]
-	s.posInActive[slot] = -1
 	s.freeSlots = append(s.freeSlots, slot)
 	s.finishOne(s.reqViewer[slot])
 }
@@ -292,8 +273,7 @@ func (s *System) retireRequest(slot int32) {
 func (s *System) finishOne(viewer int32) {
 	box := &s.boxes[viewer]
 	box.outstanding--
-	if box.outstanding == 0 && box.busy {
-		box.busy = false
+	if box.outstanding == 0 {
 		s.markIdle(viewer)
 		s.metrics.completedViewings++
 	}
@@ -313,10 +293,9 @@ func (s *System) SetCapacity(b int, slots int64) error {
 		return fmt.Errorf("core: box %d capacity %d is negative", b, slots)
 	}
 	if slots > math.MaxInt32 {
-		return fmt.Errorf("core: box %d capacity %d slots overflows the box record", b, slots)
+		return fmt.Errorf("core: box %d capacity %d slots overflows the matcher's capacity record", b, slots)
 	}
-	s.totalSlots += slots - int64(s.boxes[b].capSlots)
-	s.boxes[b].capSlots = int32(slots)
+	s.totalSlots += slots - s.matcher.Capacity(b)
 	s.matcher.SetCapacity(b, slots)
 	return nil
 }
@@ -442,5 +421,5 @@ func (s *System) selfPossesses(b int32, st video.StripeID) bool {
 // String summarizes the system state for debugging.
 func (s *System) String() string {
 	return fmt.Sprintf("system{n=%d %v round=%d active=%d viewers=%d}",
-		s.n, s.cat, s.round, s.activeReqs, s.tracker.TotalViewers())
+		s.n, s.cat, s.round, s.matcher.ActiveCount(), s.tracker.TotalViewers())
 }

@@ -24,8 +24,7 @@ func (v *View) Catalog() video.Catalog { return v.s.cat }
 
 // BoxIdle reports whether box b can accept a demand this round.
 func (v *View) BoxIdle(b int) bool {
-	box := &v.s.boxes[b]
-	return !box.busy && box.outstanding == 0
+	return !v.s.boxes[b].busy()
 }
 
 // Upload returns the normalized upload capacity of box b.
@@ -33,7 +32,7 @@ func (v *View) Upload(b int) float64 { return v.s.cfg.Uploads[b] }
 
 // UploadSlots returns the matching capacity of box b in stripe slots
 // (after relay reservations).
-func (v *View) UploadSlots(b int) int64 { return int64(v.s.boxes[b].capSlots) }
+func (v *View) UploadSlots(b int) int64 { return v.s.matcher.Capacity(b) }
 
 // SwarmSize returns the current swarm size of a video.
 func (v *View) SwarmSize(id video.ID) int { return v.s.tracker.Size(id) }
@@ -76,7 +75,7 @@ func (v *View) VisitIdle(fn func(b int) bool) {
 func (v *View) NumIdle() int { return len(v.s.idleList) }
 
 // ActiveRequests returns the number of in-flight stripe requests.
-func (v *View) ActiveRequests() int { return v.s.activeReqs }
+func (v *View) ActiveRequests() int { return v.s.matcher.ActiveCount() }
 
 // ServerLoad returns the matcher load of box b this round (slots in use
 // as of the previous matching).

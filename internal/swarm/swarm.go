@@ -159,6 +159,9 @@ func (tr *Tracker) BeginRound(round int) {
 	}
 }
 
+// Round returns the last round begun.
+func (tr *Tracker) Round() int { return tr.round }
+
 // Size returns the current swarm size of video v.
 func (tr *Tracker) Size(v video.ID) int { return int(tr.recs[v].size) }
 
