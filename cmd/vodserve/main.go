@@ -167,7 +167,7 @@ func main() {
 		}()
 		log.Printf("vodserve: auto-advancing one round per %v", *tick)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("vodserve: listening on %s", *addr)
@@ -182,5 +182,24 @@ func main() {
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		log.Printf("vodserve: shutdown: %v", err)
+	}
+}
+
+// Connection timeouts. Without them a client that sends its request
+// headers slowly, or parks a keep-alive connection, holds a socket and a
+// goroutine for as long as it likes. Neither bounds a request once its
+// headers are in: a long /step or /checkpoint runs to its end.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for h on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

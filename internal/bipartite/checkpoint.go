@@ -8,10 +8,10 @@ package bipartite
 //     (eviction is tail-first), the active-left list (sweep order), the
 //     dirty queue (augmentation order), capacities (SetCapacity changes
 //     them mid-run), and the pending assignment log.
-//   - Redundant state is re-derived: the liveness flags (a left is active
-//     exactly when the list holds it), loads, back-pointer arrays, and the
-//     matched count — decoding revalidates the invariants instead of
-//     trusting two copies to agree.
+//   - Redundant state is re-derived: loads, the back-pointer arrays (a
+//     left is active exactly when the list holds it), and the matched
+//     count — decoding revalidates the invariants instead of trusting two
+//     copies to agree.
 //   - Pure caches reset: epoch stamps restart at zero (stamps only ever
 //     compare for equality against the current epoch) and stableTo drops
 //     to empty (revalidateOne re-derives it with identical outcomes).
@@ -41,7 +41,7 @@ func (m *Matcher) EncodeState(w *ckpt.Writer) {
 
 // DecodeState restores state written by EncodeState into a matcher freshly
 // constructed over the same right space, rebuilding every derived
-// structure (liveness, loads, back-pointers, matched count) and resetting
+// structure (loads, back-pointers, matched count) and resetting
 // search scratch. The left ids are 0..lefts−1, a count the caller has
 // already read the backing of (core's slot arrays); the right count is the
 // matcher's, not the stream's. Nothing is sized from a number the
@@ -66,29 +66,15 @@ func (m *Matcher) DecodeState(r *ckpt.Reader, lefts int) error {
 		m.rights[i] = rightRec{cap: int32(c), parentLeft: -1}
 	}
 	nl := lefts
-	m.active = make([]bool, nl)
-	m.assigned = make([]int32, nl)
-	m.posInRight = make([]int32, nl)
-	m.posActive = make([]int32, nl)
-	m.stableTo = make([]int32, nl)
-	for l := range m.assigned {
-		m.assigned[l] = Unassigned
-		m.posInRight[l] = -1
-		m.posActive[l] = -1
-		m.stableTo[l] = noStable
-	}
+	m.assigned, m.posActive, m.posInRight, m.marks, m.inDirty, m.stableTo = nil, nil, nil, nil, nil, nil
+	m.EnsureLeft(nl)
 	m.epoch = 0
-	m.visitL = make([]uint32, nl)
-	m.levelL = make([]int32, nl)
-	m.usedL = make([]uint32, nl)
-	m.inDirty = make([]bool, nl)
 
 	m.activeLefts = r.I32s()
 	for pos, l := range m.activeLefts {
-		if l < 0 || int(l) >= nl || m.active[l] {
+		if l < 0 || int(l) >= nl || m.posActive[l] >= 0 {
 			return fmt.Errorf("bipartite: checkpoint active list holds invalid left %d", l)
 		}
-		m.active[l] = true
 		m.posActive[l] = int32(pos)
 	}
 	m.matchedCount = 0
@@ -96,7 +82,7 @@ func (m *Matcher) DecodeState(r *ckpt.Reader, lefts int) error {
 	for rt := 0; rt < nr; rt++ {
 		list = r.AppendI32s(list[:0])
 		for _, l := range list {
-			if l < 0 || int(l) >= nl || !m.active[l] || m.assigned[l] != Unassigned {
+			if l < 0 || int(l) >= nl || m.posActive[l] < 0 || m.assigned[l] != Unassigned {
 				return fmt.Errorf("bipartite: checkpoint assignment list of right %d holds invalid left %d", rt, l)
 			}
 			m.link(int(l), rt)

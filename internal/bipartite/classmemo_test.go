@@ -69,7 +69,7 @@ func (a *classAdj) NextServer(c *Cursor) int {
 	return -1
 }
 
-func (a *classAdj) ServerCountHint(l int) int { return len(a.lists[a.class[l]]) }
+func (a *classAdj) NoServer(l int) bool { return len(a.lists[a.class[l]]) == 0 }
 
 func (a *classAdj) StableEdge(l, r int) bool { return false }
 
@@ -93,11 +93,11 @@ func searchLabels(m *Matcher) (rights, lefts []int32) {
 			rights[r] = m.rights[r].level
 		}
 	}
-	lefts = make([]int32, len(m.visitL))
-	for l := range m.visitL {
+	lefts = make([]int32, len(m.marks))
+	for l := range m.marks {
 		lefts[l] = -1
-		if m.visitL[l] == m.epoch {
-			lefts[l] = m.levelL[l]
+		if m.marks[l].visit == m.epoch {
+			lefts[l] = m.marks[l].level
 		}
 	}
 	return rights, lefts

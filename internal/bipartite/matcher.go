@@ -57,13 +57,13 @@ type Adjacency interface {
 }
 
 // Hinted is an optional Adjacency extension giving the matcher cheap
-// paths around dead or settled probes. ServerCountHint returns an upper
-// bound on the number of rights able to serve left; zero certifies the
-// left currently has no edge at all, which lets Revalidate and AugmentAll
-// skip probes without enumerating servers. StableEdge reports that the
-// edge (left, right) — known to exist when it was assigned — cannot
-// disappear while both endpoints stay live (e.g. the server holds the
-// stripe statically), letting Revalidate skip re-validating it each round.
+// paths around dead or settled probes. NoServer reports that left
+// currently has no edge at all, which lets Revalidate and AugmentAll skip
+// probes without enumerating servers; false certifies nothing. StableEdge
+// reports that the edge (left, right) — known to exist when it was
+// assigned — cannot disappear while both endpoints stay live (e.g. the
+// server holds the stripe statically), letting Revalidate skip
+// re-validating it each round.
 //
 // ServerClass exposes nested server sets to the blocking-flow phases. Lefts
 // of one class (≥ 0) are ordered by need, and their server sets nest up to
@@ -77,7 +77,7 @@ type Adjacency interface {
 // full. need and self must not change while a matcher call is running.
 type Hinted interface {
 	Adjacency
-	ServerCountHint(left int) int
+	NoServer(left int) bool
 	StableEdge(left, right int) bool
 	ServerClass(left int) (class, need int32, self int)
 }
@@ -106,15 +106,29 @@ type rightRec struct {
 	parentLeft int32 // the left that discovered it (canonicalization BFS)
 }
 
+// leftMark is a left's search scratch, valid while visit is the current
+// epoch: the BFS layer the search reached the left at, or consumed once
+// the phase's DFS has put it on a path (each left is consumed at most
+// once per phase, and nothing reads its layer after that).
+type leftMark struct {
+	visit uint32 // the search that last reached this left
+	level int32
+}
+
+// consumed is the level of a left the current phase's DFS has used.
+const consumed = -1
+
 // Matcher holds the incremental assignment state.
 type Matcher struct {
 	rights []rightRec // per right node: capacity, load, search marks
 
+	// The left-indexed arrays (assigned, posActive, posInRight, marks,
+	// inDirty, stableTo) all have one length (EnsureLeft).
 	assigned []int32 // left -> right, or Unassigned
-	active   []bool  // left liveness
 
 	// Dense list of active lefts with back-pointers for O(1) removal, so
-	// per-round scans cost O(live requests), not O(peak slots).
+	// per-round scans cost O(live requests), not O(peak slots). A left is
+	// active exactly when its back-pointer is not −1.
 	activeLefts []int32
 	posActive   []int32
 
@@ -127,10 +141,8 @@ type Matcher struct {
 	// BFS scratch: visit stamps compare against epoch, making the
 	// per-search reset O(1) instead of O(slots + boxes).
 	epoch    uint32
-	visitL   []uint32
-	levelL   []int32  // BFS layer of each left (valid when visitL current)
-	usedL    []uint32 // lefts consumed by the current DFS phase
-	maxLevel int32    // layer at which the current phase found free capacity
+	marks    []leftMark
+	maxLevel int32 // layer at which the current phase found free capacity
 	queue    []int32
 	reachedR []int32 // rights first visited in the current search
 	todo     []int32 // AugmentAll worklist scratch
@@ -257,12 +269,9 @@ func (m *Matcher) SetCapacity(r int, c int64) []int {
 func (m *Matcher) EnsureLeft(n int) {
 	for len(m.assigned) < n {
 		m.assigned = append(m.assigned, Unassigned)
-		m.active = append(m.active, false)
-		m.posInRight = append(m.posInRight, -1)
 		m.posActive = append(m.posActive, -1)
-		m.visitL = append(m.visitL, 0)
-		m.levelL = append(m.levelL, 0)
-		m.usedL = append(m.usedL, 0)
+		m.posInRight = append(m.posInRight, -1)
+		m.marks = append(m.marks, leftMark{})
 		m.inDirty = append(m.inDirty, false)
 		m.stableTo = append(m.stableTo, noStable)
 	}
@@ -272,10 +281,9 @@ func (m *Matcher) EnsureLeft(n int) {
 // dense-ish; the simulator recycles IDs through a free list.
 func (m *Matcher) AddLeft(l int) {
 	m.EnsureLeft(l + 1)
-	if m.active[l] {
+	if m.posActive[l] >= 0 {
 		panic(fmt.Sprintf("bipartite: AddLeft(%d) already active", l))
 	}
-	m.active[l] = true
 	m.assigned[l] = Unassigned
 	m.stableTo[l] = noStable // recycled ID: stability cache is stale
 	m.posActive[l] = int32(len(m.activeLefts))
@@ -285,14 +293,13 @@ func (m *Matcher) AddLeft(l int) {
 
 // RemoveLeft deactivates a left node, releasing its server slot.
 func (m *Matcher) RemoveLeft(l int) {
-	if !m.active[l] {
+	pos := m.posActive[l]
+	if pos < 0 {
 		panic(fmt.Sprintf("bipartite: RemoveLeft(%d) not active", l))
 	}
 	if m.assigned[l] != Unassigned {
 		m.unassign(l)
 	}
-	m.active[l] = false
-	pos := m.posActive[l]
 	last := m.activeLefts[len(m.activeLefts)-1]
 	m.activeLefts[pos] = last
 	m.posActive[last] = pos
@@ -301,7 +308,7 @@ func (m *Matcher) RemoveLeft(l int) {
 }
 
 // Active reports whether left l is active.
-func (m *Matcher) Active(l int) bool { return l < len(m.active) && m.active[l] }
+func (m *Matcher) Active(l int) bool { return l < len(m.posActive) && m.posActive[l] >= 0 }
 
 // ActiveCount returns the number of active lefts.
 func (m *Matcher) ActiveCount() int { return len(m.activeLefts) }
@@ -445,7 +452,7 @@ func (m *Matcher) revalidateOne(adj Adjacency, hinter Hinted, l int) bool {
 			m.stableTo[l] = r
 			return false
 		}
-		if hinter.ServerCountHint(l) == 0 {
+		if hinter.NoServer(l) {
 			m.unassign(l)
 			return true
 		}
@@ -502,7 +509,7 @@ func (m *Matcher) InvalidateBatch(adj Adjacency, lefts []int32) int {
 			continue
 		}
 		prev = l
-		if !m.active[l] {
+		if m.posActive[l] < 0 {
 			continue
 		}
 		if m.revalidateOne(adj, hinter, int(l)) {
@@ -564,7 +571,7 @@ func (m *Matcher) takeDirty() []int32 {
 	todo := m.todo[:0]
 	for _, l := range m.dirty {
 		m.inDirty[l] = false
-		if m.active[l] && m.assigned[l] == Unassigned {
+		if m.posActive[l] >= 0 && m.assigned[l] == Unassigned {
 			todo = append(todo, l)
 		}
 	}
@@ -609,13 +616,10 @@ func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 		}
 		progressed := false
 		for _, l := range todo {
-			if m.assigned[l] != Unassigned || m.visitL[l] != m.epoch {
+			if m.assigned[l] != Unassigned || m.marks[l].visit != m.epoch || m.marks[l].level == consumed {
 				continue
 			}
-			if m.usedL[l] == m.epoch {
-				continue
-			}
-			m.usedL[l] = m.epoch
+			m.marks[l].level = consumed
 			if m.dfsAugment(l, hinter) {
 				progressed = true
 			}
@@ -647,7 +651,7 @@ func (m *Matcher) augmentBatch(adj Adjacency, todo []int32) []int32 {
 func (m *Matcher) direct(todo []int32, hinter Hinted, hinted bool) []int32 {
 	rest := todo[:0]
 	for _, l := range todo {
-		if hinted && hinter.ServerCountHint(int(l)) == 0 {
+		if hinted && hinter.NoServer(int(l)) {
 			rest = append(rest, l)
 			continue
 		}
@@ -692,20 +696,20 @@ func (m *Matcher) bfsLayer(frontier []int32, hinter Hinted, hinted bool) bool {
 	m.memoLive = 0
 	q := m.queue[:0]
 	for _, l := range frontier {
-		if m.assigned[l] != Unassigned || m.visitL[l] == m.epoch {
+		if m.assigned[l] != Unassigned || m.marks[l].visit == m.epoch {
 			continue
 		}
-		if hinted && hinter.ServerCountHint(int(l)) == 0 {
+		if hinted && hinter.NoServer(int(l)) {
 			continue
 		}
-		m.visitL[l] = m.epoch
-		m.levelL[l] = 0
+		m.marks[l].visit = m.epoch
+		m.marks[l].level = 0
 		q = append(q, l)
 	}
 	for layerStart, layerEnd := 0, len(q); layerStart < layerEnd; layerStart, layerEnd = layerEnd, len(q) {
 		for i := layerStart; i < layerEnd; i++ {
 			l := q[i]
-			d := m.levelL[l]
+			d := m.marks[l].level
 			for r := m.bfsFirst(hinter, l); r >= 0; r = m.bfsNext() {
 				rr := &m.rights[r]
 				if rr.visit == m.epoch {
@@ -719,9 +723,9 @@ func (m *Matcher) bfsLayer(frontier []int32, hinter Hinted, hinted bool) bool {
 				rr.visit = m.epoch
 				rr.level = d
 				for _, l2 := range m.AssignedLefts(r) {
-					if m.visitL[l2] != m.epoch {
-						m.visitL[l2] = m.epoch
-						m.levelL[l2] = d + 1
+					if m.marks[l2].visit != m.epoch {
+						m.marks[l2].visit = m.epoch
+						m.marks[l2].level = d + 1
 						q = append(q, l2)
 					}
 				}
@@ -875,10 +879,10 @@ func (m *Matcher) dfsAugment(root int32, hinter Hinted) bool {
 		for f.i < int32(len(lefts)) {
 			l2 := lefts[f.i]
 			f.i++
-			if m.visitL[l2] != m.epoch || m.levelL[l2] != d+1 || m.usedL[l2] == m.epoch {
-				continue
+			if m.marks[l2].visit != m.epoch || m.marks[l2].level != d+1 {
+				continue // unreached, off the next layer or consumed
 			}
-			m.usedL[l2] = m.epoch
+			m.marks[l2].level = consumed
 			st = append(st, dfsFrame{l: l2, r: -1})
 			m.dfsOpen(hinter, &st[d+1], d+1)
 			break
@@ -971,9 +975,8 @@ func (m *Matcher) applyPath(freeRight int) {
 func (m *Matcher) beginSearch() {
 	m.epoch++
 	if m.epoch == 0 {
-		for i := range m.visitL {
-			m.visitL[i] = 0
-			m.usedL[i] = 0
+		for i := range m.marks {
+			m.marks[i].visit = 0
 		}
 		for i := range m.rights {
 			m.rights[i].visit = 0
@@ -1004,7 +1007,7 @@ func (m *Matcher) CanonicalizeDeficit(adj Adjacency, unmatched []int) []int {
 		changed = false
 		for i := 0; i < len(unmatched); i++ {
 			u := unmatched[i]
-			if !m.active[u] || m.assigned[u] != Unassigned {
+			if m.posActive[u] < 0 || m.assigned[u] != Unassigned {
 				continue
 			}
 			if v, ok := m.displace(adj, u); ok {
@@ -1034,13 +1037,13 @@ func (m *Matcher) CanonicalizeDeficit(adj Adjacency, unmatched []int) []int {
 // no exchange exists (the root already belongs to the canonical stall
 // set).
 func (m *Matcher) displace(adj Adjacency, root int) (int, bool) {
-	if hinter, ok := adj.(Hinted); ok && hinter.ServerCountHint(root) == 0 {
+	if hinter, ok := adj.(Hinted); ok && hinter.NoServer(root) {
 		return -1, false
 	}
 	m.beginSearch()
 	m.queue = m.queue[:0]
 	m.queue = append(m.queue, int32(root))
-	m.visitL[root] = m.epoch
+	m.marks[root].visit = m.epoch
 	for head := 0; head < len(m.queue); head++ {
 		l := m.queue[head]
 		victim, server := -1, -1
@@ -1059,10 +1062,10 @@ func (m *Matcher) displace(adj Adjacency, root int) (int, bool) {
 				break
 			}
 			for _, l2 := range m.AssignedLefts(r) {
-				if m.visitL[l2] == m.epoch {
+				if m.marks[l2].visit == m.epoch {
 					continue
 				}
-				m.visitL[l2] = m.epoch
+				m.marks[l2].visit = m.epoch
 				if int(l2) > root {
 					victim, server = int(l2), r
 					break probe
@@ -1101,7 +1104,7 @@ func (m *Matcher) HallViolator(adj Adjacency) *Violator {
 	m.reachedR = m.reachedR[:0]
 	for _, l := range m.activeLefts {
 		if m.assigned[l] == Unassigned {
-			m.visitL[l] = m.epoch
+			m.marks[l].visit = m.epoch
 			m.queue = append(m.queue, l)
 		}
 	}
@@ -1118,8 +1121,8 @@ func (m *Matcher) HallViolator(adj Adjacency) *Violator {
 			m.rights[r].visit = m.epoch
 			m.reachedR = append(m.reachedR, int32(r))
 			for _, l2 := range m.AssignedLefts(r) {
-				if m.visitL[l2] != m.epoch {
-					m.visitL[l2] = m.epoch
+				if m.marks[l2].visit != m.epoch {
+					m.marks[l2].visit = m.epoch
 					m.queue = append(m.queue, l2)
 				}
 			}
@@ -1158,7 +1161,7 @@ func (m *Matcher) Verify(adj Adjacency) error {
 	loads := make([]int32, len(m.rights))
 	activeSeen := 0
 	for l := range m.assigned {
-		if !m.active[l] {
+		if m.posActive[l] < 0 {
 			if m.assigned[l] != Unassigned {
 				return fmt.Errorf("inactive left %d has assignment %d", l, m.assigned[l])
 			}

@@ -24,10 +24,10 @@ func (m *Matcher) refAugmentAll(adj Adjacency) []int {
 		}
 		progressed := false
 		for _, l := range todo {
-			if m.assigned[l] != Unassigned || m.visitL[l] != m.epoch || m.usedL[l] == m.epoch {
+			if m.assigned[l] != Unassigned || m.marks[l].visit != m.epoch || m.marks[l].level == consumed {
 				continue
 			}
-			m.usedL[l] = m.epoch
+			m.marks[l].level = consumed
 			if m.refDFSAugment(l) {
 				progressed = true
 			}
@@ -53,21 +53,21 @@ func (m *Matcher) refBFSLayer(frontier []int32, hinter Hinted, hinted bool) bool
 	m.memoLive = 0
 	q := m.queue[:0]
 	for _, l := range frontier {
-		if m.assigned[l] != Unassigned || m.visitL[l] == m.epoch {
+		if m.assigned[l] != Unassigned || m.marks[l].visit == m.epoch {
 			continue
 		}
-		if hinted && hinter.ServerCountHint(int(l)) == 0 {
+		if hinted && hinter.NoServer(int(l)) {
 			continue
 		}
-		m.visitL[l] = m.epoch
-		m.levelL[l] = 0
+		m.marks[l].visit = m.epoch
+		m.marks[l].level = 0
 		q = append(q, l)
 	}
 	found := false
 	for layerStart, layerEnd := 0, len(q); layerStart < layerEnd; layerStart, layerEnd = layerEnd, len(q) {
 		for i := layerStart; i < layerEnd; i++ {
 			l := q[i]
-			d := m.levelL[l]
+			d := m.marks[l].level
 			for r := m.bfsFirst(hinter, l); r >= 0; r = m.bfsNext() {
 				rr := &m.rights[r]
 				if rr.visit == m.epoch {
@@ -82,9 +82,9 @@ func (m *Matcher) refBFSLayer(frontier []int32, hinter Hinted, hinted bool) bool
 				}
 				if !found {
 					for _, l2 := range m.AssignedLefts(r) {
-						if m.visitL[l2] != m.epoch {
-							m.visitL[l2] = m.epoch
-							m.levelL[l2] = d + 1
+						if m.marks[l2].visit != m.epoch {
+							m.marks[l2].visit = m.epoch
+							m.marks[l2].level = d + 1
 							q = append(q, l2)
 						}
 					}
@@ -135,10 +135,10 @@ func (m *Matcher) refDFSAugment(root int32) bool {
 		for f.i < int32(len(lefts)) {
 			l2 := lefts[f.i]
 			f.i++
-			if m.visitL[l2] != m.epoch || m.levelL[l2] != d+1 || m.usedL[l2] == m.epoch {
+			if m.marks[l2].visit != m.epoch || m.marks[l2].level != d+1 {
 				continue
 			}
-			m.usedL[l2] = m.epoch
+			m.marks[l2].level = consumed
 			st = append(st, dfsFrame{l: l2, r: -1})
 			adj.BeginServers(int(l2), &st[d+1].cur)
 			break

@@ -12,22 +12,28 @@ import "fmt"
 //     active lefts) and freeSlots partition the slot ids;
 //   - each live slot's stripe, box and viewer are in range, and it has
 //     start ≤ round and base ≥ start;
-//   - each pending issuance is filed under its round, due within the
-//     horizon, names a stripe and boxes in range, and mirrors, if at all,
-//     to its viewer; outstanding[b] is the live slots plus the pending
-//     issuances b views; the idle list is exactly the boxes with nothing
-//     outstanding, each at its idlePos; the recheck ring names slot ids;
-//   - every cache entry names a box in range, has lag 0 or 1 and
-//     round−T ≤ start ≤ round+1; a request-backed entry names a live slot
-//     of its own stripe, was issued at that slot's start and is held by
-//     the slot's requester (lag 0) or viewer, the mirror (lag 1); frozen
-//     progress is in [0, T].
+//   - each pending issuance is due within the horizon (the bucket of the
+//     round itself stands for a round a whole ring ahead) and names a
+//     stripe and boxes in range; outstanding[b] is the live slots plus the
+//     pending issuances b views; the idle list is exactly the boxes with
+//     nothing outstanding, each at its idlePos; the recheck ring names
+//     slot ids;
+//   - each assigned live slot can be served by its box, unless the sweep
+//     is pending or a recheck is due for the slot next round: an edge that
+//     decays otherwise is never repaired;
+//   - every cache entry names a box in range and has round−T ≤ start ≤
+//     round+1; a request-backed entry names a live slot of its own stripe,
+//     was issued at that slot's start and is held by the slot's requester
+//     (lag 0) or by its viewer, when that is another box (lag 1); a slot
+//     backs at most one entry of each lag. retire finds a slot's entries
+//     on those two boxes' key chains.
 //
 // Some invariants are DecodeState's own, checked as it reads because it
 // builds on them before the audit runs: each live slot's progress (clock −
-// base) is in [0, T], the idle list names boxes in range, and each cache
-// entry's backing slot, if any, is one of the slot ids, backing at most
-// one other entry.
+// base) is in [0, T], the idle list names boxes in range, each pending
+// issuance carries the round of its bucket and the mirror its requester
+// and viewer imply, and each cache entry has lag 0 or 1, a backing slot,
+// if any, among the slot ids, and a frozen progress in [0, T].
 func (s *System) audit() error {
 	nSlots, n, T, round := len(s.reqStripe), int32(s.n), int32(s.cat.T), int32(s.round)
 	if tr := s.tracker.Round(); tr != s.round {
@@ -64,14 +70,13 @@ func (s *System) audit() error {
 	}
 
 	for i, bucket := range s.pendingRing {
+		if due := s.pendingRound(i); len(bucket) > 0 && due > s.round+maxIssuanceDelay {
+			return fmt.Errorf("pending bucket %d holds an issuance for round %d at round %d", i, due, s.round)
+		}
 		for _, iss := range bucket {
-			switch {
-			case iss.round%len(s.pendingRing) != i || iss.round <= s.round || iss.round > s.round+maxIssuanceDelay:
-				return fmt.Errorf("pending bucket %d holds an issuance for round %d at round %d", i, iss.round, s.round)
-			case iss.stripe < 0 || int(iss.stripe) >= s.cat.NumStripes() || !inRange(iss.requester) ||
-				!inRange(iss.viewer) || iss.mirror != -1 && iss.mirror != iss.viewer:
-				return fmt.Errorf("pending issuance names stripe %d, requester %d, viewer %d and mirror %d",
-					iss.stripe, iss.requester, iss.viewer, iss.mirror)
+			if iss.stripe < 0 || int(iss.stripe) >= s.cat.NumStripes() || !inRange(iss.requester) || !inRange(iss.viewer) {
+				return fmt.Errorf("pending issuance names stripe %d, requester %d and viewer %d",
+					iss.stripe, iss.requester, iss.viewer)
 			}
 			viewing[iss.viewer]++
 		}
@@ -94,6 +99,7 @@ func (s *System) audit() error {
 	if idle != len(s.idleList) {
 		return fmt.Errorf("%d boxes are idle, the idle list holds %d", idle, len(s.idleList))
 	}
+	dueNext := s.recheckRing[(s.round+1)%len(s.recheckRing)]
 	for _, bucket := range s.recheckRing {
 		for _, l := range bucket {
 			if l < 0 || int(l) >= nSlots {
@@ -101,23 +107,44 @@ func (s *System) audit() error {
 			}
 		}
 	}
-
-	for st, e := range s.avail.all() {
-		switch {
-		case !inRange(e.box) || e.lag < 0 || e.lag > 1:
-			return fmt.Errorf("stripe %d entry names box %d with lag %d", st, e.box, e.lag)
-		case e.start < round-T || e.start > round+1:
-			return fmt.Errorf("stripe %d entry of box %d starts at round %d, outside [%d, %d]", st, e.box, e.start, round-T, round+1)
-		case e.req >= 0 && (!s.matcher.Active(int(e.req)) || s.reqStripe[e.req] != st):
-			return fmt.Errorf("stripe %d entry is backed by slot %d, which is no live request of that stripe", st, e.req)
-		case e.req >= 0 && e.issued() != s.reqStart[e.req]:
-			return fmt.Errorf("stripe %d entry issued at round %d is backed by slot %d, which started at %d", st, e.issued(), e.req, s.reqStart[e.req])
-		case e.req >= 0 && e.box != []int32{s.reqBox[e.req], s.reqViewer[e.req]}[e.lag]:
-			return fmt.Errorf("stripe %d entry of box %d with lag %d is backed by slot %d, whose requester is %d and viewer %d",
-				st, e.box, e.lag, e.req, s.reqBox[e.req], s.reqViewer[e.req])
-		case e.req < 0 && (e.frozen < 0 || e.frozen > T):
-			return fmt.Errorf("stripe %d entry of box %d froze at progress %d, T is %d", st, e.box, e.frozen, T)
+	// An assignment whose edge is gone is repaired next round only if a
+	// recheck is due for it then or the sweep runs; otherwise the slot
+	// would go on being served by a box that lacks the data.
+	if !s.needSweep {
+		covered := make([]bool, nSlots)
+		for _, l := range dueNext {
+			covered[l] = true
 		}
+		for _, slot := range s.matcher.ActiveLefts() {
+			if r := s.matcher.Server(int(slot)); r >= 0 && !covered[slot] && !s.adj.CanServe(int(slot), r) {
+				return fmt.Errorf("live slot %d is served by box %d, which cannot serve it, and no recheck is due", slot, r)
+			}
+		}
+	}
+
+	backed := make([]uint8, nSlots) // per slot: a bit per lag of the entries it backs
+	for st, e := range s.avail.all() {
+		req, lag, start := e.req(), e.lag(), e.start()
+		switch {
+		case !inRange(e.box):
+			return fmt.Errorf("stripe %d entry names box %d with lag %d", st, e.box, lag)
+		case start < round-T || start > round+1:
+			return fmt.Errorf("stripe %d entry of box %d starts at round %d, outside [%d, %d]", st, e.box, start, round-T, round+1)
+		case req < 0:
+			continue
+		case !s.matcher.Active(int(req)) || s.reqStripe[req] != st:
+			return fmt.Errorf("stripe %d entry is backed by slot %d, which is no live request of that stripe", st, req)
+		case e.issued != s.reqStart[req]:
+			return fmt.Errorf("stripe %d entry issued at round %d is backed by slot %d, which started at %d", st, e.issued, req, s.reqStart[req])
+		case e.box != []int32{s.reqBox[req], s.reqViewer[req]}[lag]:
+			return fmt.Errorf("stripe %d entry of box %d with lag %d is backed by slot %d, whose requester is %d and viewer %d",
+				st, e.box, lag, req, s.reqBox[req], s.reqViewer[req])
+		case lag == 1 && s.reqBox[req] == s.reqViewer[req]:
+			return fmt.Errorf("stripe %d entry of box %d forwards slot %d to its own requester", st, e.box, req)
+		case backed[req]&(1<<lag) != 0:
+			return fmt.Errorf("slot %d backs two stripe %d entries of lag %d", req, st, lag)
+		}
+		backed[req] |= 1 << lag
 	}
 	return nil
 }

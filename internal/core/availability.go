@@ -8,18 +8,56 @@ import (
 	"repro/internal/video"
 )
 
-// entry is a playback-cache record: box started receiving the stripe at
-// round start and can serve chunk p to any request that is at least one
-// chunk behind it, as long as the window t−T ≤ start holds (enforced by
-// expiry). A forwarded copy (relay → poor box) trails its backing request
-// by lag rounds.
+// entry is a playback-cache record: box started receiving the stripe lag
+// rounds after its backing request was issued, and can serve chunk p to
+// any request that is at least one chunk behind it, as long as the window
+// t−T ≤ start holds (enforced by expiry). A forwarded copy (relay → poor
+// box) trails its backing request by lag 1.
+//
+// The record is 12 bytes. issued is stored, not start, because the stripe
+// walk reads it on every step; tag packs the rest. Its bit 0 is the lag,
+// and the bits above it hold the backing request slot (≥ 0) while that
+// request is live, or ^frozen (< 0), the progress the entry froze at,
+// once it retired: only one of the two is ever meaningful. Slots and
+// frozen progress both stay below maxPacked.
 type entry struct {
 	box    int32
-	start  int32
-	req    int32 // backing request slot, or -1 once frozen
-	lag    int32
-	frozen int32 // progress at freeze time (valid when req == -1)
+	issued int32
+	tag    int32
 }
+
+// maxPacked bounds what an entry's tag can hold: a slot id or a frozen
+// progress, each shifted left by one bit.
+const maxPacked = 1 << 30
+
+// liveEntry returns box's entry backed by slot, issued at round issued
+// and trailing the request by lag (0 or 1) rounds.
+func liveEntry(box, issued, slot, lag int32) entry {
+	return entry{box: box, issued: issued, tag: slot<<1 | lag}
+}
+
+// lag returns 1 for a forwarded copy, 0 for the requester's own.
+func (e *entry) lag() int32 { return e.tag & 1 }
+
+// start returns the round the entry's box started receiving the stripe:
+// a mirror starts one round after its request.
+func (e *entry) start() int32 { return e.issued + e.tag&1 }
+
+// req returns the backing request slot, or −1 once the entry froze.
+func (e *entry) req() int32 {
+	if e.tag < 0 {
+		return -1
+	}
+	return e.tag >> 1
+}
+
+// frozen returns the progress a frozen entry froze at (req() == −1).
+func (e *entry) frozen() int32 { return ^(e.tag >> 1) }
+
+// freeze detaches the entry from its request, whose final progress was
+// final: the entry keeps final−lag chunks, or none when a mirror's
+// request retires before its first chunk.
+func (e *entry) freeze(final int32) { e.tag = ^max(final-e.lag(), 0)<<1 | e.lag() }
 
 // progressView reads request progress without storing it: a live slot
 // has progress clock − base[slot]. Every matched request advances when
@@ -32,21 +70,16 @@ type progressView struct {
 // of returns live slot's progress in chunks.
 func (v progressView) of(slot int32) int32 { return v.clock - v.base[slot] }
 
-// issued returns the round the entry's request was issued: a mirror
-// entry starts one round after its request (start = round+1, lag 1), so
-// the issue round is start − lag, not start.
-func (e *entry) issued() int32 { return e.start - e.lag }
-
 // entryChunks returns how many chunks the entry's box has of its stripe.
 func entryChunks(e *entry, pv progressView) int32 {
-	if e.req >= 0 {
-		p := pv.of(e.req) - e.lag
+	if e.tag >= 0 {
+		p := pv.of(e.tag>>1) - e.tag&1
 		if p < 0 {
 			return 0
 		}
 		return p
 	}
-	return e.frozen
+	return ^(e.tag >> 1)
 }
 
 // availEvent records that one or more entries of (stripe, box) froze or
@@ -71,8 +104,10 @@ type availabilityStore interface {
 	// given round (start < round−T).
 	expire(round int)
 	// retire freezes all entries backed by request slot req at final
-	// progress final (each entry freezes at final−lag).
-	retire(st video.StripeID, req int32, final int32)
+	// progress final (each entry freezes at final−lag, at least 0). The
+	// request's own entry is box's and its forwarded copy, if any,
+	// viewer's.
+	retire(st video.StripeID, req, box, viewer, final int32)
 	// visitHead returns the starting position of stripe st's entry walk
 	// for visitStep — an implementation-defined token, not a box id.
 	// Together they enumerate the boxes serving a request of st, for the
@@ -103,8 +138,8 @@ type availabilityStore interface {
 	// progress ≥ full) still inside the window, which expiry enforces: the
 	// round's expire has run by the time admission asks.
 	hasFull(st video.StripeID, box int32, full int32) bool
-	// live returns the number of entries currently indexed for st.
-	live(st video.StripeID) int
+	// empty reports whether st has no entry.
+	empty(st video.StripeID) bool
 	// margin summarizes box's serving credential for st beyond need: ok
 	// reports whether any entry serves (chunks > need, i.e. canServe),
 	// hasLive whether a live request-backed entry does (such an edge
@@ -112,9 +147,11 @@ type availabilityStore interface {
 	// the maximum frozen progress among serving frozen entries — the round
 	// budget before a frozen-only edge is overtaken by the requester.
 	margin(st video.StripeID, box int32, need int32, pv progressView) (hasLive bool, bestFrozen int32, ok bool)
-	// drainEvents appends the (stripe, box) freeze/expiry events recorded
-	// since the last drain and clears the log. Keys may repeat.
-	drainEvents(dst []availEvent) []availEvent
+	// takeEvents returns the (stripe, box) freeze/expiry events recorded
+	// since the last take and clears the log. Keys may repeat. The slice
+	// is the store's own: it is valid until the next add, expire or
+	// retire.
+	takeEvents() []availEvent
 	// all yields every entry with its stripe, stripe by stripe, each
 	// stripe's in the store's own order (the audit reads them).
 	all() iter.Seq2[video.StripeID, *entry]
@@ -133,20 +170,20 @@ type availabilityStore interface {
 // entries whose window actually closes — never the full catalog. All
 // linkage runs through one slab, so steady-state operation allocates
 // nothing per stripe. Only the lists' contents and order are state; the
-// slab ids, the free list, the key chains, the expiry buckets and the
-// request links are indexes over them that add rebuilds from the lists
-// alone (a checkpoint carries the lists, see checkpoint.go).
+// slab ids, the free list, the key chains and the expiry buckets are
+// indexes over them that add rebuilds from the lists alone (a checkpoint
+// carries the lists, see checkpoint.go). A request's entries are found on
+// the key chains of its requester and viewer, so no request keeps links
+// to them.
 type indexedAvailability struct {
 	T    int
 	slab []idxEntry
 
-	byStripe  []int32      // per stripe: head of the live-entry list, −1 empty
-	liveCount []int32      // per stripe: live entries
-	reqLinks  [][2]int32   // per request slot: backing entry ids or −1
-	free      []int32      // slab free list
-	byKey     keyIndex     // (stripe, box) → head of same-key chain
-	ring      [][]int32    // entry ids bucketed by start mod ring length
-	eventLog  []availEvent // freeze/expiry events since the last drain
+	byStripe []int32      // per stripe: head of the live-entry list, −1 empty
+	free     []int32      // slab free list
+	byKey    keyIndex     // (stripe, box) → head of same-key chain
+	ring     [][]int32    // entry ids bucketed by start mod ring length
+	eventLog []availEvent // freeze/expiry events since the last take
 }
 
 // availKey packs a (stripe, box) pair into one index key.
@@ -154,7 +191,8 @@ func availKey(st video.StripeID, box int32) uint64 {
 	return uint64(uint32(st))<<32 | uint64(uint32(box))
 }
 
-// idxEntry decorates entry with the index back-pointers.
+// idxEntry decorates entry with the index links: 32 bytes, two entries
+// to a cache line.
 type idxEntry struct {
 	entry
 	stripe     video.StripeID
@@ -171,11 +209,10 @@ type idxEntry struct {
 // one extra slot keeps the margin obvious.
 func newIndexedAvailability(numStripes, T int) *indexedAvailability {
 	ix := &indexedAvailability{
-		T:         T,
-		byStripe:  make([]int32, numStripes),
-		liveCount: make([]int32, numStripes),
-		byKey:     newKeyIndex(0),
-		ring:      make([][]int32, T+4),
+		T:        T,
+		byStripe: make([]int32, numStripes),
+		byKey:    newKeyIndex(0),
+		ring:     make([][]int32, T+4),
 	}
 	for st := range ix.byStripe {
 		ix.byStripe[st] = -1
@@ -192,62 +229,32 @@ func (ix *indexedAvailability) add(st video.StripeID, e entry) {
 		id = int32(len(ix.slab))
 		ix.slab = append(ix.slab, idxEntry{})
 	}
-	nextKey := ix.byKey.swap(availKey(st, e.box), id)
 	head := ix.byStripe[st]
 	jump := head
 	if head >= 0 {
 		switch h := &ix.slab[head]; {
-		case h.issued() == e.issued():
+		case h.issued == e.issued:
 			jump = h.jump
-		case h.issued() > e.issued():
-			panic(fmt.Sprintf("core: stripe %d entry issued at round %d added after one issued at %d", st, e.issued(), h.issued()))
+		case h.issued > e.issued:
+			panic(fmt.Sprintf("core: stripe %d entry issued at round %d added after one issued at %d", st, e.issued, h.issued))
 		}
 	}
+	// The key index reads a slot's key from its entry, so the entry is in
+	// place before it is indexed.
 	ix.slab[id] = idxEntry{
-		entry:   e,
-		stripe:  st,
-		next:    head,
-		prev:    -1,
-		nextKey: nextKey,
-		jump:    jump,
+		entry:  e,
+		stripe: st,
+		next:   head,
+		prev:   -1,
+		jump:   jump,
 	}
+	ix.slab[id].nextKey = ix.byKey.swap(ix.slab, id)
 	if head >= 0 {
 		ix.slab[head].prev = id
 	}
 	ix.byStripe[st] = id
-	ix.liveCount[st]++
-	bucket := int(e.start) % len(ix.ring)
+	bucket := int(e.start()) % len(ix.ring)
 	ix.ring[bucket] = append(ix.ring[bucket], id)
-	if e.req >= 0 {
-		ix.linkReq(e.req, id)
-	}
-}
-
-// linkReq records id as one of the (at most two) entries backed by slot req.
-func (ix *indexedAvailability) linkReq(req, id int32) {
-	for int(req) >= len(ix.reqLinks) {
-		ix.reqLinks = append(ix.reqLinks, [2]int32{-1, -1})
-	}
-	links := &ix.reqLinks[req]
-	switch {
-	case links[0] < 0:
-		links[0] = id
-	case links[1] < 0:
-		links[1] = id
-	default:
-		panic(fmt.Sprintf("core: request %d backs more than two cache entries", req))
-	}
-}
-
-// unlinkReq clears the backlink from slot req to entry id.
-func (ix *indexedAvailability) unlinkReq(req, id int32) {
-	links := &ix.reqLinks[req]
-	switch {
-	case links[0] == id:
-		links[0] = -1
-	case links[1] == id:
-		links[1] = -1
-	}
 }
 
 func (ix *indexedAvailability) expire(round int) {
@@ -263,8 +270,8 @@ func (ix *indexedAvailability) expire(round int) {
 	}
 }
 
-// remove unlinks entry id from the stripe list, the key chain, and its
-// backing request, and returns the slab slot to the free list.
+// remove unlinks entry id from the stripe list and the key chain, and
+// returns the slab slot to the free list.
 func (ix *indexedAvailability) remove(id int32) {
 	e := &ix.slab[id]
 	// Stripe list: unlink. When id opens its run, the previous run's
@@ -272,9 +279,9 @@ func (ix *indexedAvailability) remove(id int32) {
 	// or past the run when id was its last. Expiry removes in issue order,
 	// so a run is retargeted at most twice (primaries, then mirrors).
 	if e.prev >= 0 {
-		if r := e.issued(); ix.slab[e.prev].issued() != r {
+		if r := e.issued; ix.slab[e.prev].issued != r {
 			target := e.jump
-			if e.next >= 0 && ix.slab[e.next].issued() == r {
+			if e.next >= 0 && ix.slab[e.next].issued == r {
 				target = e.next
 			}
 			for q := e.prev; q >= 0 && ix.slab[q].jump == id; q = ix.slab[q].prev {
@@ -288,15 +295,14 @@ func (ix *indexedAvailability) remove(id int32) {
 	if e.next >= 0 {
 		ix.slab[e.next].prev = e.prev
 	}
-	ix.liveCount[e.stripe]--
 	// Key chain.
 	byKey := &ix.byKey
-	slot := byKey.find(availKey(e.stripe, e.box))
-	if head := byKey.slots[slot].val; head == id {
+	slot := byKey.find(ix.slab, e.stripe, e.box)
+	if head := byKey.ids[slot]; head == id {
 		if e.nextKey < 0 {
-			byKey.del(slot)
+			byKey.del(ix.slab, slot)
 		} else {
-			byKey.slots[slot].val = e.nextKey
+			byKey.ids[slot] = e.nextKey
 		}
 	} else {
 		for cur := head; cur >= 0; cur = ix.slab[cur].nextKey {
@@ -306,28 +312,25 @@ func (ix *indexedAvailability) remove(id int32) {
 			}
 		}
 	}
-	if e.req >= 0 {
-		ix.unlinkReq(e.req, id)
-	}
 	ix.eventLog = append(ix.eventLog, availEvent{stripe: e.stripe, box: e.box})
 	ix.slab[id] = idxEntry{}
 	ix.free = append(ix.free, id)
 }
 
-func (ix *indexedAvailability) retire(_ video.StripeID, req int32, final int32) {
-	if int(req) >= len(ix.reqLinks) {
-		return
+func (ix *indexedAvailability) retire(st video.StripeID, req, box, viewer, final int32) {
+	ix.freezeOn(st, box, req, final)
+	if viewer != box {
+		ix.freezeOn(st, viewer, req, final)
 	}
-	links := &ix.reqLinks[req]
-	for i, id := range links {
-		if id < 0 {
-			continue
+}
+
+// freezeOn freezes the entries of (st, box) that slot req backs.
+func (ix *indexedAvailability) freezeOn(st video.StripeID, box, req, final int32) {
+	for id := ix.byKey.get(ix.slab, st, box); id >= 0; id = ix.slab[id].nextKey {
+		if e := &ix.slab[id]; e.req() == req {
+			e.freeze(final)
+			ix.eventLog = append(ix.eventLog, availEvent{stripe: st, box: box})
 		}
-		e := &ix.slab[id]
-		e.frozen = final - e.lag
-		e.req = -1
-		links[i] = -1
-		ix.eventLog = append(ix.eventLog, availEvent{stripe: e.stripe, box: e.box})
 	}
 }
 
@@ -336,7 +339,7 @@ func (ix *indexedAvailability) visitHead(st video.StripeID) int32 { return ix.by
 func (ix *indexedAvailability) visitStep(st video.StripeID, h int32, exclude int32, need int32, pv progressView) (int32, int32) {
 	slab, id := ix.slab, h
 	for young := pv.clock - need; id >= 0; id = slab[id].jump {
-		if slab[id].issued() < young {
+		if slab[id].issued < young {
 			break
 		}
 	}
@@ -350,7 +353,7 @@ func (ix *indexedAvailability) visitStep(st video.StripeID, h int32, exclude int
 }
 
 func (ix *indexedAvailability) canServe(st video.StripeID, box int32, need int32, pv progressView) bool {
-	for id := ix.byKey.get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
+	for id := ix.byKey.get(ix.slab, st, box); id >= 0; id = ix.slab[id].nextKey {
 		if entryChunks(&ix.slab[id].entry, pv) > need {
 			return true
 		}
@@ -359,28 +362,27 @@ func (ix *indexedAvailability) canServe(st video.StripeID, box int32, need int32
 }
 
 func (ix *indexedAvailability) hasFull(st video.StripeID, box int32, full int32) bool {
-	for id := ix.byKey.get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
-		e := &ix.slab[id]
-		if e.req == -1 && e.frozen >= full {
+	for id := ix.byKey.get(ix.slab, st, box); id >= 0; id = ix.slab[id].nextKey {
+		if e := &ix.slab[id]; e.tag < 0 && e.frozen() >= full {
 			return true
 		}
 	}
 	return false
 }
 
-func (ix *indexedAvailability) live(st video.StripeID) int { return int(ix.liveCount[st]) }
+func (ix *indexedAvailability) empty(st video.StripeID) bool { return ix.byStripe[st] < 0 }
 
 func (ix *indexedAvailability) margin(st video.StripeID, box int32, need int32, pv progressView) (hasLive bool, bestFrozen int32, ok bool) {
-	for id := ix.byKey.get(availKey(st, box)); id >= 0; id = ix.slab[id].nextKey {
+	for id := ix.byKey.get(ix.slab, st, box); id >= 0; id = ix.slab[id].nextKey {
 		e := &ix.slab[id].entry
 		if entryChunks(e, pv) <= need {
 			continue
 		}
 		ok = true
-		if e.req >= 0 {
+		if e.tag >= 0 {
 			hasLive = true
-		} else if e.frozen > bestFrozen {
-			bestFrozen = e.frozen
+		} else if f := e.frozen(); f > bestFrozen {
+			bestFrozen = f
 		}
 	}
 	return hasLive, bestFrozen, ok
@@ -398,8 +400,8 @@ func (ix *indexedAvailability) all() iter.Seq2[video.StripeID, *entry] {
 	}
 }
 
-func (ix *indexedAvailability) drainEvents(dst []availEvent) []availEvent {
-	dst = append(dst, ix.eventLog...)
-	ix.eventLog = ix.eventLog[:0]
-	return dst
+func (ix *indexedAvailability) takeEvents() []availEvent {
+	events := ix.eventLog
+	ix.eventLog = events[:0]
+	return events
 }

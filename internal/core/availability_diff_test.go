@@ -27,9 +27,10 @@ import (
 
 // diffReq is the property driver's model of a request backing entries.
 type diffReq struct {
-	slot   int32
-	stripe video.StripeID
-	live   bool
+	slot        int32
+	stripe      video.StripeID
+	box, viewer int32 // holders of the lag-0 and lag-1 entries (equal when none forwards)
+	live        bool
 }
 
 func TestAvailabilityStoresAgree(t *testing.T) {
@@ -40,7 +41,7 @@ func TestAvailabilityStoresAgree(t *testing.T) {
 	t.Run("small", func(t *testing.T) { storesAgree(t, 24, 16, 9, 120, 3) })
 	t.Run("wide", func(t *testing.T) {
 		idx := storesAgree(t, 64, 200, 9, 60, 60)
-		if len(idx.byKey.slots) == keyIndexMinSlots {
+		if len(idx.byKey.ids) == keyIndexMinSlots {
 			t.Fatal("the key table never grew: the scenario is too small to exercise it")
 		}
 	})
@@ -59,10 +60,10 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 	// at its issue round.
 	pv := progressView{clock: 1}
 	var reqs []diffReq
-	newSlot := func(st video.StripeID) int32 {
+	newSlot := func(st video.StripeID, box, viewer int32) int32 {
 		slot := int32(len(pv.base))
 		pv.base = append(pv.base, pv.clock)
-		reqs = append(reqs, diffReq{slot: slot, stripe: st, live: true})
+		reqs = append(reqs, diffReq{slot: slot, stripe: st, box: box, viewer: viewer, live: true})
 		return slot
 	}
 
@@ -78,14 +79,18 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 			if round == 1 && i == 0 {
 				st, box = 0, 0
 			}
-			slot := newSlot(st)
-			for _, s := range stores {
-				s.add(st, entry{box: box, start: int32(round), req: slot})
-			}
+			mirror := int32(-1)
 			if rng.Bool(0.4) {
-				mirror := int32(rng.Intn(numBoxes))
-				for _, s := range stores {
-					s.add(st, entry{box: mirror, start: int32(round + 1), req: slot, lag: 1})
+				mirror = int32(rng.Intn(numBoxes))
+			}
+			slot := newSlot(st, box, max(mirror, box))
+			if mirror >= 0 {
+				reqs[slot].viewer = mirror
+			}
+			for _, s := range stores {
+				s.add(st, liveEntry(box, int32(round), slot, 0))
+				if mirror >= 0 {
+					s.add(st, liveEntry(mirror, int32(round), slot, 1))
 				}
 			}
 		}
@@ -102,7 +107,7 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 			r := &reqs[i]
 			if r.live && (pv.of(r.slot) >= int32(T) || rng.Bool(0.05)) {
 				for _, s := range stores {
-					s.retire(r.stripe, r.slot, pv.of(r.slot))
+					s.retire(r.stripe, r.slot, r.box, r.viewer, pv.of(r.slot))
 				}
 				r.live = false
 			}
@@ -113,9 +118,9 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 		}
 		// Compare every query the system can pose.
 		for st := video.StripeID(0); int(st) < numStripes; st++ {
-			if idx.live(st) != naive.live(st) {
-				t.Fatalf("round %d stripe %d: live %d (indexed) != %d (naive)",
-					round, st, idx.live(st), naive.live(st))
+			if idx.empty(st) != naive.empty(st) {
+				t.Fatalf("round %d stripe %d: empty %v (indexed) != %v (naive)",
+					round, st, idx.empty(st), naive.empty(st))
 			}
 			exclude := int32(rng.Intn(numBoxes))
 			need := int32(rng.Intn(T + 1))

@@ -59,15 +59,16 @@ func stripeWalk(t *testing.T, data []byte) {
 			st := video.StripeID(in.take(2) % numStripes)
 			slot := int32(len(pv.base))
 			pv.base = append(pv.base, pv.clock)
-			reqs = append(reqs, diffReq{slot: slot, stripe: st, live: true})
-			primary := entry{box: int32(in.take(3) % numBoxes), start: int32(round), req: slot}
+			box := int32(in.take(3) % numBoxes)
+			reqs = append(reqs, diffReq{slot: slot, stripe: st, box: box, viewer: box, live: true})
 			for _, s := range stores {
-				s.add(st, primary)
+				s.add(st, liveEntry(box, int32(round), slot, 0))
 			}
 			if in.take(1) == 1 {
-				mirror := entry{box: int32(in.take(3) % numBoxes), start: int32(round + 1), req: slot, lag: 1}
+				mirror := int32(in.take(3) % numBoxes)
+				reqs[len(reqs)-1].viewer = mirror
 				for _, s := range stores {
-					s.add(st, mirror)
+					s.add(st, liveEntry(mirror, int32(round), slot, 1))
 				}
 			}
 		}
@@ -98,7 +99,7 @@ func stripeWalk(t *testing.T, data []byte) {
 			r := &reqs[i]
 			if r.live && (pv.of(r.slot) >= T || in.take(3) == 0) {
 				for _, s := range stores {
-					s.retire(r.stripe, r.slot, pv.of(r.slot))
+					s.retire(r.stripe, r.slot, r.box, r.viewer, pv.of(r.slot))
 				}
 				r.live = false
 			}
@@ -108,14 +109,20 @@ func stripeWalk(t *testing.T, data []byte) {
 
 // walkBoxes runs the adjacency cursor's walk of stripe st to exhaustion.
 func walkBoxes(s availabilityStore, st video.StripeID, exclude, need int32, pv progressView) []int32 {
+	entries := 0
+	for s2 := range s.all() {
+		if s2 == st {
+			entries++
+		}
+	}
 	var out []int32
 	for h := s.visitHead(st); ; {
 		box, next := s.visitStep(st, h, exclude, need, pv)
 		if box < 0 {
 			return out
 		}
-		if len(out) > s.live(st) {
-			panic(fmt.Sprintf("stripe %d walk yields more boxes than its %d entries", st, s.live(st)))
+		if len(out) > entries {
+			panic(fmt.Sprintf("stripe %d walk yields more boxes than its %d entries", st, entries))
 		}
 		out = append(out, box)
 		h = next
@@ -129,16 +136,16 @@ func runLinkError(ix *indexedAvailability) error {
 	for st, head := range ix.byStripe {
 		for id := head; id >= 0; id = ix.slab[id].next {
 			e := &ix.slab[id]
-			if e.next >= 0 && ix.slab[e.next].issued() > e.issued() {
+			if e.next >= 0 && ix.slab[e.next].issued > e.issued {
 				return fmt.Errorf("stripe %d: entry %d issued at round %d precedes entry %d issued at %d",
-					st, id, e.issued(), e.next, ix.slab[e.next].issued())
+					st, id, e.issued, e.next, ix.slab[e.next].issued)
 			}
 			want := e.next
-			for want >= 0 && ix.slab[want].issued() == e.issued() {
+			for want >= 0 && ix.slab[want].issued == e.issued {
 				want = ix.slab[want].next
 			}
 			if e.jump != want {
-				return fmt.Errorf("stripe %d: entry %d issued at round %d jumps to %d, want %d", st, id, e.issued(), e.jump, want)
+				return fmt.Errorf("stripe %d: entry %d issued at round %d jumps to %d, want %d", st, id, e.issued, e.jump, want)
 			}
 		}
 	}

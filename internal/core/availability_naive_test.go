@@ -33,7 +33,7 @@ func (na *naiveAvailability) expire(round int) {
 	for st, es := range na.entries {
 		keep := 0
 		for i := range es {
-			if es[i].start >= cutoff {
+			if es[i].start() >= cutoff {
 				es[keep] = es[i]
 				keep++
 			}
@@ -48,12 +48,10 @@ func (na *naiveAvailability) expire(round int) {
 	}
 }
 
-func (na *naiveAvailability) retire(st video.StripeID, req int32, final int32) {
+func (na *naiveAvailability) retire(st video.StripeID, req, _, _, final int32) {
 	for i := range na.entries[st] {
-		e := &na.entries[st][i]
-		if e.req == req {
-			e.frozen = final - e.lag
-			e.req = -1
+		if e := &na.entries[st][i]; e.req() == req {
+			e.freeze(final)
 		}
 	}
 }
@@ -86,14 +84,14 @@ func (na *naiveAvailability) canServe(st video.StripeID, box int32, need int32, 
 func (na *naiveAvailability) hasFull(st video.StripeID, box int32, full int32) bool {
 	for i := range na.entries[st] {
 		e := &na.entries[st][i]
-		if e.box == box && e.req == -1 && e.frozen >= full {
+		if e.box == box && e.req() == -1 && e.frozen() >= full {
 			return true
 		}
 	}
 	return false
 }
 
-func (na *naiveAvailability) live(st video.StripeID) int { return len(na.entries[st]) }
+func (na *naiveAvailability) empty(st video.StripeID) bool { return len(na.entries[st]) == 0 }
 
 func (na *naiveAvailability) margin(st video.StripeID, box int32, need int32, pv progressView) (hasLive bool, bestFrozen int32, ok bool) {
 	for i := range na.entries[st] {
@@ -102,18 +100,18 @@ func (na *naiveAvailability) margin(st video.StripeID, box int32, need int32, pv
 			continue
 		}
 		ok = true
-		if e.req >= 0 {
+		if e.req() >= 0 {
 			hasLive = true
-		} else if e.frozen > bestFrozen {
-			bestFrozen = e.frozen
+		} else if e.frozen() > bestFrozen {
+			bestFrozen = e.frozen()
 		}
 	}
 	return hasLive, bestFrozen, ok
 }
 
-// drainEvents is a no-op: the naive store pairs with the full Revalidate
+// takeEvents returns none: the naive store pairs with the full Revalidate
 // sweep, which needs no targeted notifications.
-func (na *naiveAvailability) drainEvents(dst []availEvent) []availEvent { return dst }
+func (na *naiveAvailability) takeEvents() []availEvent { return nil }
 
 func (na *naiveAvailability) all() iter.Seq2[video.StripeID, *entry] {
 	return func(yield func(video.StripeID, *entry) bool) {

@@ -16,16 +16,20 @@ package core
 //     matcher's assignment lists and dirty queue, and each stripe's cache
 //     entry list (walk order, and so matcher visit order).
 //   - Everything else is rebuilt on decode through the paths a running
-//     engine builds it with: the store's slab, key index, expiry ring and
-//     request links by replaying the entry lists through add; the
-//     matcher's liveness flags, loads and back-pointers; the retire ring
-//     from progress; the idle positions and bitmap; the slot total from
-//     the matcher's capacities. A box's record carries only its
-//     outstanding count: it is busy exactly while that is positive, and
-//     its capacity is its matcher right's. Slab ids, the slab
-//     free list, key chain order and expiry bucket order decide no result,
-//     so they are not written, and two checkpoints of one state are the
-//     same bytes.
+//     engine builds it with: the store's slab, key index and expiry ring
+//     by replaying the entry lists through add; the matcher's loads and
+//     back-pointers; the retire ring from progress; the idle positions
+//     and bitmap; the slot total from the matcher's capacities. A box's
+//     record carries only its outstanding count: it is busy exactly while
+//     that is positive, and its capacity is its matcher right's. Slab
+//     ids, the slab free list, key chain order and expiry bucket order
+//     decide no result, so they are not written, and two checkpoints of
+//     one state are the same bytes.
+//   - Some fields that memory derives are written all the same, so that
+//     state version 4's layout stands: each pending issuance's round and
+//     mirror, and each cache entry's start, lag and backing slot or
+//     frozen progress, which memory packs into two words. Decode refuses
+//     a value the derivation or the packing cannot hold.
 //   - Volatile round scratch (event logs, candidate buffers) is drained
 //     within every Step, so between rounds — the only place a checkpoint
 //     may be taken — it is empty and not written.
@@ -170,14 +174,14 @@ func (s *System) EncodeState(w *ckpt.Writer) error {
 	}
 	w.I32s(s.idleList)
 
-	for _, bucket := range s.pendingRing {
+	for b, bucket := range s.pendingRing {
 		w.Int(len(bucket))
 		for _, iss := range bucket {
-			w.Int(iss.round)
+			w.Int(s.pendingRound(b)) // derived, as is the mirror (see issuance)
 			w.I32(int32(iss.stripe))
 			w.I32(iss.requester)
 			w.I32(iss.viewer)
-			w.I32(iss.mirror)
+			w.I32(iss.mirror())
 		}
 	}
 
@@ -235,7 +239,7 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	if s.round < 0 || s.round > maxRound {
 		return fmt.Errorf("core: checkpoint round %d out of range", s.round)
 	}
-	if nSlots < 0 || nSlots > math.MaxInt32 {
+	if nSlots < 0 || nSlots > maxPacked {
 		return fmt.Errorf("core: checkpoint slot count %d out of range", nSlots)
 	}
 	s.reqStripe = ckpt.Records(r, nSlots, func() video.StripeID { return video.StripeID(r.I32()) })
@@ -281,15 +285,26 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 			return fmt.Errorf("core: checkpoint pending bucket length %d exceeds the %d requests the boxes still await", n, awaited)
 		}
 		awaited -= int64(n)
+		due := s.pendingRound(i)
+		var bad error
 		s.pendingRing[i] = ckpt.Records(r, n, func() issuance {
-			return issuance{
-				round:     r.Int(),
-				stripe:    video.StripeID(r.I32()),
-				requester: r.I32(),
-				viewer:    r.I32(),
-				mirror:    r.I32(),
+			round, iss := r.Int(), issuance{stripe: video.StripeID(r.I32()), requester: r.I32(), viewer: r.I32()}
+			switch mirror := r.I32(); {
+			case bad != nil:
+			case round != due:
+				bad = fmt.Errorf("core: checkpoint pending bucket %d holds an issuance for round %d at round %d", i, round, s.round)
+			case mirror != iss.mirror():
+				bad = fmt.Errorf("core: checkpoint pending issuance of requester %d and viewer %d names mirror %d",
+					iss.requester, iss.viewer, mirror)
 			}
+			return iss
 		})
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if bad != nil {
+			return bad
+		}
 	}
 
 	s.needSweep = r.Bool()
@@ -339,35 +354,34 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 // order of a list is behaviour (visitStep walks it newest first); the rest
 // of the store is bookkeeping decodeState rebuilds.
 func (ix *indexedAvailability) encodeState(w *ckpt.Writer) {
-	for st, head := range ix.byStripe {
-		w.I32(ix.liveCount[st])
-		oldest := head
+	for _, head := range ix.byStripe {
+		n, oldest := 0, head
 		for id := head; id >= 0; id = ix.slab[id].next {
-			oldest = id
+			n, oldest = n+1, id
 		}
+		w.Int(n)
 		for id := oldest; id >= 0; id = ix.slab[id].prev {
 			e := &ix.slab[id]
 			w.I32(e.box)
-			w.I32(e.start)
-			w.I32(e.lag)
-			w.I32(e.req)
-			if e.req < 0 {
-				w.I32(e.frozen)
+			w.I32(e.start())
+			w.I32(e.lag())
+			w.I32(e.req())
+			if e.tag < 0 {
+				w.I32(e.frozen())
 			}
 		}
 	}
 }
 
 // decodeState replays the lists encodeState wrote into a freshly built
-// store through add, oldest first, so the slab, key index, expiry ring and
-// request links are the ones add builds; the slab, the index and the links
-// are sized first from the entries read. add trusts its caller that a
-// start is not negative (it files the entry under start mod the ring
-// length), that a list's issue rounds never decrease from oldest to newest
-// and that no slot backs more than two entries; all three are checked
-// here, and a backing slot must be one of the checkpoint's slots ids.
-// Whether the entries agree with those slots and the clock is the audit's
-// to check.
+// store through add, oldest first, so the slab, key index and expiry ring
+// are the ones add builds; the slab and the index are sized first from
+// the entries read. add trusts its caller that a start is not negative (it
+// files the entry under start mod the ring length) and that a list's issue
+// rounds never decrease from oldest to newest, and an entry packs only a
+// lag of 0 or 1, a slot id below its checkpoint's count and a frozen
+// progress in [0, T]: all of these are checked here. Whether the entries
+// agree with the slots and the clock is the audit's to check.
 func (ix *indexedAvailability) decodeState(r *ckpt.Reader, slots int) error {
 	type listed struct {
 		st video.StripeID
@@ -383,35 +397,38 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader, slots int) error {
 			return fmt.Errorf("core: checkpoint stripe %d entry count %d out of range", st, n)
 		}
 		for i := 0; i < n; i++ {
-			e := entry{box: r.I32(), start: r.I32(), lag: r.I32(), req: r.I32()}
-			if e.req < 0 {
-				e.frozen = r.I32()
+			box, start, lag, req := r.I32(), r.I32(), r.I32(), r.I32()
+			frozen := int32(0)
+			if req < 0 {
+				frozen = r.I32()
 			}
 			if err := r.Err(); err != nil {
 				return err
 			}
-			switch prev := len(read) - 1; {
-			case e.start < 0:
-				return fmt.Errorf("core: checkpoint stripe %d entry starts at round %d", st, e.start)
-			case e.req < -1 || int(e.req) >= slots:
-				return fmt.Errorf("core: checkpoint stripe %d entry names slot %d, the checkpoint has %d", st, e.req, slots)
-			case i > 0 && e.issued() < read[prev].e.issued():
+			switch {
+			case start < 0:
+				return fmt.Errorf("core: checkpoint stripe %d entry starts at round %d", st, start)
+			case lag < 0 || lag > 1:
+				return fmt.Errorf("core: checkpoint stripe %d entry names box %d with lag %d", st, box, lag)
+			case req < -1 || int(req) >= slots:
+				return fmt.Errorf("core: checkpoint stripe %d entry names slot %d, the checkpoint has %d", st, req, slots)
+			case req < 0 && (frozen < 0 || int(frozen) > ix.T):
+				return fmt.Errorf("core: checkpoint stripe %d entry of box %d froze at progress %d, T is %d", st, box, frozen, ix.T)
+			}
+			e := liveEntry(box, start-lag, max(req, 0), lag)
+			if req < 0 {
+				e.freeze(frozen + lag)
+			}
+			if prev := len(read) - 1; i > 0 && e.issued < read[prev].e.issued {
 				return fmt.Errorf("core: checkpoint stripe %d entry issued at round %d follows one issued at %d",
-					st, e.issued(), read[prev].e.issued())
+					st, e.issued, read[prev].e.issued)
 			}
 			read = append(read, listed{video.StripeID(st), e})
 		}
 	}
 	ix.slab = make([]idxEntry, 0, len(read))
 	ix.byKey = newKeyIndex(len(read))
-	ix.reqLinks = make([][2]int32, slots)
-	for i := range ix.reqLinks {
-		ix.reqLinks[i] = [2]int32{-1, -1}
-	}
 	for _, l := range read {
-		if l.e.req >= 0 && ix.reqLinks[l.e.req][1] >= 0 {
-			return fmt.Errorf("core: checkpoint slot %d backs more than two cache entries", l.e.req)
-		}
 		ix.add(l.st, l.e)
 	}
 	return nil

@@ -234,6 +234,52 @@ func TestCheckpointFreshSystem(t *testing.T) {
 	}
 }
 
+// TestRestoredSlotTableGrows restores a system holding more request slots
+// than the codec's first record chunk (4096), with an empty free list, and
+// admits past every slot array's decoded capacity: the arrays the decoder
+// built at different capacities must each grow on the next allocation, and
+// the restored rounds must equal the live ones.
+func TestRestoredSlotTableGrows(t *testing.T) {
+	mk := func() *System {
+		return buildHomogeneous(t, 7, 800, 1, 8, 60, 2, 2.0, 2.0, func(cfg *Config) { cfg.Paranoid = false })
+	}
+	live := mk()
+	rec := &recordingGen{inner: &uniformGen{rng: stats.NewRNG(5), p: 0.5}, byRound: map[int][]Demand{}}
+	for r := 1; r <= 3; r++ {
+		if _, err := live.Step(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(live.reqStripe) <= 4096 || len(live.freeSlots) != 0 {
+		t.Fatalf("checkpoint holds %d slots, %d free: want more than 4096 and none free",
+			len(live.reqStripe), len(live.freeSlots))
+	}
+	restored := restore(t, mk, encodeSystem(t, live))
+	restored.cfg.Paranoid = true
+	widest := 0
+	for _, c := range []int{cap(restored.reqStripe), cap(restored.reqStart), cap(restored.reqBox),
+		cap(restored.reqViewer), cap(restored.reqBase)} {
+		widest = max(widest, c)
+	}
+	replay := &scripted{byRound: rec.byRound}
+	for r := 4; len(restored.reqStripe) <= widest; r++ {
+		if r > 20 {
+			t.Fatalf("round %d: %d slots, never past the decoded capacity %d", r, len(restored.reqStripe), widest)
+		}
+		want, err := live.Step(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restored.Step(replay)
+		if err != nil {
+			t.Fatalf("restored round %d: %v", r, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d diverged after restore\nlive:     %+v\nrestored: %+v", r, want, got)
+		}
+	}
+}
+
 // listedEntry is an entry as a walk meets it, with the list position its
 // run link points at (−1 for none).
 type listedEntry struct {
@@ -257,13 +303,123 @@ func storeLists(ix *indexedAvailability) [][]listedEntry {
 	return lists
 }
 
+// rawEntry is a cache entry as the checkpoint writes it, each field
+// explicit; frozen is read only when req is negative. Memory packs lag,
+// req and frozen into one word that holds no other values, so a stream
+// that carries one is built from these.
+type rawEntry struct{ box, start, lag, req, frozen int32 }
+
+// rawLists returns ix's stripe lists oldest first, as encodeState writes
+// them.
+func rawLists(ix *indexedAvailability) [][]rawEntry {
+	lists := make([][]rawEntry, len(ix.byStripe))
+	for st, head := range ix.byStripe {
+		for id := head; id >= 0; id = ix.slab[id].next {
+			e := &ix.slab[id]
+			raw := rawEntry{box: e.box, start: e.start(), lag: e.lag(), req: e.req()}
+			if raw.req < 0 {
+				raw.frozen = e.frozen()
+			}
+			lists[st] = append(lists[st], raw)
+		}
+		slices.Reverse(lists[st])
+	}
+	return lists
+}
+
+// writeLists writes lists in encodeState's layout.
+func writeLists(w *ckpt.Writer, lists [][]rawEntry) {
+	for _, list := range lists {
+		w.Int(len(list))
+		for _, e := range list {
+			w.I32(e.box)
+			w.I32(e.start)
+			w.I32(e.lag)
+			w.I32(e.req)
+			if e.req < 0 {
+				w.I32(e.frozen)
+			}
+		}
+	}
+}
+
+// rawIssuance is a pending issuance as the checkpoint writes it, with its
+// due round and mirror, which memory derives, explicit.
+type rawIssuance struct {
+	round                             int
+	stripe, requester, viewer, mirror int32
+}
+
+// rawPending returns s's pending ring as EncodeState writes it.
+func rawPending(s *System) [][]rawIssuance {
+	ring := make([][]rawIssuance, len(s.pendingRing))
+	for b, bucket := range s.pendingRing {
+		for _, iss := range bucket {
+			ring[b] = append(ring[b], rawIssuance{s.pendingRound(b), int32(iss.stripe), iss.requester, iss.viewer, iss.mirror()})
+		}
+	}
+	return ring
+}
+
+// writePending writes ring in EncodeState's layout.
+func writePending(w *ckpt.Writer, ring [][]rawIssuance) {
+	for _, bucket := range ring {
+		w.Int(len(bucket))
+		for _, iss := range bucket {
+			w.Int(iss.round)
+			w.I32(iss.stripe)
+			w.I32(iss.requester)
+			w.I32(iss.viewer)
+			w.I32(iss.mirror)
+		}
+	}
+}
+
+// spliced returns s's checkpoint with its pending ring and its store
+// lists written from ring and lists. The stream is a run of varints, so
+// EncodeState's sections are byte ranges of it: what precedes the ring,
+// the ring, what lies between it and the store (the recheck ring and the
+// matcher), the store, and the rest.
+func spliced(t *testing.T, s *System, ring [][]rawIssuance, lists [][]rawEntry) []byte {
+	t.Helper()
+	honest := encodeSystem(t, s)
+	head := streamOfWrites(func(w *ckpt.Writer) {
+		writeSlotHead(w, s)
+		w.I32s(progressTable(s))
+		w.I32s(s.freeSlots)
+		for b := range s.boxes {
+			w.I32(s.boxes[b].outstanding)
+		}
+		w.I32s(s.idleList)
+	})
+	pend := streamOfWrites(func(w *ckpt.Writer) { writePending(w, rawPending(s)) })
+	mid := streamOfWrites(func(w *ckpt.Writer) {
+		w.Bool(s.needSweep)
+		for _, bucket := range s.recheckRing {
+			w.I32s(bucket)
+		}
+		s.matcher.EncodeState(w)
+	})
+	store := streamOfWrites(s.avail.encodeState)
+	sections := slices.Concat(head, pend, mid, store)
+	if !bytes.HasPrefix(honest, sections) {
+		t.Fatal("EncodeState's sections moved, or writePending does not write its layout")
+	}
+
+	return slices.Concat(head,
+		streamOfWrites(func(w *ckpt.Writer) { writePending(w, ring) }),
+		mid,
+		streamOfWrites(func(w *ckpt.Writer) { writeLists(w, lists) }),
+		honest[len(sections):])
+}
+
 // TestStoreDecodeRejectsMalformedLists round-trips a store with live,
 // mirrored, frozen and expired entries: the decoded store must hold the
 // same lists with the same run links and encode the same bytes. Then it
-// edits the honest store into lists add cannot take — it panics on a
-// negative start, an entry issued before the list's newest or a third
-// entry of one slot, and grows its request links to any slot id — and
-// encodes them: each must come back as an error, having allocated less
+// writes lists add cannot take — it panics on a negative start or an
+// entry issued before the list's newest — or an entry cannot pack: a lag
+// other than 0 or 1, a slot outside the checkpoint's, a frozen progress
+// outside [0, T]. Each must come back as an error, having allocated less
 // than 1 MB.
 func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
 	const numStripes, T = 3, 5
@@ -276,16 +432,19 @@ func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
 			ix.expire(round)
 			for i := 0; i < 4; i++ {
 				st := video.StripeID(rng.Intn(numStripes))
-				ix.add(st, entry{box: int32(rng.Intn(4)), start: int32(round), req: slot})
+				r := diffReq{slot: slot, stripe: st, box: int32(rng.Intn(4)), live: true}
+				r.viewer = r.box
+				ix.add(st, liveEntry(r.box, int32(round), slot, 0))
 				if rng.Bool(0.5) {
-					ix.add(st, entry{box: int32(rng.Intn(4)), start: int32(round + 1), req: slot, lag: 1})
+					r.viewer = int32(rng.Intn(4))
+					ix.add(st, liveEntry(r.viewer, int32(round), slot, 1))
 				}
-				live = append(live, diffReq{slot: slot, stripe: st, live: true})
+				live = append(live, r)
 				slot++
 			}
 			for i := range live {
 				if r := &live[i]; r.live && rng.Bool(0.3) {
-					ix.retire(r.stripe, r.slot, 2)
+					ix.retire(r.stripe, r.slot, r.box, r.viewer, 2)
 					r.live = false
 				}
 			}
@@ -296,6 +455,9 @@ func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
 	encode := func(ix *indexedAvailability) []byte { return streamOfWrites(ix.encodeState) }
 	fresh := func() *indexedAvailability { return newIndexedAvailability(numStripes, T) }
 	honest, slots := build()
+	if !bytes.Equal(streamOfWrites(func(w *ckpt.Writer) { writeLists(w, rawLists(honest)) }), encode(honest)) {
+		t.Fatal("writeLists does not write encodeState's layout")
+	}
 	decoded := fresh()
 	if err := decoded.decodeState(ckpt.NewReader(bytes.NewReader(encode(honest))), slots); err != nil {
 		t.Fatalf("honest stream rejected: %v", err)
@@ -306,65 +468,53 @@ func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
 	if !bytes.Equal(encode(decoded), encode(honest)) {
 		t.Fatal("decode → encode does not reproduce the stream")
 	}
-	// st0's newest entry was issued after its second; twice is a slot that
-	// backs two entries, frozen a frozen entry.
-	st0, twice, frozen := -1, int32(-1), int32(-1)
-	for st, head := range honest.byStripe {
-		if head < 0 {
-			continue
-		}
-		if e := &honest.slab[head]; e.next >= 0 && honest.slab[e.next].issued() < e.issued() {
+	// In st0's list the newest entry was issued after the one before it;
+	// backed and frozen are a request-backed and a frozen entry, as their
+	// stripe and position in the raw lists.
+	type at struct{ st, i int }
+	st0, backed, frozen := -1, at{-1, -1}, at{-1, -1}
+	for st, list := range rawLists(honest) {
+		if n := len(list); n >= 2 && list[n-1].start-list[n-1].lag > list[n-2].start-list[n-2].lag {
 			st0 = st
 		}
-	}
-	for _, links := range honest.reqLinks {
-		if links[0] >= 0 && links[1] >= 0 {
-			twice = honest.slab[links[0]].req
-		}
-	}
-	for st := range numStripes {
-		for id := honest.byStripe[st]; id >= 0; id = honest.slab[id].next {
-			if honest.slab[id].req < 0 {
-				frozen = id
+		for i, e := range list {
+			if e.req >= 0 {
+				backed = at{st, i}
+			} else {
+				frozen = at{st, i}
 			}
 		}
 	}
-	if st0 < 0 || twice < 0 || frozen < 0 {
-		t.Fatal("scenario too small: need a list of two rounds, a slot backing two entries and a frozen entry")
+	if st0 < 0 || backed.st < 0 || frozen.st < 0 {
+		t.Fatal("scenario too small: need a list of two rounds, a request-backed entry and a frozen entry")
 	}
-	backed := func(ix *indexedAvailability) *idxEntry { return &ix.slab[ix.reqLinks[twice][0]] }
+	edited := func(edit func(lists [][]rawEntry, e func(at) *rawEntry)) func() []byte {
+		return func() []byte {
+			lists := rawLists(honest)
+			edit(lists, func(a at) *rawEntry { return &lists[a.st][a.i] })
+			return streamOfWrites(func(w *ckpt.Writer) { writeLists(w, lists) })
+		}
+	}
 
 	for _, tc := range []struct {
 		name   string
 		stream func() []byte
 		want   string
 	}{
-		{"out of order", func() []byte {
-			ix, _ := build()
-			head := &ix.slab[ix.byStripe[st0]]
-			head.start = ix.slab[head.next].issued() - 1 + head.lag
-			return encode(ix)
-		}, "follows one issued"},
-		{"negative start", func() []byte {
-			ix, _ := build()
-			ix.slab[frozen].start = -1
-			return encode(ix)
-		}, "starts at round -1"},
-		{"slot past the slots", func() []byte {
-			ix, _ := build()
-			backed(ix).req = int32(slots)
-			return encode(ix)
-		}, fmt.Sprintf("names slot %d, the checkpoint has %d", slots, slots)},
-		{"slot below -1", func() []byte {
-			ix, _ := build()
-			backed(ix).req = -2
-			return encode(ix)
-		}, "names slot -2"},
-		{"third entry of one slot", func() []byte {
-			ix, _ := build()
-			ix.slab[frozen].req = twice
-			return encode(ix)
-		}, fmt.Sprintf("slot %d backs more than two", twice)},
+		{"out of order", edited(func(lists [][]rawEntry, _ func(at) *rawEntry) {
+			list := lists[st0]
+			newest, prev := &list[len(list)-1], list[len(list)-2]
+			newest.start = prev.start - prev.lag - 1 + newest.lag
+		}), "follows one issued"},
+		{"negative start", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(frozen).start = -1 }), "starts at round -1"},
+		{"slot past the slots", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(backed).req = int32(slots) }),
+			fmt.Sprintf("names slot %d, the checkpoint has %d", slots, slots)},
+		{"slot below -1", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(backed).req = -2 }), "names slot -2"},
+		{"lag 2", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(backed).lag = 2 }), "with lag 2"},
+		{"lag -1 of a frozen entry", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(frozen).lag = -1 }), "with lag -1"},
+		{"frozen past T", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(frozen).frozen = T + 1 }),
+			fmt.Sprintf("froze at progress %d, T is %d", T+1, T)},
+		{"frozen below 0", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(frozen).frozen = -1 }), "froze at progress -1"},
 		{"negative entry count", func() []byte { return streamOfWrites(func(w *ckpt.Writer) { w.Int(-1) }) }, "count -1 out of range"},
 	} {
 		stream := tc.stream()
@@ -426,8 +576,6 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 		}
 		for b := 0; b < fresh.n; b++ {
 			w.I32(outstanding)
-			w.I32(1)
-			w.Bool(false)
 			outstanding = 0
 		}
 		w.U64(0) // idle list
@@ -568,8 +716,7 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 // entry of an honest checkpoint at a slot that is not a live request of
 // its stripe. Each section is consistent on its own, so only the audit of
 // the store against the slots can refuse it (or, for a slot past the
-// slot arrays, the store's decoder, before add grows the request links to
-// it). Without it, the first walk of the stripe that reaches the entry
+// slot arrays, the store's decoder). Without it, the first walk of the stripe that reaches the entry
 // (entryChunks) reads the progress of a slot that has none.
 func TestDecodeRefusesEntriesOfNoLiveSlot(t *testing.T) {
 	live, build := liveCheckpoint(t)
@@ -578,8 +725,8 @@ func TestDecodeRefusesEntriesOfNoLiveSlot(t *testing.T) {
 	backs := func(s *System) map[int32]int {
 		n := map[int32]int{}
 		for _, e := range s.avail.all() {
-			if e.req >= 0 {
-				n[e.req]++
+			if e.req() >= 0 {
+				n[e.req()]++
 			}
 		}
 		return n
@@ -604,7 +751,7 @@ func TestDecodeRefusesEntriesOfNoLiveSlot(t *testing.T) {
 		{"retired slot", func(s *System, st video.StripeID, e *entry) int32 {
 			// Its stale fields agree with the entry: only its liveness does not.
 			slot := int32(slices.Index(liveSlots(s), false))
-			s.reqStripe[slot], s.reqStart[slot], s.reqBox[slot], s.reqViewer[slot] = st, e.issued(), e.box, e.box
+			s.reqStripe[slot], s.reqStart[slot], s.reqBox[slot], s.reqViewer[slot] = st, e.issued, e.box, e.box
 			return slot
 		}, "no live request of that stripe"},
 		{"live slot of another stripe", func(s *System, st video.StripeID, _ *entry) int32 { return otherStripe(s, st) },
@@ -612,8 +759,8 @@ func TestDecodeRefusesEntriesOfNoLiveSlot(t *testing.T) {
 	} {
 		s := restore(t, build, honest)
 		for st, e := range s.avail.all() {
-			if e.req >= 0 {
-				e.req = tc.target(s, st, e)
+			if e.req() >= 0 {
+				*e = liveEntry(e.box, e.issued, tc.target(s, st, e), e.lag())
 				break
 			}
 		}
@@ -910,7 +1057,7 @@ func TestDecodeRefusesInconsistentState(t *testing.T) {
 			for id >= 0 && ix.slab[id].next >= 0 {
 				id = ix.slab[id].next
 			}
-			if id >= 0 && ix.slab[id].req < 0 {
+			if id >= 0 && ix.slab[id].req() < 0 {
 				return &ix.slab[id].entry
 			}
 		}
@@ -920,121 +1067,240 @@ func TestDecodeRefusesInconsistentState(t *testing.T) {
 	newest := func(s *System) *entry {
 		ix := s.avail.(*indexedAvailability)
 		for _, head := range ix.byStripe {
-			if head >= 0 && ix.slab[head].req >= 0 && ix.slab[head].lag == 0 {
+			if head >= 0 && ix.slab[head].req() >= 0 && ix.slab[head].lag() == 0 {
 				return &ix.slab[head].entry
 			}
 		}
 		t.Fatal("no list starts with a request's own entry")
 		return nil
 	}
+	// The raw forms of oldest and newest, for the fields memory cannot
+	// hold: their positions in the lists the checkpoint writes.
+	rawOldest := func(lists [][]rawEntry) *rawEntry {
+		for _, list := range lists {
+			if len(list) > 0 && list[0].req < 0 {
+				return &list[0]
+			}
+		}
+		t.Fatal("no list ends in a frozen entry")
+		return nil
+	}
+	rawNewest := func(lists [][]rawEntry) (st int, e *rawEntry) {
+		for st, list := range lists {
+			if k := len(list) - 1; k >= 0 && list[k].req >= 0 && list[k].lag == 0 {
+				return st, &list[k]
+			}
+		}
+		t.Fatal("no list starts with a request's own entry")
+		return -1, nil
+	}
+	frozenAt := func(box, issued int32) entry {
+		e := liveEntry(box, issued, 0, 0)
+		e.freeze(0)
+		return e
+	}
 	for _, tc := range []struct {
 		name  string
 		alter func(s *System)
-		want  string
+		// raw, when set, edits the pending ring or the store lists as the
+		// checkpoint writes them, after alter.
+		raw  func(ring [][]rawIssuance, lists [][]rawEntry) [][]rawEntry
+		want string
 	}{
 		{"free list naming a live slot", func(s *System) {
 			s.freeSlots = append(s.freeSlots, young)
-		}, fmt.Sprintf("free list names slot %d", young)},
+		}, nil, fmt.Sprintf("free list names slot %d", young)},
 		{"free list naming a slot past the arrays", func(s *System) {
 			s.freeSlots = append(s.freeSlots, int32(len(s.reqStripe))+2)
-		}, fmt.Sprintf("free list names slot %d", len(live.reqStripe)+2)},
+		}, nil, fmt.Sprintf("free list names slot %d", len(live.reqStripe)+2)},
 		{"non-busy box missing from the idle list", func(s *System) {
 			s.idleList = slices.DeleteFunc(s.idleList, func(b int32) bool { return b == idle })
-		}, fmt.Sprintf("boxes are idle, the idle list holds %d", len(live.idleList)-1)},
+		}, nil, fmt.Sprintf("boxes are idle, the idle list holds %d", len(live.idleList)-1)},
 		{"live slot's viewer out of range", func(s *System) {
 			s.reqViewer[young] = n
-		}, fmt.Sprintf("live slot %d names box %d and viewer %d", young, live.reqBox[young], n)},
+		}, nil, fmt.Sprintf("live slot %d names box %d and viewer %d", young, live.reqBox[young], n)},
 		{"base before the slot's start", func(s *System) {
 			s.reqBase[young] = s.reqStart[young] - 1
-		}, fmt.Sprintf("live slot %d started at round %d has base %d", young, live.round, live.round-1)},
+		}, nil, fmt.Sprintf("live slot %d started at round %d has base %d", young, live.round, live.round-1)},
 		{"live slot's box out of range", func(s *System) {
 			s.reqBox[young] = n
-		}, fmt.Sprintf("live slot %d names box %d", young, n)},
+		}, nil, fmt.Sprintf("live slot %d names box %d", young, n)},
 		{"start after the round", func(s *System) {
 			s.reqStart[young] = int32(s.round) + 1
-		}, fmt.Sprintf("live slot %d starts at round %d, after round %d", young, live.round+1, live.round)},
+		}, nil, fmt.Sprintf("live slot %d starts at round %d, after round %d", young, live.round+1, live.round)},
 
 		{"tracker a round ahead", func(s *System) {
 			s.tracker.BeginRound(s.round + 1)
-		}, fmt.Sprintf("tracker is at round %d, the system at %d", live.round+1, live.round)},
+		}, nil, fmt.Sprintf("tracker is at round %d, the system at %d", live.round+1, live.round)},
 		{"live slot's stripe out of range", func(s *System) {
 			s.reqStripe[young] = video.StripeID(s.cat.NumStripes())
-		}, fmt.Sprintf("live slot %d names stripe %d", young, live.cat.NumStripes())},
+		}, nil, fmt.Sprintf("live slot %d names stripe %d", young, live.cat.NumStripes())},
 		{"live slot's stripe negative", func(s *System) {
 			s.reqStripe[young] = -1
-		}, fmt.Sprintf("live slot %d names stripe -1", young)},
+		}, nil, fmt.Sprintf("live slot %d names stripe -1", young)},
 		{"free list naming a negative slot", func(s *System) {
 			s.freeSlots = append(s.freeSlots, -1)
-		}, "free list names slot -1"},
+		}, nil, "free list names slot -1"},
 		{"idle box listed twice", func(s *System) {
 			s.idleList[1] = s.idleList[0]
-		}, fmt.Sprintf("idle list position 0 holds box %d, which is busy or listed twice", idle)},
+		}, nil, fmt.Sprintf("idle list position 0 holds box %d, which is busy or listed twice", idle)},
 		{"idle list naming a box out of range", func(s *System) {
 			s.idleList = append(s.idleList, n)
-		}, fmt.Sprintf("idle list holds box %d, the system has %d", n, n)},
+		}, nil, fmt.Sprintf("idle list holds box %d, the system has %d", n, n)},
 		{"busy box in the idle list", func(s *System) {
 			s.idleList = append(s.idleList, int32(busy))
-		}, fmt.Sprintf("holds box %d, which is busy", busy)},
+		}, nil, fmt.Sprintf("holds box %d, which is busy", busy)},
 		{"outstanding one more than viewed", func(s *System) {
 			s.boxes[busy].outstanding++
-		}, fmt.Sprintf("box %d has %d outstanding", busy, live.boxes[busy].outstanding+1)},
-		{"issuance filed under another round", func(s *System) {
-			s.pendingRing[pending][0].round++
-		}, fmt.Sprintf("pending bucket %d holds an issuance for round %d", pending, live.pendingRing[pending][0].round+1)},
-		{"issuance due before the round", func(s *System) {
-			s.pendingRing[pending][0].round -= len(s.pendingRing)
-		}, fmt.Sprintf("holds an issuance for round %d", live.pendingRing[pending][0].round-len(live.pendingRing))},
-		{"issuance due past the horizon", func(s *System) {
-			s.pendingRing[pending][0].round += len(s.pendingRing)
-		}, fmt.Sprintf("holds an issuance for round %d", live.pendingRing[pending][0].round+len(live.pendingRing))},
+		}, nil, fmt.Sprintf("box %d has %d outstanding", busy, live.boxes[busy].outstanding+1)},
+		{"issuance filed under another round", nil, func(ring [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			ring[pending][0].round++
+			return lists
+		}, fmt.Sprintf("pending bucket %d holds an issuance for round %d", pending, live.pendingRound(pending)+1)},
+		{"issuance due before the round", nil, func(ring [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			ring[pending][0].round -= len(ring)
+			return lists
+		}, fmt.Sprintf("holds an issuance for round %d", live.pendingRound(pending)-len(live.pendingRing))},
+		{"issuance due past the horizon", nil, func(ring [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			ring[pending][0].round += len(ring)
+			return lists
+		}, fmt.Sprintf("holds an issuance for round %d", live.pendingRound(pending)+len(live.pendingRing))},
+		{"issuance in the bucket of the round itself", func(s *System) {
+			now := s.round % len(s.pendingRing)
+			s.pendingRing[now] = append(s.pendingRing[now], s.pendingRing[pending][0])
+			s.pendingRing[pending] = s.pendingRing[pending][1:]
+		}, nil, fmt.Sprintf("holds an issuance for round %d at round %d", live.round+len(live.pendingRing), live.round)},
 		{"issuance of a stripe out of range", func(s *System) {
 			s.pendingRing[pending][0].stripe = video.StripeID(s.cat.NumStripes())
-		}, fmt.Sprintf("issuance names stripe %d", live.cat.NumStripes())},
+		}, nil, fmt.Sprintf("issuance names stripe %d", live.cat.NumStripes())},
 		{"issuance of a negative stripe", func(s *System) {
 			s.pendingRing[pending][0].stripe = -1
-		}, "issuance names stripe -1"},
+		}, nil, "issuance names stripe -1"},
 		{"issuance of a box out of range", func(s *System) {
 			s.pendingRing[pending][0].requester = n
-		}, fmt.Sprintf("requester %d", n)},
+		}, nil, fmt.Sprintf("requester %d", n)},
 		{"issuance viewed by a box out of range", func(s *System) {
-			iss := &s.pendingRing[pending][0]
-			iss.viewer, iss.mirror = n, -1
-		}, fmt.Sprintf("viewer %d", n)},
-		{"issuance mirrored to a box other than its viewer", func(s *System) {
-			iss := &s.pendingRing[pending][0]
+			s.pendingRing[pending][0].viewer = n
+		}, nil, fmt.Sprintf("viewer %d", n)},
+		{"issuance mirrored to a box other than its viewer", nil, func(ring [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			iss := &ring[pending][0]
 			iss.mirror = (iss.viewer + 1) % n
-		}, "and mirror"},
+			return lists
+		}, "names mirror"},
+		{"issuance for another viewer that mirrors to none", nil, func(ring [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			iss := &ring[pending][0]
+			iss.requester, iss.mirror = (iss.viewer+1)%n, -1
+			return lists
+		}, "names mirror -1"},
+		{"issuance for its own requester that mirrors to it", nil, func(ring [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			iss := &ring[pending][0]
+			iss.mirror = iss.viewer
+			return lists
+		}, fmt.Sprintf("names mirror %d", live.pendingRing[pending][0].viewer)},
 		{"recheck of a slot past the arrays", func(s *System) {
 			s.recheckRing[0] = append(s.recheckRing[0], int32(len(s.reqStripe)))
-		}, fmt.Sprintf("recheck ring names slot %d", len(live.reqStripe))},
+		}, nil, fmt.Sprintf("recheck ring names slot %d", len(live.reqStripe))},
 		{"recheck of a negative slot", func(s *System) {
 			s.recheckRing[0] = append(s.recheckRing[0], -1)
-		}, "recheck ring names slot -1"},
-		{"entry of a box out of range", func(s *System) { oldest(s).box = n }, fmt.Sprintf("entry names box %d", n)},
-		{"entry of lag 2", func(s *System) { oldest(s).lag = 2 }, "with lag 2"},
-		{"entry of lag -1", func(s *System) {
-			// Frozen, so that the lag indexes no holder first.
-			e := newest(s)
-			e.req, e.frozen, e.lag = -1, 0, -1
+		}, nil, "recheck ring names slot -1"},
+		{"entry of a box out of range", func(s *System) { oldest(s).box = n }, nil, fmt.Sprintf("entry names box %d", n)},
+		{"entry of lag 2", nil, func(_ [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			rawOldest(lists).lag = 2
+			return lists
+		}, "with lag 2"},
+		{"entry of lag -1", nil, func(_ [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			rawOldest(lists).lag = -1
+			return lists
 		}, "with lag -1"},
 		{"entry past its window", func(s *System) {
-			oldest(s).start = int32(s.round) - T - 1
-		}, fmt.Sprintf("starts at round %d, outside", int32(live.round)-T-1)},
+			e := oldest(s)
+			e.issued = int32(s.round) - T - 1 - e.lag()
+		}, nil, fmt.Sprintf("starts at round %d, outside", int32(live.round)-T-1)},
 		{"entry issued after the next round", func(s *System) {
 			// Frozen, so that no check of a backing slot refuses it first.
 			e := newest(s)
-			e.req, e.frozen, e.start = -1, 0, int32(s.round)+2
-		}, fmt.Sprintf("starts at round %d, outside [", live.round+2)},
-		{"frozen past T", func(s *System) { oldest(s).frozen = T + 1 }, fmt.Sprintf("froze at progress %d", T+1)},
-		{"frozen below 0", func(s *System) { oldest(s).frozen = -1 }, "froze at progress -1"},
-		{"entry issued after its slot", func(s *System) { newest(s).start++ }, "which started at"},
+			*e = frozenAt(e.box, int32(s.round)+2)
+		}, nil, fmt.Sprintf("starts at round %d, outside [", live.round+2)},
+		{"frozen past T", nil, func(_ [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			rawOldest(lists).frozen = T + 1
+			return lists
+		}, fmt.Sprintf("froze at progress %d", T+1)},
+		{"frozen below 0", nil, func(_ [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			rawOldest(lists).frozen = -1
+			return lists
+		}, "froze at progress -1"},
+		{"entry issued after its slot", func(s *System) { newest(s).issued++ }, nil, "which started at"},
 		{"entry held by a box that did not request it", func(s *System) {
 			e := newest(s)
 			e.box = (e.box + 1) % n
-		}, "whose requester is"},
+		}, nil, "whose requester is"},
+		{"second entry of one lag for a slot", nil, func(_ [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			st, e := rawNewest(lists)
+			lists[st] = append(lists[st], *e)
+			return lists
+		}, "entries of lag 0"},
+		{"entry forwarding a slot to its own requester", nil, func(_ [][]rawIssuance, lists [][]rawEntry) [][]rawEntry {
+			st, e := rawNewest(lists)
+			mirror := *e
+			mirror.start, mirror.lag = e.start+1, 1
+			lists[st] = append(lists[st], mirror)
+			return lists
+		}, "to its own requester"},
 	} {
 		s := restore(t, build, honest)
-		tc.alter(s)
-		decodeRefused(t, tc.name, build, encodeSystem(t, s), tc.want)
+		if tc.alter != nil {
+			tc.alter(s)
+		}
+		stream := encodeSystem(t, s)
+		if tc.raw != nil {
+			ring := rawPending(s)
+			stream = spliced(t, s, ring, tc.raw(ring, rawLists(s.avail.(*indexedAvailability))))
+		}
+		decodeRefused(t, tc.name, build, stream, tc.want)
 	}
+}
+
+// TestDecodeRefusesAssignmentWithoutEdge deletes from an honest
+// checkpoint the cache entries through which a box serves a live request.
+// Every section stays consistent on its own and the entry lists are ones
+// expiry could leave, but the assignment has lost its edge and nothing
+// repairs it next round: no recheck is due for the slot and no sweep is
+// pending. Loaded, the box would go on serving data it does not hold, so
+// decode must refuse it; deleting only an entry the slot's server does not
+// use must still load.
+func TestDecodeRefusesAssignmentWithoutEdge(t *testing.T) {
+	build := func() *System {
+		return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 1.25, 2.0, func(cfg *Config) { cfg.Failure = FailStall })
+	}
+	live := build()
+	gen := &uniformGen{rng: stats.NewRNG(1213), p: 0.8}
+	for r := 0; r < 40; r++ {
+		if _, err := live.Step(gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live.needSweep {
+		t.Fatal("scenario stalled: the sweep pending covers every assignment")
+	}
+	due := live.recheckRing[(live.round+1)%len(live.recheckRing)]
+	slot, server := int32(-1), -1
+	for _, l := range live.matcher.ActiveLefts() {
+		r := live.matcher.Server(int(l))
+		if r >= 0 && !live.cfg.Alloc.Stores(r, live.reqStripe[l]) && !slices.Contains(due, l) {
+			slot, server = l, r
+		}
+	}
+	if slot < 0 {
+		t.Fatal("scenario too small: no live request is served from a cache without a recheck due")
+	}
+	st := live.reqStripe[slot]
+	without := func(keep func(e rawEntry) bool) []byte {
+		lists := rawLists(live.avail.(*indexedAvailability))
+		lists[st] = slices.DeleteFunc(lists[st], func(e rawEntry) bool { return !keep(e) })
+		return spliced(t, live, rawPending(live), lists)
+	}
+	decodeRefused(t, "server's entries deleted", build, without(func(e rawEntry) bool { return e.box != int32(server) }),
+		fmt.Sprintf("live slot %d is served by box %d, which cannot serve it", slot, server))
+	// The control: the stripe's entries of every other box deleted.
+	restore(t, build, without(func(e rawEntry) bool { return e.box == int32(server) }))
 }

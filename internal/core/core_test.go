@@ -2,11 +2,29 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/allocation"
 	"repro/internal/stats"
 	"repro/internal/video"
 )
+
+// TestRecordSizes pins the per-request records whose size is the engine's
+// memory per live request: a cache entry with its index links fills half a
+// cache line, and a pending issuance carries no round and no mirror.
+func TestRecordSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"idxEntry", unsafe.Sizeof(idxEntry{}), 32},
+		{"issuance", unsafe.Sizeof(issuance{}), 12},
+	} {
+		if tc.size != tc.want {
+			t.Errorf("%s is %d bytes, want %d", tc.name, tc.size, tc.want)
+		}
+	}
+}
 
 // scripted replays a fixed demand schedule.
 type scripted struct {

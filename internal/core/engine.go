@@ -67,7 +67,7 @@ func (s *System) step(gen Generator) (res StepResult, batchErr, err error) {
 	due := s.pendingRing[bucket]
 	s.pendingRing[bucket] = due[:0]
 	for _, iss := range due {
-		s.issueRequest(iss.stripe, iss.requester, iss.viewer, iss.mirror)
+		s.issueRequest(iss.stripe, iss.requester, iss.viewer)
 	}
 
 	// Admission.
@@ -284,10 +284,9 @@ func (s *System) planHomogeneous(b int32, v video.ID, preloadIdx, postponeDelay 
 			s.metrics.postponedReqs++
 		}
 		if i == preloadIdx || postponeDelay == 0 {
-			s.issueRequest(st, b, b, -1)
+			s.issueRequest(st, b, b)
 		} else {
-			s.schedule(issuance{
-				round: s.round + postponeDelay, stripe: st, requester: b, viewer: b, mirror: -1})
+			s.schedule(postponeDelay, issuance{stripe: st, requester: b, viewer: b})
 		}
 	}
 	return planned
@@ -306,11 +305,10 @@ func (s *System) planRelayedRich(b int32, v video.ID, preloadIdx int) int {
 		planned++
 		if i == preloadIdx {
 			s.metrics.preloadReqs++
-			s.issueRequest(st, b, b, -1)
+			s.issueRequest(st, b, b)
 		} else {
 			s.metrics.postponedReqs++
-			s.schedule(issuance{
-				round: s.round + 2, stripe: st, requester: b, viewer: b, mirror: -1})
+			s.schedule(2, issuance{stripe: st, requester: b, viewer: b})
 		}
 	}
 	return planned
@@ -339,15 +337,14 @@ func (s *System) planRelayedPoor(b int32, v video.ID, preloadIdx int) int {
 			planned++
 			s.metrics.preloadReqs++
 			s.metrics.relayedReqs++
-			s.issueRequest(st, r, b, b)
+			s.issueRequest(st, r, b)
 			continue
 		}
 		if direct < cb {
 			direct++
 			planned++
 			s.metrics.postponedReqs++
-			s.schedule(issuance{
-				round: s.round + 2, stripe: st, requester: b, viewer: b, mirror: -1})
+			s.schedule(2, issuance{stripe: st, requester: b, viewer: b})
 			continue
 		}
 		if s.cfg.Alloc.Stores(int(r), st) {
@@ -356,8 +353,7 @@ func (s *System) planRelayedPoor(b int32, v video.ID, preloadIdx int) int {
 		}
 		planned++
 		s.metrics.relayedReqs++
-		s.schedule(issuance{
-			round: s.round + 3, stripe: st, requester: r, viewer: b, mirror: b})
+		s.schedule(3, issuance{stripe: st, requester: r, viewer: b})
 	}
 	return planned
 }

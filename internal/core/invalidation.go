@@ -37,8 +37,7 @@ func (s *System) invalidateTargeted(adj bipartite.Adjacency) {
 	due := s.recheckRing[bucket]
 	s.recheckRing[bucket] = due[:0]
 	cand := append(s.candScratch[:0], due...)
-	s.availEvents = s.avail.drainEvents(s.availEvents[:0])
-	for _, ev := range s.availEvents {
+	for _, ev := range s.avail.takeEvents() {
 		for _, l := range s.matcher.AssignedLefts(int(ev.box)) {
 			if s.reqStripe[l] == ev.stripe {
 				cand = append(cand, l)
@@ -133,5 +132,5 @@ func (s *System) refreshAssignmentCertificates(unmatched int) {
 func (s *System) discardInvalidationBacklog() {
 	bucket := s.round % len(s.recheckRing)
 	s.recheckRing[bucket] = s.recheckRing[bucket][:0]
-	s.availEvents = s.avail.drainEvents(s.availEvents[:0])
+	s.avail.takeEvents()
 }

@@ -1,28 +1,32 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/video"
+)
 
 // keyIndex is the (stripe, box) → chain-head table of the availability
 // store: an open-addressed hash table with linear probing over a single
-// slot array, so a lookup is one hashed cache line (four 16-byte slots)
-// instead of a Go map's bucket walk. Keys are availKey values hashed by
-// Fibonacci multiplication; the table keeps at least half its slots empty
-// and doubles when the next insert would not. Deletion shifts the rest of
-// the probe run back over the hole instead of leaving a tombstone, so probe
-// lengths depend only on the keys present, never on how many were removed
-// before them. A slot is empty when val < 0: entry ids are never negative.
+// array of entry ids, so a lookup is one hashed cache line (sixteen 4-byte
+// slots) instead of a Go map's bucket walk. A slot holds only the id of
+// its key's newest entry; the key is read back from that entry in the
+// store's slab, which the caller passes in, so a slot is 4 bytes rather
+// than a 16-byte (key, id) pair. A hit costs nothing extra for that: the
+// chain walk that follows reads the same entry. Keys are availKey values
+// hashed by Fibonacci multiplication; the table keeps at least half its
+// slots empty and doubles when the next insert would not. Deletion shifts
+// the rest of the probe run back over the hole instead of leaving a
+// tombstone, so probe lengths depend only on the keys present, never on
+// how many were removed before them. A slot is empty when its id is
+// negative.
 type keyIndex struct {
-	slots []keySlot
-	shift uint8 // 64 − log2(len(slots))
+	ids   []int32
+	shift uint8 // 64 − log2(len(ids))
 	live  int
 }
 
-type keySlot struct {
-	key uint64
-	val int32
-}
-
-// keyIndexMinSlots is the smallest table (1 KB); sizes are powers of two.
+// keyIndexMinSlots is the smallest table (256 B); sizes are powers of two.
 const keyIndexMinSlots = 64
 
 // newKeyIndex returns a table that holds n keys without growing.
@@ -37,63 +41,66 @@ func newKeyIndex(n int) keyIndex {
 }
 
 func (t *keyIndex) alloc(size int) {
-	t.slots = make([]keySlot, size)
-	for i := range t.slots {
-		t.slots[i].val = -1
+	t.ids = make([]int32, size)
+	for i := range t.ids {
+		t.ids[i] = -1
 	}
 	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	t.live = 0
 }
 
-// home is key's preferred slot.
-func (t *keyIndex) home(key uint64) int {
-	return int(key * 0x9E3779B97F4A7C15 >> t.shift)
+// home is the preferred slot of key (st, box).
+func (t *keyIndex) home(st video.StripeID, box int32) int {
+	return int(availKey(st, box) * 0x9E3779B97F4A7C15 >> t.shift)
 }
 
-// find returns the slot holding key, or −1. The handle stays valid until
-// the next swap or del.
-func (t *keyIndex) find(key uint64) int {
-	mask := len(t.slots) - 1
-	for i := t.home(key); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.val < 0 {
+// find returns the slot holding key (st, box), or −1. The handle stays
+// valid until the next swap or del.
+func (t *keyIndex) find(slab []idxEntry, st video.StripeID, box int32) int {
+	mask := len(t.ids) - 1
+	for i := t.home(st, box); ; i = (i + 1) & mask {
+		id := t.ids[i]
+		if id < 0 {
 			return -1
 		}
-		if s.key == key {
+		if e := &slab[id]; e.stripe == st && e.box == box {
 			return i
 		}
 	}
 }
 
-// get returns key's value, or −1 when absent.
-func (t *keyIndex) get(key uint64) int32 {
-	mask := len(t.slots) - 1
-	for i := t.home(key); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.val < 0 || s.key == key {
-			return s.val
+// get returns the newest entry id of key (st, box), or −1 when absent.
+func (t *keyIndex) get(slab []idxEntry, st video.StripeID, box int32) int32 {
+	mask := len(t.ids) - 1
+	for i := t.home(st, box); ; i = (i + 1) & mask {
+		id := t.ids[i]
+		if id < 0 {
+			return -1
+		}
+		if e := &slab[id]; e.stripe == st && e.box == box {
+			return id
 		}
 	}
 }
 
-// swap stores val (≥ 0) under key and returns the value it replaced, or −1
-// when key was absent.
-func (t *keyIndex) swap(key uint64, val int32) int32 {
-	if 2*(t.live+1) > len(t.slots) {
-		t.grow()
+// swap makes entry id (≥ 0, already in slab) the newest of its key and
+// returns the id it replaced, or −1 when the key was absent.
+func (t *keyIndex) swap(slab []idxEntry, id int32) int32 {
+	if 2*(t.live+1) > len(t.ids) {
+		t.grow(slab)
 	}
-	mask := len(t.slots) - 1
-	for i := t.home(key); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.val < 0 {
-			*s = keySlot{key: key, val: val}
+	st, box := slab[id].stripe, slab[id].box
+	mask := len(t.ids) - 1
+	for i := t.home(st, box); ; i = (i + 1) & mask {
+		cur := t.ids[i]
+		if cur < 0 {
+			t.ids[i] = id
 			t.live++
 			return -1
 		}
-		if s.key == key {
-			prev := s.val
-			s.val = val
-			return prev
+		if e := &slab[cur]; e.stripe == st && e.box == box {
+			t.ids[i] = id
+			return cur
 		}
 	}
 }
@@ -101,29 +108,29 @@ func (t *keyIndex) swap(key uint64, val int32) int32 {
 // del empties the occupied slot i, then closes the hole: every later slot
 // of the same probe run whose home lies at or before the hole (cyclically)
 // moves back into it, so no lookup ever has to probe past an empty slot.
-func (t *keyIndex) del(i int) {
-	mask := len(t.slots) - 1
+func (t *keyIndex) del(slab []idxEntry, i int) {
+	mask := len(t.ids) - 1
 	for j := (i + 1) & mask; ; j = (j + 1) & mask {
-		s := t.slots[j]
-		if s.val < 0 {
+		id := t.ids[j]
+		if id < 0 {
 			break
 		}
-		// s may fill the hole only if its home is not inside (i, j].
-		if (j-t.home(s.key))&mask >= (j-i)&mask {
-			t.slots[i] = s
+		// id may fill the hole only if its home is not inside (i, j].
+		if (j-t.home(slab[id].stripe, slab[id].box))&mask >= (j-i)&mask {
+			t.ids[i] = id
 			i = j
 		}
 	}
-	t.slots[i].val = -1
+	t.ids[i] = -1
 	t.live--
 }
 
-func (t *keyIndex) grow() {
-	old := t.slots
+func (t *keyIndex) grow(slab []idxEntry) {
+	old := t.ids
 	t.alloc(2 * len(old))
-	for _, s := range old {
-		if s.val >= 0 {
-			t.swap(s.key, s.val)
+	for _, id := range old {
+		if id >= 0 {
+			t.swap(slab, id)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -86,6 +87,103 @@ func TestRelayedPoorViewingLifecycle(t *testing.T) {
 	}
 	if rep.RelayedRequests == 0 {
 		t.Error("no relayed requests")
+	}
+}
+
+// storeEntries lists s's cache entries stripe by stripe, each stripe's
+// newest first, whichever store s runs.
+func storeEntries(s *System) []string {
+	lists := make([][]string, s.cat.NumStripes())
+	for st, e := range s.avail.all() {
+		lists[st] = append(lists[st], fmt.Sprintf("stripe %d box %d issued %d tag %d", st, e.box, e.issued, e.tag))
+	}
+	var out []string
+	for _, list := range lists {
+		if _, naive := s.avail.(*naiveAvailability); naive {
+			slices.Reverse(list)
+		}
+		out = append(out, list...)
+	}
+	return out
+}
+
+// TestRelayedStallOutlivesEntries stalls a relay's request for a poor
+// viewer, which forwards a copy one round behind, so that the request
+// outlives the window of its cache entries. After one stalled round it
+// retires the round its relay's own entry expires, and only the forwarded
+// copy is left to freeze; after three stalled rounds neither is. The
+// store finds a request's entries on its requester's and viewer's key
+// chains and keeps no links to them, so it must freeze exactly the entries
+// left: round for round, its entries are the naive store's, whose retire
+// scans the stripe.
+func TestRelayedStallOutlivesEntries(t *testing.T) {
+	for _, stall := range []int{1, 3} {
+		prod, ref := buildRelayedSmall(t, 0.5), buildRelayedSmall(t, 0.5)
+		useNaiveStore(ref)
+		T := prod.cat.T
+		caps := make([]int64, prod.n)
+		for b := range caps {
+			caps[b] = prod.matcher.Capacity(b)
+		}
+		// Video 3's preload stripe is not on box 0's relay, box 2, which
+		// so requests it in round 1 and forwards it to box 0.
+		gen := &scripted{byRound: map[int][]Demand{1: {{Box: 0, Video: 3}}}}
+		slot, st := int32(-1), video.StripeID(-1)
+		retireRound := 1 + stall + T
+		for r := 1; r <= retireRound+2; r++ {
+			for _, s := range []*System{prod, ref} {
+				s.cfg.Failure = FailStall
+				for b, c := range caps {
+					if r == 1 {
+						c = 0 // nothing is served: every request stalls
+					}
+					if r == 1 || r == stall+1 {
+						if err := s.SetCapacity(b, c); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if _, err := prod.Step(gen); err != nil {
+				t.Fatalf("stall %d round %d: %v", stall, r, err)
+			}
+			if _, err := sweepStep(ref, gen); err != nil {
+				t.Fatalf("stall %d round %d, naive store: %v", stall, r, err)
+			}
+			if got, want := storeEntries(prod), storeEntries(ref); !slices.Equal(got, want) {
+				t.Fatalf("stall %d round %d: entries\n%v\nnaive store's\n%v", stall, r, got, want)
+			}
+			if r == 1 {
+				for _, l := range prod.matcher.ActiveLefts() {
+					if prod.reqBox[l] == 2 && prod.reqViewer[l] == 0 {
+						slot, st = l, prod.reqStripe[l]
+					}
+				}
+				if slot < 0 {
+					t.Fatal("scenario: the relay issued no request for its poor box in round 1")
+				}
+			}
+			if live := prod.matcher.Active(int(slot)); live != (r < retireRound) {
+				t.Fatalf("stall %d round %d: the relayed request is live %v, it retires in round %d", stall, r, live, retireRound)
+			}
+			if r != retireRound {
+				continue
+			}
+			// What the retirement left of the request's entries.
+			var left []string
+			for s, e := range prod.avail.all() {
+				if s == st && e.issued == 1 && (e.box == 0 || e.box == 2) {
+					left = append(left, fmt.Sprintf("box %d lag %d frozen %d", e.box, e.lag(), e.frozen()))
+				}
+			}
+			want := []string{fmt.Sprintf("box 0 lag 1 frozen %d", T-1)}
+			if stall > 1 {
+				want = nil
+			}
+			if !slices.Equal(left, want) {
+				t.Errorf("stall %d: the relayed request's entries after it retired: %v, want %v", stall, left, want)
+			}
+		}
 	}
 }
 

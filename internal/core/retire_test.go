@@ -48,7 +48,7 @@ func TestRetireOrderMatchesScan(t *testing.T) {
 		k := 1 + rng.Intn(40)
 		for i := 0; i < k; i++ {
 			sys.issueRequest(video.StripeID(rng.Intn(sys.cat.NumStripes())),
-				int32(rng.Intn(sys.n)), int32(rng.Intn(sys.n)), -1)
+				int32(rng.Intn(sys.n)), int32(rng.Intn(sys.n)))
 		}
 		// Any order: swap-removals leave the live list shuffled. The
 		// matcher's list is rebuilt in a random order (nothing is matched:

@@ -9,13 +9,22 @@ import (
 	"repro/internal/video"
 )
 
-// issuance is a scheduled future request.
+// issuance is a scheduled future request: 12 bytes. Its due round is the
+// one its pending ring bucket stands for (pendingRound), and it forwards a
+// copy to its viewer exactly when the viewer is not the requester (mirror).
 type issuance struct {
-	round     int
 	stripe    video.StripeID
 	requester int32
 	viewer    int32
-	mirror    int32 // box receiving a forwarded copy (lag 1), or -1
+}
+
+// mirror returns the box receiving a forwarded copy (lag 1), or −1: the
+// viewer, when a relay requests on its behalf.
+func (iss issuance) mirror() int32 {
+	if iss.requester != iss.viewer {
+		return iss.viewer
+	}
+	return -1
 }
 
 // maxIssuanceDelay bounds how far ahead a strategy may schedule a request;
@@ -108,7 +117,6 @@ type System struct {
 	// certificates can be rebuilt.
 	needSweep   bool
 	recheckRing [][]int32
-	availEvents []availEvent
 	assignedLog []int32
 	candScratch []int32
 
@@ -207,29 +215,42 @@ func (s *System) allocSlot() int32 {
 		s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
 		return slot
 	}
-	slot := int32(len(s.reqStripe))
+	slot := len(s.reqStripe)
+	if slot == maxPacked {
+		panic(fmt.Sprintf("core: request slot %d does not fit a cache entry", slot))
+	}
 	s.reqStripe = append(s.reqStripe, 0)
 	s.reqStart = append(s.reqStart, 0)
 	s.reqBox = append(s.reqBox, 0)
 	s.reqViewer = append(s.reqViewer, 0)
 	s.reqBase = append(s.reqBase, 0)
-	return slot
+	return int32(slot)
 }
 
-// schedule enqueues a future request on the pending ring. The due round
-// must be within the ring's horizon (strategies schedule at most
-// maxIssuanceDelay rounds ahead).
-func (s *System) schedule(iss issuance) {
-	delta := iss.round - s.round
-	if delta <= 0 || delta > maxIssuanceDelay {
-		panic(fmt.Sprintf("core: issuance scheduled %d rounds ahead (max %d)", delta, maxIssuanceDelay))
+// schedule enqueues a request delay rounds ahead on the pending ring,
+// within the ring's horizon (strategies schedule at most maxIssuanceDelay
+// rounds ahead).
+func (s *System) schedule(delay int, iss issuance) {
+	if delay <= 0 || delay > maxIssuanceDelay {
+		panic(fmt.Sprintf("core: issuance scheduled %d rounds ahead (max %d)", delay, maxIssuanceDelay))
 	}
-	bucket := iss.round % len(s.pendingRing)
+	bucket := (s.round + delay) % len(s.pendingRing)
 	s.pendingRing[bucket] = append(s.pendingRing[bucket], iss)
 }
 
-// issueRequest creates an active request and its cache entries.
-func (s *System) issueRequest(stripe video.StripeID, requester, viewer, mirror int32) {
+// pendingRound returns the round pending ring bucket b is due at between
+// Steps: the first round after this one that maps to it. The current
+// round's own bucket, drained when the round began, stands for the round
+// a whole ring ahead.
+func (s *System) pendingRound(b int) int {
+	n := len(s.pendingRing)
+	return s.round + 1 + ((b-s.round-1)%n+n)%n
+}
+
+// issueRequest creates an active request and its cache entries: the
+// requester's own and, when it requests for another viewer, the copy it
+// forwards to the viewer one round behind.
+func (s *System) issueRequest(stripe video.StripeID, requester, viewer int32) {
 	slot := s.allocSlot()
 	s.reqStripe[slot] = stripe
 	s.reqStart[slot] = int32(s.round)
@@ -239,9 +260,9 @@ func (s *System) issueRequest(stripe video.StripeID, requester, viewer, mirror i
 	s.bucketRetire(slot)
 	s.matcher.AddLeft(int(slot))
 	if !s.cfg.DisableCacheServing {
-		s.avail.add(stripe, entry{box: requester, start: int32(s.round), req: slot})
-		if mirror >= 0 {
-			s.avail.add(stripe, entry{box: mirror, start: int32(s.round + 1), req: slot, lag: 1})
+		s.avail.add(stripe, liveEntry(requester, int32(s.round), slot, 0))
+		if viewer != requester {
+			s.avail.add(stripe, liveEntry(viewer, int32(s.round), slot, 1))
 		}
 	}
 	if live := s.matcher.ActiveCount(); live > s.metrics.peakRequests {
@@ -262,7 +283,7 @@ func (s *System) progress() progressView { return progressView{s.clock, s.reqBas
 // retireRequest completes a request: frees the slot, freezes its cache
 // entries, and releases the viewer when its last request finishes.
 func (s *System) retireRequest(slot int32) {
-	s.avail.retire(s.reqStripe[slot], slot, s.progress().of(slot))
+	s.avail.retire(s.reqStripe[slot], slot, s.reqBox[slot], s.reqViewer[slot], s.progress().of(slot))
 	s.matcher.RemoveLeft(int(slot))
 	s.freeSlots = append(s.freeSlots, slot)
 	s.finishOne(s.reqViewer[slot])
@@ -372,18 +393,13 @@ func (a adjacency) CanServe(left, right int) bool {
 	return s.avail.canServe(stripe, int32(right), pv.of(slot), pv)
 }
 
-// ServerCountHint implements bipartite.Hinted: a cheap upper bound on
-// |B(x)| — allocation replicas plus live cache entries of the stripe. Zero
-// certifies the request currently has no server at all, letting the
-// matcher skip dead probes.
-func (a adjacency) ServerCountHint(left int) int {
+// NoServer implements bipartite.Hinted: a request of a stripe that no box
+// stores and no cache entry holds has no server at all, so the matcher
+// skips its probes.
+func (a adjacency) NoServer(left int) bool {
 	s := a.s
 	stripe := s.reqStripe[int32(left)]
-	hint := s.cfg.Alloc.Replicas(stripe)
-	if !s.cfg.DisableCacheServing {
-		hint += s.avail.live(stripe)
-	}
-	return hint
+	return s.cfg.Alloc.Replicas(stripe) == 0 && s.avail.empty(stripe)
 }
 
 // StableEdge implements bipartite.Hinted: an assignment to a box that
