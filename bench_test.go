@@ -418,8 +418,10 @@ func contendedSystem(b *testing.B) (*System, Generator) {
 // boxes, a 125 000-video catalog, 100 rounds in), reporting MB/s of
 // checkpoint. first is a fresh system's first save, which hashes the
 // configuration for its fingerprint; warm is every later save, which
-// reads the cached one; load rebuilds the system from its spec and
-// decodes the state.
+// reads the cached one; load reads the state's head, rebuilds the system
+// from its spec and decodes the rest of the state while a second
+// goroutine draws the allocation and hashes it, so a load costs about the
+// longer of the two.
 func BenchmarkCheckpoint(b *testing.B) {
 	sys, _ := contendedSystem(b)
 	var saved bytes.Buffer

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/ckpt"
+	"repro/internal/core"
 )
 
 // Checkpoint envelope. A checkpoint file is:
@@ -52,6 +53,12 @@ func (s *System) SaveCheckpoint(w io.Writer) error {
 // SaveCheckpoint. The restored system resumes bit-identically: stepping
 // it with the same demand feed produces the same results the saved
 // system would have produced.
+//
+// The spec's box count is a claim the stream backs with one count per
+// box, so the state's head is read up to those counts before anything of
+// the spec's size is built. The allocation's permutation is then drawn on
+// a second goroutine while this one decodes the rest of the state, and
+// the load costs about the longer of the two instead of their sum.
 func LoadCheckpoint(r io.Reader) (*System, error) {
 	cr := ckpt.NewReader(r)
 	magic := cr.Bytes()
@@ -69,11 +76,15 @@ func LoadCheckpoint(r io.Reader) (*System, error) {
 	if err := json.Unmarshal(specJSON, &spec); err != nil {
 		return nil, fmt.Errorf("vod: decode checkpoint spec: %w", err)
 	}
-	sys, err := New(spec)
+	head, err := core.ReadStateHead(cr, spec.Boxes)
+	if err != nil {
+		return nil, fmt.Errorf("vod: decode checkpoint state: %w", err)
+	}
+	sys, cfg, fill, err := assemble(spec)
 	if err != nil {
 		return nil, fmt.Errorf("vod: rebuild from checkpoint spec: %w", err)
 	}
-	if err := sys.inner.DecodeState(cr); err != nil {
+	if sys.inner, err = core.Restore(cfg, head, cr, fill); err != nil {
 		return nil, fmt.Errorf("vod: decode checkpoint state: %w", err)
 	}
 	return sys, nil

@@ -2,67 +2,89 @@ package vod
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/ckpt"
 )
 
 // TestSaveLoadCheckpoint exercises the public envelope: run a workload,
 // checkpoint mid-run, restore, and verify the restored system resumes
 // bit-identically under the same demand feed. The core-level differential
 // (internal/core) pins the heavy state machinery; this test pins the
-// envelope — spec round-trip, magic, and generator reattachment.
+// envelope — spec round-trip, magic, and generator reattachment — for a
+// homogeneous system and for the paper's §4 systems: a relayed bimodal
+// fleet and uneven storage.
 func TestSaveLoadCheckpoint(t *testing.T) {
-	spec := Spec{Boxes: 30, Upload: 2.0, Growth: 1.3, Resilient: true, Seed: 11}
-	live, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := NewZipfWorkload(3, 0.4, 0.9)
-	for r := 0; r < 40; r++ {
-		if _, err := live.Step(gen); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := live.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Round() != 40 {
-		t.Fatalf("restored at round %d, want 40", restored.Round())
-	}
-	if !reflect.DeepEqual(restored.Spec(), spec) {
-		t.Fatalf("spec did not round-trip: %+v vs %+v", restored.Spec(), spec)
-	}
-
-	// Demand feeds are external inputs: reattach identically seeded
-	// generators (the live one has consumed 40 rounds of randomness, so
-	// both sides get fresh ones) and compare the continuations.
-	genA := NewZipfWorkload(99, 0.4, 0.9)
-	genB := NewZipfWorkload(99, 0.4, 0.9)
-	for r := 0; r < 30; r++ {
-		resA, err := live.Step(genA)
+	pop := Bimodal(30, 0.7, 3.0, 0.5, 2.0)
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		gen  func(seed uint64) Generator
+	}{
+		{"homogeneous", Spec{Boxes: 30, Upload: 2.0, Growth: 1.3, Resilient: true, Seed: 11},
+			func(seed uint64) Generator { return NewZipfWorkload(seed, 0.4, 0.9) }},
+		{"relayed", Spec{Boxes: 30, Uploads: pop.Uploads, Storages: pop.Storage, UStar: 1.5, Growth: 1.05,
+			Duration: 40, Replicas: 3, Resilient: true, Seed: 7},
+			func(uint64) Generator { return NewPoorFirst(1.5) }},
+		{"uneven storage", Spec{Boxes: 30, Upload: 2.0, Storages: pop.Storage, Growth: 1.3, Resilient: true, Seed: 5},
+			func(seed uint64) Generator { return NewZipfWorkload(seed, 0.4, 0.9) }},
+	} {
+		live, err := New(tc.spec)
 		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		gen := tc.gen(3)
+		for r := 0; r < 40; r++ {
+			if _, err := live.Step(gen); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if rep := live.Report(); rep.Admitted == 0 || tc.spec.UStar > 0 && rep.RelayedRequests == 0 {
+			t.Fatalf("%s: nothing to checkpoint: %d admitted, %d relayed", tc.name, rep.Admitted, rep.RelayedRequests)
+		}
+		var buf bytes.Buffer
+		if err := live.SaveCheckpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		resB, err := restored.Step(genB)
+
+		restored, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !reflect.DeepEqual(resA, resB) {
-			t.Fatalf("round %d diverged: %+v vs %+v", resA.Round, resA, resB)
+		if restored.Round() != 40 {
+			t.Fatalf("%s: restored at round %d, want 40", tc.name, restored.Round())
 		}
-	}
-	if repA, repB := live.Report(), restored.Report(); !reflect.DeepEqual(repA, repB) {
-		t.Fatalf("reports diverge after identical continuations")
+		if !reflect.DeepEqual(restored.Spec(), tc.spec) {
+			t.Fatalf("%s: spec did not round-trip: %+v vs %+v", tc.name, restored.Spec(), tc.spec)
+		}
+
+		// Demand feeds are external inputs: reattach identically seeded
+		// generators (the live one has consumed 40 rounds of randomness, so
+		// both sides get fresh ones) and compare the continuations.
+		genA, genB := tc.gen(99), tc.gen(99)
+		for r := 0; r < 30; r++ {
+			resA, err := live.Step(genA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resB, err := restored.Step(genB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(resA, resB) {
+				t.Fatalf("%s: round %d diverged: %+v vs %+v", tc.name, resA.Round, resA, resB)
+			}
+		}
+		if repA, repB := live.Report(), restored.Report(); !reflect.DeepEqual(repA, repB) {
+			t.Fatalf("%s: reports diverge after identical continuations", tc.name)
+		}
 	}
 }
 
@@ -76,25 +98,121 @@ func TestLoadCheckpointRejectsGarbage(t *testing.T) {
 }
 
 // TestLoadCheckpointAllocatesWhatTheFileHolds: a length prefix is a claim
-// the file has to back. The 5-byte file is a magic length of 2^28 and
-// nothing else, which once made LoadCheckpoint allocate 268 MB before it
-// compared the magic; the second file is the right magic followed by a
-// spec length of 2^31.
+// the file has to back, and so is a spec. The 5-byte file is a magic
+// length of 2^28 and nothing else, which once made LoadCheckpoint allocate
+// 268 MB before it compared the magic; the second file is the right magic
+// followed by a spec length of 2^31. The third is the magic and a spec of
+// 10⁶ boxes shaped like contended-serial's, and nothing else: 217 bytes on
+// which LoadCheckpoint once built the whole system, 178 MB, before it
+// found the state missing. The fourth adds the state's head up to its box
+// counts, which it does not hold.
 func TestLoadCheckpointAllocatesWhatTheFileHolds(t *testing.T) {
-	spec := append([]byte{byte(len(checkpointMagic))}, checkpointMagic...)
+	magic := append([]byte{byte(len(checkpointMagic))}, checkpointMagic...)
+	specOnly := func(write func(w *ckpt.Writer)) []byte {
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		w.Bytes(checkpointMagic)
+		specJSON, err := json.Marshal(Spec{Boxes: 1_000_000, Upload: 2.0, Storage: 2, Stripes: 4, Replicas: 4,
+			Duration: 50, Growth: 1.2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Bytes(specJSON)
+		write(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	claimed := specOnly(func(*ckpt.Writer) {})
+	if len(claimed) != 217 {
+		t.Fatalf("the spec-only file is %d bytes, not 217", len(claimed))
+	}
 	for _, file := range [][]byte{
 		{0x80, 0x80, 0x80, 0x80, 0x01},
-		append(spec, 0x80, 0x80, 0x80, 0x80, 0x08),
+		append(magic, 0x80, 0x80, 0x80, 0x80, 0x08),
+		claimed,
+		specOnly(func(w *ckpt.Writer) {
+			w.U64(4) // state version
+			w.U64(0) // fingerprint
+			w.Int(0) // round
+			w.Bool(false)
+			w.Int(0) // no slots: five empty slot arrays follow
+			for range 5 {
+				w.U64(0)
+			}
+			w.I32(0) // the first of 10⁶ box counts
+		}),
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := LoadCheckpoint(bytes.NewReader(file))
 		runtime.ReadMemStats(&after)
 		if err == nil {
-			t.Errorf("% x: loaded", file)
+			t.Errorf("%d-byte file loaded", len(file))
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("% x: LoadCheckpoint allocated %d bytes on a %d-byte file", file, grew, len(file))
+			t.Errorf("%d-byte file: LoadCheckpoint allocated %d bytes (%v)", len(file), grew, err)
+		}
+	}
+}
+
+// TestLoadCheckpointLeavesNoGoroutine loads an honest checkpoint and files
+// that fail at each stage of a load — the spec, the state's head (before
+// the allocation is drawn), the stream's body and the fingerprint (while
+// and after it is drawn) — and requires the process to be back at the
+// goroutines it had: the load draws the allocation on a goroutine of its
+// own, which must not outlive it. (Whether each return waits for that
+// goroutine, however long it runs, is TestRestoreWaitsForTheFill's.)
+func TestLoadCheckpointLeavesNoGoroutine(t *testing.T) {
+	sys, err := New(Spec{Boxes: 30, Upload: 2.0, Growth: 1.3, Resilient: true, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := NewZipfWorkload(3, 0.4, 0.9)
+	for r := 0; r < 20; r++ {
+		if _, err := sys.Step(gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := sys.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	honest := buf.Bytes()
+	specJSON, err := json.Marshal(sys.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := bytes.Index(honest, specJSON) + len(specJSON) // the state follows the spec's JSON
+	wrongPrint := bytes.Clone(honest)
+	wrongPrint[state+1] ^= 1 // the fingerprint's first byte, after the 1-byte version
+	badSpec := bytes.Replace(honest, []byte(`"Boxes":30`), []byte(`"Boxes":-3`), 1)
+
+	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"honest", honest, ""},
+		{"refused spec", badSpec, "Boxes must be positive"},
+		{"cut in the head", honest[:state+5], "EOF"},
+		{"cut in the body", honest[:len(honest)-3], "EOF"},
+		{"wrong fingerprint", wrongPrint, "does not match configuration"},
+	} {
+		_, err := LoadCheckpoint(bytes.NewReader(tc.file))
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: LoadCheckpoint returned %v, want %q", tc.name, err, tc.want)
+		}
+		// A goroutine that has handed back its result may take a moment to
+		// exit; one still at work would not be gone in a second.
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if now := runtime.NumGoroutine(); now > before {
+			t.Errorf("%s: %d goroutines after the load, %d before", tc.name, now, before)
 		}
 	}
 }

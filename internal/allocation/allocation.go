@@ -80,42 +80,60 @@ func (a *Allocation) endStripe() { a.start = append(a.start, int32(len(a.holders
 // Permutation builds a random permutation allocation: k replicas per
 // stripe, slotsPerBox[b] replica slots on box b, with
 // Σ slotsPerBox == k · m · c. Every slot is filled, so box loads are exact.
+// It is PermutationShape and its fill back to back.
 func Permutation(rng *stats.RNG, cat video.Catalog, slotsPerBox []int, k int) (*Allocation, error) {
+	a, fill, err := PermutationShape(cat, slotsPerBox, k)
+	if err != nil {
+		return nil, err
+	}
+	fill(rng)
+	return a, nil
+}
+
+// PermutationShape validates a permutation allocation's slots and returns
+// its shape — the catalog, the boxes, where each stripe's k holders sit
+// and, as the holders, the owner table, in which box b owns the
+// slotsPerBox[b] slots after the boxes before it — with the fill that
+// draws the holders from rng. Until fill has returned only the shape may
+// be read (Catalog, NumBoxes, NumStripes, Replicas), so that a caller can
+// run fill beside other work.
+//
+// Replica j (of stripe j/k) lands in slot perm[j], perm being the
+// permutation ShuffleInts draws over the slots. fill shuffles the owner
+// table in place with those draws, which puts owner[perm[j]] at position
+// j: the table becomes the holders with no permutation array and no
+// gather.
+func PermutationShape(cat video.Catalog, slotsPerBox []int, k int) (*Allocation, func(rng *stats.RNG), error) {
 	if k < 1 {
-		return nil, fmt.Errorf("allocation: k=%d must be >= 1", k)
+		return nil, nil, fmt.Errorf("allocation: k=%d must be >= 1", k)
 	}
 	totalSlots := 0
 	for b, s := range slotsPerBox {
 		if s < 0 {
-			return nil, fmt.Errorf("allocation: box %d has negative slots", b)
+			return nil, nil, fmt.Errorf("allocation: box %d has negative slots", b)
 		}
 		totalSlots += s
 	}
 	replicas := k * cat.NumStripes()
 	if totalSlots != replicas {
-		return nil, fmt.Errorf("allocation: %d slots != k·m·c = %d replicas (k=%d, m=%d, c=%d)",
+		return nil, nil, fmt.Errorf("allocation: %d slots != k·m·c = %d replicas (k=%d, m=%d, c=%d)",
 			totalSlots, replicas, k, cat.M, cat.C)
 	}
-	// Slot i belongs to the box whose cumulative slot range contains i;
-	// replica j (of stripe j/k) lands in slot perm[j], so the permutation
-	// becomes the holder table in place, stripe s owning [s·k, s·k+k).
-	slotOwner := make([]int32, totalSlots)
+	owners := make([]int32, totalSlots)
 	pos := 0
 	for b, s := range slotsPerBox {
-		for i := 0; i < s; i++ {
-			slotOwner[pos] = int32(b)
-			pos++
+		run := owners[pos : pos+s]
+		for i := range run {
+			run[i] = int32(b)
 		}
-	}
-	holders := rng.Perm(totalSlots)
-	for j, slot := range holders {
-		holders[j] = slotOwner[slot]
+		pos += s
 	}
 	start := make([]int32, cat.NumStripes()+1)
 	for s := range start {
 		start[s] = int32(s * k)
 	}
-	return &Allocation{cat: cat, n: len(slotsPerBox), holders: holders, start: start}, nil
+	a := &Allocation{cat: cat, n: len(slotsPerBox), holders: owners, start: start}
+	return a, func(rng *stats.RNG) { stats.ShuffleSlice(rng, owners) }, nil
 }
 
 // HomogeneousPermutation is the common case: n boxes with d videos of

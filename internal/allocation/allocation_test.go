@@ -424,31 +424,89 @@ func TestTablesMatchAppendReference(t *testing.T) {
 	}
 }
 
-// Permutation's holders are its owner table read through Perm: box b owns
-// the slotsPerBox[b] slots after the boxes before it, and replica j of the
-// table (stripe j/k) lands in slot Perm(k·m·c)[j]. So the allocation draws
-// exactly the permutation stats.Perm pins to ShuffleInts.
+// Permutation's holders are its owner table read through a permutation:
+// box b owns the slotsPerBox[b] slots after the boxes before it, and
+// replica j of the table (stripe j/k) lands in slot perm[j], perm being
+// 0…k·m·c−1 shuffled by ShuffleInts. Permute shuffles the owner table in
+// place instead; the reference here draws perm and gathers. The rows give
+// every box the same slots, or the uneven slots heteroSlots gives.
 func TestPermutationHoldersFollowPerm(t *testing.T) {
-	for _, tc := range []struct{ n, d, c, k int }{{1, 2, 3, 2}, {20, 4, 3, 5}, {300, 2, 4, 4}, {1000, 3, 8, 6}} {
+	uniform := func(n, d, c int) []int {
+		slots := make([]int, n)
+		for b := range slots {
+			slots[b] = d * c
+		}
+		return slots
+	}
+	for _, tc := range []struct {
+		name  string
+		slots []int
+		c, k  int
+	}{
+		{"1 box", uniform(1, 2, 3), 3, 2},
+		{"20 boxes", uniform(20, 4, 3), 3, 5},
+		{"300 boxes", uniform(300, 2, 4), 4, 4},
+		{"1000 boxes", uniform(1000, 3, 8), 8, 6},
+		{"7 uneven boxes", heteroSlots(7, 3, 2), 3, 2},
+		{"300 uneven boxes", heteroSlots(300, 4, 4), 4, 4},
+		{"1000 uneven boxes", heteroSlots(1000, 8, 6), 8, 6},
+	} {
+		total := 0
+		for _, s := range tc.slots {
+			total += s
+		}
+		cat := video.MustCatalog(total/(tc.k*tc.c), tc.c, 10)
 		for _, seed := range []uint64{1, 7, 99} {
-			a, cat, err := HomogeneousPermutation(stats.NewRNG(seed), tc.n, tc.d, tc.c, 10, tc.k)
+			a, err := Permutation(stats.NewRNG(seed), cat, tc.slots, tc.k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var owner []int32
-			for b := range tc.n {
-				for range tc.d * tc.c {
+			for b, s := range tc.slots {
+				for range s {
 					owner = append(owner, int32(b))
 				}
 			}
-			perm := stats.NewRNG(seed).Perm(len(owner))
+			perm := make([]int, len(owner))
+			for i := range perm {
+				perm[i] = i
+			}
+			stats.NewRNG(seed).ShuffleInts(perm)
 			for s := range cat.NumStripes() {
 				for i, b := range a.Holders(video.StripeID(s)) {
 					if want := owner[perm[s*tc.k+i]]; b != want {
-						t.Fatalf("n=%d seed %d: stripe %d holder %d is box %d, the owner table gives %d", tc.n, seed, s, i, b, want)
+						t.Fatalf("%s, seed %d: stripe %d holder %d is box %d, the owner table gives %d", tc.name, seed, s, i, b, want)
 					}
 				}
 			}
 		}
 	}
+}
+
+// heteroSlots gives n boxes uneven replica slots the way
+// hetero.AllocationSlots does for a bimodal population: every fifth box
+// stores 4 videos and the others 1.3, each holding ⌊d·c⌋ slots, and the
+// total is trimmed to a multiple of k·c one slot at a time from the
+// largest box.
+func heteroSlots(n, c, k int) []int {
+	slots := make([]int, n)
+	total := 0
+	for b := range slots {
+		d := 1.3
+		if b%5 == 0 {
+			d = 4
+		}
+		slots[b] = int(d*float64(c) + 1e-9)
+		total += slots[b]
+	}
+	for excess := total % (k * c); excess > 0; excess-- {
+		big := 0
+		for b := range slots {
+			if slots[b] > slots[big] {
+				big = b
+			}
+		}
+		slots[big]--
+	}
+	return slots
 }

@@ -64,7 +64,7 @@ const coreStateVersion = 4
 // hash is computed on the first call and cached.
 func (s *System) Fingerprint() uint64 {
 	if !s.fingerprinted {
-		s.fingerprint, s.fingerprinted = s.hashConfig(), true
+		s.fingerprint, s.fingerprinted = hashConfig(&s.cfg), true
 	}
 	return s.fingerprint
 }
@@ -113,32 +113,33 @@ func fnvHolder(h uint64, b uint32) uint64 {
 
 // hashConfig is the FNV-1a-64 hash of the configuration words, each
 // written as eight little-endian bytes, in the order below.
-func (s *System) hashConfig() uint64 {
+func hashConfig(cfg *Config) uint64 {
+	cat := cfg.Alloc.Catalog()
 	h := uint64(fnvOffset64)
-	h = fnvWord(h, uint64(s.n))
-	h = fnvWord(h, uint64(s.cat.M))
-	h = fnvWord(h, uint64(s.cat.C))
-	h = fnvWord(h, uint64(s.cat.T))
-	h = fnvWord(h, uint64(s.cfg.Strategy))
-	h = fnvWord(h, uint64(s.cfg.Failure))
+	h = fnvWord(h, uint64(cfg.Alloc.NumBoxes()))
+	h = fnvWord(h, uint64(cat.M))
+	h = fnvWord(h, uint64(cat.C))
+	h = fnvWord(h, uint64(cat.T))
+	h = fnvWord(h, uint64(cfg.Strategy))
+	h = fnvWord(h, uint64(cfg.Failure))
 	// Bit 0 (event-driven invalidation) is always set and bits 1 and 3
 	// named reference engines that are no longer configurable; the word
 	// keeps that layout so every configuration hashes as it always has.
 	flags := uint64(1)
-	if s.cfg.DisableCacheServing {
+	if cfg.DisableCacheServing {
 		flags |= 4
 	}
 	h = fnvWord(h, flags)
-	h = fnvWord(h, math.Float64bits(s.cfg.Mu))
-	h = fnvWord(h, math.Float64bits(s.cfg.UStar))
-	for _, u := range s.cfg.Uploads {
+	h = fnvWord(h, math.Float64bits(cfg.Mu))
+	h = fnvWord(h, math.Float64bits(cfg.UStar))
+	for _, u := range cfg.Uploads {
 		h = fnvWord(h, math.Float64bits(u))
 	}
-	for _, r := range s.cfg.Relays {
+	for _, r := range cfg.Relays {
 		h = fnvWord(h, uint64(int64(r)))
 	}
-	for st := range s.cfg.Alloc.NumStripes() {
-		holders := s.cfg.Alloc.Holders(video.StripeID(st))
+	for st := range cfg.Alloc.NumStripes() {
+		holders := cfg.Alloc.Holders(video.StripeID(st))
 		h = fnvWord(h, uint64(len(holders)))
 		for _, b := range holders {
 			h = fnvHolder(h, uint32(b))
@@ -216,57 +217,144 @@ const maxRound = math.MaxInt32 / 2
 // uploads, mode flags — enforced by the fingerprint), and audits the
 // result.
 func (s *System) DecodeState(r *ckpt.Reader) error {
+	head, err := ReadStateHead(r, s.n)
+	if err != nil {
+		return err
+	}
+	_, err = restoreState(&s.cfg, head, r, nil, func() (*System, error) { return s, nil })
+	return err
+}
+
+// StateHead is the opening of a state stream, which needs no System to
+// decode: the version and fingerprint, the round, the request slot arrays
+// and each box's outstanding count.
+type StateHead struct {
+	fingerprint uint64
+	round       int
+	failed      bool
+	reqStripe   []video.StripeID
+	reqStart    []int32
+	reqBox      []int32
+	reqViewer   []int32
+	progress    []int32
+	freeSlots   []int32
+	outstanding []int32
+}
+
+// ReadStateHead reads a state stream of n boxes up to its last
+// outstanding count. What it holds grows with the values read, so a
+// stream too short for its counts — or for n boxes — fails here having
+// allocated in proportion to its bytes: a loader that builds the System
+// only after the head has read spends nothing n-sized on it.
+func ReadStateHead(r *ckpt.Reader, n int) (*StateHead, error) {
 	if v := r.U64(); v != coreStateVersion {
 		if r.Err() != nil {
-			return r.Err()
+			return nil, r.Err()
 		}
-		return fmt.Errorf("core: checkpoint state version %d, this build reads %d", v, coreStateVersion)
+		return nil, fmt.Errorf("core: checkpoint state version %d, this build reads %d", v, coreStateVersion)
 	}
-	if fp := r.U64(); fp != s.Fingerprint() {
-		if r.Err() != nil {
-			return r.Err()
-		}
-		return fmt.Errorf("core: checkpoint fingerprint %016x does not match configuration %016x",
-			fp, s.Fingerprint())
-	}
-	s.round = r.Int()
-	s.failed = r.Bool()
-
+	h := &StateHead{fingerprint: r.U64(), round: r.Int(), failed: r.Bool()}
 	nSlots := r.Int()
 	if err := r.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if s.round < 0 || s.round > maxRound {
-		return fmt.Errorf("core: checkpoint round %d out of range", s.round)
+	if h.round < 0 || h.round > maxRound {
+		return nil, fmt.Errorf("core: checkpoint round %d out of range", h.round)
 	}
 	if nSlots < 0 || nSlots > maxPacked {
-		return fmt.Errorf("core: checkpoint slot count %d out of range", nSlots)
+		return nil, fmt.Errorf("core: checkpoint slot count %d out of range", nSlots)
 	}
-	s.reqStripe = ckpt.Records(r, nSlots, func() video.StripeID { return video.StripeID(r.I32()) })
-	s.reqStart = r.I32s()
-	s.reqBox = r.I32s()
-	s.reqViewer = r.I32s()
-	progress := r.I32s()
-	s.freeSlots = r.I32s()
+	h.reqStripe = ckpt.Records(r, nSlots, func() video.StripeID { return video.StripeID(r.I32()) })
+	h.reqStart = r.I32s()
+	h.reqBox = r.I32s()
+	h.reqViewer = r.I32s()
+	h.progress = r.I32s()
+	h.freeSlots = r.I32s()
 	if err := r.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if len(s.reqStart) != nSlots || len(s.reqBox) != nSlots || len(s.reqViewer) != nSlots ||
-		len(progress) != nSlots {
-		return fmt.Errorf("core: checkpoint slot arrays disagree on length")
+	if len(h.reqStart) != nSlots || len(h.reqBox) != nSlots || len(h.reqViewer) != nSlots ||
+		len(h.progress) != nSlots {
+		return nil, fmt.Errorf("core: checkpoint slot arrays disagree on length")
 	}
+	h.outstanding = r.I32sN(n)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// Restore builds a System from cfg, as NewSystem does, and restores head
+// and the rest of its stream into it, as DecodeState does.
+//
+// cfg's allocation need not be filled yet: fill, when not nil, completes
+// it on a second goroutine, which then hashes the configuration, while
+// this one builds the System and decodes the stream. Neither reads the
+// allocation's holders. The stored fingerprint is compared once both are
+// done, and a mismatch is reported before any error of the stream's,
+// which a stream saved under another configuration may well have. The
+// audit, which reads the holders, runs last. Every return waits for the
+// goroutine, so none outlives the call.
+func Restore(cfg Config, head *StateHead, r *ckpt.Reader, fill func()) (*System, error) {
+	if cfg.Alloc == nil {
+		return nil, fmt.Errorf("core: config needs an allocation")
+	}
+	return restoreState(&cfg, head, r, fill, func() (*System, error) { return NewSystem(cfg) })
+}
+
+// restoreState is Restore and DecodeState: it runs fill and hashes cfg on a
+// second goroutine while build builds the system and the stream is
+// decoded into it.
+func restoreState(cfg *Config, head *StateHead, r *ckpt.Reader, fill func(), build func() (*System, error)) (*System, error) {
+	done := make(chan uint64, 1) // the goroutine never blocks, even if this one panics
+	go func() {
+		if fill != nil {
+			fill()
+		}
+		done <- hashConfig(cfg)
+	}()
+	s, err := build()
+	if err == nil {
+		err = s.decodeBody(head, r)
+	}
+	fp := <-done
+	switch {
+	case s == nil:
+		return nil, err
+	case fp != head.fingerprint:
+		return nil, fmt.Errorf("core: checkpoint fingerprint %016x does not match configuration %016x",
+			head.fingerprint, fp)
+	case err != nil:
+		return nil, err
+	}
+	s.fingerprint, s.fingerprinted = fp, true
+	if err := s.audit(); err != nil {
+		return nil, fmt.Errorf("core: checkpoint refused: %w", err)
+	}
+	return s, nil
+}
+
+// decodeBody restores head, whose arrays s takes over, and the stream
+// after it into s. It reads nothing of the allocation but its shape.
+func (s *System) decodeBody(head *StateHead, r *ckpt.Reader) error {
+	if len(head.outstanding) != s.n {
+		return fmt.Errorf("core: checkpoint head read for %d boxes, the system has %d", len(head.outstanding), s.n)
+	}
+	s.round, s.failed = head.round, head.failed
+	s.reqStripe, s.reqStart, s.reqBox, s.reqViewer = head.reqStripe, head.reqStart, head.reqBox, head.reqViewer
+	s.freeSlots = head.freeSlots
+	nSlots := len(s.reqStripe)
 	s.clock = int32(s.round) + 1
 	if s.failed {
 		s.clock--
 	}
 
 	awaited := int64(0) // every pending issuance is outstanding work of its viewer
-	for b := range s.boxes {
-		s.boxes[b].outstanding = r.I32()
-		s.boxes[b].idlePos = -1
-		awaited += max(int64(s.boxes[b].outstanding), 0)
+	for b, o := range head.outstanding {
+		s.boxes[b] = boxRec{outstanding: o, idlePos: -1}
+		awaited += max(int64(o), 0)
 	}
-	s.idleList = r.I32s()
+	s.idleList = r.AppendI32s(s.idleList[:0]) // NewSystem sized it for every box
 	s.idleBits.initEmpty(s.n)
 	for pos, b := range s.idleList {
 		if b < 0 || int(b) >= s.n {
@@ -319,6 +407,7 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 		s.totalSlots += s.matcher.Capacity(b)
 	}
 	T := int32(s.cat.T)
+	progress := head.progress
 	for slot, p := range progress {
 		if live := s.matcher.Active(slot); live && (p < 0 || p > T) || !live && p != T {
 			return fmt.Errorf("core: checkpoint slot %d (live %v) has progress %d, T is %d", slot, live, p, T)
@@ -339,13 +428,7 @@ func (s *System) DecodeState(r *ckpt.Reader) error {
 	if err := s.metrics.decode(r, s.round); err != nil {
 		return err
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := s.audit(); err != nil {
-		return fmt.Errorf("core: checkpoint refused: %w", err)
-	}
-	return nil
+	return r.Err()
 }
 
 // encodeState writes the store as its per-stripe entry lists: for each

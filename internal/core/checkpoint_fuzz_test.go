@@ -23,12 +23,23 @@ func fuzzDecodeSystem(tb testing.TB) *System {
 // not check. The honest seeds must run all 10 rounds. They are the
 // system's checkpoints at rounds 0, 15 and 60; plain go test replays them,
 // and the fuzzer mutates them into streams no engine writes.
-func FuzzDecodeState(f *testing.F) {
-	live := fuzzDecodeSystem(f)
+func FuzzDecodeState(f *testing.F) { fuzzDecodeState(f, fuzzDecodeSystem) }
+
+// FuzzDecodeStateRelayed is FuzzDecodeState over the relayed system of
+// the paper's §4 (buildRelayedSmall: six boxes, the two poor ones each
+// relayed by a rich one), whose checkpoints hold relayed issuances and
+// the mirror entries of the poor boxes' viewings.
+func FuzzDecodeStateRelayed(f *testing.F) {
+	fuzzDecodeState(f, func(tb testing.TB) *System { return buildRelayedSmall(tb, 0.5) })
+}
+
+// fuzzDecodeState is FuzzDecodeState over the system build returns.
+func fuzzDecodeState(f *testing.F, build func(testing.TB) *System) {
+	live := build(f)
 	gen := &uniformGen{rng: stats.NewRNG(5), p: 0.6}
 	honest := map[string]bool{}
 	for _, round := range []int{0, 15, 60} {
-		for live.Round() < round {
+		for live.Round() < round && !live.Failed() {
 			if _, err := live.Step(gen); err != nil {
 				f.Fatal(err)
 			}
@@ -45,8 +56,11 @@ func FuzzDecodeState(f *testing.F) {
 		honest[buf.String()] = true
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := fuzzDecodeSystem(t)
+		s := build(t)
 		if err := s.DecodeState(ckpt.NewReader(bytes.NewReader(data))); err != nil {
+			if honest[string(data)] {
+				t.Fatalf("honest checkpoint refused: %v", err)
+			}
 			return
 		}
 		if err := s.audit(); err != nil {

@@ -874,7 +874,7 @@ func TestFingerprintMatchesFNV(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got, fresh := s.Fingerprint(), s.hashConfig(); got != want || fresh != want || refFingerprint(s) != want {
+		if got, fresh := s.Fingerprint(), hashConfig(&s.cfg); got != want || fresh != want || refFingerprint(s) != want {
 			t.Fatalf("%s after 30 rounds: cached %016x, fresh %016x, hash/fnv %016x, first %016x",
 				tc.name, got, fresh, refFingerprint(s), want)
 		}

@@ -16,7 +16,7 @@ import (
 // buildRelayedSmall assembles a minimal relayed system inside the core
 // package so the Section 4 code paths are covered here too (the richer
 // integration suite lives in package hetero).
-func buildRelayedSmall(t *testing.T, uPoor float64) *System {
+func buildRelayedSmall(t testing.TB, uPoor float64) *System {
 	t.Helper()
 	const n = 6
 	const c, T, k = 25, 30, 2

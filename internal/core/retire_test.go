@@ -57,8 +57,9 @@ func TestRetireOrderMatchesScan(t *testing.T) {
 		for _, slot := range shuffled {
 			sys.matcher.RemoveLeft(int(slot))
 		}
-		for _, p := range rng.Perm(k) {
-			sys.matcher.AddLeft(int(shuffled[p]))
+		stats.ShuffleSlice(rng, shuffled)
+		for _, slot := range shuffled {
+			sys.matcher.AddLeft(int(slot))
 		}
 		density := []float64{0.1, 0.5, 0.9}[rng.Intn(3)]
 		tail := 0

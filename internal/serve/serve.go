@@ -414,14 +414,28 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.queueLocked(batch)
 	s.mu.Unlock()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, errQueueFull) {
+			status = http.StatusServiceUnavailable
+		}
+		writeErr(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxPending caps the demands queued for the next round: one for each box
+// of a 250,000-box system and then some, about 6 MB of queue. Without it a
+// client that posts faster than the rounds drain grows the daemon's memory
+// without bound.
+const maxPending = 1 << 18
+
+// errQueueFull refuses a batch that would take the queue past maxPending.
+var errQueueFull = errors.New("demand queue full")
+
 // queueLocked appends batch to the pending demands, or none of it when one
-// names a box or video the system does not have.
+// names a box or video the system does not have, or when it would take
+// the queue past maxPending.
 func (s *Server) queueLocked(batch []demandIn) (demandResp, error) {
 	n := s.sys.View().NumBoxes()
 	m := s.sys.Catalog().M
@@ -432,6 +446,10 @@ func (s *Server) queueLocked(batch []demandIn) (demandResp, error) {
 		if d.Video < 0 || d.Video >= m {
 			return demandResp{}, fmt.Errorf("video %d out of range [0,%d)", d.Video, m)
 		}
+	}
+	if len(s.pending)+len(batch) > maxPending {
+		return demandResp{}, fmt.Errorf("%w: %d demands queued, a batch of %d would pass the %d a round may hold",
+			errQueueFull, len(s.pending), len(batch), maxPending)
 	}
 	for _, d := range batch {
 		s.pending = append(s.pending, vod.Demand{Box: d.Box, Video: vod.VideoID(d.Video)})

@@ -137,6 +137,36 @@ func TestDemandValidation(t *testing.T) {
 	}
 }
 
+// TestDemandQueueBounded fills the demand queue to one short of its cap:
+// a batch of two is refused whole with 503 and queues nothing, a single
+// demand still fits, and once a round drains the queue the batch of two
+// is taken.
+func TestDemandQueueBounded(t *testing.T) {
+	srv, ts := newTestServer(t)
+	srv.mu.Lock()
+	srv.pending = make([]vod.Demand, maxPending-1)
+	srv.mu.Unlock()
+	pair := map[string]any{"demands": []map[string]int{{"box": 1, "video": 0}, {"box": 2, "video": 0}}}
+	if code, body := postJSON(t, ts.URL+"/demand", pair); code != http.StatusServiceUnavailable {
+		t.Fatalf("a batch past the cap: %d %v, want 503", code, body)
+	}
+	srv.mu.Lock()
+	queued := len(srv.pending)
+	srv.mu.Unlock()
+	if queued != maxPending-1 {
+		t.Fatalf("the refused batch left %d demands queued, want %d", queued, maxPending-1)
+	}
+	if code, body := postJSON(t, ts.URL+"/demand", map[string]int{"box": 3, "video": 0}); code != http.StatusOK || body["pending"] != float64(maxPending) {
+		t.Fatalf("a demand that fits: %d %v", code, body)
+	}
+	if code, body := postJSON(t, ts.URL+"/step", map[string]int{"rounds": 1}); code != http.StatusOK {
+		t.Fatalf("step: %d %v", code, body)
+	}
+	if code, body := postJSON(t, ts.URL+"/demand", pair); code != http.StatusOK || body["pending"] != float64(2) {
+		t.Fatalf("the batch after a round drained the queue: %d %v", code, body)
+	}
+}
+
 func TestCapacityEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t)
 	if code, out := postJSON(t, ts.URL+"/capacity", map[string]int{"box": 2, "slots": 1}); code != http.StatusOK {

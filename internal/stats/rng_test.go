@@ -76,42 +76,64 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+// perm shuffles the identity over [0, n) as int32s: the permutation an
+// owner table of n slots is read through.
+func perm(r *RNG, n int) []int32 {
+	p := make([]int32, n)
+	for i := range p {
+		p[i] = int32(i)
+	}
+	ShuffleSlice(r, p)
+	return p
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(5)
 	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := r.Perm(n)
+		p := perm(r, n)
 		if len(p) != n {
-			t.Fatalf("Perm(%d) returned %d elements", n, len(p))
+			t.Fatalf("perm(%d) returned %d elements", n, len(p))
 		}
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || int(v) >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
+				t.Fatalf("perm(%d) invalid: %v", n, p)
 			}
 			seen[v] = true
 		}
 	}
 }
 
-// Perm must make ShuffleInts' draws: the allocation's permutation, and so
-// every seeded system, depends on it.
+// ShuffleSlice must make ShuffleInts' draws whatever the element type: the
+// allocation shuffles its int32 owner table with it, and every seeded
+// system depends on the holders that gives.
 func TestPermMatchesShuffleInts(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 1000, 40_000} {
+	for _, n := range []int{0, 1, 2, 7, 511, 512, 513, 1000, 1025, 40_000} {
 		for _, seed := range []uint64{uint64(n) + 3, 1, 0xdeadbeef} {
 			want := make([]int, n)
 			for i := range want {
 				want[i] = i
 			}
+			rr := NewRNG(seed)
+			for i := n - 1; i > 0; i-- { // Fisher–Yates, one draw per swap
+				j := rr.Intn(i + 1)
+				want[i], want[j] = want[j], want[i]
+			}
+			ints := make([]int, n)
+			for i := range ints {
+				ints[i] = i
+			}
 			ra, rb := NewRNG(seed), NewRNG(seed)
-			rb.ShuffleInts(want)
-			got := ra.Perm(n)
+			rb.ShuffleInts(ints)
+			got := perm(ra, n)
 			for i := range want {
-				if int(got[i]) != want[i] {
-					t.Fatalf("Perm(%d), seed %d: [%d] = %d, ShuffleInts gives %d", n, seed, i, got[i], want[i])
+				if int(got[i]) != want[i] || ints[i] != want[i] {
+					t.Fatalf("n=%d, seed %d: [%d] is %d shuffling int32s and %d shuffling ints, the one-draw-per-swap loop gives %d",
+						n, seed, i, got[i], ints[i], want[i])
 				}
 			}
-			if ra.Uint64() != rb.Uint64() {
-				t.Fatalf("Perm(%d), seed %d: Perm and ShuffleInts leave the generator in different states", n, seed)
+			if x, y, z := ra.Uint64(), rb.Uint64(), rr.Uint64(); x != z || y != z {
+				t.Fatalf("n=%d, seed %d: the shuffles leave the generator in different states", n, seed)
 			}
 		}
 	}
@@ -151,7 +173,7 @@ func TestPermUniformFirstElement(t *testing.T) {
 	const n, trials = 5, 50000
 	counts := make([]int, n)
 	for i := 0; i < trials; i++ {
-		counts[r.Perm(n)[0]]++
+		counts[perm(r, n)[0]]++
 	}
 	expected := float64(trials) / n
 	for i, c := range counts {
@@ -351,11 +373,11 @@ func TestQuickIntnInRange(t *testing.T) {
 	}
 }
 
-// Property: Perm always returns a valid permutation.
+// Property: ShuffleSlice of the identity is always a valid permutation.
 func TestQuickPermValid(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw % 64)
-		p := NewRNG(seed).Perm(n)
+		p := perm(NewRNG(seed), n)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || int(v) >= n || seen[v] {

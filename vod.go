@@ -118,13 +118,30 @@ type System struct {
 // New validates the spec, draws the random permutation allocation,
 // computes relay compensation when UStar is set, and builds the system.
 func New(spec Spec) (*System, error) {
+	sys, cfg, fill, err := assemble(spec)
+	if err != nil {
+		return nil, err
+	}
+	fill()
+	if sys.inner, err = core.NewSystem(cfg); err != nil {
+		return nil, fmt.Errorf("vod: %w", err)
+	}
+	return sys, nil
+}
+
+// assemble validates the spec and derives what New builds the engine
+// from: the catalog, the relays and the engine's Config, whose allocation
+// is shaped but not yet drawn. fill draws it from the spec's seed; until
+// then nothing may read the allocation's holders. The System it returns
+// has no engine yet.
+func assemble(spec Spec) (sys *System, cfg core.Config, fill func(), err error) {
 	if spec.Boxes <= 0 {
-		return nil, fmt.Errorf("vod: Spec.Boxes must be positive")
+		return nil, cfg, nil, fmt.Errorf("vod: Spec.Boxes must be positive")
 	}
 	uploads := spec.Uploads
 	if uploads == nil {
 		if spec.Upload <= 0 {
-			return nil, fmt.Errorf("vod: set Spec.Upload or Spec.Uploads")
+			return nil, cfg, nil, fmt.Errorf("vod: set Spec.Upload or Spec.Uploads")
 		}
 		uploads = make([]float64, spec.Boxes)
 		for i := range uploads {
@@ -132,7 +149,7 @@ func New(spec Spec) (*System, error) {
 		}
 	}
 	if len(uploads) != spec.Boxes {
-		return nil, fmt.Errorf("vod: %d uploads for %d boxes", len(uploads), spec.Boxes)
+		return nil, cfg, nil, fmt.Errorf("vod: %d uploads for %d boxes", len(uploads), spec.Boxes)
 	}
 	storages := spec.Storages
 	if storages == nil {
@@ -146,7 +163,7 @@ func New(spec Spec) (*System, error) {
 		}
 	}
 	if len(storages) != spec.Boxes {
-		return nil, fmt.Errorf("vod: %d storages for %d boxes", len(storages), spec.Boxes)
+		return nil, cfg, nil, fmt.Errorf("vod: %d storages for %d boxes", len(storages), spec.Boxes)
 	}
 	mu := spec.Growth
 	if mu == 0 {
@@ -162,7 +179,6 @@ func New(spec Spec) (*System, error) {
 	}
 	c := spec.Stripes
 	if c == 0 {
-		var err error
 		if spec.UStar > 0 {
 			c, err = analysis.Theorem2ConstructionC(spec.UStar, mu)
 		} else {
@@ -174,24 +190,24 @@ func New(spec Spec) (*System, error) {
 			c, err = analysis.MinC(avg, mu)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("vod: cannot derive stripe count: %w", err)
+			return nil, cfg, nil, fmt.Errorf("vod: cannot derive stripe count: %w", err)
 		}
 	}
 
 	slots, m, err := hetero.AllocationSlots(storages, c, k)
 	if err != nil {
-		return nil, fmt.Errorf("vod: %w", err)
+		return nil, cfg, nil, fmt.Errorf("vod: %w", err)
 	}
 	cat, err := video.NewCatalog(m, c, T)
 	if err != nil {
-		return nil, fmt.Errorf("vod: %w", err)
+		return nil, cfg, nil, fmt.Errorf("vod: %w", err)
 	}
-	alloc, err := allocation.Permutation(stats.NewRNG(spec.Seed), cat, slots, k)
+	alloc, draw, err := allocation.PermutationShape(cat, slots, k)
 	if err != nil {
-		return nil, fmt.Errorf("vod: %w", err)
+		return nil, cfg, nil, fmt.Errorf("vod: %w", err)
 	}
 
-	cfg := core.Config{
+	cfg = core.Config{
 		Alloc:               alloc,
 		Uploads:             uploads,
 		Mu:                  mu,
@@ -204,21 +220,18 @@ func New(spec Spec) (*System, error) {
 	if spec.UStar > 0 {
 		relays, err := hetero.Compensate(uploads, spec.UStar)
 		if err != nil {
-			return nil, fmt.Errorf("vod: %w", err)
+			return nil, cfg, nil, fmt.Errorf("vod: %w", err)
 		}
 		cfg.Strategy = core.StrategyRelayed
 		cfg.UStar = spec.UStar
 		cfg.Relays = relays
 	}
-	inner, err := core.NewSystem(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("vod: %w", err)
-	}
 	capSlots := make([]int64, spec.Boxes)
 	for b, u := range uploads {
 		capSlots[b] = int64(analysis.UploadSlots(u, c))
 	}
-	return &System{inner: inner, spec: spec, catalog: cat, alloc: alloc, caps: capSlots}, nil
+	fill = func() { draw(stats.NewRNG(spec.Seed)) }
+	return &System{spec: spec, catalog: cat, alloc: alloc, caps: capSlots}, cfg, fill, nil
 }
 
 // Catalog returns the catalog the allocation achieved (its M is the
