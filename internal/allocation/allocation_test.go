@@ -427,9 +427,10 @@ func TestTablesMatchAppendReference(t *testing.T) {
 // Permutation's holders are its owner table read through a permutation:
 // box b owns the slotsPerBox[b] slots after the boxes before it, and
 // replica j of the table (stripe j/k) lands in slot perm[j], perm being
-// 0…k·m·c−1 shuffled by ShuffleInts. Permute shuffles the owner table in
-// place instead; the reference here draws perm and gathers. The rows give
-// every box the same slots, or the uneven slots heteroSlots gives.
+// 0…k·m·c−1 shuffled by ShuffleInts. PermutationShape's fill shuffles the
+// owner table in place instead; the reference here draws perm and
+// gathers. The rows give every box the same slots, or the uneven slots
+// heteroSlots gives.
 func TestPermutationHoldersFollowPerm(t *testing.T) {
 	uniform := func(n, d, c int) []int {
 		slots := make([]int, n)

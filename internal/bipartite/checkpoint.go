@@ -19,7 +19,6 @@ package bipartite
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/ckpt"
 )
@@ -67,10 +66,8 @@ func (m *Matcher) DecodeState(r *ckpt.Reader, lefts int) error {
 		m.rights[i] = rightRec{cap: int32(c), parentLeft: -1}
 	}
 	nl := lefts
-	// The left arrays EnsureLeft(nl) would grow, made at their length.
-	m.assigned, m.posActive = slices.Repeat([]int32{Unassigned}, nl), slices.Repeat([]int32{-1}, nl)
-	m.posInRight, m.stableTo = slices.Repeat([]int32{-1}, nl), slices.Repeat([]int32{noStable}, nl)
-	m.marks, m.inDirty = make([]leftMark, nl), make([]bool, nl)
+	m.assigned, m.posActive, m.posInRight, m.marks, m.inDirty, m.stableTo = nil, nil, nil, nil, nil, nil
+	m.EnsureLeft(nl)
 	m.epoch = 0
 
 	m.activeLefts = r.I32s()

@@ -345,17 +345,15 @@ func Records[T any](r *Reader, n int, read func() T) []T {
 	return s
 }
 
-// readWords reads a length-prefixed slice's elements as raw uvarints; see
-// readWordsN.
-func (r *Reader) readWords(limit uint64) []uint64 { return r.readWordsN(r.sliceLen(), limit) }
-
-// readWordsN reads n raw uvarints into the reader's scratch, which grows
-// like Records' result — in proportion to the elements actually present —
-// and which later slices reuse. An element above limit is an error (a
-// zig-zagged value outside int32, for limit maxWord32). Varints the window
-// holds whole are decoded in one loop; the last few before a refill go
-// through U64. It returns nil after an error.
-func (r *Reader) readWordsN(n int, limit uint64) []uint64 {
+// readWords reads a length-prefixed slice's elements as raw uvarints into
+// the reader's scratch, which grows like Records' result — in proportion
+// to the elements actually present — and which later slices reuse. An
+// element above limit is an error (a zig-zagged value outside int32, for
+// limit maxWord32). Varints the window holds whole are decoded in one
+// loop; the last few before a refill go through U64. It returns nil after
+// an error.
+func (r *Reader) readWords(limit uint64) []uint64 {
+	n := r.sliceLen()
 	words := r.words[:0]
 	for len(words) < n && r.err == nil {
 		if len(words) == cap(words) {
@@ -452,13 +450,6 @@ func (r *Reader) AppendI32s(dst []int32) []int32 {
 // I32s reads a length-prefixed []int32. A value outside int32 is an
 // error, not a wrapped in-range number.
 func (r *Reader) I32s() []int32 { return r.AppendI32s(nil) }
-
-// I32sN reads n int32s written one by one with I32, with no length
-// prefix: Records(r, n, r.I32) at the slice readers' speed. Like Records,
-// it holds only what the stream backs, and after an error it returns nil.
-func (r *Reader) I32sN(n int) []int32 {
-	return convert(r.readWordsN(max(n, 0), maxWord32), func(w uint64) int32 { return int32(unzigzag(w)) })
-}
 
 // I64s reads a length-prefixed []int64.
 func (r *Reader) I64s() []int64 { return convert(r.readWords(math.MaxUint64), unzigzag) }

@@ -150,7 +150,6 @@ func TestReadersAllocateWhatTheStreamHolds(t *testing.T) {
 		{"Ints", func(r *Reader) { r.Ints() }},
 		{"F64s", func(r *Reader) { r.F64s() }},
 		{"Bools", func(r *Reader) { r.Bools() }},
-		{"I32sN", func(r *Reader) { r.I32sN(1 << 31) }},
 	} {
 		r := NewReader(bytes.NewReader(buf.Bytes()))
 		var before, after runtime.MemStats
@@ -249,47 +248,6 @@ func TestInt32ReadersRefuseWideValues(t *testing.T) {
 		if got := r.I32s(); got != nil || r.Err() == nil {
 			t.Errorf("I32s read [0 %d] as %v, err %v", v, got, r.Err())
 		}
-		r = NewReader(bytes.NewReader(buf.Bytes()))
-		if got := r.I32sN(1); got != nil || r.Err() == nil {
-			t.Errorf("I32sN read %d as %v, err %v", v, got, r.Err())
-		}
-	}
-}
-
-// TestI32sNReadsWhatI32Wrote reads values written one by one with I32, of
-// every varint length and far more of them than the 64 KiB window holds,
-// with I32sN, and then a value written after them.
-func TestI32sNReadsWhatI32Wrote(t *testing.T) {
-	want := make([]int32, 100_000)
-	x := uint64(0x9e3779b97f4a7c15)
-	for i := range want {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		want[i] = int32(x) >> (x % 32)
-	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, v := range want {
-		w.I32(v)
-	}
-	w.Int(-7)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if got := r.I32sN(0); got != nil {
-		t.Fatalf("I32sN(0) read %v", got)
-	}
-	if got := r.I32sN(len(want)); !reflect.DeepEqual(got, want) {
-		t.Fatal("I32sN did not read what I32 wrote")
-	}
-	if got := r.Int(); got != -7 || r.Err() != nil {
-		t.Fatalf("value after the I32s read as %d, err %v", got, r.Err())
-	}
-	r = NewReader(bytes.NewReader(buf.Bytes()))
-	if got := r.I32sN(len(want) + 2); got != nil || r.Err() == nil {
-		t.Fatalf("I32sN past the stream's end read %d values, err %v", len(got), r.Err())
 	}
 }
 

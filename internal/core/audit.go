@@ -5,7 +5,7 @@ import "fmt"
 // audit checks the invariants each part of the engine trusts of the
 // others: a Step indexes arrays by the ids one structure hands another,
 // and an outstanding count or idle list that disagrees with the slots
-// corrupts admission silently. DecodeState runs it on every checkpoint it
+// corrupts admission silently. Restore runs it on every checkpoint it
 // restores, and Step after every round under Config.Paranoid. It holds:
 //
 //   - the swarm tracker is at the round; the live list (the matcher's
@@ -28,7 +28,7 @@ import "fmt"
 //     backs at most one entry of each lag. retire finds a slot's entries
 //     on those two boxes' key chains.
 //
-// Some invariants are DecodeState's own, checked as it reads because it
+// Some invariants are the decode's own, checked as it reads because it
 // builds on them before the audit runs: each live slot's progress (clock −
 // base) is in [0, T], the idle list names boxes in range, each pending
 // issuance carries the round of its bucket and the mirror its requester

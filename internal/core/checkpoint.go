@@ -35,7 +35,7 @@ package core
 //     may be taken — it is empty and not written.
 //
 // Each decoder checks what it reads as far as its own section can tell;
-// DecodeState then runs audit (audit.go), which checks the sections
+// Restore then runs audit (audit.go), which checks the sections
 // against each other, so a stream no engine writes is refused with an
 // error instead of loading or panicking a later Step.
 //
@@ -212,19 +212,6 @@ func (s *System) encodedProgress(slot int) int32 {
 // (the clock, entry starts, issuance rounds) stays in range.
 const maxRound = math.MaxInt32 / 2
 
-// DecodeState restores state written by EncodeState into a freshly
-// constructed System built from the identical Config (same allocation,
-// uploads, mode flags — enforced by the fingerprint), and audits the
-// result.
-func (s *System) DecodeState(r *ckpt.Reader) error {
-	head, err := ReadStateHead(r, s.n)
-	if err != nil {
-		return err
-	}
-	_, err = restoreState(&s.cfg, head, r, nil, func() (*System, error) { return s, nil })
-	return err
-}
-
 // StateHead is the opening of a state stream, which needs no System to
 // decode: the version and fingerprint, the round, the request slot arrays
 // and each box's outstanding count.
@@ -277,15 +264,17 @@ func ReadStateHead(r *ckpt.Reader, n int) (*StateHead, error) {
 		len(h.progress) != nSlots {
 		return nil, fmt.Errorf("core: checkpoint slot arrays disagree on length")
 	}
-	h.outstanding = r.I32sN(n)
+	h.outstanding = ckpt.Records(r, n, r.I32)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
-// Restore builds a System from cfg, as NewSystem does, and restores head
-// and the rest of its stream into it, as DecodeState does.
+// Restore builds a System from cfg, as NewSystem does, restores head and
+// the rest of its stream, state written by EncodeState under the same
+// configuration (same allocation, uploads and mode flags, enforced by the
+// fingerprint), into it, and audits the result.
 //
 // cfg's allocation need not be filled yet: fill, when not nil, completes
 // it on a second goroutine, which then hashes the configuration, while
@@ -299,21 +288,14 @@ func Restore(cfg Config, head *StateHead, r *ckpt.Reader, fill func()) (*System,
 	if cfg.Alloc == nil {
 		return nil, fmt.Errorf("core: config needs an allocation")
 	}
-	return restoreState(&cfg, head, r, fill, func() (*System, error) { return NewSystem(cfg) })
-}
-
-// restoreState is Restore and DecodeState: it runs fill and hashes cfg on a
-// second goroutine while build builds the system and the stream is
-// decoded into it.
-func restoreState(cfg *Config, head *StateHead, r *ckpt.Reader, fill func(), build func() (*System, error)) (*System, error) {
 	done := make(chan uint64, 1) // the goroutine never blocks, even if this one panics
 	go func() {
 		if fill != nil {
 			fill()
 		}
-		done <- hashConfig(cfg)
+		done <- hashConfig(&cfg)
 	}()
-	s, err := build()
+	s, err := NewSystem(cfg)
 	if err == nil {
 		err = s.decodeBody(head, r)
 	}

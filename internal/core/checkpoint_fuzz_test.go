@@ -15,7 +15,7 @@ func fuzzDecodeSystem(tb testing.TB) *System {
 	return buildHomogeneous(tb, 9, 20, 2, 4, 10, 4, 1.2, 1.5, func(cfg *Config) { cfg.Failure = FailStall })
 }
 
-// FuzzDecodeState hands DecodeState any bytes over the fixed system.
+// FuzzDecodeState hands Restore any bytes over the fixed system.
 // Decode must refuse the stream with an error, or load a state that passes
 // the audit and then runs 10 Paranoid rounds of demands without a panic.
 // A round may end in an error: Paranoid's matcher Verify catches an
@@ -56,8 +56,8 @@ func fuzzDecodeState(f *testing.F, build func(testing.TB) *System) {
 		honest[buf.String()] = true
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := build(t)
-		if err := s.DecodeState(ckpt.NewReader(bytes.NewReader(data))); err != nil {
+		s, err := decodeOver(build(t), data)
+		if err != nil {
 			if honest[string(data)] {
 				t.Fatalf("honest checkpoint refused: %v", err)
 			}

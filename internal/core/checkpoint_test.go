@@ -130,8 +130,8 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 
 		// Restore into a fresh process-equivalent system and replay the
 		// exact recorded demand schedule.
-		restored := mk()
-		if err := restored.DecodeState(ckpt.NewReader(bytes.NewReader(buf.Bytes()))); err != nil {
+		restored, err := decodeOver(mk(), buf.Bytes())
+		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if restored.Round() != ckptRound {
@@ -195,11 +195,11 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := mk(99).DecodeState(ckpt.NewReader(bytes.NewReader(buf.Bytes()))); err == nil {
+	if _, err := decodeOver(mk(99), buf.Bytes()); err == nil {
 		t.Fatal("different allocation accepted")
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if err := mk(43).DecodeState(ckpt.NewReader(bytes.NewReader(trunc))); err == nil {
+	if _, err := decodeOver(mk(43), trunc); err == nil {
 		t.Fatal("truncated checkpoint accepted")
 	}
 }
@@ -219,8 +219,8 @@ func TestCheckpointFreshSystem(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dst := mk()
-	if err := dst.DecodeState(ckpt.NewReader(bytes.NewReader(buf.Bytes()))); err != nil {
+	dst, err := decodeOver(mk(), buf.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if dst.Round() != 0 {
@@ -593,9 +593,16 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 		w.Int(-1) // fail round
 		w.Int(0)  // peak requests
 	}
-	// Each decoder is built before the allocation count starts.
+	// Each decoder is built before the allocation count starts; a system's
+	// decoder builds one more system of its configuration, which is small.
 	type decoder func() func(*ckpt.Reader) error
-	decodeSystem := func() func(*ckpt.Reader) error { return mk().DecodeState }
+	restoreUnder := func(like *System) func(*ckpt.Reader) error {
+		return func(r *ckpt.Reader) error {
+			_, err := restoreFrom(like, r)
+			return err
+		}
+	}
+	decodeSystem := func() func(*ckpt.Reader) error { return restoreUnder(mk()) }
 	decodeStore := func() func(*ckpt.Reader) error {
 		ix := newIndexedAvailability(numStripes, T)
 		return func(r *ckpt.Reader) error { return ix.decodeState(r, 0) }
@@ -644,7 +651,7 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 		t.Fatal("no retired slot to corrupt")
 	}
 	decodeLive := func() func(*ckpt.Reader) error {
-		return buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) { cfg.Failure = FailStall }).DecodeState
+		return restoreUnder(buildHomogeneous(t, 43, 18, 1, 4, 9, 2, 0.8, 2.0, func(cfg *Config) { cfg.Failure = FailStall }))
 	}
 	if err := decodeLive()(ckpt.NewReader(bytes.NewReader(withProgress(liveSlot, progressTable(live)[liveSlot])))); err != nil {
 		t.Fatalf("honest stream rebuilt by hand rejected: %v", err)
@@ -912,11 +919,27 @@ func encodeSystem(t *testing.T, s *System) []byte {
 	})
 }
 
+// restoreFrom restores r's state under like's configuration: the head of
+// like's box count, then Restore on like's Config, with the allocation
+// already filled.
+func restoreFrom(like *System, r *ckpt.Reader) (*System, error) {
+	head, err := ReadStateHead(r, like.n)
+	if err != nil {
+		return nil, err
+	}
+	return Restore(like.cfg, head, r, nil)
+}
+
+// decodeOver is restoreFrom over stream's bytes.
+func decodeOver(like *System, stream []byte) (*System, error) {
+	return restoreFrom(like, ckpt.NewReader(bytes.NewReader(stream)))
+}
+
 // restore decodes an honest checkpoint into a fresh system.
 func restore(t *testing.T, build func() *System, stream []byte) *System {
 	t.Helper()
-	s := build()
-	if err := s.DecodeState(ckpt.NewReader(bytes.NewReader(stream))); err != nil {
+	s, err := decodeOver(build(), stream)
+	if err != nil {
 		t.Fatalf("honest checkpoint rejected: %v", err)
 	}
 	return s
@@ -926,7 +949,7 @@ func restore(t *testing.T, build func() *System, stream []byte) *System {
 // naming want — not a panic, and not a silent load.
 func decodeRefused(t *testing.T, name string, build func() *System, stream []byte, want string) {
 	t.Helper()
-	err := build().DecodeState(ckpt.NewReader(bytes.NewReader(stream)))
+	_, err := decodeOver(build(), stream)
 	t.Logf("%s: %v", name, err)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("%s: decode returned %v, want an error naming %q", name, err, want)

@@ -329,7 +329,7 @@ func TestStepRejectsOutOfRangeDemand(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if err := build().DecodeState(ckpt.NewReader(&buf)); err != nil {
+		if _, err := decodeOver(build(), buf.Bytes()); err != nil {
 			t.Fatalf("%+v: checkpoint taken after the refused batch does not load: %v", tc.bad, err)
 		}
 	}
