@@ -389,7 +389,13 @@ func BenchmarkStepBelowThreshold(b *testing.B) {
 // utilization with 250 arrivals a round. Phase 0 of the matcher places
 // every arrival on a free allocation holder, so the round is bookkeeping —
 // retire, issue, expire, cache-entry adds — over population-sized arrays,
-// and its cost is cache misses per operation, not search.
+// and its cost is cache misses per operation, not search. The retire pass
+// and the issuance drain read their batch a loop ahead of the loop that
+// writes it (the batch-ahead pattern, core's readAhead): each retiring
+// request's right and list slot, each issued request's first holder's
+// right, so the misses overlap. In a CPU profile that took unassign from
+// 24% of the run to 5% and direct's free-slot probe from 18% to 9% flat;
+// the key table (get, del, swap: 29%) is now the largest share.
 func BenchmarkStepContended(b *testing.B) {
 	sys, gen := contendedSystem(b)
 	benchSteps(b, sys, gen, 0)

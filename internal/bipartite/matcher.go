@@ -321,6 +321,18 @@ func (m *Matcher) ActiveLefts() []int32 { return m.activeLefts }
 // ActivePos returns active left l's position in ActiveLefts.
 func (m *Matcher) ActivePos(l int) int { return int(m.posActive[l]) }
 
+// Touch reads, and changes nothing in, the two records an unassign of
+// left l writes: its right's and its list slot. It returns a word of each
+// (0 when l is unassigned), for a caller that reads a whole batch's
+// records before it retires the batch, so that their cache misses overlap.
+func (m *Matcher) Touch(l int) int32 {
+	r := m.assigned[l]
+	if r == Unassigned {
+		return 0
+	}
+	return m.rights[r].load + *m.slot(m.posInRight[l])
+}
+
 // Server returns the right node assigned to left l, or Unassigned.
 func (m *Matcher) Server(l int) int {
 	if l >= len(m.assigned) {

@@ -65,7 +65,12 @@ func (s *System) step(gen Generator) (res StepResult, batchErr, err error) {
 	// admission is safe.
 	bucket := s.round % len(s.pendingRing)
 	due := s.pendingRing[bucket]
-	s.pendingRing[bucket] = due[:0]
+	s.pendingRing[bucket] = emptied(due, s.matcher.ActiveCount(), s.cat.T)
+	ahead := int32(0)
+	for _, iss := range due {
+		ahead += s.readAhead(iss.stripe)
+	}
+	s.ahead = ahead
 	for _, iss := range due {
 		s.issueRequest(iss.stripe, iss.requester, iss.viewer)
 	}
@@ -173,8 +178,13 @@ func (s *System) retireDue() {
 		}
 		keys = append(keys, uint64(s.matcher.ActivePos(int(slot)))<<32|uint64(slot))
 	}
-	s.retireRing[b] = bucket[:0]
+	s.retireRing[b] = emptied(bucket, s.matcher.ActiveCount(), s.cat.T)
 	slices.Sort(keys)
+	ahead := int32(0)
+	for _, k := range keys { // read a batch ahead (see readAhead)
+		ahead += s.matcher.Touch(int(uint32(k)))
+	}
+	s.ahead = ahead
 	for _, k := range keys {
 		slot := int32(uint32(k))
 		if !s.matcher.Active(int(slot)) {
@@ -187,6 +197,24 @@ func (s *System) retireDue() {
 		}
 	}
 	s.retireScratch = keys
+}
+
+// readAhead returns a word of the record phase 0 first probes for a
+// request of stripe st: its first holder's right.
+//
+// This is the batch-ahead pattern of the bookkeeping passes. A pass that
+// writes or probes records at random positions in population-sized
+// arrays one element at a time stalls on each element's chain of
+// dependent cache misses, so it first reads the batch it holds in a loop
+// of its own, whose reads are independent and whose misses overlap
+// (stats.ShuffleSlice takes its draws a batch ahead the same way). Go has
+// no prefetch instruction and drops a load whose value is unused, so each
+// such loop sums its words into s.ahead.
+func (s *System) readAhead(st video.StripeID) int32 {
+	if h := s.cfg.Alloc.Holders(st); len(h) > 0 {
+		return int32(s.matcher.Load(int(h[0])))
+	}
+	return 0
 }
 
 // checkDemands reports the first demand of batch that names a box or a

@@ -9,3 +9,15 @@ func LiveAssignment(s *System, dst []int32) []int32 {
 	}
 	return dst
 }
+
+// AssignmentLists appends, for every box in order, its load and then the
+// lefts of its assignment list in list order: the matcher's per-right
+// state, which a round's StepResult does not show.
+func AssignmentLists(s *System, dst []int32) []int32 {
+	for r := range s.n {
+		lefts := s.matcher.AssignedLefts(r)
+		dst = append(dst, int32(len(lefts)))
+		dst = append(dst, lefts...)
+	}
+	return dst
+}

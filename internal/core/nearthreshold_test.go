@@ -1,14 +1,12 @@
 package core_test
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/fnv"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/allocation"
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/video"
@@ -69,19 +67,10 @@ func TestNearThresholdMatchingPinned(t *testing.T) {
 			live = core.LiveAssignment(sys, live[:0])
 			binary.Write(h, binary.LittleEndian, live)
 		}
-		var buf bytes.Buffer
-		w := ckpt.NewWriter(&buf)
-		if err := sys.EncodeState(w); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		ck := fnv.New64a()
-		ck.Write(buf.Bytes())
-		if got, gotCk := h.Sum64(), ck.Sum64(); got != tc.matching || gotCk != tc.checkpointed {
+		ck, size := checkpointHash(t, sys)
+		if got := h.Sum64(); got != tc.matching || ck != tc.checkpointed {
 			t.Errorf("seed %d: matching hash %#016x, checkpoint hash %#016x (%d bytes); recorded %#016x and %#016x",
-				tc.seed, got, gotCk, buf.Len(), tc.matching, tc.checkpointed)
+				tc.seed, got, ck, size, tc.matching, tc.checkpointed)
 		}
 	}
 }

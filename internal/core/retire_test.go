@@ -140,3 +140,32 @@ func checkRetireRing(t *testing.T, s *System) (early int) {
 	}
 	return early
 }
+
+// TestEmptiedReleasesOnlyExcess holds a drained ring bucket's storage to
+// what emptied promises: a bucket keeps its own storage while that is at
+// most twice what it needs, and otherwise gets exactly what it needs.
+func TestEmptiedReleasesOnlyExcess(t *testing.T) {
+	for _, tc := range []struct {
+		held, room, live, T int
+		want                int // capacity after; -1: the bucket's own storage
+	}{
+		{held: 0, room: 2048, live: 0, T: 40, want: -1},   // the floor's twice
+		{held: 0, room: 2049, live: 0, T: 40, want: 1024}, // past it
+		{held: 700, room: 30_034, live: 31_958, T: 40, want: 3195},
+		{held: 2043, room: 4778, live: 31_958, T: 40, want: -1}, // a steady wave
+		{held: 3000, room: 12_001, live: 0, T: 40, want: 6000},
+		{held: 3000, room: 12_000, live: 0, T: 40, want: -1},
+	} {
+		bucket := make([]int32, tc.held, tc.room)
+		got := emptied(bucket, tc.live, tc.T)
+		if len(got) != 0 {
+			t.Errorf("%+v: emptied left %d records", tc, len(got))
+		}
+		switch same := cap(got) > 0 && &got[:1][0] == &bucket[:1][0]; {
+		case tc.want < 0 && !same:
+			t.Errorf("%+v: storage replaced by %d slots, want it kept", tc, cap(got))
+		case tc.want >= 0 && (same || cap(got) != tc.want):
+			t.Errorf("%+v: capacity %d (own storage %v), want fresh storage for %d", tc, cap(got), same, tc.want)
+		}
+	}
+}

@@ -128,6 +128,10 @@ type System struct {
 	fingerprint   uint64
 	fingerprinted bool
 
+	// ahead holds the sum of the words the batch-ahead loops read (see
+	// readAhead); nothing reads it.
+	ahead int32
+
 	metrics runMetrics
 }
 
@@ -236,6 +240,21 @@ func (s *System) schedule(delay int, iss issuance) {
 	}
 	bucket := (s.round + delay) % len(s.pendingRing)
 	s.pendingRing[bucket] = append(s.pendingRing[bucket], iss)
+}
+
+// emptied returns a drained ring bucket for refilling: its own storage,
+// unless that is over twice what the bucket needs, as the first rounds'
+// wave of admissions leaves the buckets it lands in. A bucket needs room
+// for twice what it held, for four times its share of the live requests'
+// issuances or retirements (live/T a round) and for 1024 records: a
+// steady load and its swings keep their storage, small systems keep all
+// of theirs, and the wave's goes back to the heap.
+func emptied[E any](bucket []E, live, T int) []E {
+	need := max(2*len(bucket), 4*live/T, 1024)
+	if cap(bucket) <= 2*need {
+		return bucket[:0]
+	}
+	return make([]E, 0, need)
 }
 
 // pendingRound returns the round pending ring bucket b is due at between
