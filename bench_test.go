@@ -368,6 +368,40 @@ func BenchmarkStepNearThresholdLadder(b *testing.B) {
 	}
 }
 
+// BenchmarkStepLongChains runs the two specs in which a box holds about
+// a hundred playback-cache entries at once, so every lookup by box — a
+// freeze, a self-possession check at admission, a serving test — has a
+// long chain of the box's entries to pass over:
+//   - relayed: the §4 relayed regime at 4000 boxes, Bimodal(n, 0.6, 2.5,
+//     0.5, 2.0) with u* = 1.2 and µ = 1.2, for which the planner picks
+//     c = 104 stripes, about 100 live requests per box;
+//   - stripes=128: BenchmarkStepNearThreshold's spec with 128 stripes.
+//
+// Both warm 80 rounds under NewZipfWorkload(1, 0.5, 0.9).
+func BenchmarkStepLongChains(b *testing.B) {
+	pop := Bimodal(4000, 0.6, 2.5, 0.5, 2.0)
+	wide := nearThresholdSpec
+	wide.Stripes = 128
+	for _, row := range []struct {
+		name string
+		spec Spec
+	}{
+		{"relayed", Spec{
+			Boxes: 4000, Uploads: pop.Uploads, Storages: pop.Storage, UStar: 1.2,
+			Growth: 1.2, Duration: 40, Replicas: 4, Seed: 1, Resilient: true,
+		}},
+		{"stripes=128", wide},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			sys, err := New(row.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSteps(b, sys, NewZipfWorkload(1, 0.5, 0.9), 80)
+		})
+	}
+}
+
 // BenchmarkStepBelowThreshold is BenchmarkStepNearThreshold's spec with
 // upload cut to u=0.95 and 200 boxes: below the paper's threshold, so most
 // rounds leave requests unmatched, run the canonical-deficit rewrite and
@@ -394,8 +428,12 @@ func BenchmarkStepBelowThreshold(b *testing.B) {
 // writes it (the batch-ahead pattern, core's readAhead): each retiring
 // request's right and list slot, each issued request's first holder's
 // right, so the misses overlap. In a CPU profile that took unassign from
-// 24% of the run to 5% and direct's free-slot probe from 18% to 9% flat;
-// the key table (get, del, swap: 29%) is now the largest share.
+// 24% of the run to 5% and direct's free-slot probe from 18% to 9% flat.
+// The cache store's lookups start from arrays indexed by box or slot, with
+// no hash table: a profile of 20 000 rounds read the store's add, remove,
+// retire and admission's self-possession walk at 0.78 s, 0.34 s, 0.14 s
+// and 0.14 s, where a (stripe, box) hash table had cost 1.14 s, 0.90 s,
+// 0.77 s and 0.58 s.
 func BenchmarkStepContended(b *testing.B) {
 	sys, gen := contendedSystem(b)
 	benchSteps(b, sys, gen, 0)

@@ -23,7 +23,7 @@ func heapObjectBytes() uint64 {
 // BENCH_step.json (steady_state_targets.max_heap_bytes). At 10⁶ boxes
 // the figure is per box, where the static allocation and the per-box
 // arrays dominate; near the threshold it is per live request, where the
-// cache store, its key index and the matcher's lefts do.
+// cache store and the matcher's lefts do.
 func TestHeapPerBox(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 10⁶-box system")

@@ -25,15 +25,16 @@ import "fmt"
 //     round+1; a request-backed entry names a live slot of its own stripe,
 //     was issued at that slot's start and is held by the slot's requester
 //     (lag 0) or by its viewer, when that is another box (lag 1); a slot
-//     backs at most one entry of each lag. retire finds a slot's entries
-//     on those two boxes' key chains.
+//     backs at most one entry of each lag, the one its link in the store
+//     names, through which retire freezes it.
 //
 // Some invariants are the decode's own, checked as it reads because it
 // builds on them before the audit runs: each live slot's progress (clock −
 // base) is in [0, T], the idle list names boxes in range, each pending
 // issuance carries the round of its bucket and the mirror its requester
-// and viewer imply, and each cache entry has lag 0 or 1, a backing slot,
-// if any, among the slot ids, and a frozen progress in [0, T].
+// and viewer imply, and each cache entry names a box in range (the store
+// indexes its box chains by it) and has lag 0 or 1, a backing slot, if
+// any, among the slot ids, and a frozen progress in [0, T].
 func (s *System) audit() error {
 	nSlots, n, T, round := len(s.reqStripe), int32(s.n), int32(s.cat.T), int32(s.round)
 	if tr := s.tracker.Round(); tr != s.round {

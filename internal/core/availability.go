@@ -103,11 +103,11 @@ type availabilityStore interface {
 	// expire drops every entry whose serving window has closed at the
 	// given round (start < round−T).
 	expire(round int)
-	// retire freezes all entries backed by request slot req at final
-	// progress final (each entry freezes at final−lag, at least 0). The
-	// request's own entry is box's and its forwarded copy, if any,
-	// viewer's.
-	retire(st video.StripeID, req, box, viewer, final int32)
+	// retire freezes all entries of stripe st backed by request slot req
+	// at final progress final (each entry freezes at final−lag, at least
+	// 0): the requester's own entry first, then the copy it forwards to
+	// its viewer, if any.
+	retire(st video.StripeID, req, final int32)
 	// visitHead returns the starting position of stripe st's entry walk
 	// for visitStep — an implementation-defined token, not a box id.
 	// Together they enumerate the boxes serving a request of st, for the
@@ -134,10 +134,11 @@ type availabilityStore interface {
 	// canServe reports whether box has an entry for st with progress
 	// beyond need.
 	canServe(st video.StripeID, box int32, need int32, pv progressView) bool
-	// hasFull reports whether box holds a frozen full copy of st (frozen
-	// progress ≥ full) still inside the window, which expiry enforces: the
-	// round's expire has run by the time admission asks.
-	hasFull(st video.StripeID, box int32, full int32) bool
+	// markFull sets held[i] when box holds a frozen full copy of stripe
+	// first+i (frozen progress ≥ full) still inside the window, which
+	// expiry enforces: the round's expire has run by the time admission
+	// asks. It leaves every other flag as it is.
+	markFull(box int32, first video.StripeID, full int32, held []bool)
 	// empty reports whether st has no entry.
 	empty(st video.StripeID) bool
 	// margin summarizes box's serving credential for st beyond need: ok
@@ -165,30 +166,34 @@ type availabilityStore interface {
 
 // indexedAvailability is the production store: intrusive per-stripe lists
 // of live entries for iteration (newest first, with run links over equal
-// issue rounds), a per-(stripe,box) chain index for O(1)
-// lookups, and a round-bucketed expiry ring so each round touches only the
-// entries whose window actually closes — never the full catalog. All
+// issue rounds), a per-box chain of the box's entries for the lookups by
+// box, a per-slot link to the entries each live request backs, and a
+// round-bucketed expiry ring so each round touches only the entries whose
+// window actually closes — never the full catalog. Every lookup starts
+// from an array indexed by stripe, box or slot: nothing is hashed. All
 // linkage runs through one slab, so steady-state operation allocates
 // nothing per stripe. Only the lists' contents and order are state; the
-// slab ids, the free list, the key chains and the expiry buckets are
-// indexes over them that add rebuilds from the lists alone (a checkpoint
-// carries the lists, see checkpoint.go). A request's entries are found on
-// the key chains of its requester and viewer, so no request keeps links
-// to them.
+// slab ids, the free list, the box chains, the slot links and the expiry
+// buckets are indexes over them that add rebuilds from the lists alone (a
+// checkpoint carries the lists, see checkpoint.go).
+//
+// A box's chain is circular and singly linked: byBox holds its newest
+// entry, whose nextBox is the oldest, so add links in O(1). Expiry removes
+// the oldest entry of a box in O(1) as long as the box's entries expire in
+// the order they were added, which holds in a continuous run up to the
+// one-round lag of a forwarded copy; any other removal walks the chain.
+// After a restore, decode has added the entries stripe by stripe, so for
+// one window a removal may walk from the oldest entry.
 type indexedAvailability struct {
 	T    int
 	slab []idxEntry
 
 	byStripe []int32      // per stripe: head of the live-entry list, −1 empty
+	byBox    []int32      // per box: its newest entry, −1 when it has none
+	bySlot   []int32      // per tag 2·slot+lag: the live entry so backed, −1 none
 	free     []int32      // slab free list
-	byKey    keyIndex     // (stripe, box) → head of same-key chain
 	ring     [][]int32    // entry ids bucketed by start mod ring length
 	eventLog []availEvent // freeze/expiry events since the last take
-}
-
-// availKey packs a (stripe, box) pair into one index key.
-func availKey(st video.StripeID, box int32) uint64 {
-	return uint64(uint32(st))<<32 | uint64(uint32(box))
 }
 
 // idxEntry decorates entry with the index links: 32 bytes, two entries
@@ -197,25 +202,28 @@ type idxEntry struct {
 	entry
 	stripe     video.StripeID
 	next, prev int32 // intrusive per-stripe live list
-	nextKey    int32 // next entry id with the same (stripe, box), or −1
+	nextBox    int32 // the next older entry of the same box; the oldest's is the newest
 	// jump is the first later entry of the stripe list issued at a
 	// strictly earlier round, or −1: the end of this entry's run.
 	jump int32
 }
 
-// newIndexedAvailability sizes the store for a catalog. The ring needs
-// T+3 slots so a bucket is always drained before a start value T+3 newer
-// can land in it (live starts span [t−T, t+1] plus the slot being drained);
-// one extra slot keeps the margin obvious.
-func newIndexedAvailability(numStripes, T int) *indexedAvailability {
+// newIndexedAvailability sizes the store for a catalog and a population.
+// The ring needs T+3 slots so a bucket is always drained before a start
+// value T+3 newer can land in it (live starts span [t−T, t+1] plus the
+// slot being drained); one extra slot keeps the margin obvious.
+func newIndexedAvailability(numStripes, numBoxes, T int) *indexedAvailability {
 	ix := &indexedAvailability{
 		T:        T,
 		byStripe: make([]int32, numStripes),
-		byKey:    newKeyIndex(0),
+		byBox:    make([]int32, numBoxes),
 		ring:     make([][]int32, T+4),
 	}
 	for st := range ix.byStripe {
 		ix.byStripe[st] = -1
+	}
+	for b := range ix.byBox {
+		ix.byBox[b] = -1
 	}
 	return ix
 }
@@ -239,20 +247,30 @@ func (ix *indexedAvailability) add(st video.StripeID, e entry) {
 			panic(fmt.Sprintf("core: stripe %d entry issued at round %d added after one issued at %d", st, e.issued, h.issued))
 		}
 	}
-	// The key index reads a slot's key from its entry, so the entry is in
-	// place before it is indexed.
-	ix.slab[id] = idxEntry{
-		entry:  e,
-		stripe: st,
-		next:   head,
-		prev:   -1,
-		jump:   jump,
+	older := id
+	if newest := ix.byBox[e.box]; newest >= 0 {
+		older = ix.slab[newest].nextBox
+		ix.slab[newest].nextBox = id
 	}
-	ix.slab[id].nextKey = ix.byKey.swap(ix.slab, id)
+	ix.byBox[e.box] = id
+	ix.slab[id] = idxEntry{
+		entry:   e,
+		stripe:  st,
+		next:    head,
+		prev:    -1,
+		nextBox: older,
+		jump:    jump,
+	}
 	if head >= 0 {
 		ix.slab[head].prev = id
 	}
 	ix.byStripe[st] = id
+	if e.tag >= 0 {
+		for int(e.tag) >= len(ix.bySlot) {
+			ix.bySlot = append(ix.bySlot, -1, -1)
+		}
+		ix.bySlot[e.tag] = id
+	}
 	bucket := int(e.start()) % len(ix.ring)
 	ix.ring[bucket] = append(ix.ring[bucket], id)
 }
@@ -270,8 +288,9 @@ func (ix *indexedAvailability) expire(round int) {
 	}
 }
 
-// remove unlinks entry id from the stripe list and the key chain, and
-// returns the slab slot to the free list.
+// remove unlinks entry id from the stripe list, its box's chain and, when
+// its request is still live, the request's link, and returns the slab
+// slot to the free list.
 func (ix *indexedAvailability) remove(id int32) {
 	e := &ix.slab[id]
 	// Stripe list: unlink. When id opens its run, the previous run's
@@ -295,41 +314,38 @@ func (ix *indexedAvailability) remove(id int32) {
 	if e.next >= 0 {
 		ix.slab[e.next].prev = e.prev
 	}
-	// Key chain.
-	byKey := &ix.byKey
-	slot := byKey.find(ix.slab, e.stripe, e.box)
-	if head := byKey.ids[slot]; head == id {
-		if e.nextKey < 0 {
-			byKey.del(ix.slab, slot)
-		} else {
-			byKey.ids[slot] = e.nextKey
-		}
-	} else {
-		for cur := head; cur >= 0; cur = ix.slab[cur].nextKey {
-			if ix.slab[cur].nextKey == id {
-				ix.slab[cur].nextKey = e.nextKey
-				break
-			}
-		}
+	// Box chain: the walk starts at the newest entry, whose successor is
+	// the oldest, so removing the oldest takes no step.
+	newest := ix.byBox[e.box]
+	p := newest
+	for ix.slab[p].nextBox != id {
+		p = ix.slab[p].nextBox
+	}
+	ix.slab[p].nextBox = e.nextBox
+	switch {
+	case p == id:
+		ix.byBox[e.box] = -1
+	case newest == id:
+		ix.byBox[e.box] = p
+	}
+	if e.tag >= 0 {
+		ix.bySlot[e.tag] = -1
 	}
 	ix.eventLog = append(ix.eventLog, availEvent{stripe: e.stripe, box: e.box})
 	ix.slab[id] = idxEntry{}
 	ix.free = append(ix.free, id)
 }
 
-func (ix *indexedAvailability) retire(st video.StripeID, req, box, viewer, final int32) {
-	ix.freezeOn(st, box, req, final)
-	if viewer != box {
-		ix.freezeOn(st, viewer, req, final)
+func (ix *indexedAvailability) retire(st video.StripeID, req, final int32) {
+	if int(2*req) >= len(ix.bySlot) {
+		return // cache serving is off: no entry was ever added
 	}
-}
-
-// freezeOn freezes the entries of (st, box) that slot req backs.
-func (ix *indexedAvailability) freezeOn(st video.StripeID, box, req, final int32) {
-	for id := ix.byKey.get(ix.slab, st, box); id >= 0; id = ix.slab[id].nextKey {
-		if e := &ix.slab[id]; e.req() == req {
+	for _, k := range [2]int32{2 * req, 2*req + 1} {
+		if id := ix.bySlot[k]; id >= 0 {
+			ix.bySlot[k] = -1
+			e := &ix.slab[id]
 			e.freeze(final)
-			ix.eventLog = append(ix.eventLog, availEvent{stripe: st, box: box})
+			ix.eventLog = append(ix.eventLog, availEvent{stripe: st, box: e.box})
 		}
 	}
 }
@@ -352,37 +368,53 @@ func (ix *indexedAvailability) visitStep(st video.StripeID, h int32, exclude int
 	return -1, -1
 }
 
+// canServe, markFull and margin walk box's chain from its oldest entry,
+// the newest's successor, to the newest.
 func (ix *indexedAvailability) canServe(st video.StripeID, box int32, need int32, pv progressView) bool {
-	for id := ix.byKey.get(ix.slab, st, box); id >= 0; id = ix.slab[id].nextKey {
-		if entryChunks(&ix.slab[id].entry, pv) > need {
+	newest := ix.byBox[box]
+	for id := newest; newest >= 0; {
+		id = ix.slab[id].nextBox
+		if e := &ix.slab[id]; e.stripe == st && entryChunks(&e.entry, pv) > need {
 			return true
+		}
+		if id == newest {
+			break
 		}
 	}
 	return false
 }
 
-func (ix *indexedAvailability) hasFull(st video.StripeID, box int32, full int32) bool {
-	for id := ix.byKey.get(ix.slab, st, box); id >= 0; id = ix.slab[id].nextKey {
+func (ix *indexedAvailability) markFull(box int32, first video.StripeID, full int32, held []bool) {
+	newest := ix.byBox[box]
+	for id := newest; newest >= 0; {
+		id = ix.slab[id].nextBox
 		if e := &ix.slab[id]; e.tag < 0 && e.frozen() >= full {
-			return true
+			if i := uint(e.stripe - first); i < uint(len(held)) {
+				held[i] = true
+			}
+		}
+		if id == newest {
+			break
 		}
 	}
-	return false
 }
 
 func (ix *indexedAvailability) empty(st video.StripeID) bool { return ix.byStripe[st] < 0 }
 
 func (ix *indexedAvailability) margin(st video.StripeID, box int32, need int32, pv progressView) (hasLive bool, bestFrozen int32, ok bool) {
-	for id := ix.byKey.get(ix.slab, st, box); id >= 0; id = ix.slab[id].nextKey {
-		e := &ix.slab[id].entry
-		if entryChunks(e, pv) <= need {
-			continue
+	newest := ix.byBox[box]
+	for id := newest; newest >= 0; {
+		id = ix.slab[id].nextBox
+		if e := &ix.slab[id]; e.stripe == st && entryChunks(&e.entry, pv) > need {
+			ok = true
+			if e.tag >= 0 {
+				hasLive = true
+			} else if f := e.frozen(); f > bestFrozen {
+				bestFrozen = f
+			}
 		}
-		ok = true
-		if e.tag >= 0 {
-			hasLive = true
-		} else if f := e.frozen(); f > bestFrozen {
-			bestFrozen = f
+		if id == newest {
+			break
 		}
 	}
 	return hasLive, bestFrozen, ok

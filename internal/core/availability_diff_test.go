@@ -15,8 +15,9 @@ import (
 //
 //  1. A store-level property test drives both implementations with one
 //     randomized event stream (adds, freezes, window expiry) and asserts
-//     every query — visitHead/visitStep walks, canServe, margin, hasFull,
-//     live counts — agrees after each round.
+//     every query — visitHead/visitStep walks, canServe, margin, markFull,
+//     emptiness — agrees after each round, and that every link of the
+//     indexed store is in place.
 //  2. A system-level differential test runs full simulations twice, once
 //     per store (the reference installed by useNaiveStore and stepped with
 //     sweepStep), and asserts identical step results, obstruction
@@ -27,31 +28,30 @@ import (
 
 // diffReq is the property driver's model of a request backing entries.
 type diffReq struct {
-	slot        int32
-	stripe      video.StripeID
-	box, viewer int32 // holders of the lag-0 and lag-1 entries (equal when none forwards)
-	live        bool
+	slot   int32
+	stripe video.StripeID
+	live   bool
 }
 
 func TestAvailabilityStoresAgree(t *testing.T) {
 	// small keeps every chain and list short enough to read in a failure.
-	// wide holds a few hundred (stripe, box) keys at once and expires as
-	// many per round, so the indexed store's key table doubles several
-	// times and backward-shifts constantly.
+	// wide holds several hundred entries at once and expires dozens per
+	// round; a box holds up to a few dozen, so the box chains are walked
+	// far, and a removal is not always of its box's oldest entry.
 	t.Run("small", func(t *testing.T) { storesAgree(t, 24, 16, 9, 120, 3) })
 	t.Run("wide", func(t *testing.T) {
-		idx := storesAgree(t, 64, 200, 9, 60, 60)
-		if len(idx.byKey.ids) == keyIndexMinSlots {
-			t.Fatal("the key table never grew: the scenario is too small to exercise it")
+		if most := storesAgree(t, 64, 40, 9, 60, 60); most < 16 {
+			t.Fatalf("no box held more than %d entries at once: the scenario is too small to walk long chains", most)
 		}
 	})
 }
 
 // storesAgree drives one indexed and one naive store through the same
-// random rounds of up to maxAdds requests each and returns the indexed one.
-func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *indexedAvailability {
+// random rounds of up to maxAdds requests each and returns the most
+// entries one box held at the end of a round.
+func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) (most int) {
 	rng := stats.NewRNG(0xd1ff)
-	idx := newIndexedAvailability(numStripes, T)
+	idx := newIndexedAvailability(numStripes, numBoxes, T)
 	naive := newNaiveAvailability(numStripes, T)
 	stores := []availabilityStore{idx, naive}
 
@@ -60,10 +60,10 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 	// at its issue round.
 	pv := progressView{clock: 1}
 	var reqs []diffReq
-	newSlot := func(st video.StripeID, box, viewer int32) int32 {
+	newSlot := func(st video.StripeID) int32 {
 		slot := int32(len(pv.base))
 		pv.base = append(pv.base, pv.clock)
-		reqs = append(reqs, diffReq{slot: slot, stripe: st, box: box, viewer: viewer, live: true})
+		reqs = append(reqs, diffReq{slot: slot, stripe: st, live: true})
 		return slot
 	}
 
@@ -72,8 +72,8 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 			s.expire(round)
 		}
 		// A few new requests, occasionally with a lagged mirror entry. The
-		// first is (stripe 0, box 0): key 0 of the index.
-		for i := 0; i < 1+rng.Intn(maxAdds); i++ {
+		// first is (stripe 0, box 0): index 0 of every array.
+		for i, adds := 0, 1+rng.Intn(maxAdds); i < adds; i++ {
 			st := video.StripeID(rng.Intn(numStripes))
 			box := int32(rng.Intn(numBoxes))
 			if round == 1 && i == 0 {
@@ -83,10 +83,7 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 			if rng.Bool(0.4) {
 				mirror = int32(rng.Intn(numBoxes))
 			}
-			slot := newSlot(st, box, max(mirror, box))
-			if mirror >= 0 {
-				reqs[slot].viewer = mirror
-			}
+			slot := newSlot(st)
 			for _, s := range stores {
 				s.add(st, liveEntry(box, int32(round), slot, 0))
 				if mirror >= 0 {
@@ -107,15 +104,20 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 			r := &reqs[i]
 			if r.live && (pv.of(r.slot) >= int32(T) || rng.Bool(0.05)) {
 				for _, s := range stores {
-					s.retire(r.stripe, r.slot, r.box, r.viewer, pv.of(r.slot))
+					s.retire(r.stripe, r.slot, pv.of(r.slot))
 				}
 				r.live = false
 			}
 		}
 
-		if err := runLinkError(idx); err != nil {
+		if err := linkError(idx); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		perBox := make([]int, numBoxes)
+		for _, e := range idx.all() {
+			perBox[e.box]++
+		}
+		most = max(most, slices.Max(perBox))
 		// Compare every query the system can pose.
 		for st := video.StripeID(0); int(st) < numStripes; st++ {
 			if idx.empty(st) != naive.empty(st) {
@@ -145,18 +147,31 @@ func storesAgree(t *testing.T, numStripes, numBoxes, T, rounds, maxAdds int) *in
 					t.Fatalf("round %d stripe %d margin(box=%d, need=%d): indexed (%v, %d, %v), naive (%v, %d, %v)",
 						round, st, box, need, gLive, gBest, gOK, wLive, wBest, wOK)
 				}
-				// The engine only asks about full copies; partial thresholds
-				// must agree too.
+			}
+		}
+		// Admission asks which of a video's stripes a box holds in full,
+		// over the video's stripe range, with the allocation's flags
+		// already set; partial thresholds and other ranges must agree too.
+		for box := int32(0); int(box) < numBoxes; box++ {
+			first := rng.Intn(numStripes)
+			for _, span := range [][2]int{{0, numStripes}, {first, 1 + rng.Intn(numStripes-first)}} {
+				preset := make([]bool, span[1])
+				for i := range preset {
+					preset[i] = rng.Bool(0.2)
+				}
 				for _, full := range []int32{int32(T), int32(rng.Intn(T))} {
-					if g, w := idx.hasFull(st, box, full), naive.hasFull(st, box, full); g != w {
-						t.Fatalf("round %d stripe %d hasFull(box=%d, full=%d): indexed %v, naive %v",
-							round, st, box, full, g, w)
+					g, w := slices.Clone(preset), slices.Clone(preset)
+					idx.markFull(box, video.StripeID(span[0]), full, g)
+					naive.markFull(box, video.StripeID(span[0]), full, w)
+					if !slices.Equal(g, w) {
+						t.Fatalf("round %d markFull(box=%d, first=%d, full=%d) over %v: indexed %v, naive %v",
+							round, box, span[0], full, preset, g, w)
 					}
 				}
 			}
 		}
 	}
-	return idx
+	return most
 }
 
 // runDifferential steps a production system and a reference — built by
@@ -234,11 +249,16 @@ func (g *relayedPoorFirst) Next(v *View, _ int) []Demand {
 	return out
 }
 
-// buildRelayedDiff is buildRelayedSmall with a config hook.
-func buildRelayedDiff(t *testing.T, naive bool) *System {
+// relayedDiff returns a builder of buildRelayedSmall's six-box relayed
+// system with c stripes per video, on either store.
+func relayedDiff(c int) func(t *testing.T, naive bool) *System {
+	return func(t *testing.T, naive bool) *System { return buildRelayedDiff(t, naive, c) }
+}
+
+func buildRelayedDiff(t *testing.T, naive bool, c int) *System {
 	t.Helper()
 	const n = 6
-	const c, T, k = 25, 30, 2
+	const T, k = 30, 2
 	uploads := []float64{0.5, 0.5, 3.0, 3.0, 3.0, 3.0}
 	storage := make([]int, n)
 	total := 0
@@ -306,7 +326,12 @@ func TestIndexedMatchesNaiveAvailability(t *testing.T) {
 		func() Generator { return &uniformGen{rng: stats.NewRNG(502), p: 0.4} }, 90)
 	runDifferential(t, "naive/flash", homogeneous(24, StrategyNaive, 3.0),
 		func() Generator { return genFlashCrowd{target: 1} }, 60)
-	runDifferential(t, "relayed/poorfirst", buildRelayedDiff,
+	runDifferential(t, "relayed/poorfirst", relayedDiff(25),
+		func() Generator { return &relayedPoorFirst{uStar: 1.5} }, 80)
+	// Wide videos: a relay requests dozens of stripes for its poor box, so
+	// its chain, and the poor box's of forwarded copies, hold dozens of
+	// entries, and freezes and self-possession walk them.
+	runDifferential(t, "relayed/wide", relayedDiff(40),
 		func() Generator { return &relayedPoorFirst{uStar: 1.5} }, 80)
 
 	// Under-provisioned: both stores must fail on the same round with the

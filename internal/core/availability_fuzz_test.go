@@ -15,9 +15,8 @@ import (
 // round the clock reads), tick the clock with some requests stalled, and
 // retire the requests that reach T or are picked to go early. At every
 // round's matching point it checks that each stripe walk, for every need
-// and exclude, yields the naive walk reversed, and that every run link
-// names the first later entry issued at a strictly earlier round. The
-// seed corpus in testdata/fuzz/FuzzStripeWalk replays under plain go test.
+// and exclude, yields the naive walk reversed, and that every link of the
+// indexed store is in place (linkError). The seed corpus in testdata/fuzz/FuzzStripeWalk replays under plain go test.
 func FuzzStripeWalk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { stripeWalk(t, data) })
 }
@@ -44,7 +43,7 @@ func (b *fuzzBits) take(n int) int {
 
 func stripeWalk(t *testing.T, data []byte) {
 	const numStripes, numBoxes, T, maxRounds = 3, 5, 6, 300
-	idx := newIndexedAvailability(numStripes, T)
+	idx := newIndexedAvailability(numStripes, numBoxes, T)
 	naive := newNaiveAvailability(numStripes, T)
 	stores := []availabilityStore{idx, naive}
 	in := &fuzzBits{data: data}
@@ -60,20 +59,19 @@ func stripeWalk(t *testing.T, data []byte) {
 			slot := int32(len(pv.base))
 			pv.base = append(pv.base, pv.clock)
 			box := int32(in.take(3) % numBoxes)
-			reqs = append(reqs, diffReq{slot: slot, stripe: st, box: box, viewer: box, live: true})
+			reqs = append(reqs, diffReq{slot: slot, stripe: st, live: true})
 			for _, s := range stores {
 				s.add(st, liveEntry(box, int32(round), slot, 0))
 			}
 			if in.take(1) == 1 {
 				mirror := int32(in.take(3) % numBoxes)
-				reqs[len(reqs)-1].viewer = mirror
 				for _, s := range stores {
 					s.add(st, liveEntry(mirror, int32(round), slot, 1))
 				}
 			}
 		}
 
-		if err := runLinkError(idx); err != nil {
+		if err := linkError(idx); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for st := video.StripeID(0); st < numStripes; st++ {
@@ -99,7 +97,7 @@ func stripeWalk(t *testing.T, data []byte) {
 			r := &reqs[i]
 			if r.live && (pv.of(r.slot) >= T || in.take(3) == 0) {
 				for _, s := range stores {
-					s.retire(r.stripe, r.slot, r.box, r.viewer, pv.of(r.slot))
+					s.retire(r.stripe, r.slot, pv.of(r.slot))
 				}
 				r.live = false
 			}
@@ -129,10 +127,15 @@ func walkBoxes(s availabilityStore, st video.StripeID, exclude, need int32, pv p
 	}
 }
 
-// runLinkError returns an error naming the first stripe-list entry of ix
-// that is issued after its predecessor, or whose run link is not the first
-// later entry issued at a strictly earlier round; nil when there is none.
-func runLinkError(ix *indexedAvailability) error {
+// linkError returns an error naming the first link of ix that is out of
+// place, nil when there is none: a stripe-list entry issued after its
+// predecessor or whose run link is not the first later entry issued at a
+// strictly earlier round; a box chain that does not hold exactly the
+// box's entries; a live entry its request's link does not name, or a
+// link with no entry behind it.
+func linkError(ix *indexedAvailability) error {
+	perBox := make([]int, len(ix.byBox))
+	backed := 0
 	for st, head := range ix.byStripe {
 		for id := head; id >= 0; id = ix.slab[id].next {
 			e := &ix.slab[id]
@@ -147,15 +150,46 @@ func runLinkError(ix *indexedAvailability) error {
 			if e.jump != want {
 				return fmt.Errorf("stripe %d: entry %d issued at round %d jumps to %d, want %d", st, id, e.issued, e.jump, want)
 			}
+			perBox[e.box]++
+			if e.tag >= 0 {
+				backed++
+				if int(e.tag) >= len(ix.bySlot) || ix.bySlot[e.tag] != id {
+					return fmt.Errorf("stripe %d: entry %d of slot %d, lag %d, is not its request's link", st, id, e.req(), e.lag())
+				}
+			}
+		}
+	}
+	links := 0
+	for _, id := range ix.bySlot {
+		if id >= 0 {
+			links++
+		}
+	}
+	if links != backed {
+		return fmt.Errorf("%d request links name %d live entries", links, backed)
+	}
+	for b, newest := range ix.byBox {
+		n := 0
+		for id := newest; newest >= 0; {
+			id = ix.slab[id].nextBox
+			if n++; ix.slab[id].box != int32(b) || n > perBox[b] {
+				return fmt.Errorf("box %d: chain reaches entry %d of box %d after %d of its %d entries", b, id, ix.slab[id].box, n-1, perBox[b])
+			}
+			if id == newest {
+				break
+			}
+		}
+		if n != perBox[b] {
+			return fmt.Errorf("box %d: chain holds %d of its %d entries", b, n, perBox[b])
 		}
 	}
 	return nil
 }
 
-// checkRunLinks fails t when the system's store has a misplaced run link.
-func checkRunLinks(t *testing.T, s *System) {
+// checkLinks fails t when the system's store has a link out of place.
+func checkLinks(t *testing.T, s *System) {
 	t.Helper()
-	if err := runLinkError(s.avail.(*indexedAvailability)); err != nil {
+	if err := linkError(s.avail.(*indexedAvailability)); err != nil {
 		t.Fatalf("round %d: %v", s.Round(), err)
 	}
 }

@@ -48,7 +48,7 @@ func (na *naiveAvailability) expire(round int) {
 	}
 }
 
-func (na *naiveAvailability) retire(st video.StripeID, req, _, _, final int32) {
+func (na *naiveAvailability) retire(st video.StripeID, req, final int32) {
 	for i := range na.entries[st] {
 		if e := &na.entries[st][i]; e.req() == req {
 			e.freeze(final)
@@ -81,14 +81,14 @@ func (na *naiveAvailability) canServe(st video.StripeID, box int32, need int32, 
 	return false
 }
 
-func (na *naiveAvailability) hasFull(st video.StripeID, box int32, full int32) bool {
-	for i := range na.entries[st] {
-		e := &na.entries[st][i]
-		if e.box == box && e.req() == -1 && e.frozen() >= full {
-			return true
+func (na *naiveAvailability) markFull(box int32, first video.StripeID, full int32, held []bool) {
+	for i := range held {
+		for _, e := range na.entries[first+video.StripeID(i)] {
+			if e.box == box && e.req() == -1 && e.frozen() >= full {
+				held[i] = true
+			}
 		}
 	}
-	return false
 }
 
 func (na *naiveAvailability) empty(st video.StripeID) bool { return len(na.entries[st]) == 0 }

@@ -16,15 +16,15 @@ package core
 //     matcher's assignment lists and dirty queue, and each stripe's cache
 //     entry list (walk order, and so matcher visit order).
 //   - Everything else is rebuilt on decode through the paths a running
-//     engine builds it with: the store's slab, key index and expiry ring
-//     by replaying the entry lists through add; the matcher's loads and
-//     back-pointers; the retire ring from progress; the idle positions
-//     and bitmap; the slot total from the matcher's capacities. A box's
-//     record carries only its outstanding count: it is busy exactly while
-//     that is positive, and its capacity is its matcher right's. Slab
-//     ids, the slab free list, key chain order and expiry bucket order
-//     decide no result, so they are not written, and two checkpoints of
-//     one state are the same bytes.
+//     engine builds it with: the store's slab, box chains, slot links
+//     and expiry ring by replaying the entry lists through add; the
+//     matcher's loads and back-pointers; the retire ring from progress;
+//     the idle positions and bitmap; the slot total from the matcher's
+//     capacities. A box's record carries only its outstanding count: it
+//     is busy exactly while that is positive, and its capacity is its
+//     matcher right's. Slab ids, the slab free list, box chain order and
+//     expiry bucket order decide no result, so they are not written, and
+//     two checkpoints of one state are the same bytes.
 //   - Some fields that memory derives are written all the same, so that
 //     state version 4's layout stands: each pending issuance's round and
 //     mirror, and each cache entry's start, lag and backing slot or
@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/video"
@@ -439,14 +440,16 @@ func (ix *indexedAvailability) encodeState(w *ckpt.Writer) {
 }
 
 // decodeState replays the lists encodeState wrote into a freshly built
-// store through add, oldest first, so the slab, key index and expiry ring
-// are the ones add builds; the slab and the index are sized first from
-// the entries read. add trusts its caller that a start is not negative (it
-// files the entry under start mod the ring length) and that a list's issue
-// rounds never decrease from oldest to newest, and an entry packs only a
-// lag of 0 or 1, a slot id below its checkpoint's count and a frozen
-// progress in [0, T]: all of these are checked here. Whether the entries
-// agree with the slots and the clock is the audit's to check.
+// store through add, oldest first, so the slab, box chains, slot links and
+// expiry ring are the ones add builds; the slab and the slot links are
+// sized first, from the entries read and the checkpoint's slot count. add
+// trusts its caller that an entry's box is one of the system's (it indexes
+// the box chains by it), that a start is not negative (it files the entry
+// under start mod the ring length) and that a list's issue rounds never
+// decrease from oldest to newest, and an entry packs only a lag of 0 or 1,
+// a slot id below its checkpoint's count and a frozen progress in [0, T]:
+// all of these are checked here, before any entry is added. Whether the
+// entries agree with the slots and the clock is the audit's to check.
 func (ix *indexedAvailability) decodeState(r *ckpt.Reader, slots int) error {
 	type listed struct {
 		st video.StripeID
@@ -471,6 +474,8 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader, slots int) error {
 				return err
 			}
 			switch {
+			case box < 0 || int(box) >= len(ix.byBox):
+				return fmt.Errorf("core: checkpoint stripe %d entry names box %d, the system has %d", st, box, len(ix.byBox))
 			case start < 0:
 				return fmt.Errorf("core: checkpoint stripe %d entry starts at round %d", st, start)
 			case lag < 0 || lag > 1:
@@ -492,7 +497,7 @@ func (ix *indexedAvailability) decodeState(r *ckpt.Reader, slots int) error {
 		}
 	}
 	ix.slab = make([]idxEntry, 0, len(read))
-	ix.byKey = newKeyIndex(len(read))
+	ix.bySlot = slices.Repeat([]int32{-1}, 2*slots)
 	for _, l := range read {
 		ix.add(l.st, l.e)
 	}

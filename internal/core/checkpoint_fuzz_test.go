@@ -22,7 +22,10 @@ func fuzzDecodeSystem(tb testing.TB) *System {
 // assignment whose edge a hostile stream took away, which the audit does
 // not check. The honest seeds must run all 10 rounds. They are the
 // system's checkpoints at rounds 0, 15 and 60; plain go test replays them,
-// and the fuzzer mutates them into streams no engine writes.
+// and the fuzzer mutates them into streams no engine writes. One more seed
+// is such a stream: the round-60 checkpoint with a cache entry moved to a
+// box the system does not have, which decode must refuse before the store
+// indexes by it.
 func FuzzDecodeState(f *testing.F) { fuzzDecodeState(f, fuzzDecodeSystem) }
 
 // FuzzDecodeStateRelayed is FuzzDecodeState over the relayed system of
@@ -38,12 +41,7 @@ func fuzzDecodeState(f *testing.F, build func(testing.TB) *System) {
 	live := build(f)
 	gen := &uniformGen{rng: stats.NewRNG(5), p: 0.6}
 	honest := map[string]bool{}
-	for _, round := range []int{0, 15, 60} {
-		for live.Round() < round && !live.Failed() {
-			if _, err := live.Step(gen); err != nil {
-				f.Fatal(err)
-			}
-		}
+	encode := func() []byte {
 		var buf bytes.Buffer
 		w := ckpt.NewWriter(&buf)
 		if err := live.EncodeState(w); err != nil {
@@ -52,8 +50,25 @@ func fuzzDecodeState(f *testing.F, build func(testing.TB) *System) {
 		if err := w.Flush(); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
-		honest[buf.String()] = true
+		return buf.Bytes()
+	}
+	for _, round := range []int{0, 15, 60} {
+		for live.Round() < round && !live.Failed() {
+			if _, err := live.Step(gen); err != nil {
+				f.Fatal(err)
+			}
+		}
+		stream := encode()
+		f.Add(stream)
+		honest[string(stream)] = true
+	}
+	ix := live.avail.(*indexedAvailability)
+	for _, head := range ix.byStripe {
+		if head >= 0 {
+			ix.slab[head].box = int32(live.n)
+			f.Add(encode())
+			break
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := decodeOver(build(t), data)

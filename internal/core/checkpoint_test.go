@@ -416,15 +416,16 @@ func spliced(t *testing.T, s *System, ring [][]rawIssuance, lists [][]rawEntry) 
 // TestStoreDecodeRejectsMalformedLists round-trips a store with live,
 // mirrored, frozen and expired entries: the decoded store must hold the
 // same lists with the same run links and encode the same bytes. Then it
-// writes lists add cannot take — it panics on a negative start or an
-// entry issued before the list's newest — or an entry cannot pack: a lag
+// writes lists add cannot take — it indexes by a box outside the system,
+// and panics on a negative start or an entry issued before the list's
+// newest — or an entry cannot pack: a lag
 // other than 0 or 1, a slot outside the checkpoint's, a frozen progress
 // outside [0, T]. Each must come back as an error, having allocated less
 // than 1 MB.
 func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
-	const numStripes, T = 3, 5
+	const numStripes, numBoxes, T = 3, 4, 5
 	build := func() (ix *indexedAvailability, slots int) {
-		ix = newIndexedAvailability(numStripes, T)
+		ix = newIndexedAvailability(numStripes, numBoxes, T)
 		rng := stats.NewRNG(78)
 		var live []diffReq
 		slot := int32(0)
@@ -432,19 +433,16 @@ func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
 			ix.expire(round)
 			for i := 0; i < 4; i++ {
 				st := video.StripeID(rng.Intn(numStripes))
-				r := diffReq{slot: slot, stripe: st, box: int32(rng.Intn(4)), live: true}
-				r.viewer = r.box
-				ix.add(st, liveEntry(r.box, int32(round), slot, 0))
+				ix.add(st, liveEntry(int32(rng.Intn(numBoxes)), int32(round), slot, 0))
 				if rng.Bool(0.5) {
-					r.viewer = int32(rng.Intn(4))
-					ix.add(st, liveEntry(r.viewer, int32(round), slot, 1))
+					ix.add(st, liveEntry(int32(rng.Intn(numBoxes)), int32(round), slot, 1))
 				}
-				live = append(live, r)
+				live = append(live, diffReq{slot: slot, stripe: st, live: true})
 				slot++
 			}
 			for i := range live {
 				if r := &live[i]; r.live && rng.Bool(0.3) {
-					ix.retire(r.stripe, r.slot, r.box, r.viewer, 2)
+					ix.retire(r.stripe, r.slot, 2)
 					r.live = false
 				}
 			}
@@ -453,7 +451,7 @@ func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
 		return ix, int(slot)
 	}
 	encode := func(ix *indexedAvailability) []byte { return streamOfWrites(ix.encodeState) }
-	fresh := func() *indexedAvailability { return newIndexedAvailability(numStripes, T) }
+	fresh := func() *indexedAvailability { return newIndexedAvailability(numStripes, numBoxes, T) }
 	honest, slots := build()
 	if !bytes.Equal(streamOfWrites(func(w *ckpt.Writer) { writeLists(w, rawLists(honest)) }), encode(honest)) {
 		t.Fatal("writeLists does not write encodeState's layout")
@@ -506,6 +504,9 @@ func TestStoreDecodeRejectsMalformedLists(t *testing.T) {
 			newest, prev := &list[len(list)-1], list[len(list)-2]
 			newest.start = prev.start - prev.lag - 1 + newest.lag
 		}), "follows one issued"},
+		{"box past the boxes", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(backed).box = numBoxes }),
+			fmt.Sprintf("names box %d, the system has %d", numBoxes, numBoxes)},
+		{"negative box", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(frozen).box = -1 }), "names box -1, the system"},
 		{"negative start", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(frozen).start = -1 }), "starts at round -1"},
 		{"slot past the slots", edited(func(_ [][]rawEntry, e func(at) *rawEntry) { e(backed).req = int32(slots) }),
 			fmt.Sprintf("names slot %d, the checkpoint has %d", slots, slots)},
@@ -604,7 +605,7 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 	}
 	decodeSystem := func() func(*ckpt.Reader) error { return restoreUnder(mk()) }
 	decodeStore := func() func(*ckpt.Reader) error {
-		ix := newIndexedAvailability(numStripes, T)
+		ix := newIndexedAvailability(numStripes, fresh.n, T)
 		return func(r *ckpt.Reader) error { return ix.decodeState(r, 0) }
 	}
 	decodeMetrics := func(round int) decoder {

@@ -298,10 +298,11 @@ func (s *System) admit(d Demand) admitCode {
 // postponeDelay rounds (Section 3; delay 0 is the naive ablation).
 // It returns the number of requests planned.
 func (s *System) planHomogeneous(b int32, v video.ID, preloadIdx, postponeDelay int) int {
+	local := s.selfPossesses(b, v)
 	planned := 0
 	for i := 0; i < s.cat.C; i++ {
 		st := s.cat.Stripe(v, i)
-		if s.selfPossesses(b, st) {
+		if local[i] {
 			s.metrics.skippedSelf++
 			continue
 		}
@@ -323,10 +324,11 @@ func (s *System) planHomogeneous(b int32, v video.ID, preloadIdx, postponeDelay 
 // planRelayedRich is the Section 4 strategy for a rich box's own demand:
 // preload now, postponed requests at t+2 (doubled time scale).
 func (s *System) planRelayedRich(b int32, v video.ID, preloadIdx int) int {
+	local := s.selfPossesses(b, v)
 	planned := 0
 	for i := 0; i < s.cat.C; i++ {
 		st := s.cat.Stripe(v, i)
-		if s.selfPossesses(b, st) {
+		if local[i] {
 			s.metrics.skippedSelf++
 			continue
 		}
@@ -349,11 +351,12 @@ func (s *System) planRelayedRich(b int32, v video.ID, preloadIdx int) int {
 func (s *System) planRelayedPoor(b int32, v video.ID, preloadIdx int) int {
 	r := int32(s.cfg.Relays[b])
 	cb := directStripeCount(s.cfg.Uploads[b], s.cat.C, s.cfg.Mu)
+	local := s.selfPossesses(b, v)
 	planned := 0
 	direct := 0
 	for i := 0; i < s.cat.C; i++ {
 		st := s.cat.Stripe(v, i)
-		if s.selfPossesses(b, st) {
+		if local[i] {
 			s.metrics.skippedSelf++
 			continue // viewer plays it locally
 		}

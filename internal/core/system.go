@@ -123,6 +123,8 @@ type System struct {
 	// stripeScratch holds an obstruction's request stripes while
 	// recordObstruction counts the distinct ones, reused across rounds.
 	stripeScratch []video.StripeID
+	// heldScratch is selfPossesses' answer, one flag per stripe index.
+	heldScratch []bool
 
 	// fingerprint caches Fingerprint once fingerprinted is set.
 	fingerprint   uint64
@@ -156,9 +158,10 @@ func NewSystem(cfg Config) (*System, error) {
 		tracker:     swarm.NewTracker(cat.M, cat.T, cfg.Mu),
 		boxes:       make([]boxRec, n),
 		pendingRing: make([][]issuance, maxIssuanceDelay+1),
-		avail:       newIndexedAvailability(cat.NumStripes(), cat.T),
+		avail:       newIndexedAvailability(cat.NumStripes(), n, cat.T),
 		recheckRing: make([][]int32, cat.T+2),
 		retireRing:  make([][]int32, cat.T+1),
+		heldScratch: make([]bool, cat.C),
 		clock:       1,
 	}
 	s.adj = adjacency{s}
@@ -302,7 +305,7 @@ func (s *System) progress() progressView { return progressView{s.clock, s.reqBas
 // retireRequest completes a request: frees the slot, freezes its cache
 // entries, and releases the viewer when its last request finishes.
 func (s *System) retireRequest(slot int32) {
-	s.avail.retire(s.reqStripe[slot], slot, s.reqBox[slot], s.reqViewer[slot], s.progress().of(slot))
+	s.avail.retire(s.reqStripe[slot], slot, s.progress().of(slot))
 	s.matcher.RemoveLeft(int(slot))
 	s.freeSlots = append(s.freeSlots, slot)
 	s.finishOne(s.reqViewer[slot])
@@ -440,17 +443,21 @@ func (a adjacency) ServerClass(left int) (class, need int32, self int) {
 	return int32(s.reqStripe[left]), s.progress().of(int32(left)), int(s.reqBox[left])
 }
 
-// selfPossesses reports whether box b already has stripe st available
-// locally: stored by allocation, or completely cached from a recent
-// viewing (frozen full-progress entry inside the window).
-func (s *System) selfPossesses(b int32, st video.StripeID) bool {
-	if s.cfg.Alloc.Stores(int(b), st) {
-		return true
+// selfPossesses reports, per stripe index of video v, whether box b
+// already has the stripe available locally: stored by allocation, or
+// completely cached from a recent viewing (frozen full-progress entry
+// inside the window). One walk of b's cache entries answers for every
+// stripe. The slice is scratch, valid until the next call.
+func (s *System) selfPossesses(b int32, v video.ID) []bool {
+	held := s.heldScratch
+	first := s.cat.Stripe(v, 0)
+	for i := range held {
+		held[i] = s.cfg.Alloc.Stores(int(b), first+video.StripeID(i))
 	}
-	if s.cfg.DisableCacheServing {
-		return false
+	if !s.cfg.DisableCacheServing {
+		s.avail.markFull(b, first, int32(s.cat.T), held)
 	}
-	return s.avail.hasFull(st, b, int32(s.cat.T))
+	return held
 }
 
 // String summarizes the system state for debugging.
